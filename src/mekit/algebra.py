@@ -9,7 +9,6 @@ Operations refuse to grow the representation past ``max_degree`` (default
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field
 
@@ -106,13 +105,6 @@ class KFoldConvolution:
     p_block: np.ndarray
     Q_block: np.ndarray
 
-    def augmented_generator(self) -> np.ndarray:
-        n = self.Q_block.shape[0]
-        QI = np.zeros((n + 1, n + 1))
-        QI[0, 1:] = self.p_block
-        QI[1:, 1:] = self.Q_block
-        return QI
-
     def partial_cdfs(self, theta: float) -> np.ndarray:
         """P(Z_1 + ... + Z_k <= theta) for k = 1..K from one exponential.
 
@@ -121,10 +113,8 @@ class KFoldConvolution:
         """
         if theta < 0:
             raise ValueError("theta must be nonnegative")
-        E = matfun.expm(theta * self.augmented_generator())
-        d = self.base.d
-        return np.array([E[0, 1 + d * (k - 1):1 + d * k] @ self.base.z
-                         for k in range(1, self.K + 1)])
+        row = matfun.expm_integral(self.p_block, self.Q_block, theta)
+        return row.reshape(self.K, self.base.d) @ self.base.z
 
 
 def kfold_block(dist, K: int, allow_large=False) -> KFoldConvolution:
@@ -152,10 +142,6 @@ def kfold_block(dist, K: int, allow_large=False) -> KFoldConvolution:
     return KFoldConvolution(base=base, K=K, p_block=p, Q_block=Q)
 
 
-def _augmented(dist: MEDist) -> np.ndarray:
-    return dist.augmented_generator()
-
-
 @dataclass(frozen=True)
 class MaxOfTwo:
     """Maximum of two independent ME variables.
@@ -172,7 +158,8 @@ class MaxOfTwo:
         if t < 0:
             raise ValueError("t must be nonnegative")
         if method == "kron":
-            A = matfun.kron_sum(_augmented(self.d1), _augmented(self.d2))
+            A = matfun.kron_sum(matfun.augmented(self.d1.x, self.d1.Y),
+                                matfun.augmented(self.d2.x, self.d2.Y))
             v = np.kron(np.concatenate([[0.0], self.d1.z]),
                         np.concatenate([[0.0], self.d2.z]))
             return float(matfun.expm(t * A)[0, :] @ v)
@@ -251,15 +238,18 @@ def _nakagami(m: int, S: float) -> MEDist:
 def _sdc(N: int, S: float) -> MEDist:
     """Selection diversity over N iid exponential branches with mean S.
 
-    Upper-bidiagonal form: diagonal -n/S, unit superdiagonal scaled by 1/S,
-    x = (N!/S) e_1, z = e_N; the transform is N! / prod_n (n + s S).
+    Hypoexponential form: the maximum is a sum of exponential stages with
+    rates n/S, n = 1..N, so x = e_1, Y = diag(-n/S) + superdiag(n/S) and
+    z = (N/S) e_N; the transform is N! / prod_n (n + s S).  Every entry is
+    O(N/S), so the form stays well scaled for large N.
     """
     N = int(N)
-    Y = (np.diag(-np.arange(1.0, N + 1)) + np.diag(np.ones(N - 1), 1)) / S
+    rates = np.arange(1.0, N + 1) / S
+    Y = np.diag(-rates) + np.diag(rates[:-1], 1)
     x = np.zeros(N)
-    x[0] = math.factorial(N) / S
+    x[0] = 1.0
     z = np.zeros(N)
-    z[-1] = 1.0
+    z[-1] = rates[-1]
     return MEDist(x, Y, z)
 
 

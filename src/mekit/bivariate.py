@@ -120,35 +120,13 @@ class BivME:
                 "ordered-support marginals are not ME on this form; "
                 "use marginal_pdf")
         if which == 1:
-            if abs(np.linalg.det(self.Q2)) < 1e-300:
-                z = self.P12 @ self._integral_column(self.Q2, self.r2)
-            else:
-                z = -self.P12 @ np.linalg.solve(self.Q2, self.r2)
+            # (int_0^inf e^{tQ2} r2 dt)^T, as a row integral over Q2^T
+            z = self.P12 @ _integral_to_inf(self.r2, self.Q2.T)
             return MEDist(self.p1, self.Q1, z)
         if which == 2:
-            if abs(np.linalg.det(self.Q1)) < 1e-300:
-                x = self._integral_row(self.p1, self.Q1)
-            else:
-                x = -np.linalg.solve(self.Q1.T, self.p1).T
+            x = _integral_to_inf(self.p1, self.Q1)
             return MEDist(x @ self.P12, self.Q2, self.r2)
         raise ValueError("which must be 1 or 2")
-
-    @staticmethod
-    def _integral_column(Q, r, b=None):
-        """int_0^b e^{tQ} r dt without inverting Q, via one block
-        exponential [[Q, r], [0, 0]]."""
-        d = Q.shape[0]
-        lam = np.linalg.eigvals(Q)
-        nz = np.abs(lam.real)[np.abs(lam.real) > 1e-12]
-        b = 40.0 / nz.min() if b is None and nz.size else (b or 40.0)
-        M = np.zeros((d + 1, d + 1))
-        M[:d, :d] = Q
-        M[:d, -1] = r
-        return matfun.expm(b * M)[:d, -1]
-
-    @staticmethod
-    def _integral_row(p, Q, b=None):
-        return BivME._integral_column(Q.T, p, b)
 
     def marginal_pdf(self, which: int, z: float) -> float:
         """Marginal density value, valid for both quadrant and ordered
@@ -201,6 +179,18 @@ class BivME:
                 "mass_is_one": abs(mass - 1.0) <= 1e-6}
 
 
+def _integral_to_inf(x, Q):
+    """int_0^inf x e^{tQ} dt = -x Q^{-1}; for singular Q the integral is
+    cut at 40 over the slowest nonzero decay rate."""
+    try:
+        return -np.linalg.solve(Q.T, x)
+    except np.linalg.LinAlgError:
+        rates = np.abs(np.linalg.eigvals(Q).real)
+        rates = rates[rates > 1e-12]
+        b = 40.0 / rates.min() if rates.size else 40.0
+        return matfun.expm_integral(x, Q, b)
+
+
 def independent_bivme(d1: MEDist, d2: MEDist) -> BivME:
     """Rank-one coupling r1 p2: the joint density of independent factors."""
     return BivME(d1.x, d1.Y, np.outer(d1.z, d2.x), d2.Y, d2.z)
@@ -212,8 +202,6 @@ def independent_bivme(d1: MEDist, d2: MEDist) -> BivME:
 def integral_product_independent(d1: MEDist, d2: MEDist) -> float:
     """int_0^inf f1(t) f2(t) dt = -(x1 (x) x2)(Y1 (+) Y2)^{-1}(z1 (x) z2)."""
     K = matfun.kron_sum(d1.Y, d2.Y)
-    if abs(np.linalg.det(K)) < 1e-300:
-        raise np.linalg.LinAlgError("Kronecker sum is singular")
     return float(-np.kron(d1.x, d2.x) @ np.linalg.solve(K, np.kron(d1.z, d2.z)))
 
 
@@ -221,11 +209,8 @@ def integral_product_finite(d1: MEDist, d2: MEDist, b: float) -> float:
     """int_0^b f1 f2 dt as one augmented exponential row."""
     if b < 0:
         raise ValueError("b must be nonnegative")
-    n = d1.d * d2.d
-    QI = np.zeros((n + 1, n + 1))
-    QI[0, 1:] = np.kron(d1.x, d2.x)
-    QI[1:, 1:] = matfun.kron_sum(d1.Y, d2.Y)
-    return float(matfun.expm(b * QI)[0, 1:] @ np.kron(d1.z, d2.z))
+    row = matfun.expm_integral(np.kron(d1.x, d2.x), matfun.kron_sum(d1.Y, d2.Y), b)
+    return float(row @ np.kron(d1.z, d2.z))
 
 
 def integral_sylvester(a, b, x1, Y1, X12, Y2, z2):
@@ -265,12 +250,7 @@ def integral_vectorized(b, x1, Y1, X12, Y2, z2) -> float:
     row = np.kron(z2, x1)
     if math.isinf(b):
         return float(-row @ np.linalg.solve(K, vec))
-    n = vec.size
-    QI = np.zeros((n + 1, n + 1))
-    QI[0, 1:] = row
-    QI[1:, 1:] = K
-    E = matfun.expm(b * QI)
-    return float(E[0, 1:] @ vec)
+    return float(matfun.expm_integral(row, K, b) @ vec)
 
 
 def integral_vanloan(b, x1, Y1, X12, Y2, z2):

@@ -123,49 +123,46 @@ def cmd_channel(args) -> int:
 # -- metric -------------------------------------------------------------------
 
 
-def _eval_metric(name, spec, args):
-    """Evaluate one metric point; returns a MetricResult."""
-    channel = _build(spec)
-    if name == "outage":
+def _eval_metric(name, channel, args):
+    """Evaluate one metric point on a built channel; returns the
+    MetricResult and the decoding threshold used (None for metrics that
+    take none)."""
+    if name == "harq_persistent" and args.interference_spec is not None:
+        raise ConstructionError(
+            "persistent HARQ under interference is not supported: the "
+            "post-interference success transform is not rational, so no "
+            "ME form exists")
+    if name in ("outage", "arq", "harq", "harq_persistent"):
         dist, th = _resolve_threshold(channel, args)
-        return metrics.outage(dist, th)
+        if name == "outage":
+            return metrics.outage(dist, th), th
+        if name == "arq":
+            return metrics.arq_throughput(dist, args.R, th), th
+        if name == "harq":
+            return metrics.harq_truncated_throughput(dist, args.R, args.K, th), th
+        return metrics.harq_persistent_throughput(dist, args.R, th), th
     if name == "outage_capacity":
-        return metrics.outage_capacity(channel.dist, args.q_target)
-    if name == "arq":
-        dist, th = _resolve_threshold(channel, args)
-        return metrics.arq_throughput(dist, args.R, th)
-    if name == "harq":
-        dist, th = _resolve_threshold(channel, args)
-        return metrics.harq_truncated_throughput(dist, args.R, args.K, th)
-    if name == "harq_persistent":
-        if args.interference_spec is not None:
-            raise ConstructionError(
-                "persistent HARQ under interference is not supported: the "
-                "post-interference success transform is not rational, so no "
-                "ME form exists")
-        dist, th = _resolve_threshold(channel, args)
-        return metrics.harq_persistent_throughput(dist, args.R, th)
+        return metrics.outage_capacity(channel.dist, args.q_target), None
     if name == "eff_capacity_rate":
-        return metrics.eff_capacity_me_rate(channel.dist, args.theta)
+        return metrics.eff_capacity_me_rate(channel.dist, args.theta), None
     if name == "eff_capacity_shannon":
-        return metrics.eff_capacity_shannon(channel.dist, args.theta)
+        return metrics.eff_capacity_shannon(channel.dist, args.theta), None
     if name == "ergodic_capacity":
-        return metrics.ergodic_capacity(channel.dist)
+        return metrics.ergodic_capacity(channel.dist), None
     if name == "ber":
         if args.detection == "coherent":
-            return metrics.ber_coherent(channel.dist, args.a)
-        return metrics.ber_noncoherent(channel.dist, args.a)
+            return metrics.ber_coherent(channel.dist, args.a), None
+        return metrics.ber_noncoherent(channel.dist, args.a), None
     if name == "arq_interference":
-        scn = _interference_scenario(args)
-        return bivariate.arq_interference_throughput(scn, args.R)
+        scn = _interference_scenario(args, channel.dist)
+        return bivariate.arq_interference_throughput(scn, args.R), None
     raise ConstructionError(f"unknown metric {name!r}")
 
 
-def _interference_scenario(args):
+def _interference_scenario(args, signal):
     if args.interference_spec is None:
         raise ConstructionError(
             "arq_interference requires --interference-spec FILE")
-    signal = _build(_load_spec(args.spec)).dist
     interferer = _build(_load_spec(args.interference_spec)).dist
     return bivariate.InterferenceScenario(signal=signal,
                                           interferers=(interferer,))
@@ -205,11 +202,7 @@ def _emit(rows, args) -> None:
 def cmd_metric(args) -> int:
     rows = []
     for key, value, spec, a in _sweep_rows(args):
-        res = _eval_metric(args.metric, spec, a)
-        theta_used = None
-        if args.metric in ("outage", "arq", "harq", "harq_persistent"):
-            ch = _build(spec)
-            theta_used = _resolve_threshold(ch, a)[1]
+        res, theta_used = _eval_metric(args.metric, _build(spec), a)
         rows.append({
             "metric": args.metric,
             "sweep_key": key or "",
@@ -227,52 +220,33 @@ def cmd_metric(args) -> int:
 
 # -- verify -------------------------------------------------------------------
 
+# CLI metric name -> oracle.mc_metric kind
+_MC_KIND = {"outage": "outage", "arq": "arq", "harq": "harq_truncated",
+            "harq_persistent": "harq_persistent", "ber": "ber",
+            "arq_interference": "arq_interference"}
+
 
 def cmd_verify(args) -> int:
     spec = _load_spec(args.spec)
     channel = _build(spec)
     cfg = oracle.RngConfig(seed=args.seed, n=args.n)
-    dist_closed, theta_closed = _resolve_threshold(channel, args)
-    theta_true = metrics.theta_absolute(args.R)
-
-    if args.metric == "outage":
-        closed = metrics.outage(dist_closed, theta_closed).value
-        est = oracle.mc_metric("outage", {"dist": channel.dist,
-                                          "theta": theta_true}, cfg)
-    elif args.metric == "arq":
-        closed = metrics.arq_throughput(dist_closed, args.R, theta_closed).value
-        est = oracle.mc_metric("arq", {"dist": channel.dist, "R": args.R,
-                                       "theta": theta_true}, cfg)
-    elif args.metric == "harq":
-        closed = metrics.harq_truncated_throughput(
-            dist_closed, args.R, args.K, theta_closed).value
-        est = oracle.mc_metric("harq_truncated",
-                               {"dist": channel.dist, "R": args.R,
-                                "theta": theta_true, "K": args.K}, cfg)
-    elif args.metric == "harq_persistent":
-        closed = metrics.harq_persistent_throughput(
-            dist_closed, args.R, theta_closed).value
-        est = oracle.mc_metric("harq_persistent",
-                               {"dist": channel.dist, "R": args.R,
-                                "theta": theta_true}, cfg)
-    elif args.metric == "ber":
-        f = metrics.ber_coherent if args.detection == "coherent" \
-            else metrics.ber_noncoherent
-        closed = f(channel.dist, args.a).value
-        est = oracle.mc_metric("ber", {"dist": channel.dist, "a": args.a,
-                                       "detection": args.detection}, cfg)
-    elif args.metric == "arq_interference":
-        scn = _interference_scenario(args)
-        closed = bivariate.arq_interference_throughput(scn, args.R).value
-        est = oracle.mc_metric("arq_interference",
-                               {"signal": scn.signal,
-                                "interferers": list(scn.interferers),
-                                "R": args.R}, cfg)
-    elif args.metric == "ncbr":
-        links = {k: channel.dist for k in ("13", "32", "23", "31")}
+    dist = channel.dist
+    if args.metric == "ncbr":
+        links = {k: dist for k in ("13", "32", "23", "31")}
         closed = metrics.ncbr_throughput(links, args.R, args.R).value
         est = oracle.mc_metric("ncbr", {"links": links, "R12": args.R,
                                         "R21": args.R}, cfg)
+    elif args.metric in _MC_KIND:
+        closed = _eval_metric(args.metric, channel, args)[0].value
+        # Monte Carlo simulates the physical event ln(1 + Z) > R on the
+        # channel as built, whatever the closed form's threshold convention
+        scenario = {"dist": dist, "R": args.R, "K": args.K,
+                    "theta": metrics.theta_absolute(args.R),
+                    "a": args.a, "detection": args.detection}
+        if args.metric == "arq_interference":
+            scn = _interference_scenario(args, dist)
+            scenario.update(signal=dist, interferers=list(scn.interferers))
+        est = oracle.mc_metric(_MC_KIND[args.metric], scenario, cfg)
     else:
         raise ConstructionError(f"metric {args.metric!r} has no Monte Carlo mode")
 
@@ -312,7 +286,7 @@ def cmd_optimize(args) -> int:
             th = metrics.theta_unit_mean(R, S)
             return metrics.harq_persistent_throughput(dist_um, R, th).value
     elif args.metric == "arq_interference":
-        scn = _interference_scenario(args)
+        scn = _interference_scenario(args, channel.dist)
         scn = bivariate.InterferenceScenario(
             signal=scn.signal.to_unit_mean(), interferers=scn.interferers)
         opts = metrics.optimize_rate("arq_interference", scn, thetas)

@@ -141,7 +141,9 @@ def lloyd_max(dist: MEDist, M: int, tol: float = 1e-10,
     centroid midpoints, centroids from the closed-form partial moments.
     Initial centroids default to equispaced cdf quantiles, which avoids
     empty cells for heavy-tailed densities; an empty cell during iteration
-    is re-seeded with a diagnostic note.
+    is re-seeded with a diagnostic note.  Stopping at ``max_iter`` before
+    the relative centroid move falls below ``tol`` adds a note and raises
+    an :class:`AccuracyWarning`.
     """
     if M < 1 or M != int(M):
         raise ValueError("M must be a positive integer")
@@ -162,6 +164,7 @@ def lloyd_max(dist: MEDist, M: int, tol: float = 1e-10,
         mse = m[2] - 2.0 * u[0] * m[1] + u[0] ** 2 * m[0]
         return LloydMaxResult(np.array([]), u, mse, 0)
     it = 0
+    move = math.inf
     for it in range(1, max_iter + 1):
         edges = np.concatenate([[0.0],
                                 0.5 * (centroids[:-1] + centroids[1:]),
@@ -181,6 +184,11 @@ def lloyd_max(dist: MEDist, M: int, tol: float = 1e-10,
         centroids = new
         if move < tol:
             break
+    else:
+        msg = (f"stopped at max_iter={max_iter} before converging "
+               f"(last relative move {move:.3e} >= tol {tol:.1e})")
+        notes.append(msg)
+        warnings.warn(msg, matfun.AccuracyWarning, stacklevel=2)
     edges = np.concatenate([[0.0], 0.5 * (centroids[:-1] + centroids[1:]),
                             [math.inf]])
     anti = [pm.at(e) for e in edges]

@@ -21,6 +21,7 @@ __all__ = [
     "EigDecomp",
     "SpectralCollisionError",
     "assert_real",
+    "augmented",
     "eig_decomp",
     "expm",
     "expm_integral",
@@ -95,10 +96,27 @@ def expm(M):
     return R
 
 
-def expm_integral(M, b):
-    """Integral of e^{tM} over (0, b) for nonsingular M: M^{-1}(e^{bM} - I)."""
-    M = _as_square(M)
-    return np.linalg.solve(M, expm(b * M) - np.eye(M.shape[0], dtype=M.dtype))
+def augmented(x, Y):
+    """(d+1) x (d+1) block matrix [[0, x], [0, Y]] (Van Loan 1978).
+
+    The first row of e^{bA} is [1, int_0^b x e^{tY} dt], so the integral
+    needs no inverse of Y.  Real or complex input.
+    """
+    Y = _as_square(Y, "Y")
+    x = np.ravel(x)
+    if x.shape[0] != Y.shape[0]:
+        raise ValueError(
+            f"x has length {x.shape[0]}, Y has order {Y.shape[0]}")
+    A = np.zeros((Y.shape[0] + 1,) * 2, dtype=np.result_type(x, Y, float))
+    A[0, 1:] = x
+    A[1:, 1:] = Y
+    return A
+
+
+def expm_integral(x, Y, b):
+    """Row int_0^b x e^{tY} dt from one exponential of :func:`augmented`;
+    Y may be singular."""
+    return expm(b * augmented(x, Y))[0, 1:]
 
 
 def kron(A, B):

@@ -139,16 +139,6 @@ class MEDist:
         return matfun.assert_real(val, scale=max(1.0, abs(val)),
                                   rtol=1e-10, context="pdf")
 
-    def augmented_generator(self) -> np.ndarray:
-        """(d+1) x (d+1) block matrix [[0, x], [0, Y]]; the first row of its
-        exponential, dotted with [0; z], is the cdf (works for singular Y).
-        When z is the last basis vector this is just the upper-right entry."""
-        d = self.d
-        YI = np.zeros((d + 1, d + 1))
-        YI[0, 1:] = self.x
-        YI[1:, 1:] = self.Y
-        return YI
-
     def cdf(self, t: float, method: str = "augmented") -> float:
         """Cumulative distribution at t.
 
@@ -159,14 +149,14 @@ class MEDist:
         if t < 0:
             raise ValueError(f"cdf requires t >= 0, got {t}")
         if method == "augmented":
-            E = matfun.expm(t * self.augmented_generator())
-            return float(E[0, 1:] @ self.z)
+            return float(matfun.expm_integral(self.x, self.Y, t) @ self.z)
         if method == "classic":
-            if abs(np.linalg.det(self.Y)) < 1e-300:
+            try:
+                Yinv_z = np.linalg.solve(self.Y, self.z)
+            except np.linalg.LinAlgError as exc:
                 raise np.linalg.LinAlgError(
-                    "Y is singular; use the augmented cdf path")
-            val = 1.0 + self.x @ matfun.expm(t * self.Y) @ np.linalg.solve(self.Y, self.z)
-            return float(val)
+                    "Y is singular; use the augmented cdf path") from exc
+            return float(1.0 + self.x @ matfun.expm(t * self.Y) @ Yinv_z)
         raise ValueError(f"unknown cdf method {method!r}")
 
     def sf(self, t: float) -> float:
@@ -176,9 +166,11 @@ class MEDist:
     def lt(self, s) -> complex:
         """Laplace transform x (sI - Y)^{-1} z of the pdf."""
         A = s * np.eye(self.d) - self.Y
-        if abs(np.linalg.det(A)) < 1e-300:
-            raise np.linalg.LinAlgError(f"s={s} is an eigenvalue of Y")
-        val = complex(self.x @ np.linalg.solve(A, self.z.astype(complex)))
+        try:
+            w = np.linalg.solve(A, self.z.astype(complex))
+        except np.linalg.LinAlgError as exc:
+            raise np.linalg.LinAlgError(f"s={s} is an eigenvalue of Y") from exc
+        val = complex(self.x @ w)
         return val if np.iscomplexobj(np.asarray(s)) or isinstance(s, complex) else val.real
 
     def moment(self, k: int) -> float:
@@ -241,8 +233,7 @@ class MEDist:
         t_max = self.t_max() if t_max is None else t_max
         ts = np.linspace(0.0, t_max, n)
         h = ts[1] - ts[0]
-        YI = self.augmented_generator()
-        E = matfun.expm(h * YI)
+        E = matfun.expm(h * matfun.augmented(self.x, self.Y))
         vals = np.empty(n)
         w = np.zeros(self.d + 1)
         w[0] = 1.0

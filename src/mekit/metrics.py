@@ -21,7 +21,7 @@ from scipy.special import gamma as gamma_fn
 from scipy.special import gammaincc
 
 from . import algebra, matfun
-from .medist import MEDist, RationalLT, to_rational_lt
+from .medist import MEDist, RationalLT, _companion, to_rational_lt
 
 __all__ = [
     "LinkParams",
@@ -117,13 +117,12 @@ def _dist(channel) -> MEDist:
 
 
 def outage(channel, theta: float) -> MetricResult:
-    """Outage probability P(Z <= theta) from the first row of one augmented
-    matrix exponential (valid for singular generators)."""
+    """Outage probability P(Z <= theta): the augmented cdf (valid for
+    singular generators)."""
     d = _dist(channel)
     if theta < 0:
         raise ValueError("theta must be nonnegative")
-    E = matfun.expm(theta * d.augmented_generator())
-    return _result(E[0, 1:] @ d.z, "closed_form")
+    return _result(d.cdf(theta), "closed_form")
 
 
 def outage_capacity(channel, q_target: float, tol: float = 1e-12) -> MetricResult:
@@ -217,17 +216,15 @@ def _poly_power(coeffs_with_leading, N):
     return out
 
 
-def _persistent_core(p, q, theta):
-    """Mean transmission count 1 + E for 1/(1 - p(s)/q(s)) via the
-    companion form of p(s)/(q(s) - p(s))."""
-    d = len(q)
-    pp = _pad(p, d)
-    Y = np.diag(np.ones(d - 1), 1)
-    Y[-1, :] -= np.asarray(q, dtype=float) - pp
-    QI = np.zeros((d + 1, d + 1))
-    QI[0, 1:] = pp
-    QI[1:, 1:] = Y
-    return 1.0 + matfun.expm(theta * QI)[0, -1], QI
+def _renewal_form(lt: RationalLT, N: int):
+    """Companion pair (x, Y) of p^N / (q^N - p^N), the renewal density of
+    the N-fold diversity transform (p/q)^N; the last entry of
+    int_0^theta x e^{tY} dt is the mean retransmission count at theta."""
+    pn = _poly_power(np.asarray(lt.p, float), N)
+    qn = _poly_power(np.concatenate([lt.q, [1.0]]), N)[:-1]
+    x = _pad(pn, len(qn))
+    Y, _ = _companion(qn - x)
+    return x, Y
 
 
 def harq_persistent_throughput(channel, R: float, theta: float,
@@ -248,24 +245,17 @@ def harq_persistent_throughput(channel, R: float, theta: float,
     N = int(diversity)
     if N < 1:
         raise ValueError("diversity must be a positive integer")
-    p = np.asarray(lt.p, dtype=float)
-    q = np.asarray(lt.q, dtype=float)
     # q(s) - p(s) keeps its monic degree-d term whenever deg p < deg q, so
     # the compensated denominator never vanishes identically for a proper
     # transform; no degeneracy guard is reachable here.
     if method == "companion":
-        if N == 1:
-            pn, qn = p, q
-        else:
-            qn_full = _poly_power(np.concatenate([q, [1.0]]), N)
-            pn = _poly_power(p, N)
-            qn = qn_full[:-1]
-        mean_tx, _ = _persistent_core(pn, qn, theta)
+        x, Y = _renewal_form(lt, N)
+        mean_tx = 1.0 + matfun.expm_integral(x, Y, theta)[-1]
         return _result(R / mean_tx, "closed_form")
     if method == "roots_of_unity":
-        d = len(q)
-        pp = _pad(p, d).astype(complex)
-        qq = q.astype(complex)
+        d = len(lt.q)
+        pp = _pad(lt.p, d).astype(complex)
+        qq = np.asarray(lt.q, dtype=complex)
         S = np.diag(np.ones(d - 1), 1).astype(complex)
         r = np.zeros((d, 1), dtype=complex)
         r[-1, 0] = 1.0
@@ -277,10 +267,7 @@ def harq_persistent_throughput(channel, R: float, theta: float,
             Q[n * d:(n + 1) * d, n * d:(n + 1) * d] = S - r @ (qq - pp * w)[None, :]
             if n + 1 < N:
                 Q[n * d:(n + 1) * d, (n + 1) * d:(n + 2) * d] = coupling
-        QI = np.zeros((D + 1, D + 1), dtype=complex)
-        QI[0, 1:1 + d] = pp
-        QI[1:, 1:] = Q
-        E = matfun.expm(theta * QI)[0, -1]
+        E = matfun.expm_integral(_pad(lt.p, D), Q, theta)[-1]
         mean_tx = matfun.assert_real(1.0 + E, context="roots-of-unity path")
         return MetricResult(R / mean_tx, "eigen", imag_residual=abs(E.imag))
     raise ValueError(f"unknown method {method!r}")
@@ -563,21 +550,11 @@ def optimize_rate(metric: str, channel, thetas, **kwargs) -> list[Optimum]:
     if metric == "harq_persistent":
         lt = _as_rational(channel)
         N = int(kwargs.get("diversity", 1))
+        x, Y = _renewal_form(lt, N)
         for th in thetas:
-            if N == 1:
-                pn = np.asarray(lt.p, float)
-                qn = np.asarray(lt.q, float)
-            else:
-                pn = _poly_power(np.asarray(lt.p, float), N)
-                qn = _poly_power(np.concatenate([lt.q, [1.0]]), N)[:-1]
-            mean_tx, QI = _persistent_core(pn, qn, th)
-            # f' = density of the compensated block: drop the augmented row
-            d_ = len(qn)
-            x_ = QI[0, 1:]
-            Y_ = QI[1:, 1:]
-            z_ = np.zeros(d_)
-            z_[-1] = 1.0
-            fprime = float(x_ @ matfun.expm(th * Y_) @ z_)
+            mean_tx = 1.0 + matfun.expm_integral(x, Y, th)[-1]
+            # f' = the renewal density at th
+            fprime = float((x @ matfun.expm(th * Y))[-1])
             g = mean_tx / (th * fprime)
             out.append(_optimum_from_g(th, g, mean_tx))
         return out
@@ -606,21 +583,11 @@ def mimo_high_snr_outage(N: int, R: float, t: float) -> MetricResult:
         raise ValueError("N must be at least 2")
     if R < 0:
         raise ValueError("R must be nonnegative")
-    poles = []
-    for n in range(1, N + 1):
-        poles.extend([float(n)] * n)
-    for n in range(N + 1, 2 * N):
-        poles.extend([float(n)] * (2 * N - n))
-    m = len(poles)  # == N^2
     scale = 1.0
     for n in range(N):
         scale *= math.factorial(n)
-    Y = np.diag(poles) + np.diag(np.ones(m - 1), 1)
-    QI = np.zeros((m + 1, m + 1))
-    QI[0, 1] = 1.0
-    QI[1:, 1:] = Y
-    E = matfun.expm(R * QI)
-    return _result(t ** (-m) * scale * E[0, -1], "closed_form")
+    E = matfun.expm(R * mimo_asymptote_generator(N))
+    return _result(t ** (-N * N) * scale * E[0, -1], "closed_form")
 
 
 def mimo_asymptote_generator(N: int) -> np.ndarray:
@@ -631,8 +598,7 @@ def mimo_asymptote_generator(N: int) -> np.ndarray:
         poles.extend([float(n)] * n)
     for n in range(N + 1, 2 * N):
         poles.extend([float(n)] * (2 * N - n))
-    m = len(poles)
-    QI = np.zeros((m + 1, m + 1))
-    QI[0, 1] = 1.0
-    QI[1:, 1:] = np.diag(poles) + np.diag(np.ones(m - 1), 1)
-    return QI
+    m = len(poles)  # == N^2
+    e1 = np.zeros(m)
+    e1[0] = 1.0
+    return matfun.augmented(e1, np.diag(poles) + np.diag(np.ones(m - 1), 1))

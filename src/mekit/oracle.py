@@ -58,8 +58,7 @@ def _spectral_cdf(dist: MEDist):
     """Vectorized (cdf, pdf) pair t -> (F(t), f(t)) through the
     eigendecomposition of the augmented generator; ``None`` when the
     generator is defective or badly conditioned."""
-    YI = dist.augmented_generator()
-    dec = matfun.eig_decomp(YI)
+    dec = matfun.eig_decomp(matfun.augmented(dist.x, dist.Y))
     if not dec.diagonalizable or dec.condition > 1e10:
         return None
     V = dec.vectors

@@ -8,7 +8,7 @@ from mekit import ChannelSpec, erlang, exponential, matfun
 from mekit.algebra import (EffectiveChannel, convolve, kfold_block, max_dist,
                            min_dist, standard_channel)
 from mekit.medist import ConstructionError
-from mekit import oracle
+from mekit import metrics, oracle
 from conftest import example2, nakagami, random_valid_dist, sdc
 
 
@@ -115,6 +115,12 @@ class TestMax:
     def test_closure_output_is_valid(self):
         assert max_dist(exponential(1.0), erlang(2, 2.0)).closure().validate().ok
 
+    def test_large_closure_transform_at_zero(self):
+        # order 288: det(Y) underflows to 0 although Y is nonsingular
+        c = max_dist(erlang(16, 600.0), erlang(16, 900.0)).closure()
+        assert c.d == 288
+        assert abs(c.lt(0.0) - 1.0) < 1e-10
+
 
 class TestMin:
     def test_iid_exponentials_is_rate_two(self):
@@ -158,6 +164,16 @@ class TestStandardChannels:
         for _ in range(10):
             s = complex(rng.uniform(0.1, 3.0), rng.uniform(-2.0, 2.0))
             assert abs(d.lt(s) - conv.lt(s)) < 1e-10
+
+    def test_sdc_outage_large_N(self):
+        # P(max of N iid exponentials <= theta) = (1 - e^{-theta/S})^N
+        for N in (8, 16, 24, 48, 64):
+            for S in (0.1, 1.0, 10.0, 1000.0):
+                d = sdc(N, S)
+                for R in (0.25, 1.0, 3.0):
+                    th = math.expm1(R)
+                    exact = (-math.expm1(-th / S)) ** N
+                    assert abs(metrics.outage(d, th).value - exact) < 1e-12
 
     def test_ostbc_mrc_transform(self):
         ch = standard_channel(ChannelSpec("ostbc_mrc",

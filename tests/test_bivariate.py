@@ -93,6 +93,15 @@ class TestProductIntegrals:
         assert abs(integral_product_independent(scaled, d)
                    - 3.0 * integral_product_independent(d, d)) < 1e-12
 
+    def test_large_erlang_pair_closed_form(self):
+        # det of the order-576 Kronecker sum underflows to 0; the integral
+        # is l1^k l2^k Gamma(2k-1) / ((k-1)!^2 (l1+l2)^(2k-1))
+        k, l1, l2 = 24, 24 / 2000.0, 24 / 3000.0
+        exact = math.exp(k * math.log(l1 * l2) + math.lgamma(2 * k - 1)
+                         - 2 * math.lgamma(k) - (2 * k - 1) * math.log(l1 + l2))
+        val = integral_product_independent(erlang(k, 2000.0), erlang(k, 3000.0))
+        assert abs(val - exact) < 1e-12 * exact
+
     def test_finite_zero_interval(self):
         assert integral_product_finite(RAY, RAY, 0.0) == 0.0
 

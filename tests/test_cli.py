@@ -129,6 +129,20 @@ class TestMetric:
         assert code == 2
         assert "not rational" in err
 
+    def test_interference_sweep_scales_signal(self, capsys, ray_spec):
+        # Rayleigh signal of mean S over a unit Rayleigh interferer:
+        # P(Z > theta (1 + Z_I)) = e^{-theta/S} / (1 + theta/S)
+        code, out, _ = run_cli(capsys, "metric", "--metric",
+                               "arq_interference", "--spec", ray_spec,
+                               "--interference-spec", ray_spec, "--R", "1",
+                               "--sweep", "S=1:3:3")
+        assert code == 0
+        th = math.e - 1.0
+        for r in json.loads(out)["rows"]:
+            S = r["sweep_value"]
+            assert r["value"] == pytest.approx(
+                math.exp(-th / S) / (1.0 + th / S), rel=1e-9)
+
     def test_unknown_metric_exit_two(self, capsys, ray_spec):
         code, _, err = run_cli(capsys, "metric", "--metric", "nope",
                                "--spec", ray_spec)

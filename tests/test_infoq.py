@@ -161,6 +161,12 @@ class TestLloydMax:
         res = lloyd_max(d, 2, initial_centroids=start)
         assert res.mse <= mse0 + 1e-12
 
+    def test_max_iter_is_reported(self):
+        with pytest.warns(matfun.AccuracyWarning, match="max_iter=50"):
+            res = lloyd_max(exponential(1.0), 16, tol=1e-10, max_iter=50)
+        assert res.iterations == 50
+        assert any("max_iter=50" in n for n in res.notes)
+
     def test_rejects_bad_M(self):
         with pytest.raises(ValueError):
             lloyd_max(exponential(1.0), 0)

@@ -55,11 +55,27 @@ class TestExpm:
     def test_integral_identity_vs_quadrature(self, rng):
         M = random_stable_matrix(rng, 3)
         b = 1.3
-        closed = matfun.expm_integral(M, b)
         for i in range(3):
+            closed = matfun.expm_integral(np.eye(3)[i], M, b)
             for j in range(3):
                 val, _ = matfun.quad(lambda t: matfun.expm(t * M)[i, j], 0.0, b)
-                assert abs(closed[i, j] - val) < 1e-9
+                assert abs(closed[j] - val) < 1e-9
+
+    def test_integral_singular_generator_vs_quadrature(self, rng):
+        # rank-deficient Y: M^{-1}(e^{bM} - I) does not exist
+        M = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.5, 0.0, -2.0]])
+        x = rng.normal(size=3)
+        b = 1.7
+        closed = matfun.expm_integral(x, M, b)
+        for j in range(3):
+            val, _ = matfun.quad(lambda t: (x @ matfun.expm(t * M))[j], 0.0, b)
+            assert abs(closed[j] - val) < 1e-9
+
+    def test_integral_complex_row(self):
+        # int_0^b e^{i w t} dt = (e^{i w b} - 1) / (i w)
+        w, b = 3.0, 0.8
+        got = matfun.expm_integral([1.0 + 0.0j], [[1j * w]], b)[0]
+        assert abs(got - (np.exp(1j * w * b) - 1.0) / (1j * w)) < 1e-14
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):

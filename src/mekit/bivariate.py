@@ -181,14 +181,19 @@ class BivME:
 
 def _integral_to_inf(x, Q):
     """int_0^inf x e^{tQ} dt = -x Q^{-1}; for singular Q the integral is
-    cut at 40 over the slowest nonzero decay rate."""
+    cut at 40 over the slowest nonzero decay rate, and diverges (raises
+    ``LinAlgError``) unless x e^{tQ} has decayed there."""
     try:
         return -np.linalg.solve(Q.T, x)
     except np.linalg.LinAlgError:
         rates = np.abs(np.linalg.eigvals(Q).real)
         rates = rates[rates > 1e-12]
         b = 40.0 / rates.min() if rates.size else 40.0
-        return matfun.expm_integral(x, Q, b)
+        E = matfun.expm(b * matfun.augmented(x, Q))
+        if np.max(np.abs(x @ E[1:, 1:])) > 1e-12 * np.max(np.abs(x)):
+            raise np.linalg.LinAlgError(
+                "integral diverges: x e^{tQ} has not decayed") from None
+        return E[0, 1:]
 
 
 def independent_bivme(d1: MEDist, d2: MEDist) -> BivME:
@@ -352,12 +357,11 @@ class InterferenceScenario:
         return independent_bivme(zi, self.signal)
 
 
-def _interference_paths(joint: BivME, theta: float):
-    """Success probability P(Z > theta (1 + Z_I)) for each closed path."""
-    pI, QI, P12, Q, r = joint.p1, joint.Q1, joint.P12, joint.Q2, joint.r2
-    Qinv = np.linalg.inv(Q)
-    Pb = -P12 @ Qinv @ matfun.expm(theta * Q)
-    return pI, QI, P12, Q, r, Pb
+def _boundary_term(joint: BivME, theta: float):
+    """-P12 Q^{-1} e^{theta Q}: the closed inner integral of the success
+    probability P(Z > theta (1 + Z_I)), the right side of its Sylvester
+    system."""
+    return -joint.P12 @ np.linalg.solve(joint.Q2, matfun.expm(theta * joint.Q2))
 
 
 def arq_interference_throughput(scn: InterferenceScenario, R: float,
@@ -384,7 +388,8 @@ def arq_interference_throughput(scn: InterferenceScenario, R: float,
         B = np.kron(np.eye(zi.d), sig.Y @ matfun.expm(-theta * sig.Y))
         P = np.kron(zi.x, sig.x) @ np.linalg.solve(A @ B, np.kron(zi.z, sig.z))
         return _result(R * float(P), "kron")
-    pI, QI, P12, Q, r, Pb = _interference_paths(joint, theta)
+    pI, QI, Q, r = joint.p1, joint.Q1, joint.Q2, joint.r2
+    Pb = _boundary_term(joint, theta)
     if path == "sylvester":
         try:
             X = matfun.solve_sylvester(QI, theta * Q, -Pb)
@@ -395,8 +400,7 @@ def arq_interference_throughput(scn: InterferenceScenario, R: float,
                                 res.quad_error, res.notes + (str(exc),))
     if path == "vectorized":
         K = matfun.kron_sum(theta * Q.T, QI)
-        vec = (P12 @ np.linalg.solve(Q, matfun.expm(theta * Q))).flatten(order="F")
-        P = np.kron(r, pI) @ np.linalg.solve(K, vec)
+        P = np.kron(r, pI) @ np.linalg.solve(K, -Pb.flatten(order="F"))
         return _result(R * float(P), "vectorized")
     if path == "vanloan":
         val, b = integral_vanloan(None, pI, QI, Pb, theta * Q, r)
@@ -416,11 +420,12 @@ def interference_g_theta(scn: InterferenceScenario, theta: float):
     joint = scn.as_joint()
     if scn.independent and abs(scn.signal.mean - 1.0) > 1e-8:
         raise ValueError("optimization requires a unit-mean signal")
-    pI, QI, P12, Q, r, Pb = _interference_paths(joint, theta)
+    QI, Q = joint.Q1, joint.Q2
+    Pb = _boundary_term(joint, theta)
     X = matfun.solve_sylvester(QI, theta * Q, -Pb)
     Xp = matfun.solve_sylvester(QI, theta * Q, -(Pb + X) @ Q)
-    P = float(pI @ X @ r)
-    Pprime = float(pI @ Xp @ r)
+    P = float(joint.p1 @ X @ joint.r2)
+    Pprime = float(joint.p1 @ Xp @ joint.r2)
     return -P / (theta * Pprime), P
 
 

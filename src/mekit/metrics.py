@@ -21,7 +21,7 @@ from scipy.special import gamma as gamma_fn
 from scipy.special import gammaincc
 
 from . import algebra, matfun
-from .medist import MEDist, RationalLT, _companion, to_rational_lt
+from .medist import MEDist, RationalLT, from_rational_lt
 
 __all__ = [
     "LinkParams",
@@ -110,6 +110,8 @@ def _result(value, path, quad_error=None, notes=(), rtol=1e-8):
 def _dist(channel) -> MEDist:
     if isinstance(channel, algebra.EffectiveChannel):
         return channel.dist
+    if isinstance(channel, RationalLT):
+        return from_rational_lt(channel)
     return channel
 
 
@@ -197,34 +199,19 @@ def harq_truncated_throughput(channel, R: float, K: int,
     return _result(R * (1.0 - F[-1]) / denom, "closed_form")
 
 
-def _as_rational(channel) -> RationalLT:
-    if isinstance(channel, RationalLT):
-        return channel
-    return to_rational_lt(_dist(channel))
+def _renewal_generator(channel, N: int):
+    """Renewal triple (x_N, G, z_N) of the N-fold sum of ``channel``.
 
-
-def _pad(p, d):
-    out = np.zeros(d)
-    out[:len(p)] = p
-    return out
-
-
-def _poly_power(coeffs_with_leading, N):
-    out = np.array([1.0])
-    for _ in range(N):
-        out = np.convolve(out, coeffs_with_leading)
-    return out
-
-
-def _renewal_form(lt: RationalLT, N: int):
-    """Companion pair (x, Y) of p^N / (q^N - p^N), the renewal density of
-    the N-fold diversity transform (p/q)^N; the last entry of
-    int_0^theta x e^{tY} dt is the mean retransmission count at theta."""
-    pn = _poly_power(np.asarray(lt.p, float), N)
-    qn = _poly_power(np.concatenate([lt.q, [1.0]]), N)[:-1]
-    x = _pad(pn, len(qn))
-    Y, _ = _companion(qn - x)
-    return x, Y
+    The N-fold block (x_N, Q_block, z_N), z_N the base z in the last
+    block, gains the rank-one corner z_N x_N: G = Q_block + z_N x_N.  The
+    renewal density of ME(x, Y, z) is x e^{t(Y + z x)} z (Asmussen & Bladt
+    1996), so the mean transmission count at theta is
+    1 + int_0^theta x_N e^{tG} z_N dt.
+    """
+    block = algebra.kfold_block(_dist(channel), N)
+    z = np.zeros(block.p_block.size)
+    z[-block.base.d:] = block.base.z
+    return block.p_block, block.Q_block + np.outer(z, block.p_block), z
 
 
 def harq_persistent_throughput(channel, R: float, theta: float,
@@ -233,41 +220,31 @@ def harq_persistent_throughput(channel, R: float, theta: float,
     """Persistent-HARQ (no retransmission limit) throughput R / N(theta),
     N(theta) the mean transmission count.
 
-    ``channel`` is a rational transform (or a distribution, converted to
-    one); with ``diversity`` N > 1 the effective transform is (p/q)^N.
-    ``companion`` expands (p^N, q^N) into a single companion form;
-    ``roots_of_unity`` factors q^N - p^N over the complex N-th roots of
-    unity into N coupled companion blocks and must give a real result.
+    ``channel`` is a distribution or a rational transform; with
+    ``diversity`` N > 1 each transmission sees the N-fold sum.
+    ``companion`` integrates the renewal density of the N-fold block
+    generator G (see :func:`_renewal_generator`); ``roots_of_unity`` splits
+    the block-circulant G by the block DFT into the blocks Y + w^n z x,
+    w = e^{2 pi i/N}, exponentiates their complex block-diagonal with rows
+    w^n x / N, and must give a real result.
     """
-    lt = _as_rational(channel)
     if R <= 0:
         raise ValueError("R must be positive")
     N = int(diversity)
     if N < 1:
         raise ValueError("diversity must be a positive integer")
-    # q(s) - p(s) keeps its monic degree-d term whenever deg p < deg q, so
-    # the compensated denominator never vanishes identically for a proper
-    # transform; no degeneracy guard is reachable here.
     if method == "companion":
-        x, Y = _renewal_form(lt, N)
-        mean_tx = 1.0 + matfun.expm_integral(x, Y, theta)[-1]
+        x, G, z = _renewal_generator(channel, N)
+        mean_tx = 1.0 + matfun.expm_integral(x, G, theta) @ z
         return _result(R / mean_tx, "closed_form")
     if method == "roots_of_unity":
-        d = len(lt.q)
-        pp = _pad(lt.p, d).astype(complex)
-        qq = np.asarray(lt.q, dtype=complex)
-        S = np.diag(np.ones(d - 1), 1).astype(complex)
-        r = np.zeros((d, 1), dtype=complex)
-        r[-1, 0] = 1.0
-        D = d * N
-        Q = np.zeros((D, D), dtype=complex)
-        coupling = r @ pp[None, :]
-        for n in range(N):
-            w = np.exp(2j * np.pi * n / N)
-            Q[n * d:(n + 1) * d, n * d:(n + 1) * d] = S - r @ (qq - pp * w)[None, :]
-            if n + 1 < N:
-                Q[n * d:(n + 1) * d, (n + 1) * d:(n + 2) * d] = coupling
-        E = matfun.expm_integral(_pad(lt.p, D), Q, theta)[-1]
+        d, n = _dist(channel), np.arange(N)
+        w = np.exp(2j * np.pi * n / N)
+        B = np.zeros((N, d.d, N, d.d), dtype=complex)
+        B[n, :, n, :] = d.Y + w[:, None, None] * d.z[:, None] * d.x
+        row = matfun.expm_integral((w[:, None] * d.x).ravel() / N,
+                                   B.reshape(N * d.d, -1), theta)
+        E = np.sum(row.reshape(N, -1) @ d.z)
         mean_tx = matfun.assert_real(1.0 + E, context="roots-of-unity path")
         return MetricResult(R / mean_tx, "eigen", imag_residual=abs(E.imag))
     raise ValueError(f"unknown method {method!r}")
@@ -530,7 +507,8 @@ def optimize_rate(metric: str, channel, thetas, **kwargs) -> list[Optimum]:
     parameter, for a unit-mean channel with theta = (e^R - 1)/S.
 
     Supported metrics: ``arq`` (channel: unit-mean distribution),
-    ``harq_persistent`` (channel: rational transform; ``diversity`` kwarg),
+    ``harq_persistent`` (channel: unit-mean distribution or rational
+    transform; ``diversity`` kwarg),
     ``arq_interference`` (channel: interference scenario with unit-mean
     signal; handled in the bivariate module and dispatched here).
     Rows where the auxiliary ratio g <= 1 are flagged as boundary points.
@@ -548,14 +526,14 @@ def optimize_rate(metric: str, channel, thetas, **kwargs) -> list[Optimum]:
             out.append(_optimum_from_g(th, g, f))
         return out
     if metric == "harq_persistent":
-        lt = _as_rational(channel)
-        N = int(kwargs.get("diversity", 1))
-        x, Y = _renewal_form(lt, N)
+        x, G, z = _renewal_generator(channel, int(kwargs.get("diversity", 1)))
+        A = matfun.augmented(x, G)
         for th in thetas:
-            mean_tx = 1.0 + matfun.expm_integral(x, Y, th)[-1]
-            # f' = the renewal density at th
-            fprime = float((x @ matfun.expm(th * Y))[-1])
-            g = mean_tx / (th * fprime)
+            # first row: the mean count; lower block: f' = x e^{th G} z,
+            # the renewal density at th
+            E = matfun.expm(th * A)
+            mean_tx = 1.0 + E[0, 1:] @ z
+            g = mean_tx / (th * (x @ E[1:, 1:] @ z))
             out.append(_optimum_from_g(th, g, mean_tx))
         return out
     if metric == "arq_interference":

@@ -347,19 +347,13 @@ def mc_metric(kind: str, scenario: dict, cfg: RngConfig) -> MCEstimate:
 
 
 def pdf_on_grid(dist: MEDist, ts: np.ndarray) -> np.ndarray:
-    """Density on a uniform ascending grid starting at 0, via one step
-    exponential and repeated multiplication."""
+    """Density on a uniform ascending grid starting at 0
+    (:meth:`MEDist.pdf_grid`)."""
     ts = np.asarray(ts, dtype=float)
     h = ts[1] - ts[0]
     if ts[0] != 0.0 or np.max(np.abs(np.diff(ts) - h)) > 1e-9 * h:
         raise ValueError("grid must be uniform and start at 0")
-    E = matfun.expm(h * dist.Y)
-    out = np.empty(ts.size)
-    w = dist.x.copy()
-    for k in range(ts.size):
-        out[k] = w @ dist.z
-        w = w @ E
-    return out
+    return dist.pdf_grid(ts.size, ts[-1])[1]
 
 
 def numeric_convolve(d1, d2, ts: np.ndarray) -> np.ndarray:

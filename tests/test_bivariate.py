@@ -66,6 +66,13 @@ class TestBivME:
         m = j.marginal(1)
         assert abs(m.pdf(0.5) - RAY.pdf(0.5)) < 1e-10
 
+    def test_marginal_with_divergent_inner_integral_raises(self):
+        # r2 reaches the null mode of Q2, so int_0^inf e^{tQ2} r2 dt diverges
+        Q2 = np.array([[0.0, 0.0], [0.0, -1.0]])
+        j = BivME(RAY.x, RAY.Y, np.array([[0.5, 0.5]]), Q2, [1.0, 1.0])
+        with pytest.raises(np.linalg.LinAlgError, match="diverges"):
+            j.marginal(1)
+
     def test_json_roundtrip(self):
         j = wishart2x2_bivme()
         j2 = BivME.from_json(j.to_json())

@@ -71,6 +71,14 @@ class TestChannel:
         assert obj["degree"] == 3
         assert obj["mean"] == pytest.approx(1.04, rel=1e-10)
 
+    def test_high_order_nakagami_validates(self, capsys, tmp_path):
+        p = tmp_path / "nak16.json"
+        p.write_text(json.dumps({"kind": "nakagami",
+                                 "params": {"m": 16, "S": 6.0}}))
+        code, out, _ = run_cli(capsys, "channel", "--spec", str(p))
+        assert code == 0
+        assert json.loads(out)["validity"]["failures"] == []
+
     def test_constant_term_mismatch_exit_two(self, capsys, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"kind": "rational_lt",

@@ -182,6 +182,14 @@ class TestValidation:
     def test_oscillatory_all_pass(self):
         assert example2().validate().ok
 
+    def test_repeated_eigenvalue_horizon(self):
+        # Erlang-16 decays like t^15 e^{-16t}: 40 / rate = 2.5 leaves
+        # 1 - cdf = 5.5e-6, so the horizon must grow until the state decays
+        d = erlang(16)
+        rep = d.validate()
+        assert rep.ok, rep.failures
+        assert d.sf(d.t_max()) < 1e-12
+
     def test_constant_term_mismatch_reported(self):
         problems = RationalLT(p=[1.0], q=[2.0, 1.0]).check()
         assert any(p.startswith("p1 != q1") for p in problems)

@@ -128,6 +128,19 @@ class TestHarqTruncated:
         assert abs(got - expect) < 1e-12
 
 
+def erlang_renewal_throughput(m, S, R, N, theta):
+    """R / (1 + sum_k P(k m N, m theta / S)): persistent HARQ over the
+    N-fold sum of Erlang-m channels of mean S, by the renewal sum of
+    regularized incomplete gamma functions."""
+    total, k = 0.0, 1
+    while True:
+        term = scipy.special.gammainc(k * m * N, m * theta / S)
+        total += term
+        if term < 1e-18:
+            return R / (1.0 + total)
+        k += 1
+
+
 class TestHarqPersistent:
     def test_rayleigh_golden(self):
         res = metrics.harq_persistent_throughput(
@@ -174,6 +187,28 @@ class TestHarqPersistent:
                                                diversity=N).value
         b = metrics.harq_persistent_erlang_shifted(N, 1.0, THETA_R1).value
         assert abs(a - b) < 1e-9
+
+    @pytest.mark.parametrize("method", ["companion", "roots_of_unity"])
+    def test_erlang10_vs_renewal_sum(self, method):
+        th = math.expm1(1.0)
+        got = metrics.harq_persistent_throughput(erlang(10, mean=0.5), 1.0, th,
+                                                 method=method).value
+        assert abs(got - erlang_renewal_throughput(10, 0.5, 1.0, 1, th)) < 1e-12
+
+    @pytest.mark.parametrize("method", ["companion", "roots_of_unity"])
+    @pytest.mark.parametrize("N", [6, 7, 8])
+    def test_nakagami_diversity_vs_renewal_sum(self, N, method):
+        th = math.expm1(1.5)
+        got = metrics.harq_persistent_throughput(nakagami(3, 1.5), 1.5, th,
+                                                 diversity=N, method=method).value
+        assert abs(got - erlang_renewal_throughput(3, 1.5, 1.5, N, th)) < 1e-12
+
+    def test_nakagami16_roots_of_unity(self):
+        th = math.expm1(1.0)
+        res = metrics.harq_persistent_throughput(nakagami(16), 1.0, th,
+                                                 method="roots_of_unity")
+        assert res.path == "eigen"
+        assert abs(res.value - erlang_renewal_throughput(16, 1.0, 1.0, 1, th)) < 1e-12
 
     def test_nilpotent_compensated_block(self):
         # p and q coefficient vectors coincide (the exponential): the
@@ -417,6 +452,21 @@ class TestOptimizeRate:
             h = 1e-5 * max(r.R_opt, 1.0)
             dT = (T(r.R_opt + h, r.S) - T(r.R_opt - h, r.S)) / (2.0 * h)
             assert abs(dT) < 1e-4 * r.T_opt
+
+    def test_persistent_stationarity_high_order(self):
+        d = erlang(16)
+        rows = metrics.optimize_rate("harq_persistent", d, [0.5, 0.6, 0.7, 0.8])
+
+        def T(R, S):
+            return metrics.harq_persistent_throughput(
+                d, R, metrics.theta_unit_mean(R, S)).value
+
+        for r in rows:
+            assert not r.boundary
+            h = 1e-5 * max(r.R_opt, 1.0)
+            dT = (T(r.R_opt + h, r.S) - T(r.R_opt - h, r.S)) / (2.0 * h)
+            assert abs(dT) < 1e-4 * r.T_opt
+            assert abs(T(r.R_opt, r.S) - r.T_opt) < 1e-10
 
     def test_requires_unit_mean(self):
         with pytest.raises(ValueError, match="unit-mean"):

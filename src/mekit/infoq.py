@@ -118,12 +118,6 @@ class _PartialMoments:
         return self.at(b) - self.at(a)
 
 
-def _partial_moments(dist: MEDist, a: float, b: float):
-    """Cell mass, first and second partial moments of the density over
-    (a, b); b = inf drops the upper boundary term."""
-    return _PartialMoments(dist).between(a, b)
-
-
 @dataclass(frozen=True)
 class LloydMaxResult:
     thresholds: np.ndarray  # l_1 .. l_{M-1}

@@ -91,6 +91,8 @@ class RationalLT:
     def check(self) -> list[str]:
         """Necessary-condition violations (empty list when none)."""
         problems = []
+        if not np.all(np.isfinite(self.p + self.q)):
+            problems.append("non-finite coefficients")
         if len(self.p) > len(self.q) or self.num_degree() >= self.degree:
             problems.append("deg(p) >= deg(q)")
         scale = max(abs(self.q[0]), abs(self.p[0]), 1e-300)
@@ -266,17 +268,11 @@ class MEDist:
         cdf_ok = abs(cdf_end - 1.0) <= 1e-6
         if not cdf_ok:
             failures.append(f"cdf({ts[-1]:.6g}) = {cdf_end!r} != 1")
-        try:
-            rat = to_rational_lt(self)
-            pq_ok = not any(v.startswith("p1 != q1") for v in rat.check())
-            if not pq_ok:
-                failures.append("p1 != q1")
-        except Exception:
-            pq_ok = lt_ok
+        # p1/q1 = L(0) when Y is nonsingular, so the lt(0) test decides it
         return ValidationReport(lt_at_zero_is_one=lt_ok,
                                 nonneg_on_grid=nonneg_ok,
                                 cdf_limit_one=cdf_ok,
-                                p1_eq_q1=pq_ok,
+                                p1_eq_q1=lt_ok,
                                 failures=tuple(failures))
 
     # -- serialization ---------------------------------------------------

@@ -17,8 +17,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 from scipy.special import gamma as gamma_fn
-from scipy.special import gammaincc
+from scipy.special import gammaincc, lambertw
 
 from . import algebra, matfun
 from .medist import MEDist, RationalLT, from_rational_lt
@@ -127,37 +128,20 @@ def outage(channel, theta: float) -> MetricResult:
     return _result(d.cdf(theta), "closed_form")
 
 
-def outage_capacity(channel, q_target: float, tol: float = 1e-12) -> MetricResult:
-    """Rate C with P(ln(1 + Z) < C) = q_target, by monotone bisection with a
-    secant polish on the closed-form outage."""
+def outage_capacity(channel, q_target: float) -> MetricResult:
+    """Rate C with P(ln(1 + Z) < C) = q_target: Brent's method on the
+    closed-form outage over a doubling bracket, stopped by brentq's own
+    relative tolerance (4 eps)."""
     d = _dist(channel)
     if not 0.0 < q_target < 1.0:
         raise ValueError("q_target must lie strictly between 0 and 1")
     f = lambda C: outage(d, math.expm1(C)).value - q_target
-    lo, hi = 0.0, 1.0
+    hi = 1.0
     while f(hi) < 0:
         hi *= 2.0
         if hi > 1e6:
             raise ValueError("outage capacity target unattainable")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if f(mid) < 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < tol:
-            break
-    # secant polish
-    c0, c1 = lo, hi
-    f0, f1 = f(c0), f(c1)
-    for _ in range(8):
-        if f1 == f0:
-            break
-        c2 = c1 - f1 * (c1 - c0) / (f1 - f0)
-        if not lo <= c2 <= hi:
-            break
-        c0, f0, c1, f1 = c1, f1, c2, f(c2)
-    return _result(c1, "closed_form")
+    return _result(brentq(f, 0.0, hi, xtol=1e-300), "closed_form")
 
 
 # -- ARQ / HARQ ------------------------------------------------------------
@@ -366,14 +350,16 @@ def eff_capacity_shannon(channel, theta: float,
 
 
 def ergodic_capacity(channel) -> MetricResult:
-    """Ergodic capacity E{ln(1+Z)} as the theta -> 0 limit of the Shannon
-    effective capacity, Richardson-extrapolated from theta in
-    {1e-4, 5e-5, 1e-5}."""
+    """Ergodic capacity E{ln(1+Z)} as one transform integral.
+
+    Frullani's ln(1+z) = int_0^inf (e^{-u} - e^{-u(1+z)})/u du gives
+    E{ln(1+Z)} = int_0^inf e^{-u} (1 - L(u))/u du with L(u) = E{e^{-uZ}}
+    the Laplace transform; ``quad_error`` is the quadrature's estimate.
+    """
     d = _dist(channel)
-    ths = np.array([1e-4, 5e-5, 1e-5])
-    vals = np.array([eff_capacity_shannon(d, t).value for t in ths])
-    coef = np.polyfit(ths, vals, 2)
-    return _result(float(np.polyval(coef, 0.0)), "quadrature")
+    val, err = matfun.quad(lambda u: math.exp(-u) * (1.0 - d.lt(u)) / u,
+                           0.0, np.inf)
+    return _result(val, "quadrature", quad_error=err)
 
 
 # -- BER / PEP ---------------------------------------------------------------
@@ -458,24 +444,14 @@ def diversity_gain_numeric(channel_um, detection: str = "noncoherent",
 # -- parametric rate optimization -------------------------------------------
 
 
-def lambert_w0(v: float, tol: float = 1e-13) -> float:
-    """Principal-branch Lambert W by Halley iteration; requires
-    v >= -1/e.  The residual |W e^W - v| is driven below ~1e-12."""
+def lambert_w0(v: float) -> float:
+    """Principal-branch Lambert W (``scipy.special.lambertw``); requires
+    v >= -1/e."""
     if v < -math.exp(-1.0) - 1e-15:
         raise ValueError(f"lambert_w0 requires v >= -1/e, got {v}")
-    if v == 0.0:
-        return 0.0
     if v < -math.exp(-1.0) + 1e-15:
         return -1.0
-    w = v * math.exp(-v) if v > -0.25 else -1.0 + math.sqrt(2.0 * (1.0 + math.e * v))
-    for _ in range(100):
-        ew = math.exp(w)
-        fw = w * ew - v
-        if abs(fw) <= tol * max(abs(v), 1e-30):
-            break
-        denom = ew * (w + 1.0) - (w + 2.0) * fw / (2.0 * w + 2.0)
-        w -= fw / denom
-    return w
+    return float(lambertw(v).real)
 
 
 @dataclass(frozen=True)

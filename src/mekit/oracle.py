@@ -55,9 +55,9 @@ def _dist(channel) -> MEDist:
 
 
 def _spectral_cdf(dist: MEDist):
-    """Vectorized (cdf, pdf) pair t -> (F(t), f(t)) through the
-    eigendecomposition of the augmented generator; ``None`` when the
-    generator is defective or badly conditioned."""
+    """Vectorized cdf through the eigendecomposition of the augmented
+    generator; ``None`` when the generator is defective or badly
+    conditioned."""
     dec = matfun.eig_decomp(matfun.augmented(dist.x, dist.Y))
     if not dec.diagonalizable or dec.condition > 1e10:
         return None
@@ -65,23 +65,12 @@ def _spectral_cdf(dist: MEDist):
     zvec = np.concatenate([[0.0], dist.z]).astype(complex)
     w = V[0, :] * np.linalg.solve(V, zvec)
     lam = dec.eigenvalues
-    wl = w * lam
 
     def cdf(ts):
         ts = np.asarray(ts, dtype=float)
-        return np.real(np.exp(np.outer(ts, lam)) @ w)
+        return np.real(np.exp(ts[..., None] * lam) @ w)
 
-    def pdf(ts):
-        ts = np.asarray(ts, dtype=float)
-        return np.real(np.exp(np.outer(ts, lam)) @ wl)
-
-    def both(ts):
-        ts = np.asarray(ts, dtype=float)
-        E = np.exp(np.outer(ts, lam))
-        return np.real(E @ w), np.real(E @ wl)
-
-    cdf.both = both
-    return cdf, pdf
+    return cdf
 
 
 def _upper_bracket(dist: MEDist, cdf_vec):
@@ -95,16 +84,14 @@ def _upper_bracket(dist: MEDist, cdf_vec):
 
 
 def _pchip_cdf(dist: MEDist, n: int = 1 << 16):
-    """Monotone-interpolated (cdf, pdf) surrogate on a fine uniform grid,
-    for generators whose eigendecomposition is defective or
-    ill-conditioned.  Interpolation error is O(h^4), ~1e-11 at this
-    resolution."""
+    """Monotone-interpolated cdf surrogate on a fine uniform grid, for
+    generators whose eigendecomposition is defective or ill-conditioned.
+    Interpolation error is O(h^4), ~1e-11 at this resolution."""
     from scipy.interpolate import PchipInterpolator
     ts, vals = dist.cdf_grid(n)
     vals = np.minimum.accumulate(np.clip(vals, 0.0, 1.0)[::-1])[::-1]
     vals = np.maximum.accumulate(vals)
     interp = PchipInterpolator(ts, vals, extrapolate=False)
-    deriv = interp.derivative()
     top = vals[-1]
     T = ts[-1]
 
@@ -112,57 +99,42 @@ def _pchip_cdf(dist: MEDist, n: int = 1 << 16):
         out = interp(np.clip(x, 0.0, T))
         return np.where(np.asarray(x) >= T, top, out)
 
-    def pdf(x):
-        out = deriv(np.clip(x, 0.0, T))
-        return np.where(np.asarray(x) >= T, 0.0, out)
+    return cdf
 
-    return cdf, pdf
+
+# find_root keeps several work arrays per element; solving in fixed chunks
+# bounds its memory for the 10^5-10^6 probabilities of one sample call
+_ROOT_CHUNK = 1 << 16
 
 
 def _inverse_cdf_grid(dist: MEDist, probs, tol: float = 1e-10):
-    """Inverse cdf at the given probabilities: an interpolated initial
-    guess refined by safeguarded vectorized Newton steps (falling back to
-    bracket bisection where the density vanishes), against the spectral
-    cdf when the augmented generator is diagonalizable and a monotone
-    interpolant otherwise."""
+    """Inverse cdf at the given probabilities: each probability is
+    bracketed on a 4096-point table of the cdf and solved by
+    ``scipy.optimize.elementwise.find_root`` (Chandrupatla's bracketing
+    method) to |F(t) - p| <= tol / 10, against the spectral cdf when the
+    augmented generator is diagonalizable and a monotone interpolant
+    otherwise.  Raises when a root is missing or misses ``tol``
+    (non-monotone cdf)."""
+    from scipy.optimize.elementwise import find_root
     probs = np.asarray(probs, dtype=float)
-    pair = _spectral_cdf(dist)
-    if pair is None:
-        pair = _pchip_cdf(dist)
-    cdf_vec, pdf_vec = pair
+    cdf_vec = _spectral_cdf(dist) or _pchip_cdf(dist)
     T = _upper_bracket(dist, cdf_vec)
-    # quantiles beyond the representable tail clamp to the horizon
-    probs = np.minimum(probs, float(cdf_vec(np.array([T]))[0]) - 1e-12)
-    both = getattr(cdf_vec, "both",
-                   lambda ts: (cdf_vec(ts), pdf_vec(ts)))
     grid = np.linspace(0.0, T, 4096)
     Fg = np.maximum.accumulate(cdf_vec(grid))
-    t = np.interp(probs, Fg, grid)
-    lo = np.zeros_like(probs)
-    hi = np.full_like(probs, T)
-    for _ in range(8):
-        F, fp = both(t)
-        resid = F - probs
-        below = resid < 0.0
-        lo = np.where(below, t, lo)
-        hi = np.where(below, hi, t)
-        t_new = t - resid / np.maximum(fp, 1e-300)
-        bad = (t_new <= lo) | (t_new >= hi) | ~np.isfinite(t_new)
-        t = np.where(bad, 0.5 * (lo + hi), t_new)
-        if np.max(np.abs(resid)) < 0.1 * tol:
-            break
-    stragglers = np.abs(cdf_vec(t) - probs) > 0.1 * tol
-    if np.any(stragglers):
-        idx = np.flatnonzero(stragglers)
-        slo, shi, sp = lo[idx], hi[idx], probs[idx]
-        for _ in range(60):
-            mid = 0.5 * (slo + shi)
-            below = cdf_vec(mid) < sp
-            slo = np.where(below, mid, slo)
-            shi = np.where(below, shi, mid)
-        t[idx] = 0.5 * (slo + shi)
-    resid = np.abs(cdf_vec(t) - probs)
-    if np.any(resid > max(tol, 1e-9)):
+    # quantiles beyond the representable tail clamp to the horizon, and
+    # those below the roundoff of F(0) to 0, so every bracket is valid
+    probs = np.clip(probs, Fg[0], float(cdf_vec(np.array([T]))[0]) - 1e-12)
+    k = np.clip(np.searchsorted(Fg, probs), 1, grid.size - 1)
+    t = np.empty_like(probs)
+    resid = np.empty_like(probs)
+    for s in range(0, probs.size, _ROOT_CHUNK):
+        c = slice(s, s + _ROOT_CHUNK)
+        res = find_root(lambda ts, p: cdf_vec(ts) - p,
+                        (grid[k[c] - 1], grid[k[c]]), args=(probs[c],),
+                        tolerances={"fatol": 0.1 * tol})
+        t[c], resid[c] = res.x, np.abs(res.f_x)
+    # an invalid bracket gives nan, which the negated test catches
+    if not np.all(resid <= max(tol, 1e-9)):
         raise ValueError(
             f"inverse cdf failed to converge (residual {float(np.max(resid)):.2e}); "
             "cdf may be non-monotone (invalid distribution)")

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -193,6 +194,23 @@ class TestValidation:
     def test_constant_term_mismatch_reported(self):
         problems = RationalLT(p=[1.0], q=[2.0, 1.0]).check()
         assert any(p.startswith("p1 != q1") for p in problems)
+
+    def test_large_closure_validates_without_warnings(self):
+        # order 288: the Faddeev-LeVerrier recursion of to_rational_lt
+        # overflows here, so validate must not depend on it
+        from mekit.algebra import max_dist
+        c = max_dist(erlang(16, 4.0), erlang(16, 6.0)).closure()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rep = c.validate()
+        assert not [w for w in caught if w.category is RuntimeWarning]
+        assert rep.ok and rep.p1_eq_q1, rep.failures
+        with np.errstate(all="ignore"):
+            assert "non-finite coefficients" in to_rational_lt(c).check()
+
+    def test_non_finite_coefficients_reported(self):
+        problems = RationalLT(p=[math.nan], q=[1.0]).check()
+        assert "non-finite coefficients" in problems
 
     def test_invalid_triple_flagged(self):
         # mass 0.5 at lt(0): x halved

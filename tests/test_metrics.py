@@ -61,6 +61,17 @@ class TestOutageCapacity:
         with pytest.raises(ValueError):
             metrics.outage_capacity(RAY, 1.5)
 
+    @pytest.mark.parametrize("S", [0.2, 1.5, 6.0, 1000.0])
+    @pytest.mark.parametrize("q", [0.01, 0.1, 0.5, 0.9])
+    def test_closed_forms(self, S, q):
+        # Rayleigh ln(1 - S ln(1-q)); SDC-N ln(1 - S ln(1 - q^{1/N}))
+        C = metrics.outage_capacity(exponential(S), q).value
+        assert C == pytest.approx(math.log(1.0 - S * math.log1p(-q)), rel=1e-13)
+        for N in (3, 6, 16):
+            C = metrics.outage_capacity(sdc(N, S), q).value
+            expect = math.log(1.0 - S * math.log1p(-q ** (1.0 / N)))
+            assert C == pytest.approx(expect, rel=1e-13)
+
 
 class TestArq:
     def test_rayleigh_golden(self):
@@ -165,26 +176,12 @@ class TestHarqPersistent:
                                                method="roots_of_unity").value
         assert abs(a - b) < 1e-10
 
-    def test_diversity_two_block_matrix(self):
-        # N = 2 block structure: compensated block, coupling, conjugate block
-        p, q = np.array([1.0]), np.array([1.0])
-        expect = np.array([[0.0, 1.0, 0.0],
-                           [0.0, -(1.0 - 1.0), 1.0],
-                           [0.0, 0.0, -(1.0 + 1.0)]])
-        # reproduce through the roots-of-unity constructor at theta = 0
-        got = np.zeros((3, 3), dtype=complex)
-        got[0, 1] = p[0]
-        for n, sign in enumerate((+1.0, -1.0)):
-            got[1 + n, 1 + n] = -(q[0] - sign * p[0])
-        got[1, 2] = p[0]
-        assert_allclose(got.real, expect, atol=1e-12)
-        assert np.max(np.abs(got.imag)) < 1e-12
-
+    @pytest.mark.parametrize("method", ["companion", "roots_of_unity"])
     @pytest.mark.parametrize("N", [1, 2, 3])
-    def test_shifted_form_agrees(self, N):
+    def test_shifted_form_agrees(self, N, method):
         lt = RationalLT([1.0], [1.0])
         a = metrics.harq_persistent_throughput(lt, 1.0, THETA_R1,
-                                               diversity=N).value
+                                               diversity=N, method=method).value
         b = metrics.harq_persistent_erlang_shifted(N, 1.0, THETA_R1).value
         assert abs(a - b) < 1e-9
 
@@ -306,6 +303,13 @@ class TestEffCapacityShannon:
         expect = math.e * scipy.special.exp1(1.0)
         assert abs(res.value - expect) < 1e-6
         assert abs(res.value - 0.596347) < 1e-5
+
+    @pytest.mark.parametrize("S", [0.2, 1.5, 6.0, 1000.0])
+    def test_ergodic_capacity_rayleigh_closed_form(self, S):
+        res = metrics.ergodic_capacity(exponential(S))
+        expect = math.exp(1.0 / S) * scipy.special.exp1(1.0 / S)
+        assert abs(res.value - expect) < 1e-13
+        assert res.quad_error is not None
 
 
 class TestBer:

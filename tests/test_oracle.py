@@ -9,8 +9,9 @@ from mekit.algebra import convolve
 from mekit.medist import MEDist
 from mekit.oracle import (RngConfig, mc_metric, numeric_convolve,
                           pdf_on_grid, sample, wishart_region_outage_quad,
-                          _recognize_erlang, _recognize_exponential)
-from conftest import example2, nakagami
+                          _inverse_cdf_grid, _pchip_cdf, _recognize_erlang,
+                          _recognize_exponential, _spectral_cdf)
+from conftest import example2, nakagami, sdc
 
 RAY = exponential(1.0)
 
@@ -83,6 +84,42 @@ class TestSample:
         bad = MEDist([1.0, 1.0], [[-1.0, 1.0], [0.0, -2.0]], [1.0, -1.0])
         with pytest.raises(ValueError):
             sample(bad, RngConfig(seed=1, n=100))
+        with pytest.raises(ValueError):
+            _inverse_cdf_grid(bad, np.linspace(0.01, 0.99, 50))
+
+
+class TestInverseCdf:
+    # (distribution, spectral path expected, eigenvalues complex)
+    PATHS = {
+        "real_spectral": (lambda: sdc(4), True, False),
+        "complex_spectral": (example2, True, True),
+        "pchip": (lambda: convolve(exponential(1.0), erlang(2, mean=1.0)),
+                  False, False),
+    }
+
+    @pytest.mark.parametrize("path", list(PATHS))
+    def test_residual(self, path):
+        make, spectral, complex_eigs = self.PATHS[path]
+        d = make()
+        cdf = _spectral_cdf(d)
+        assert (cdf is not None) == spectral
+        lam = np.linalg.eigvals(d.Y)
+        assert bool(np.any(np.abs(lam.imag) > 1e-9)) == complex_eigs
+        u = np.random.default_rng(11).random(100_000)
+        t = _inverse_cdf_grid(d, u)
+        cdf = cdf or _pchip_cdf(d)
+        assert np.max(np.abs(cdf(t) - u)) <= 1e-10
+        # against the closed-form cdf, independent of the surrogate
+        exact = np.array([d.cdf(x) for x in t[:300]])
+        assert np.max(np.abs(exact - u[:300])) <= 1e-10
+
+    def test_residual_800k_probabilities(self):
+        # more probabilities than one root-finding chunk, as in a
+        # persistent-HARQ simulation
+        d = sdc(4)
+        u = np.random.default_rng(12).random(800_000)
+        t = _inverse_cdf_grid(d, u)
+        assert np.max(np.abs(_spectral_cdf(d)(t) - u)) <= 1e-10
 
 
 class TestMcMetric:

@@ -87,35 +87,128 @@ def mi_additive_channel(dx: MEDist, dw: MEDist) -> float:
 
 # -- Lloyd-Max quantization ----------------------------------------------------
 
+# a cell with less probability mass than this is empty
+_EMPTY = 1e-14
+
 
 class _PartialMoments:
-    """Antiderivatives of (f, t f, t^2 f) for an ME density:
+    """Antiderivatives of (f, t f, t^2 f) for an ME density, and f itself:
 
         int f        = x e^{tY} Y^{-1} z
         int t f      = x e^{tY} (t Y^{-1} - Y^{-2}) z
         int t^2 f    = x e^{tY} (t^2 Y^{-1} - 2t Y^{-2} + 2 Y^{-3}) z
+        f            = x e^{tY} z
 
-    ``at(t)`` evaluates all three (zero at t = inf); ``between`` differences
-    two evaluations."""
+    ``at(t)`` returns all four from one row x e^{tY} (all zero at
+    t = inf); ``between`` differences the three antiderivatives."""
 
     def __init__(self, dist: MEDist):
         self.dist = dist
         Yi = np.linalg.inv(dist.Y)
-        self.Yi1z = Yi @ dist.z
-        self.Yi2z = Yi @ self.Yi1z
-        self.Yi3z = Yi @ self.Yi2z
+        Yi1z = Yi @ dist.z
+        Yi2z = Yi @ Yi1z
+        self._V = np.column_stack([Yi1z, Yi2z, Yi @ Yi2z, dist.z])
 
     def at(self, t: float) -> np.ndarray:
         if math.isinf(t):
-            return np.zeros(3)
-        E = self.dist.x @ matfun.expm(t * self.dist.Y)
-        m0 = E @ self.Yi1z
-        m1 = t * m0 - E @ self.Yi2z
-        m2 = t * t * m0 - 2.0 * t * (E @ self.Yi2z) + 2.0 * (E @ self.Yi3z)
-        return np.array([m0, m1, m2])
+            return np.zeros(4)
+        e1, e2, e3, f = self.dist.x @ matfun.expm(t * self.dist.Y) @ self._V
+        return np.array([e1, t * e1 - e2,
+                         t * t * e1 - 2.0 * t * e2 + 2.0 * e3, f])
 
     def between(self, a: float, b: float) -> np.ndarray:
-        return self.at(b) - self.at(a)
+        return (self.at(b) - self.at(a))[:3]
+
+
+@dataclass(frozen=True)
+class _Cells:
+    """One evaluation of the quantizer with centroids ``u`` and thresholds
+    at their midpoints: distortion D, its gradient and tridiagonal
+    Hessian, the stationarity map F = c(u) - u (c the cell means) with its
+    Jacobian, and the relative residual max |F_q| / |u_q|.  ``F`` and
+    ``J`` are None and ``resid`` is inf when a cell is empty."""
+
+    u: np.ndarray
+    mse: float
+    grad: np.ndarray
+    hess: np.ndarray
+    F: np.ndarray | None
+    J: np.ndarray | None
+    resid: float
+
+
+def _cells(pm: _PartialMoments, u: np.ndarray) -> _Cells:
+    """Closed-form cell moments at increasing centroids ``u`` with
+    u_0 + u_1 > 0.  The derivatives move each threshold with its two
+    centroids (dl_q/du_{q-1} = dl_q/du_q = 1/2), so they need only the
+    densities f(l_q) at the thresholds."""
+    l = 0.5 * (u[:-1] + u[1:])
+    anti = np.array([pm.at(0.0)] + [pm.at(t) for t in l] + [pm.at(math.inf)])
+    m0, m1, m2 = np.diff(anti[:, :3], axis=0).T
+    f = anti[1:-1, 3]
+    mse = float(np.sum(m2 - 2.0 * u * m1 + u * u * m0))
+    grad = 2.0 * (u * m0 - m1)
+    # threshold l_{q+1} couples u_q and u_{q+1} by
+    # w_q = f(l_{q+1}) (u_{q+1} - u_q) / 2
+    w = 0.5 * f * np.diff(u)
+    hess = (np.diag(2.0 * m0 - np.append(w, 0.0) - np.append(0.0, w))
+            - np.diag(w, 1) - np.diag(w, -1))
+    if np.any(m0 <= _EMPTY):
+        return _Cells(u, mse, grad, hess, None, None, math.inf)
+    c = m1 / m0
+    F = c - u
+    # dc_q/du_j = (dm1_q/du_j - c_q dm0_q/du_j) / m0_q: a from the upper
+    # threshold of cell q, b from the lower threshold of cell q + 1
+    a = 0.5 * f * (l - c[:-1]) / m0[:-1]
+    b = -0.5 * f * (l - c[1:]) / m0[1:]
+    J = (np.diag(np.append(a, 0.0) + np.append(0.0, b) - 1.0)
+         + np.diag(a, 1) + np.diag(b, -1))
+    resid = float(np.max(np.abs(F) / np.maximum(np.abs(u), 1e-30)))
+    return _Cells(u, mse, grad, hess, F, J, resid)
+
+
+class _Stop(Exception):
+    """Ends both solver stages: converged, or out of evaluations."""
+
+
+class _Search:
+    """Evaluates cells for the solvers, at most ``max_iter`` times, keeping
+    the last evaluation (the solvers ask for value, gradient and Hessian at
+    one point in turn) and the evaluation nearest stationarity.  Centroids
+    whose thresholds do not increase from 0 give None and cost nothing.
+    Raises :class:`_Stop` once the residual is below ``tol`` or the budget
+    is spent."""
+
+    def __init__(self, pm: _PartialMoments, tol: float, max_iter: int):
+        self.pm, self.tol, self.max_iter = pm, tol, max_iter
+        self.evaluations = 0
+        self.last = self.best = None
+
+    def __call__(self, u) -> _Cells | None:
+        u = np.array(u, dtype=float)
+        if not (u[0] + u[1] > 0.0 and np.all(np.diff(u) > 0.0)):
+            return None
+        if self.last is not None and np.array_equal(self.last[0], u):
+            return self.last[1]
+        if self.evaluations == self.max_iter:
+            raise _Stop
+        self.evaluations += 1
+        cells = _cells(self.pm, u)
+        self.last = (u, cells)
+        if self.best is None or cells.resid < self.best.resid:
+            self.best = cells
+        if cells.resid < self.tol:
+            raise _Stop
+        return cells
+
+
+_START_GRID = 4096
+
+
+def _quantile_start(dist: MEDist, M: int) -> np.ndarray:
+    """Cdf quantiles at (q + 1/2)/M, interpolated on one stepped cdf grid."""
+    ts, F = dist.cdf_grid(_START_GRID)
+    return np.interp((np.arange(M) + 0.5) / M, np.maximum.accumulate(F), ts)
 
 
 @dataclass(frozen=True)
@@ -123,7 +216,7 @@ class LloydMaxResult:
     thresholds: np.ndarray  # l_1 .. l_{M-1}
     centroids: np.ndarray   # u_0 .. u_{M-1}
     mse: float
-    iterations: int
+    iterations: int         # cell-moment evaluations
     notes: tuple[str, ...] = ()
 
 
@@ -131,66 +224,96 @@ def lloyd_max(dist: MEDist, M: int, tol: float = 1e-10,
               max_iter: int = 10_000, initial_centroids=None) -> LloydMaxResult:
     """Minimum-MSE scalar quantizer for an ME density with ``M`` levels.
 
-    Fixed-point iteration of the optimality conditions: thresholds at
-    centroid midpoints, centroids from the closed-form partial moments.
-    Initial centroids default to equispaced cdf quantiles, which avoids
-    empty cells for heavy-tailed densities; an empty cell during iteration
-    is re-seeded with a diagnostic note.  Stopping at ``max_iter`` before
-    the relative centroid move falls below ``tol`` adds a note and raises
-    an :class:`AccuracyWarning`.
+    The thresholds sit at the centroid midpoints, so the distortion D is a
+    function of the centroids u alone, with closed-form cell moments.  Two
+    scipy stages find its stationary point, where each centroid is its
+    cell's mean c_q(u):
+
+    1. descent: ``minimize(method="trust-exact")`` on D with the exact
+       gradient 2 (u_q m0_q - m1_q) and tridiagonal Hessian.  It stalls
+       once steps are too small for D to resolve;
+    2. polish: ``root(method="hybr")`` on c(u) - u with its tridiagonal
+       Jacobian, from the descent's best point.
+
+    Converged means the relative stationarity max |c_q - u_q| / |u_q| is
+    below ``tol``.  ``max_iter`` caps the cell-moment evaluations (M - 1
+    matrix exponentials each) across both stages and ``iterations``
+    reports how many were used.  The result is the evaluation nearest
+    stationarity; without convergence it carries a note and an
+    :class:`AccuracyWarning`.
+
+    Initial centroids default to cdf quantiles at (q + 1/2)/M, which avoids
+    empty cells for heavy-tailed densities; a supplied start with an empty
+    cell is re-seeded to them with a note.
     """
     if M < 1 or M != int(M):
         raise ValueError("M must be a positive integer")
+    if max_iter < 1:
+        raise ValueError("max_iter must be a positive integer")
     M = int(M)
-    notes = []
-    if initial_centroids is not None:
-        centroids = np.sort(np.asarray(initial_centroids, dtype=float))
-        if centroids.shape != (M,):
-            raise ValueError(f"initial_centroids must have length {M}")
-    else:
-        from .oracle import _inverse_cdf_grid
-        probs = (np.arange(M) + 0.5) / M
-        centroids = _inverse_cdf_grid(dist, probs)
     pm = _PartialMoments(dist)
     if M == 1:
         u = np.array([dist.mean])
         m = pm.between(0.0, math.inf)
         mse = m[2] - 2.0 * u[0] * m[1] + u[0] ** 2 * m[0]
         return LloydMaxResult(np.array([]), u, mse, 0)
-    it = 0
-    move = math.inf
-    for it in range(1, max_iter + 1):
-        edges = np.concatenate([[0.0],
-                                0.5 * (centroids[:-1] + centroids[1:]),
-                                [math.inf]])
-        anti = [pm.at(e) for e in edges]
-        new = np.empty(M)
-        for q in range(M):
-            m0, m1, _ = anti[q + 1] - anti[q]
-            if m0 <= 1e-14:
-                lo = edges[q]
-                hi = edges[q + 1] if math.isfinite(edges[q + 1]) else lo + 1.0
-                new[q] = 0.5 * (lo + hi)
-                notes.append(f"re-seeded empty cell {q} at iteration {it}")
-                continue
-            new[q] = m1 / m0
-        move = np.max(np.abs(new - centroids) / np.maximum(np.abs(new), 1e-30))
-        centroids = new
-        if move < tol:
-            break
-    else:
-        msg = (f"stopped at max_iter={max_iter} before converging "
-               f"(last relative move {move:.3e} >= tol {tol:.1e})")
+    from scipy.optimize import minimize, root
+
+    notes = []
+    if initial_centroids is not None:
+        start = np.sort(np.asarray(initial_centroids, dtype=float))
+        if start.shape != (M,):
+            raise ValueError(f"initial_centroids must have length {M}")
+    search = _Search(pm, tol, max_iter)
+    try:
+        if initial_centroids is None:
+            start = _quantile_start(dist, M)
+        else:
+            cells = search(start)
+            if cells is None or cells.F is None:
+                notes.append("re-seeded empty cells of the initial centroids "
+                             "to cdf quantiles")
+                start = _quantile_start(dist, M)
+
+        def value(u):
+            cells = search(u)
+            return math.inf if cells is None else cells.mse
+
+        def grad(u):
+            cells = search(u)
+            return np.zeros(M) if cells is None else cells.grad
+
+        def hess(u):
+            cells = search(u)
+            return np.eye(M) if cells is None else cells.hess
+
+        def stationarity(u):
+            cells = search(u)
+            if cells is None or cells.F is None:
+                raise _Stop
+            return cells.F, cells.J
+
+        # radii scale with the mean, so the search does not depend on the
+        # unit of t
+        S = dist.mean
+        minimize(value, start, method="trust-exact", jac=grad, hess=hess,
+                 options={"gtol": 0.0, "initial_trust_radius": S,
+                          "max_trust_radius": 1e3 * S})
+        root(stationarity, search.best.u, jac=True, method="hybr",
+             options={"xtol": np.finfo(float).eps})
+    except _Stop:
+        pass
+    best = search.best
+    if best.resid >= tol:
+        stop = (f"stopped at max_iter={max_iter}"
+                if search.evaluations == max_iter else "solver stalled")
+        msg = (f"{stop} before converging (relative stationarity "
+               f"{best.resid:.3e} >= tol {tol:.1e})")
         notes.append(msg)
         warnings.warn(msg, matfun.AccuracyWarning, stacklevel=2)
-    edges = np.concatenate([[0.0], 0.5 * (centroids[:-1] + centroids[1:]),
-                            [math.inf]])
-    anti = [pm.at(e) for e in edges]
-    mse = 0.0
-    for q in range(M):
-        m0, m1, m2 = anti[q + 1] - anti[q]
-        mse += m2 - 2.0 * centroids[q] * m1 + centroids[q] ** 2 * m0
-    return LloydMaxResult(edges[1:-1], centroids, mse, it, tuple(notes))
+    u = best.u
+    return LloydMaxResult(0.5 * (u[:-1] + u[1:]), u, best.mse,
+                          search.evaluations, tuple(notes))
 
 
 def panter_dite_mse(dist: MEDist, M: int, decomposition=None) -> float:

@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.integrate
 import scipy.linalg
 
 __all__ = [
@@ -246,6 +245,8 @@ def quad(f, a, b, tol=1e-10, limit=200):
     :class:`AccuracyWarning` (never silent) but still returns the best
     estimate.
     """
+    import scipy.integrate
+
     out = scipy.integrate.quad(f, a, b, epsabs=tol, epsrel=tol,
                                limit=limit, full_output=1)
     value, err = out[0], out[1]

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 from scipy.special import gamma as gamma_fn
 from scipy.special import gammaincc, lambertw
 
@@ -132,6 +131,8 @@ def outage_capacity(channel, q_target: float) -> MetricResult:
     """Rate C with P(ln(1 + Z) < C) = q_target: Brent's method on the
     closed-form outage over a doubling bracket, stopped by brentq's own
     relative tolerance (4 eps)."""
+    from scipy.optimize import brentq
+
     d = _dist(channel)
     if not 0.0 < q_target < 1.0:
         raise ValueError("q_target must lie strictly between 0 and 1")

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -67,3 +69,14 @@ def random_valid_dist(rng, allow_oscillatory=True) -> MEDist:
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def pytest_collection_modifyitems(config, items):
+    """Turn an AccuracyWarning into an error in every test under tests/, so
+    a solver that stops short fails the test; a test that expects one
+    catches it with ``pytest.warns``."""
+    here = Path(__file__).parent
+    mark = pytest.mark.filterwarnings("error::mekit.matfun.AccuracyWarning")
+    for item in items:
+        if here in item.path.parents:
+            item.add_marker(mark)

@@ -1,9 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import mekit
 from mekit import cli
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -51,6 +55,21 @@ def assert_json_close(text, golden_name, rtol=1e-12):
             assert a == b, path
 
     walk(got, want)
+
+
+def test_import_leaves_solver_modules_unloaded():
+    """``import mekit`` (the start-up of every CLI command) loads neither
+    scipy.optimize nor scipy.integrate; the functions that need them import
+    them on first call."""
+    src = str(Path(mekit.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    code = ("import sys, mekit; print(sorted(m for m in sys.modules if "
+            "m.split('.')[:2] in (['scipy', 'optimize'], "
+            "['scipy', 'integrate'])))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
 
 
 class TestChannel:

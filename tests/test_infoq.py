@@ -112,6 +112,17 @@ def grid_search_two_level(dist, t_hi=50.0, n=400_000):
     return l_star, u0, u1, mse
 
 
+def quad_cell_means(dist, edges):
+    """Cell means from adaptive quadratures of t f and f (independent of the
+    closed-form cell moments)."""
+    means = []
+    for a, b in zip(edges[:-1], edges[1:]):
+        m0, _ = matfun.quad(dist.pdf, a, b, tol=1e-12)
+        m1, _ = matfun.quad(lambda t: t * dist.pdf(t), a, b, tol=1e-12)
+        means.append(m1 / m0)
+    return np.array(means)
+
+
 class TestLloydMax:
     def test_single_level_is_mean(self):
         res = lloyd_max(exponential(2.0), 1)
@@ -162,14 +173,42 @@ class TestLloydMax:
         assert res.mse <= mse0 + 1e-12
 
     def test_max_iter_is_reported(self):
-        with pytest.warns(matfun.AccuracyWarning, match="max_iter=50"):
-            res = lloyd_max(exponential(1.0), 16, tol=1e-10, max_iter=50)
-        assert res.iterations == 50
-        assert any("max_iter=50" in n for n in res.notes)
+        with pytest.warns(matfun.AccuracyWarning, match="max_iter=5"):
+            res = lloyd_max(exponential(1.0), 16, tol=1e-10, max_iter=5)
+        assert res.iterations == 5
+        assert any("max_iter=5" in n for n in res.notes)
 
     def test_rejects_bad_M(self):
         with pytest.raises(ValueError):
             lloyd_max(exponential(1.0), 0)
+
+    @pytest.mark.parametrize("name, M", [("example2", 2), ("example2", 4),
+                                         ("exponential", 16),
+                                         ("exponential", 64)])
+    def test_centroids_are_quadrature_cell_means(self, name, M):
+        d = example2() if name == "example2" else exponential(1.0)
+        res = lloyd_max(d, M)
+        assert res.notes == ()
+        # each evaluation is M - 1 exponentials; 50 keep M = 64 well under 1 s
+        assert res.iterations <= 50
+        edges = np.concatenate([[0.0], res.thresholds, [math.inf]])
+        means = quad_cell_means(d, edges)
+        assert np.max(np.abs(means - res.centroids) / res.centroids) < 1e-10
+
+    def test_tight_tol_on_small_scale(self):
+        # the distortion here is about 3e-8 and the descent stops near a
+        # relative stationarity of 1e-11; the root polish has to finish
+        lam = 1e3
+        res = lloyd_max(exponential(1.0 / lam), 8, tol=1e-12)
+        assert res.notes == ()
+        a = np.concatenate([[0.0], res.thresholds])
+        w = np.diff(a)
+        # E[T | a < T < a + w]
+        #     = 1/lam + (a - (a + w) e^{-lam w}) / (1 - e^{-lam w}),
+        # and a + 1/lam on the last cell (a, inf)
+        means = 1.0 / lam + np.append(
+            (a[:-1] - a[1:] * np.exp(-lam * w)) / -np.expm1(-lam * w), a[-1])
+        assert np.max(np.abs(means - res.centroids) / res.centroids) < 1e-12
 
 
 class TestPanterDite:
@@ -185,11 +224,12 @@ class TestPanterDite:
         assert abs(mse - 1.0 / (12.0 * 64.0)) < 1e-10
 
     def test_high_rate_ratio_to_lloyd(self):
-        # movement tolerance 1e-7 is ample for a 5% distortion comparison
+        # stationarity tolerance 1e-7 is ample for a 5% distortion comparison
         M = 64
         approx = panter_dite_mse(exponential(1.0), M)
-        exact = lloyd_max(exponential(1.0), M, tol=1e-7).mse
-        assert abs(approx / exact - 1.0) < 0.05
+        res = lloyd_max(exponential(1.0), M, tol=1e-7)
+        assert res.notes == ()
+        assert abs(approx / res.mse - 1.0) < 0.05
 
 
 class TestTypeOne:

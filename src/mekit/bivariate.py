@@ -457,12 +457,12 @@ def sm_mimo_2x2_outage(R: float) -> MetricResult:
     Q2i = np.linalg.inv(Q2)
     closed = 1.0 - 0.5 * float(
         p1 @ matfun.expm((TH - 1.0) * Q1) @ Q1i @ P12 @ Q2i @ r2)
-    EmQ1 = matfun.expm(-Q1)
-    right = matfun.expm(-Q2) @ Q2i
+    mid = matfun.expm(-Q1) @ P12 @ matfun.expm(-Q2) @ Q2i
 
     def integrand(t1):
-        return 0.5 * float(p1 @ matfun.expm(t1 * Q1) @ EmQ1 @ P12 @ right
-                           @ matfun.expm((TH / t1) * Q2) @ r2)
+        left = p1 @ matfun.expm(t1[:, None, None] * Q1) @ mid
+        right = matfun.expm((TH / t1)[:, None, None] * Q2) @ r2
+        return 0.5 * np.sum(left * right, axis=1)
 
     resid, err = matfun.quad(integrand, 1.0, TH, tol=1e-12)
     return _result(closed + resid, "quadrature", quad_error=err)

@@ -38,8 +38,8 @@ def entropy_numeric(dist: MEDist, tol: float = 1e-9) -> float:
     t_hi = dist.t_max()
 
     def integrand(t):
-        f = max(dist.pdf(t), _FLOOR)
-        return -f * math.log(f)
+        f = np.maximum(dist.pdf(t), _FLOOR)
+        return -f * np.log(f)
 
     val, _ = matfun.quad(integrand, 0.0, t_hi, tol=tol, limit=1000)
     return val
@@ -49,8 +49,9 @@ def entropy_theta_limit(dist: MEDist, theta: float = 1e-4) -> float:
     """Entropy through the small-theta representation
     (1/theta) ln int f^{1-theta} dt (cross-check of the direct integral)."""
     t_hi = dist.t_max()
-    val, _ = matfun.quad(lambda t: max(dist.pdf(t), 0.0) ** (1.0 - theta),
-                         0.0, t_hi, tol=1e-10, limit=1000)
+    val, _ = matfun.quad(
+        lambda t: np.maximum(dist.pdf(t), 0.0) ** (1.0 - theta),
+        0.0, t_hi, tol=1e-10, limit=1000)
     return math.log(val) / theta
 
 
@@ -99,8 +100,9 @@ class _PartialMoments:
         int t^2 f    = x e^{tY} (t^2 Y^{-1} - 2t Y^{-2} + 2 Y^{-3}) z
         f            = x e^{tY} z
 
-    ``at(t)`` returns all four from one row x e^{tY} (all zero at
-    t = inf); ``between`` differences the three antiderivatives."""
+    ``at(t)`` returns all four (last axis) from the rows x e^{tY} of one
+    stacked exponential, for a scalar or a 1-D array of finite t;
+    ``between`` differences the three antiderivatives (zero at t = inf)."""
 
     def __init__(self, dist: MEDist):
         self.dist = dist
@@ -109,15 +111,16 @@ class _PartialMoments:
         Yi2z = Yi @ Yi1z
         self._V = np.column_stack([Yi1z, Yi2z, Yi @ Yi2z, dist.z])
 
-    def at(self, t: float) -> np.ndarray:
-        if math.isinf(t):
-            return np.zeros(4)
-        e1, e2, e3, f = self.dist.x @ matfun.expm(t * self.dist.Y) @ self._V
-        return np.array([e1, t * e1 - e2,
-                         t * t * e1 - 2.0 * t * e2 + 2.0 * e3, f])
+    def at(self, t) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        E = matfun.expm(t[..., None, None] * self.dist.Y)
+        e1, e2, e3, f = np.moveaxis(self.dist.x @ E @ self._V, -1, 0)
+        return np.stack([e1, t * e1 - e2,
+                         t * t * e1 - 2.0 * t * e2 + 2.0 * e3, f], axis=-1)
 
     def between(self, a: float, b: float) -> np.ndarray:
-        return (self.at(b) - self.at(a))[:3]
+        hi = np.zeros(4) if math.isinf(b) else self.at(b)
+        return (hi - self.at(a))[:3]
 
 
 @dataclass(frozen=True)
@@ -141,9 +144,10 @@ def _cells(pm: _PartialMoments, u: np.ndarray) -> _Cells:
     """Closed-form cell moments at increasing centroids ``u`` with
     u_0 + u_1 > 0.  The derivatives move each threshold with its two
     centroids (dl_q/du_{q-1} = dl_q/du_q = 1/2), so they need only the
-    densities f(l_q) at the thresholds."""
+    densities f(l_q) at the thresholds.  One stacked exponential covers
+    0 and every threshold."""
     l = 0.5 * (u[:-1] + u[1:])
-    anti = np.array([pm.at(0.0)] + [pm.at(t) for t in l] + [pm.at(math.inf)])
+    anti = np.vstack([pm.at(np.append(0.0, l)), np.zeros(4)])
     m0, m1, m2 = np.diff(anti[:, :3], axis=0).T
     f = anti[1:-1, 3]
     mse = float(np.sum(m2 - 2.0 * u * m1 + u * u * m0))
@@ -236,11 +240,11 @@ def lloyd_max(dist: MEDist, M: int, tol: float = 1e-10,
        Jacobian, from the descent's best point.
 
     Converged means the relative stationarity max |c_q - u_q| / |u_q| is
-    below ``tol``.  ``max_iter`` caps the cell-moment evaluations (M - 1
-    matrix exponentials each) across both stages and ``iterations``
-    reports how many were used.  The result is the evaluation nearest
-    stationarity; without convergence it carries a note and an
-    :class:`AccuracyWarning`.
+    below ``tol``.  ``max_iter`` caps the cell-moment evaluations (one
+    stacked exponential over the M - 1 thresholds each) across both
+    stages and ``iterations`` reports how many were used.  The result is
+    the evaluation nearest stationarity; without convergence it carries a
+    note and an :class:`AccuracyWarning`.
 
     Initial centroids default to cdf quantiles at (q + 1/2)/M, which avoids
     empty cells for heavy-tailed densities; a supplied start with an empty
@@ -328,8 +332,9 @@ def panter_dite_mse(dist: MEDist, M: int, decomposition=None) -> float:
         raise ValueError("M must be a positive integer")
     # the cube root decays three times slower than the density itself
     t_hi = 3.0 * dist.t_max()
-    I_quad, _ = matfun.quad(lambda t: max(dist.pdf(t), 0.0) ** (1.0 / 3.0),
-                            0.0, t_hi, tol=1e-9, limit=1000)
+    I_quad, _ = matfun.quad(
+        lambda t: np.maximum(dist.pdf(t), 0.0) ** (1.0 / 3.0),
+        0.0, t_hi, tol=1e-9, limit=1000)
     if decomposition is not None:
         xb, Yb, zb = decomposition
         xb = np.atleast_1d(np.asarray(xb, float)).ravel()

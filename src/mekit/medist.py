@@ -134,12 +134,14 @@ class MEDist:
 
     # -- evaluation ----------------------------------------------------
 
-    def pdf(self, t: float) -> float:
-        if t < 0:
+    def pdf(self, t):
+        """Density x e^{tY} z at t >= 0, a scalar or a 1-D array (one
+        stacked exponential)."""
+        t = np.asarray(t, dtype=float)
+        if (t < 0).any():
             raise ValueError(f"pdf requires t >= 0, got {t}")
-        val = self.x @ matfun.expm(t * self.Y) @ self.z
-        return matfun.assert_real(val, scale=max(1.0, abs(val)),
-                                  rtol=1e-10, context="pdf")
+        val = self.x @ matfun.expm(t[..., None, None] * self.Y) @ self.z
+        return float(val) if t.ndim == 0 else val
 
     def cdf(self, t: float, method: str = "augmented") -> float:
         """Cumulative distribution at t.
@@ -165,15 +167,19 @@ class MEDist:
         """Survival function 1 - cdf(t)."""
         return 1.0 - self.cdf(t)
 
-    def lt(self, s) -> complex:
-        """Laplace transform x (sI - Y)^{-1} z of the pdf."""
-        A = s * np.eye(self.d) - self.Y
+    def lt(self, s):
+        """Laplace transform x (sI - Y)^{-1} z of the pdf at a scalar or a
+        1-D array of points s (one stacked solve); real for real s."""
+        s = np.asarray(s)
+        A = s[..., None, None] * np.eye(self.d) - self.Y
         try:
             w = np.linalg.solve(A, self.z.astype(complex))
         except np.linalg.LinAlgError as exc:
             raise np.linalg.LinAlgError(f"s={s} is an eigenvalue of Y") from exc
-        val = complex(self.x @ w)
-        return val if np.iscomplexobj(np.asarray(s)) or isinstance(s, complex) else val.real
+        val = w @ self.x
+        if not np.iscomplexobj(s):
+            val = val.real
+        return val.item() if s.ndim == 0 else val
 
     def moment(self, k: int) -> float:
         """k-th moment (-1)^{k+1} k! x Y^{-(k+1)} z (Y nonsingular)."""
@@ -227,15 +233,24 @@ class MEDist:
 
     def _stepped(self, w, A, n, t_max):
         """(t, w e^{tA} dotted with z in its last d entries) on ``n``
-        uniform points of [0, t_max], computed with one step exponential
-        and repeated multiplication."""
+        uniform points of [0, t_max], from one step exponential E by
+        blocked doubling: rows [B, 2B) are rows [0, B) times E^B, then
+        E^B is squared while 2B <= n / order (so the squarings cost no
+        more flops than the row products); later blocks of B rows step
+        by E^B."""
         ts = np.linspace(0.0, self.t_max() if t_max is None else t_max, n)
-        E = matfun.expm((ts[1] - ts[0]) * A)
-        vals = np.empty(n)
-        for k in range(n):
-            vals[k] = w[-self.d:] @ self.z
-            w = w @ E
-        return ts, vals
+        P = matfun.expm((ts[1] - ts[0]) * A)
+        W = np.empty((n, w.size))
+        W[0] = w
+        m = B = 1
+        while m < n:
+            k = min(B, n - m)
+            W[m:m + k] = W[m - B:m - B + k] @ P
+            m += k
+            if m == 2 * B and 2 * B * w.size <= n:
+                P = P @ P
+                B *= 2
+        return ts, W[:, -self.d:] @ self.z
 
     def pdf_grid(self, n: int = 512, t_max: float | None = None):
         """(t, pdf) sampled on ``n`` uniform points of [0, t_max]."""

@@ -297,7 +297,7 @@ def _shannon_expectation_quad(d: MEDist, theta: float, tol=1e-12):
     suffers catastrophic cancellation.
     """
     def h(u):
-        return math.exp(-u) * d.lt(u)
+        return np.exp(-u) * d.lt(u)
 
     inner, e1 = matfun.quad(lambda u: u ** (theta - 1.0) * (h(u) - 1.0),
                             0.0, 1.0, tol=tol)
@@ -358,7 +358,7 @@ def ergodic_capacity(channel) -> MetricResult:
     the Laplace transform; ``quad_error`` is the quadrature's estimate.
     """
     d = _dist(channel)
-    val, err = matfun.quad(lambda u: math.exp(-u) * (1.0 - d.lt(u)) / u,
+    val, err = matfun.quad(lambda u: np.exp(-u) * (1.0 - d.lt(u)) / u,
                            0.0, np.inf)
     return _result(val, "quadrature", quad_error=err)
 
@@ -376,8 +376,8 @@ def ber_noncoherent(channel, a: float) -> MetricResult:
 
 
 def _craig_product(branches, t):
-    s2 = math.sin(t) ** 2
-    out = 1.0
+    s2 = np.sin(t) ** 2
+    out = np.ones_like(t)
     for d, a in branches:
         out *= d.lt(a / s2)
     return out

@@ -350,8 +350,9 @@ def wishart_region_outage_quad(R: float, tol: float = 1e-12) -> float:
         if hi <= z1:
             return 0.0
         val, _ = matfun.quad(
-            lambda z2: math.exp(-z1 - z2) * (z1 - z2) ** 2, z1, hi, tol=tol)
+            lambda z2: np.exp(-z1 - z2) * (z1 - z2) ** 2, z1, hi, tol=tol)
         return val
 
-    val, _ = matfun.quad(inner, 0.0, math.sqrt(TH) - 1.0, tol=tol)
+    val, _ = matfun.quad(lambda z1s: np.array([inner(z1) for z1 in z1s]),
+                         0.0, math.sqrt(TH) - 1.0, tol=tol)
     return val

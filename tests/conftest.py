@@ -1,10 +1,13 @@
+import warnings
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.integrate
 
 from mekit import ChannelSpec, MEDist, RationalLT, erlang, exponential
-from mekit import from_rational_lt, standard_channel
+from mekit import from_rational_lt, matfun, standard_channel
 from mekit.algebra import convolve
 
 
@@ -15,13 +18,43 @@ def random_stable_matrix(rng, n, margin=0.5):
     return A - shift * np.eye(n)
 
 
+def quadpack(f, a, b, tol=1e-10, limit=200):
+    """QUADPACK (``scipy.integrate.quad``) on a scalar integrand with
+    epsabs = epsrel = ``tol``: the tests' reference quadrature, independent
+    of ``matfun.quad``.  An unconverged result with an error estimate above
+    10 tol max(1, |value|) raises an :class:`AccuracyWarning`."""
+    out = scipy.integrate.quad(f, a, b, epsabs=tol, epsrel=tol,
+                               limit=limit, full_output=1)
+    value, err = out[0], out[1]
+    if len(out) > 3 and err > 10.0 * tol * max(1.0, abs(value)):
+        warnings.warn(
+            f"quadrature accuracy warning (estimate {err:.2e}): {out[3]}",
+            matfun.AccuracyWarning, stacklevel=2)
+    return value, err
+
+
 def example2():
     """Oscillatory degree-3 density (1 + 1/49)(1 - cos 7t) e^{-t}."""
     return from_rational_lt(RationalLT(p=[50.0], q=[50.0, 52.0, 3.0]))
 
 
-def example2_pdf(t):
-    return (1.0 + 7.0 ** -2) * (1.0 - np.cos(7.0 * t)) * np.exp(-t)
+def example2_pdf(t, lib=np):
+    """Closed form of the :func:`example2` density; ``lib`` is numpy or
+    ``mpmath.mp``."""
+    return (1.0 + 7.0 ** -2) * (1.0 - lib.cos(7.0 * t)) * lib.exp(-t)
+
+
+def example2_entropy_mpmath():
+    """-int f ln f of :func:`example2` by mpmath at 30 digits from the closed
+    form, split at the zeros 2 pi k / 7 of the density up to t = 50 (the
+    tail beyond adds below 1e-19)."""
+    with mpmath.workdps(30):
+        def g(t):
+            f = example2_pdf(t, mpmath.mp)
+            return -f * mpmath.log(f) if f > 0 else mpmath.mpf(0)
+
+        zeros = [2 * mpmath.pi * k / 7 for k in range(57)]
+        return float(mpmath.quad(g, zeros))
 
 
 def sdc(N, S=1.0):

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from mekit import (RationalLT, erlang, exponential, matfun, metrics, oracle,
+from mekit import (RationalLT, erlang, exponential, metrics, oracle,
                    to_rational_lt)
 from mekit.algebra import convolve, max_dist, min_dist
 from mekit.bivariate import (InterferenceScenario, arq_interference_throughput,
@@ -18,8 +18,8 @@ from mekit.bivariate import (InterferenceScenario, arq_interference_throughput,
                              sm_mimo_2x2_outage, wishart2x2_bivme)
 from mekit.infoq import (Type1Dist, Type2Dist, Type3Dist, entropy_numeric,
                          lloyd_max)
-from conftest import (example2, example2_pdf, nakagami, random_valid_dist,
-                      sdc, standard_five)
+from conftest import (example2, example2_pdf, nakagami, quadpack,
+                      random_valid_dist, sdc, standard_five)
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -54,8 +54,8 @@ class TestAcceptance:
             # --- convolution: quadrature oracle + empirical KS
             c = convolve(a, b)
             for t in (0.5, 1.5, 3.0):
-                ref, _ = matfun.quad(lambda u: a.pdf(u) * b.pdf(t - u), 0.0, t,
-                                     tol=1e-12)
+                ref, _ = quadpack(lambda u: a.pdf(u) * b.pdf(t - u), 0.0, t,
+                                  tol=1e-12)
                 assert abs(c.pdf(t) - ref) < 1e-8
             assert self._ks(sa + sb, c) < ks_limit
             # --- maximum: survival-product oracle + empirical KS
@@ -289,19 +289,19 @@ class TestAcceptance:
         d = erlang(2, mean=1.0)
         t1 = Type1Dist(d.x, d.Y, d.z)
         L = math.sqrt(3.0 * d.t_max())
-        mass, _ = matfun.quad(t1.pdf, -L, L, tol=1e-12)
+        mass, _ = quadpack(t1.pdf, -L, L, tol=1e-12)
         assert abs(mass - 1.0) < 1e-7
-        ref, _ = matfun.quad(lambda t: t * t * t1.pdf(t), -L, L, tol=1e-12)
+        ref, _ = quadpack(lambda t: t * t * t1.pdf(t), -L, L, tol=1e-12)
         assert abs(t1.moment(2) - ref) < 1e-7
         t2 = Type2Dist(d.x, d.Y, d.z)
-        mass, _ = matfun.quad(t2.marginal_pdf, -L, L, tol=1e-12)
+        mass, _ = quadpack(t2.marginal_pdf, -L, L, tol=1e-12)
         assert abs(mass - 1.0) < 1e-7
-        ref, _ = matfun.quad(lambda u: u * u * t2.marginal_pdf(u), -L, L,
-                             tol=1e-12)
+        ref, _ = quadpack(lambda u: u * u * t2.marginal_pdf(u), -L, L,
+                          tol=1e-12)
         assert abs(t2.moment(2, 0) - ref) < 1e-7
         t3 = Type3Dist(d.x, d.Y, d.z)
-        mass, _ = matfun.quad(t3.pdf, 0.0, L, tol=1e-12)
+        mass, _ = quadpack(t3.pdf, 0.0, L, tol=1e-12)
         assert abs(mass - 1.0) < 1e-7
-        ref, _ = matfun.quad(lambda t: t * t * t3.pdf(t), 0.0, L, tol=1e-12)
+        ref, _ = quadpack(lambda t: t * t * t3.pdf(t), 0.0, L, tol=1e-12)
         assert abs(t3.moment(2) - ref) < 1e-7
         report(9, "entropy, quantizer and generalized-density checks")

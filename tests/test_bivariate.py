@@ -14,7 +14,8 @@ from mekit.bivariate import (BivME, InterferenceScenario,
                              wishart2x2_bivme)
 from mekit.medist import ConstructionError
 from mekit import metrics
-from conftest import nakagami, random_stable_matrix, random_valid_dist
+from conftest import (nakagami, quadpack, random_stable_matrix,
+                      random_valid_dist)
 
 RAY = exponential(1.0)
 
@@ -91,7 +92,7 @@ class TestProductIntegrals:
     def test_erlang_squared_vs_quadrature(self):
         d = erlang(2, mean=2.0)
         val = integral_product_independent(d, d)
-        q, _ = matfun.quad(lambda t: d.pdf(t) ** 2, 0.0, np.inf)
+        q, _ = quadpack(lambda t: d.pdf(t) ** 2, 0.0, np.inf)
         assert abs(val - q) < 1e-9
 
     def test_linear_in_weight(self):
@@ -144,7 +145,7 @@ class TestSylvesterIntegral:
         x1 = rng.normal(size=3)
         z2 = rng.normal(size=2)
         val, X = integral_sylvester(0.0, 1.4, x1, Y1, X12, Y2, z2)
-        q, _ = matfun.quad(
+        q, _ = quadpack(
             lambda t: float(x1 @ matfun.expm(t * Y1) @ X12
                             @ matfun.expm(t * Y2) @ z2), 0.0, 1.4)
         assert abs(val - q) < 1e-8
@@ -260,7 +261,7 @@ class TestInterferenceThroughput:
         scn = InterferenceScenario(signal=sig, interferers=(intf,))
         R = 0.9
         theta = math.expm1(R)
-        P, _ = matfun.quad(
+        P, _ = quadpack(
             lambda zi: intf.pdf(zi) * (1.0 - sig.cdf(theta * (1.0 + zi))),
             0.0, np.inf)
         assert abs(arq_interference_throughput(scn, R).value - R * P) < 1e-9
@@ -339,7 +340,7 @@ class TestWishart:
 
     def test_ordered_marginal_integrates_to_one(self):
         w = wishart2x2_bivme()
-        val, _ = matfun.quad(lambda z: w.marginal_pdf(1, z), 0.0, 60.0)
+        val, _ = quadpack(lambda z: w.marginal_pdf(1, z), 0.0, 60.0)
         assert abs(val - 1.0) < 1e-8
 
 

@@ -57,19 +57,37 @@ def assert_json_close(text, golden_name, rtol=1e-12):
     walk(got, want)
 
 
+def _run_fresh(code):
+    """stdout of ``code`` run in a fresh interpreter importing this mekit."""
+    src = str(Path(mekit.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
+
+
 def test_import_leaves_solver_modules_unloaded():
     """``import mekit`` (the start-up of every CLI command) loads neither
     scipy.optimize nor scipy.integrate; the functions that need them import
     them on first call."""
-    src = str(Path(mekit.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     code = ("import sys, mekit; print(sorted(m for m in sys.modules if "
             "m.split('.')[:2] in (['scipy', 'optimize'], "
             "['scipy', 'integrate'])))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.strip() == "[]"
+    assert _run_fresh(code).strip() == "[]"
+
+
+def test_quadrature_metrics_never_load_scipy_integrate():
+    """``matfun.quad`` is the only quadrature route in mekit: the metrics
+    that integrate numerically never import scipy.integrate."""
+    code = ("import sys, mekit\n"
+            "from mekit import infoq, metrics\n"
+            "ray = mekit.exponential(1.0)\n"
+            "infoq.entropy_numeric(ray)\n"
+            "metrics.ergodic_capacity(ray)\n"
+            "metrics.pep([(ray, 1.0), (mekit.erlang(2), 0.5)])\n"
+            "print(sorted(m for m in sys.modules "
+            "if m.startswith('scipy.integrate')))")
+    assert _run_fresh(code).strip() == "[]"
 
 
 class TestChannel:

@@ -10,7 +10,7 @@ from mekit.infoq import (Type1Dist, Type2Dist, Type3Dist, entropy_numeric,
                          panter_dite_mse)
 from mekit.medist import ConstructionError, MEDist
 from mekit import oracle
-from conftest import example2
+from conftest import example2, example2_entropy_mpmath, quadpack
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -34,6 +34,10 @@ class TestEntropy:
         f = np.maximum(oracle.pdf_on_grid(d, ts), 1e-300)
         ref = -np.trapezoid(f * np.log(f), ts)
         assert abs(entropy_numeric(d) - ref) < 1e-6
+
+    def test_oscillatory_vs_mpmath(self):
+        ref = example2_entropy_mpmath()
+        assert abs(entropy_numeric(example2()) - ref) <= 5e-10 * abs(ref)
 
     def test_small_theta_representation(self):
         d = example2()
@@ -117,8 +121,8 @@ def quad_cell_means(dist, edges):
     closed-form cell moments)."""
     means = []
     for a, b in zip(edges[:-1], edges[1:]):
-        m0, _ = matfun.quad(dist.pdf, a, b, tol=1e-12)
-        m1, _ = matfun.quad(lambda t: t * dist.pdf(t), a, b, tol=1e-12)
+        m0, _ = quadpack(dist.pdf, a, b, tol=1e-12)
+        m1, _ = quadpack(lambda t: t * dist.pdf(t), a, b, tol=1e-12)
         means.append(m1 / m0)
     return np.array(means)
 
@@ -249,11 +253,11 @@ class TestTypeOne:
         d = example2()
         t1 = Type1Dist(d.x, d.Y, d.z)
         L = math.sqrt(3.0 * d.t_max())
-        mass, _ = matfun.quad(t1.pdf, -L, L, tol=1e-12)
+        mass, _ = quadpack(t1.pdf, -L, L, tol=1e-12)
         assert abs(mass - 1.0) < 1e-7
         for n in (2, 4):
-            ref, _ = matfun.quad(lambda t: t ** n * t1.pdf(t), -L, L,
-                                 tol=1e-12)
+            ref, _ = quadpack(lambda t: t ** n * t1.pdf(t), -L, L,
+                              tol=1e-12)
             assert abs(t1.moment(n) - ref) < 1e-7 * max(1.0, abs(ref))
 
     def test_rejects_non_normalizable(self):
@@ -271,8 +275,8 @@ class TestTypeTwo:
     def test_moments_match_quadrature(self):
         d = erlang(2, mean=1.0)
         t2 = Type2Dist(d.x, d.Y, d.z)
-        ref, _ = matfun.quad(lambda u: u ** 2 * t2.marginal_pdf(u),
-                             -np.inf, np.inf, tol=1e-12)
+        ref, _ = quadpack(lambda u: u ** 2 * t2.marginal_pdf(u),
+                          -np.inf, np.inf, tol=1e-12)
         assert abs(t2.moment(2, 0) - ref) < 1e-7
         assert t2.moment(1, 2) == 0.0
 
@@ -280,14 +284,14 @@ class TestTypeTwo:
         d = erlang(2, mean=1.0)
         t2 = Type2Dist(d.x, d.Y, d.z)
         for u in (0.0, 0.4, 1.1):
-            inner, _ = matfun.quad(lambda v: t2.pdf(u, v), -np.inf, np.inf,
-                                   tol=1e-12)
+            inner, _ = quadpack(lambda v: t2.pdf(u, v), -np.inf, np.inf,
+                                tol=1e-12)
             assert abs(t2.marginal_pdf(u) - inner) < 1e-8
 
     def test_normalization_by_quadrature(self):
         d = erlang(2, mean=1.0)
         t2 = Type2Dist(d.x, d.Y, d.z)
-        mass, _ = matfun.quad(t2.marginal_pdf, -np.inf, np.inf, tol=1e-12)
+        mass, _ = quadpack(t2.marginal_pdf, -np.inf, np.inf, tol=1e-12)
         assert abs(mass - 1.0) < 1e-7
 
     def test_rejects_unnormalized_triple(self):
@@ -306,11 +310,11 @@ class TestTypeThree:
         d = example2()
         t3 = Type3Dist(d.x, d.Y, d.z)
         L = math.sqrt(3.0 * d.t_max())
-        mass, _ = matfun.quad(t3.pdf, 0.0, L, tol=1e-12)
+        mass, _ = quadpack(t3.pdf, 0.0, L, tol=1e-12)
         assert abs(mass - 1.0) < 1e-7
         for n in (1, 2, 3):
-            ref, _ = matfun.quad(lambda t: t ** n * t3.pdf(t), 0.0, L,
-                                 tol=1e-12)
+            ref, _ = quadpack(lambda t: t ** n * t3.pdf(t), 0.0, L,
+                              tol=1e-12)
             assert abs(t3.moment(n) - ref) < 1e-7 * max(1.0, abs(ref))
 
     def test_rejects_unnormalized_triple(self):

@@ -4,7 +4,7 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 from mekit import matfun
-from conftest import random_stable_matrix
+from conftest import quadpack, random_stable_matrix
 
 
 class TestExpm:
@@ -52,13 +52,49 @@ class TestExpm:
         assert np.all(E[3:, :3] == 0.0)
         assert_allclose(E[:3, :3], matfun.expm(A), rtol=1e-12)
 
+    def test_stack_matches_each_matrix(self, rng):
+        # scaling exponents from 0 (t = 1e-3) to about 12 (t = 1e3)
+        M = random_stable_matrix(rng, 4)
+        ts = np.logspace(-3, 3, 13)
+        S = matfun.expm(ts[:, None, None] * M)
+        assert S.shape == (13, 4, 4)
+        for t, E in zip(ts, S):
+            assert_allclose(E, matfun.expm(t * M), rtol=1e-14, atol=1e-300)
+
+    def test_complex_stack_with_batch_axes(self, rng):
+        M = (rng.normal(size=(2, 3, 3, 3))
+             + 1j * rng.normal(size=(2, 3, 3, 3)))
+        M *= np.logspace(-3, 2, 3)[None, :, None, None]
+        S = matfun.expm(M)
+        assert S.shape == M.shape and S.dtype == complex
+        for i in range(2):
+            for j in range(3):
+                assert_allclose(S[i, j], matfun.expm(M[i, j]), rtol=1e-14,
+                                atol=1e-300)
+
+    def test_block_triangular_preserved_in_stack(self, rng):
+        A = random_stable_matrix(rng, 3)
+        B = random_stable_matrix(rng, 2)
+        C = rng.normal(size=(3, 2))
+        M = np.block([[A, C], [np.zeros((2, 3)), B]])
+        ts = np.array([1e3, 1e-3, 0.5, 30.0])
+        S = matfun.expm(ts[:, None, None] * M)
+        assert np.all(S[:, 3:, :3] == 0.0)
+        for t, E in zip(ts, S):
+            assert_allclose(E[:3, :3], matfun.expm(t * A), rtol=1e-12,
+                            atol=1e-300)
+
+    def test_rejects_non_square_stack(self):
+        with pytest.raises(ValueError, match="square"):
+            matfun.expm(np.zeros((3, 2, 3)))
+
     def test_integral_identity_vs_quadrature(self, rng):
         M = random_stable_matrix(rng, 3)
         b = 1.3
         for i in range(3):
             closed = matfun.expm_integral(np.eye(3)[i], M, b)
             for j in range(3):
-                val, _ = matfun.quad(lambda t: matfun.expm(t * M)[i, j], 0.0, b)
+                val, _ = quadpack(lambda t: matfun.expm(t * M)[i, j], 0.0, b)
                 assert abs(closed[j] - val) < 1e-9
 
     def test_integral_singular_generator_vs_quadrature(self, rng):
@@ -68,7 +104,7 @@ class TestExpm:
         b = 1.7
         closed = matfun.expm_integral(x, M, b)
         for j in range(3):
-            val, _ = matfun.quad(lambda t: (x @ matfun.expm(t * M))[j], 0.0, b)
+            val, _ = quadpack(lambda t: (x @ matfun.expm(t * M))[j], 0.0, b)
             assert abs(closed[j] - val) < 1e-9
 
     def test_integral_complex_row(self):
@@ -174,12 +210,36 @@ class TestQuad:
         assert abs(val - 1.0) < 1e-12
 
     def test_constant_over_half_pi(self):
-        val, _ = matfun.quad(lambda t: 1.0 / np.pi, 0.0, np.pi / 2.0)
+        val, _ = matfun.quad(lambda t: np.full_like(t, 1.0 / np.pi),
+                             0.0, np.pi / 2.0)
         assert abs(val - 0.5) < 1e-12
 
     def test_first_moment(self):
         val, _ = matfun.quad(lambda t: t * np.exp(-t), 0.0, np.inf)
         assert abs(val - 1.0) < 1e-12
+
+    def test_whole_line_and_lower_infinite(self):
+        val, _ = matfun.quad(lambda t: np.exp(-t * t), -np.inf, np.inf)
+        assert abs(val - np.sqrt(np.pi)) < 1e-12
+        val, _ = matfun.quad(lambda t: np.exp(t), -np.inf, 0.0)
+        assert abs(val - 1.0) < 1e-12
+
+    def test_endpoint_singularity(self):
+        val, err = matfun.quad(lambda t: 1.0 / np.sqrt(t), 0.0, 1.0,
+                               tol=1e-10, limit=1000)
+        assert abs(val - 2.0) < 1e-9 and err < 1e-9
+
+    def test_nodes_arrive_in_batches(self):
+        calls = []
+
+        def f(t):
+            calls.append(t.shape)
+            return np.cos(30.0 * t)
+
+        val, _ = matfun.quad(f, 0.0, 3.0, tol=1e-12)
+        assert abs(val - np.sin(90.0) / 30.0) < 1e-12
+        assert all(len(s) == 1 and s[0] % 21 == 0 for s in calls)
+        assert sum(s[0] for s in calls) > 21 * len(calls)
 
     def test_warns_instead_of_silent_failure(self):
         with pytest.warns(matfun.AccuracyWarning):

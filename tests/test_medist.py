@@ -6,12 +6,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mekit import matfun
 from mekit.medist import (ChannelSpec, ConstructionError, MEDist,
                           PointMassAtZeroError, RationalLT, erlang,
                           exponential, from_product_form, from_rational_lt,
                           to_rational_lt)
-from conftest import example2, example2_pdf, random_valid_dist
+from conftest import example2, example2_pdf, quadpack, random_valid_dist
 
 
 class TestFromRationalLT:
@@ -134,9 +133,35 @@ class TestEvaluation:
         for _ in range(3):
             d = random_valid_dist(rng)
             for k in (1, 2, 3):
-                val, _ = matfun.quad(lambda t: t ** k * d.pdf(t),
-                                     0.0, d.t_max())
+                val, _ = quadpack(lambda t: t ** k * d.pdf(t),
+                                  0.0, d.t_max())
                 assert abs(d.moment(k) - val) < 1e-7 * max(1.0, abs(val))
+
+    def test_array_pdf_and_lt_match_scalar_calls(self, rng):
+        for _ in range(4):
+            d = random_valid_dist(rng)
+            ts = np.linspace(0.0, d.t_max(), 17)
+            pv = d.pdf(ts)
+            assert pv.shape == ts.shape
+            assert_allclose(pv, [d.pdf(t) for t in ts], rtol=1e-14,
+                            atol=1e-16)
+            for s in (np.logspace(-3, 3, 9), np.array([0.5 + 2j, 3.0 - 1j])):
+                lv = d.lt(s)
+                assert lv.dtype == s.dtype
+                assert_allclose(lv, [d.lt(x) for x in s], rtol=1e-14,
+                                atol=1e-16)
+        assert isinstance(d.pdf(1.0), float) and isinstance(d.lt(1.0), float)
+        assert isinstance(d.lt(1.0 + 1j), complex)
+
+    def test_grids_match_scalar_calls(self, rng):
+        dists = [random_valid_dist(rng) for _ in range(3)] + [example2()]
+        for d in dists:
+            for n in (64, 4096):
+                ts, F = d.cdf_grid(n)
+                _, f = d.pdf_grid(n)
+                for i in np.linspace(0, n - 1, 25).astype(int):
+                    assert abs(F[i] - d.cdf(ts[i])) < 1e-12
+                    assert abs(f[i] - d.pdf(ts[i])) < 1e-12
 
     def test_pdf_is_cdf_derivative(self, rng):
         for _ in range(5):

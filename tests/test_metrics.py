@@ -5,10 +5,10 @@ import pytest
 import scipy.special
 from numpy.testing import assert_allclose
 
-from mekit import RationalLT, erlang, exponential, matfun, metrics
+from mekit import RationalLT, erlang, exponential, metrics
 from mekit.algebra import kfold_block, min_dist, standard_channel
 from mekit.medist import ChannelSpec, MEDist
-from conftest import nakagami, random_valid_dist, sdc
+from conftest import nakagami, quadpack, random_valid_dist, sdc
 
 RAY = exponential(1.0)
 THETA_R1 = math.e - 1.0  # threshold for R = 1 nat
@@ -320,7 +320,7 @@ class TestBer:
         # (1/2) F(a) = (1/2)/(1 + a S) = 1/3 at a = 1/2, S = 1
         val = metrics.ber_noncoherent(RAY, 0.5).value
         assert abs(val - 1.0 / 3.0) < 1e-12
-        oracle, _ = matfun.quad(
+        oracle, _ = quadpack(
             lambda z: 0.5 * math.exp(-0.5 * z) * math.exp(-z), 0.0, np.inf)
         assert abs(val - oracle) < 1e-10
 
@@ -495,7 +495,7 @@ class TestMimoHighSnr:
         R, t = 1.0, 100.0
         f = lambda u: (-0.5 * math.exp(u) - u * math.exp(2 * u)
                        + 0.5 * math.exp(3 * u))
-        oracle, _ = matfun.quad(f, 0.0, R, tol=1e-14)
+        oracle, _ = quadpack(f, 0.0, R, tol=1e-14)
         got = metrics.mimo_high_snr_outage(2, R, t).value
         assert abs(got - t ** -4 * oracle) < 1e-9 * abs(got)
 

@@ -16,7 +16,7 @@ from .bivariate import (BivME, InterferenceScenario,
                         wishart2x2_bivme)
 from .infoq import (Type1Dist, Type2Dist, Type3Dist, entropy_numeric,
                     lloyd_max, mi_additive_channel, panter_dite_mse)
-from .matfun import expm, kron, kron_sum, mat_frac_power, quad, solve_sylvester
+from .matfun import expm, kron_sum, mat_frac_power, quad, solve_sylvester
 from .medist import (ChannelSpec, MEDist, RationalLT, erlang, exponential,
                      from_product_form, from_rational_lt, to_rational_lt)
 from .metrics import (LinkParams, MetricResult, arq_throughput, ber_coherent,
@@ -39,7 +39,7 @@ __all__ = [
     "eff_capacity_shannon", "entropy_numeric", "ergodic_capacity", "erlang",
     "expm", "exponential", "from_product_form", "from_rational_lt",
     "harq_persistent_throughput", "harq_truncated_throughput", "kfold_block",
-    "kron", "kron_sum", "lambert_w0", "lloyd_max", "mat_frac_power",
+    "kron_sum", "lambert_w0", "lloyd_max", "mat_frac_power",
     "max_dist", "mc_metric", "mi_additive_channel", "mimo_high_snr_outage",
     "min_dist", "ncbr_throughput", "numeric_convolve", "optimize_rate",
     "outage", "outage_capacity", "panter_dite_mse", "pep", "quad", "sample",

@@ -146,26 +146,17 @@ def kfold_block(dist, K: int, allow_large=False) -> KFoldConvolution:
 class MaxOfTwo:
     """Maximum of two independent ME variables.
 
-    ``cdf`` evaluates the functional form (default: Kronecker sum of the two
-    augmented generators; equivalently the product of the individual
-    augmented cdfs).  ``closure`` builds the explicit ME triple on demand.
+    ``cdf`` evaluates the functional form, the product of the two cdfs;
+    ``closure`` builds the explicit ME triple on demand.
     """
 
     d1: MEDist
     d2: MEDist
 
-    def cdf(self, t: float, method: str = "kron") -> float:
+    def cdf(self, t: float) -> float:
         if t < 0:
             raise ValueError("t must be nonnegative")
-        if method == "kron":
-            A = matfun.kron_sum(matfun.augmented(self.d1.x, self.d1.Y),
-                                matfun.augmented(self.d2.x, self.d2.Y))
-            v = np.kron(np.concatenate([[0.0], self.d1.z]),
-                        np.concatenate([[0.0], self.d2.z]))
-            return float(matfun.expm(t * A)[0, :] @ v)
-        if method == "product":
-            return self.d1.cdf(t) * self.d2.cdf(t)
-        raise ValueError(f"unknown method {method!r}")
+        return self.d1.cdf(t) * self.d2.cdf(t)
 
     def closure(self, allow_large=False) -> MEDist:
         a, b = self.d1, self.d2
@@ -190,12 +181,10 @@ class MinOfTwo:
     d1: MEDist
     d2: MEDist
 
-    def cdf(self, t: float, method: str = "product") -> float:
+    def cdf(self, t: float) -> float:
         if t < 0:
             raise ValueError("t must be nonnegative")
-        if method in ("product", "kron"):
-            return 1.0 - (1.0 - self.d1.cdf(t)) * (1.0 - self.d2.cdf(t))
-        raise ValueError(f"unknown method {method!r}")
+        return 1.0 - (1.0 - self.d1.cdf(t)) * (1.0 - self.d2.cdf(t))
 
     def closure(self, allow_large=False) -> MEDist:
         a, b = self.d1, self.d2

@@ -1,11 +1,10 @@
 """Bivariate ME distributions and interference-limited ARQ analysis.
 
 The joint density is ``p1 e^{z1 Q1} P12 e^{z2 Q2} r2`` on the quadrant
-(optionally restricted to the ordered wedge 0 <= z1 <= z2).  Four
-evaluation paths are provided for the bivariate integrals that drive the
-throughput expressions: Kronecker closed form, Sylvester equation,
-vectorized Kronecker-sum solve, and Van Loan's block-exponential
-approximation.
+(optionally restricted to the ordered wedge 0 <= z1 <= z2).  The
+bivariate integrals that drive the throughput expressions have three exact
+evaluation paths, which cross-check each other: Kronecker closed form,
+Sylvester equation, and vectorized Kronecker-sum solve.
 """
 
 from __future__ import annotations
@@ -24,11 +23,9 @@ __all__ = [
     "BivME",
     "InterferenceScenario",
     "arq_interference_throughput",
-    "integral_merged_commuting",
     "integral_product_finite",
     "integral_product_independent",
     "integral_sylvester",
-    "integral_vanloan",
     "integral_vectorized",
     "interference_g_theta",
     "sm_mimo_2x2_outage",
@@ -164,14 +161,13 @@ class BivME:
         t2 = 40.0 / np.abs(np.linalg.eigvals(self.Q2).real).min()
         g1 = np.linspace(0, t1, n_grid)
         g2 = np.linspace(0, t2, n_grid)
-        worst = 0.0
-        for a in g1:
-            E1 = self.p1 @ matfun.expm(a * self.Q1) @ self.P12
-            for b in g2:
-                if self.ordered and a > b:
-                    continue
-                v = float(E1 @ matfun.expm(b * self.Q2) @ self.r2)
-                worst = min(worst, v)
+        # density on the grid as (p1 e^{g1 Q1} P12)(e^{g2 Q2} r2)^T
+        L = self.p1 @ matfun.expm(g1[:, None, None] * self.Q1) @ self.P12
+        R = matfun.expm(g2[:, None, None] * self.Q2) @ self.r2
+        V = L @ R.T
+        if self.ordered:
+            V[g1[:, None] > g2[None, :]] = 0.0
+        worst = min(0.0, float(V.min()))
         mass = self.normalization()
         return {"nonneg_on_grid": worst >= -1e-9,
                 "min_density": worst,
@@ -258,68 +254,6 @@ def integral_vectorized(b, x1, Y1, X12, Y2, z2) -> float:
     return float(matfun.expm_integral(row, K, b) @ vec)
 
 
-def integral_vanloan(b, x1, Y1, X12, Y2, z2):
-    """Van Loan block-exponential evaluation of the (0, b) integral:
-    x1 Y11^{-1} Y12 z2 from e^{h [[-Y1, X12], [0, Y2]]}.
-
-    With stable factors the value converges to the (0, inf) integral like
-    the joint mode e^{-b gap}, gap the sum of the slowest decay rates; pass
-    b = ``None`` for the default 60 / gap.  The horizon is split into
-    chunks bounded by the fastest mode of Y1 (the -Y1 block grows like
-    e^{+h rate}, which overflows for one-shot evaluation when the rate
-    spread is large); chunk results accumulate through
-    X(a + h) = X(a) + e^{aY1} X_h e^{aY2}.  Returns ``(value, b_used)``.
-    """
-    Y1 = np.atleast_2d(np.asarray(Y1, float))
-    Y2 = np.atleast_2d(np.asarray(Y2, float))
-    X12 = np.atleast_2d(np.asarray(X12, float))
-    x1 = np.atleast_1d(np.asarray(x1, float)).ravel()
-    z2 = np.atleast_1d(np.asarray(z2, float)).ravel()
-    if b is None:
-        gap = (-matfun.spectral_abscissa(Y1)) + (-matfun.spectral_abscissa(Y2))
-        if gap <= 0:
-            raise ValueError("default b requires stable Y1, Y2")
-        b = 60.0 / gap
-    if b == 0.0:
-        return 0.0, 0.0
-    n1, n2 = Y1.shape[0], Y2.shape[0]
-    # chunk cap 5 keeps the e^{h Y1}-block condition ~e^5, preserving
-    # ~1e-14 accuracy in each chunk solve
-    rho1 = float(np.max(np.abs(np.linalg.eigvals(Y1).real)))
-    steps = max(1, int(np.ceil(b * rho1 / 5.0)))
-    h = b / steps
-    M = np.zeros((n1 + n2, n1 + n2))
-    M[:n1, :n1] = -Y1
-    M[:n1, n1:] = X12
-    M[n1:, n1:] = Y2
-    E = matfun.expm(h * M)
-    Xh = np.linalg.solve(E[:n1, :n1], E[:n1, n1:])
-    E1 = matfun.expm(h * Y1)
-    E2 = matfun.expm(h * Y2)
-    X = np.zeros((n1, n2))
-    P1 = np.eye(n1)
-    P2 = np.eye(n2)
-    for _ in range(steps):
-        X = X + P1 @ Xh @ P2
-        P1 = P1 @ E1
-        P2 = E2 @ P2
-    return float(x1 @ X @ z2), b
-
-
-def integral_merged_commuting(x1, Y1, X12, Y2, z2) -> float:
-    """(0, inf) integral via the merged exponent, valid when X12 is
-    invertible and X12^{-1} Y1 X12 commutes with Y2."""
-    X12 = np.atleast_2d(np.asarray(X12, float))
-    S = np.linalg.solve(X12, np.atleast_2d(Y1) @ X12)
-    C = S @ Y2 - Y2 @ S
-    if np.max(np.abs(C)) > 1e-8 * max(np.max(np.abs(S)), 1.0):
-        raise ValueError("Y2 and X12^{-1} Y1 X12 do not commute")
-    M = S + np.atleast_2d(Y2)
-    x1 = np.atleast_1d(np.asarray(x1, float)).ravel()
-    z2 = np.atleast_1d(np.asarray(z2, float)).ravel()
-    return float(-(x1 @ X12) @ np.linalg.solve(M, z2))
-
-
 # -- interference-limited ARQ -------------------------------------------------
 
 
@@ -368,10 +302,10 @@ def arq_interference_throughput(scn: InterferenceScenario, R: float,
                                 path: str = "auto") -> MetricResult:
     """ARQ throughput R P with P = P(ln(1 + Z/(1+Z_I)) > R).
 
-    Paths: ``kron`` (independent scenarios only), ``sylvester`` (general
-    joint; auto-switches to ``vectorized`` on spectral collision),
-    ``vectorized``, and ``vanloan`` (b = 60/gap approximation).  The
-    decoding threshold is ``scn.theta`` when set, else e^R - 1.
+    Paths, all exact: ``kron`` (independent scenarios only), ``sylvester``
+    (general joint; auto-switches to ``vectorized`` on spectral
+    collision) and ``vectorized``.  The decoding threshold is
+    ``scn.theta`` when set, else e^R - 1.
     """
     if R <= 0:
         raise ValueError("R must be positive")
@@ -402,10 +336,6 @@ def arq_interference_throughput(scn: InterferenceScenario, R: float,
         K = matfun.kron_sum(theta * Q.T, QI)
         P = np.kron(r, pI) @ np.linalg.solve(K, -Pb.flatten(order="F"))
         return _result(R * float(P), "vectorized")
-    if path == "vanloan":
-        val, b = integral_vanloan(None, pI, QI, Pb, theta * Q, r)
-        return MetricResult(R * val, "vanloan",
-                            notes=(f"van loan horizon b={b:.3g}",))
     raise ValueError(f"unknown path {path!r}")
 
 

@@ -1,5 +1,5 @@
 """Matrix-function kernel: matrix exponential (of one matrix or a stack),
-Kronecker algebra, Sylvester solver, fractional matrix powers,
+Kronecker sum, Sylvester solver, fractional matrix powers,
 eigendecomposition and adaptive quadrature of array-valued integrands.
 
 All operations are pure functions over immutable inputs and are safe to call
@@ -25,12 +25,10 @@ __all__ = [
     "eig_decomp",
     "expm",
     "expm_integral",
-    "kron",
     "kron_sum",
     "mat_frac_power",
     "quad",
     "solve_sylvester",
-    "solve_sylvester_vec",
     "spectral_abscissa",
 ]
 
@@ -142,10 +140,6 @@ def expm_integral(x, Y, b):
     return expm(b * augmented(x, Y))[0, 1:]
 
 
-def kron(A, B):
-    return np.kron(np.atleast_2d(A), np.atleast_2d(B))
-
-
 def kron_sum(A, B):
     """Kronecker sum A (+) B = A (x) I_n + I_m (x) B."""
     A = _as_square(A, "A")
@@ -188,21 +182,6 @@ def solve_sylvester(A, B, C):
             f"Sylvester residual {res:.3e} exceeds 1e-10 * scale {scale:.3e}",
             AccuracyWarning, stacklevel=2)
     return X
-
-
-def solve_sylvester_vec(A, B, C):
-    """Reference Sylvester solve: vec(X) = (B^T (+) A)^{-1} vec(C).
-
-    O(n^6) Kronecker path, used as an independent cross-check of the
-    Schur-based solver.
-    """
-    A = _as_square(A, "A")
-    B = _as_square(B, "B")
-    C = np.asarray(C)
-    _check_spectra_disjoint(A, B)
-    K = kron_sum(B.T, A)
-    x = np.linalg.solve(K, C.flatten(order="F"))
-    return x.reshape(C.shape, order="F")
 
 
 def mat_frac_power(M, p, cond_limit=1e12):

@@ -143,25 +143,12 @@ class MEDist:
         val = self.x @ matfun.expm(t[..., None, None] * self.Y) @ self.z
         return float(val) if t.ndim == 0 else val
 
-    def cdf(self, t: float, method: str = "augmented") -> float:
-        """Cumulative distribution at t.
-
-        ``augmented`` (default) evaluates one matrix exponential of the
-        augmented generator and works for singular Y.  ``classic`` uses
-        ``1 + x e^{tY} Y^{-1} z`` and requires Y nonsingular.
-        """
+    def cdf(self, t: float) -> float:
+        """Cumulative distribution at t: the row integral of one matrix
+        exponential of the augmented generator, valid for singular Y."""
         if t < 0:
             raise ValueError(f"cdf requires t >= 0, got {t}")
-        if method == "augmented":
-            return float(matfun.expm_integral(self.x, self.Y, t) @ self.z)
-        if method == "classic":
-            try:
-                Yinv_z = np.linalg.solve(self.Y, self.z)
-            except np.linalg.LinAlgError as exc:
-                raise np.linalg.LinAlgError(
-                    "Y is singular; use the augmented cdf path") from exc
-            return float(1.0 + self.x @ matfun.expm(t * self.Y) @ Yinv_z)
-        raise ValueError(f"unknown cdf method {method!r}")
+        return float(matfun.expm_integral(self.x, self.Y, t) @ self.z)
 
     def sf(self, t: float) -> float:
         """Survival function 1 - cdf(t)."""

@@ -148,22 +148,13 @@ def outage_capacity(channel, q_target: float) -> MetricResult:
 # -- ARQ / HARQ ------------------------------------------------------------
 
 
-def arq_throughput(channel, R: float, theta: float,
-                   method: str = "augmented") -> MetricResult:
-    """ARQ throughput R (1 - P(Z <= theta)).
-
-    ``augmented`` shares the outage exponential; ``resolvent`` evaluates the
-    success probability directly as -p e^{theta Q} Q^{-1} r (nonsingular Q).
-    """
+def arq_throughput(channel, R: float, theta: float) -> MetricResult:
+    """ARQ throughput R (1 - P(Z <= theta)), sharing the outage
+    exponential."""
     d = _dist(channel)
     if R <= 0:
         raise ValueError("R must be positive")
-    if method == "augmented":
-        return _result(R * (1.0 - outage(d, theta).value), "closed_form")
-    if method == "resolvent":
-        succ = -d.x @ matfun.expm(theta * d.Y) @ np.linalg.solve(d.Y, d.z)
-        return _result(R * succ, "closed_form")
-    raise ValueError(f"unknown method {method!r}")
+    return _result(R * (1.0 - outage(d, theta).value), "closed_form")
 
 
 def harq_truncated_throughput(channel, R: float, K: int,
@@ -315,8 +306,9 @@ def eff_capacity_shannon(channel, theta: float,
     ``quadrature`` (default) integrates the gamma-kernel form.  ``eigen``
     uses the spectral closed form xi_j = (-l_j)^{theta-1} e^{-l_j}
     Gamma(1-theta, -l_j) and requires a diagonalizable generator with real
-    negative eigenvalues and 0 < theta < 1; otherwise it falls back to
-    quadrature with a diagnostic note.
+    negative eigenvalues, decay rates below 700 and 0 < theta < 1;
+    otherwise it falls back to quadrature with a note naming each unmet
+    condition.
     """
     d = _dist(channel)
     if theta <= 0:
@@ -324,19 +316,21 @@ def eff_capacity_shannon(channel, theta: float,
     if method == "eigen":
         dec = matfun.eig_decomp(d.Y)
         lam = dec.eigenvalues
+        rate = np.max(-lam.real)
         # rates beyond ~700 overflow the e^{-lambda} factor in double
         # precision before the incomplete-gamma factor can compensate
-        eligible = (dec.diagonalizable
-                    and np.all(np.abs(lam.imag) <= 1e-12 * np.max(np.abs(lam)))
-                    and np.all(lam.real < 0)
-                    and np.max(-lam.real) < 700.0
-                    and 0.0 < theta < 1.0)
-        if not eligible:
+        blockers = [why for why, hit in (
+            ("defective", not dec.diagonalizable),
+            ("complex", np.any(np.abs(lam.imag) > 1e-12 * np.max(np.abs(lam)))),
+            ("eigenvalue with real part >= 0", np.any(lam.real >= 0)),
+            (f"decay rate {rate:.3g} >= 700", rate >= 700.0),
+            ("theta outside (0, 1)", not 0.0 < theta < 1.0)) if hit]
+        if blockers:
             res = eff_capacity_shannon(d, theta, method="quadrature")
             return MetricResult(res.value, "quadrature", res.imag_residual,
                                 res.quad_error,
-                                res.notes + ("eigen path unavailable "
-                                             "(defective, complex or theta >= 1)",))
+                                res.notes + ("eigen path unavailable ("
+                                             + ", ".join(blockers) + ")",))
         lr = lam.real
         xi = (-lr) ** (theta - 1.0) * np.exp(-lr) \
             * gammaincc(1.0 - theta, -lr) * gamma_fn(1.0 - theta)

@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 import scipy.integrate
+import scipy.linalg
 
 from mekit import ChannelSpec, MEDist, RationalLT, erlang, exponential
 from mekit import from_rational_lt, matfun, standard_channel
@@ -31,6 +32,14 @@ def quadpack(f, a, b, tol=1e-10, limit=200):
             f"quadrature accuracy warning (estimate {err:.2e}): {out[3]}",
             matfun.AccuracyWarning, stacklevel=2)
     return value, err
+
+
+def classic_cdf(d, t):
+    """1 + x e^{tY} Y^{-1} z with ``scipy.linalg.expm``: the tests' reference
+    cdf for nonsingular Y, independent of mekit's augmented row and of its
+    Pade kernel."""
+    return float(1.0 + d.x @ scipy.linalg.expm(t * d.Y)
+                 @ np.linalg.solve(d.Y, d.z))
 
 
 def example2():

@@ -14,12 +14,12 @@ from mekit import (RationalLT, erlang, exponential, metrics, oracle,
 from mekit.algebra import convolve, max_dist, min_dist
 from mekit.bivariate import (InterferenceScenario, arq_interference_throughput,
                              integral_product_independent, integral_sylvester,
-                             integral_vanloan, integral_vectorized,
-                             sm_mimo_2x2_outage, wishart2x2_bivme)
+                             integral_vectorized, sm_mimo_2x2_outage,
+                             wishart2x2_bivme)
 from mekit.infoq import (Type1Dist, Type2Dist, Type3Dist, entropy_numeric,
                          lloyd_max)
-from conftest import (example2, example2_pdf, nakagami, quadpack,
-                      random_valid_dist, sdc, standard_five)
+from conftest import (classic_cdf, example2, example2_pdf, nakagami,
+                      quadpack, random_valid_dist, sdc, standard_five)
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -61,12 +61,12 @@ class TestAcceptance:
             # --- maximum: survival-product oracle + empirical KS
             m = max_dist(a, b).closure()
             for t in (0.5, 1.5, 3.0):
-                assert abs(m.cdf(t) - a.cdf(t, "classic") * b.cdf(t, "classic")) < 1e-8
+                assert abs(m.cdf(t) - classic_cdf(a, t) * classic_cdf(b, t)) < 1e-8
             assert self._ks(np.maximum(sa, sb), m) < ks_limit
             # --- minimum
             mn = min_dist(a, b).closure()
             for t in (0.5, 1.5, 3.0):
-                ref = 1.0 - (1.0 - a.cdf(t, "classic")) * (1.0 - b.cdf(t, "classic"))
+                ref = 1.0 - (1.0 - classic_cdf(a, t)) * (1.0 - classic_cdf(b, t))
                 assert abs(mn.cdf(t) - ref) < 1e-8
             assert self._ks(np.minimum(sa, sb), mn) < ks_limit
         elapsed = time.monotonic() - start
@@ -121,12 +121,12 @@ class TestAcceptance:
 
     def test_criterion_4_multi_path_agreement(self, rng):
         start = time.monotonic()
-        # ARQ: augmented vs resolvent
+        # ARQ: augmented row vs the classic cdf
         for _ in range(20):
             d = random_valid_dist(rng)
             R, th = float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.1, 3.0))
-            assert abs(metrics.arq_throughput(d, R, th, "augmented").value
-                       - metrics.arq_throughput(d, R, th, "resolvent").value) < 1e-8
+            assert abs(metrics.arq_throughput(d, R, th).value
+                       - R * (1.0 - classic_cdf(d, th))) < 1e-8
         # truncated HARQ at K = 1 vs ARQ
         for _ in range(20):
             d = random_valid_dist(rng)
@@ -158,14 +158,14 @@ class TestAcceptance:
             th = float(rng.uniform(0.05, 0.95))
             assert abs(metrics.eff_capacity_shannon(d, th, "quadrature").value
                        - metrics.eff_capacity_shannon(d, th, "eigen").value) < 1e-7
-        # interference: all four closed paths
+        # interference: all three closed paths
         for _ in range(20):
             sig = random_valid_dist(rng, allow_oscillatory=False)
             intf = random_valid_dist(rng, allow_oscillatory=False)
             scn = InterferenceScenario(signal=sig, interferers=(intf,))
             R = float(rng.uniform(0.3, 1.5))
             vals = [arq_interference_throughput(scn, R, path=p).value
-                    for p in ("kron", "sylvester", "vectorized", "vanloan")]
+                    for p in ("kron", "sylvester", "vectorized")]
             assert max(vals) - min(vals) < 1e-8
         # bivariate integrals: Sylvester vs vectorized (finite and infinite)
         for _ in range(20):
@@ -179,10 +179,8 @@ class TestAcceptance:
             s_inf, _ = integral_sylvester(0.0, math.inf, d1.x, d1.Y, X12,
                                           d2.Y, d2.z)
             v_inf = integral_vectorized(math.inf, d1.x, d1.Y, X12, d2.Y, d2.z)
-            vl, _ = integral_vanloan(None, d1.x, d1.Y, X12, d2.Y, d2.z)
             kr = integral_product_independent(d1, d2)
-            assert max(abs(s_inf - v_inf), abs(s_inf - vl),
-                       abs(s_inf - kr)) < 1e-8
+            assert max(abs(s_inf - v_inf), abs(s_inf - kr)) < 1e-8
         elapsed = time.monotonic() - start
         assert elapsed < 300.0, f"runtime {elapsed:.1f}s"
         report(4, f"six multi-path families x 20 instances ({elapsed:.1f}s)")

@@ -7,10 +7,9 @@ from numpy.testing import assert_allclose
 from mekit import erlang, exponential, matfun, oracle
 from mekit.bivariate import (BivME, InterferenceScenario,
                              arq_interference_throughput, independent_bivme,
-                             integral_merged_commuting, integral_product_finite,
+                             integral_product_finite,
                              integral_product_independent, integral_sylvester,
-                             integral_vanloan, integral_vectorized,
-                             sm_mimo_2x2_outage,
+                             integral_vectorized, sm_mimo_2x2_outage,
                              wishart2x2_bivme)
 from mekit.medist import ConstructionError
 from mekit import metrics
@@ -53,6 +52,18 @@ class TestBivME:
         j, _ = mixture_joint()
         rep = j.validate()
         assert rep["nonneg_on_grid"] and rep["mass_is_one"]
+
+    def test_ordered_density_is_valid(self):
+        rep = wishart2x2_bivme().validate()
+        assert rep["nonneg_on_grid"] and rep["mass_is_one"]
+        # 2 (z2 - z1) e^{-z1-z2} is a density on the wedge only: the grid
+        # check must skip z1 > z2 when ordered and see the negative part
+        # when not
+        Q = np.array([[-1.0, 1.0], [0.0, -1.0]])
+        args = ([1.0, 0.0], Q, np.diag([2.0, -2.0]), Q, [0.0, 1.0])
+        rep = BivME(*args, ordered=True).validate()
+        assert rep["nonneg_on_grid"] and rep["mass_is_one"]
+        assert not BivME(*args).validate()["nonneg_on_grid"]
 
     def test_mixture_pdf_values(self):
         j, (w, a, b, c, d) = mixture_joint()
@@ -180,26 +191,6 @@ class TestVectorizedIntegral:
                                    [[-1.0]], [1.0]) == 0.0
 
 
-class TestVanLoan:
-    def test_scalar_large_horizon(self):
-        val, b = integral_vanloan(40.0, [1.0], [[-1.0]], [[1.0]], [[-1.0]], [1.0])
-        assert abs(val - 0.5) < 1e-12
-
-    def test_agreement_with_sylvester(self, rng):
-        Y1 = random_stable_matrix(rng, 3)
-        Y2 = random_stable_matrix(rng, 3)
-        X12 = rng.normal(size=(3, 3))
-        x1 = rng.normal(size=3)
-        z2 = rng.normal(size=3)
-        val, b = integral_vanloan(None, x1, Y1, X12, Y2, z2)
-        syl, _ = integral_sylvester(0.0, math.inf, x1, Y1, X12, Y2, z2)
-        assert abs(val - syl) < 1e-8
-
-    def test_zero_horizon(self):
-        val, _ = integral_vanloan(0.0, [1.0], [[-1.0]], [[1.0]], [[-1.0]], [1.0])
-        assert val == 0.0
-
-
 class TestPathAgreement:
     def test_four_paths_random_instances(self, rng):
         for _ in range(20):
@@ -210,21 +201,8 @@ class TestPathAgreement:
                                         d2.Y, d2.z)
             vec = integral_vectorized(math.inf, d1.x, d1.Y, X12, d2.Y, d2.z)
             kro = integral_product_independent(d1, d2)
-            vl, _ = integral_vanloan(None, d1.x, d1.Y, X12, d2.Y, d2.z)
             assert abs(syl - kro) < 1e-8
             assert abs(vec - kro) < 1e-8
-            assert abs(vl - kro) < 1e-8
-
-    def test_commuting_special_case(self, rng):
-        Y1 = random_stable_matrix(rng, 3)
-        X12 = rng.normal(size=(3, 3)) + 3.0 * np.eye(3)
-        S = np.linalg.solve(X12, Y1 @ X12)
-        Y2 = 0.5 * S - 0.8 * np.eye(3)  # commutes with X12^{-1} Y1 X12
-        x1 = rng.normal(size=3)
-        z2 = rng.normal(size=3)
-        merged = integral_merged_commuting(x1, Y1, X12, Y2, z2)
-        syl, _ = integral_sylvester(0.0, math.inf, x1, Y1, X12, Y2, z2)
-        assert abs(merged - syl) < 1e-10
 
 
 class TestInterferenceThroughput:
@@ -240,7 +218,7 @@ class TestInterferenceThroughput:
             scn = InterferenceScenario(signal=sig, interferers=(intf,))
             R = float(rng.uniform(0.3, 1.5))
             vals = [arq_interference_throughput(scn, R, path=p).value
-                    for p in ("kron", "sylvester", "vectorized", "vanloan")]
+                    for p in ("kron", "sylvester", "vectorized")]
             assert np.max(np.abs(np.diff(vals))) < 1e-9
 
     def test_closed_form_with_exponential_interferer(self):
@@ -287,9 +265,7 @@ class TestInterferenceThroughput:
         scn = InterferenceScenario(joint=j)
         a = arq_interference_throughput(scn, 0.8, path="sylvester").value
         b = arq_interference_throughput(scn, 0.8, path="vectorized").value
-        c = arq_interference_throughput(scn, 0.8, path="vanloan").value
         assert abs(a - b) < 1e-10
-        assert abs(a - c) < 1e-8
 
     def test_kron_requires_independence(self):
         j, _ = mixture_joint()

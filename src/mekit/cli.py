@@ -168,12 +168,19 @@ def _interference_scenario(args, signal):
                                           interferers=(interferer,))
 
 
+# channel kinds whose spec carries the mean SNR S
+_S_KINDS = ("rayleigh", "nakagami", "sdc", "ostbc_mrc", "zf_mimo")
+
+
 def _sweep_rows(args):
     spec = _load_spec(args.spec)
     if args.sweep is None:
         yield None, None, spec, args
         return
     key, values = _parse_sweep(args.sweep)
+    if key == "S" and spec.kind not in _S_KINDS:
+        raise ConstructionError(
+            f"--sweep S: channel kind {spec.kind!r} has no S parameter")
     for v in values:
         if key == "S":
             params = dict(spec.params)
@@ -379,8 +386,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConstructionError as exc:
-        return _fail(str(exc))
+    # ConstructionError and BranchCutError are ValueErrors
     except (ValueError, np.linalg.LinAlgError) as exc:
         return _fail(str(exc))
 

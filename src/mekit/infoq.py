@@ -392,7 +392,7 @@ class Type1Dist:
         return self.c * float(self.x @ matfun.expm(t * t * self.Y) @ self.z)
 
     def moment(self, n: int) -> float:
-        """E{T^n}; odd orders vanish by symmetry."""
+        """E{T^n} for an integer n >= 0; odd orders vanish by symmetry."""
         if n % 2 == 1:
             return 0.0
         return self.c * gamma_fn((n + 1) / 2.0) * float(
@@ -458,6 +458,7 @@ class Type3Dist:
         return 2.0 * t * float(self.x @ matfun.expm(t * t * self.Y) @ self.z)
 
     def moment(self, n: int) -> float:
-        """E{T^n} = Gamma((n+2)/2) x (-Y)^{-(n+2)/2} z."""
+        """E{T^n} = Gamma((n+2)/2) x (-Y)^{-(n+2)/2} z for an integer
+        n >= 0."""
         return gamma_fn((n + 2) / 2.0) * float(
             self.x @ _neg_power(self.Y, -(n + 2) / 2.0) @ self.z)

@@ -1,5 +1,5 @@
 """Matrix-function kernel: matrix exponential (of one matrix or a stack),
-Kronecker sum, Sylvester solver, fractional matrix powers,
+Kronecker sum, Sylvester solver, integer and half-integer matrix powers,
 eigendecomposition and adaptive quadrature of array-valued integrands.
 
 All operations are pure functions over immutable inputs and are safe to call
@@ -184,20 +184,21 @@ def solve_sylvester(A, B, C):
     return X
 
 
-def mat_frac_power(M, p, cond_limit=1e12):
-    """Principal matrix power M^p for rational (possibly negative) exponents.
+def mat_frac_power(M, p):
+    """Principal matrix power M^p for an integer or half-integer p.
 
-    Integer exponents reduce to matrix powers/inverses.  Non-integer
-    exponents use the principal branch through an eigendecomposition when it
-    is well conditioned, and a Schur-based method otherwise; eigenvalues on
-    the closed negative real axis are rejected.
+    An integer p is a matrix power of M or of its inverse.  A half-integer
+    p is the integer power 2p of the principal square root from
+    ``scipy.linalg.sqrtm`` (blocked Schur method, Deadman, Higham & Ralha
+    2013); an eigenvalue of M on the closed negative real axis raises
+    :class:`BranchCutError`.  Any other p raises ``ValueError``.
     """
     M = _as_square(M)
     if p == round(p):
-        p = int(round(p))
-        if p >= 0:
-            return np.linalg.matrix_power(M, p)
-        return np.linalg.matrix_power(np.linalg.inv(M), -p)
+        return np.linalg.matrix_power(M, int(round(p)))  # p < 0 inverts M
+    if 2 * p != round(2 * p):
+        raise ValueError(
+            f"matrix power {p} is neither an integer nor a half-integer")
     lam = np.linalg.eigvals(M)
     scale = np.max(np.abs(lam))
     on_cut = (lam.real <= 0) & (np.abs(lam.imag) <= 1e-14 * scale)
@@ -205,11 +206,7 @@ def mat_frac_power(M, p, cond_limit=1e12):
         raise BranchCutError(
             "matrix has an eigenvalue on the closed negative real axis; "
             f"principal power {p} is undefined")
-    dec = eig_decomp(M)
-    if dec.diagonalizable and dec.condition < cond_limit:
-        F = dec.vectors @ np.diag(dec.eigenvalues ** p) @ np.linalg.inv(dec.vectors)
-    else:
-        F = scipy.linalg.fractional_matrix_power(M, p)
+    F = mat_frac_power(scipy.linalg.sqrtm(M), 2 * p)
     if not np.iscomplexobj(M) and np.max(np.abs(F.imag)) <= 1e-12 * max(np.max(np.abs(F.real)), 1e-300):
         F = F.real
     return F

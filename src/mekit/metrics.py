@@ -97,14 +97,14 @@ class MetricResult:
         return self.value
 
 
-def _result(value, path, quad_error=None, notes=(), rtol=1e-8):
+def _result(value, path, quad_error=None, rtol=1e-8):
     value = complex(value)
     resid = abs(value.imag)
     if resid > rtol * max(abs(value), 1e-12):
         raise ValueError(
             f"{path}: imaginary residual {resid:.3e} too large for value {value}")
     return MetricResult(value=value.real, path=path, imag_residual=resid,
-                        quad_error=quad_error, notes=tuple(notes))
+                        quad_error=quad_error)
 
 
 def _dist(channel) -> MEDist:
@@ -377,31 +377,23 @@ def _craig_product(branches, t):
     return out
 
 
-def ber_coherent(channel, a: float, method: str = "closed_form") -> MetricResult:
+def ber_coherent(channel, a: float) -> MetricResult:
     """BER for coherent BPSK (a=1) / FSK (a=1/2) under symbol-rate fading:
 
-        (1/2) (1 + x Y^{-1} (I - Y/a)^{-1/2} z),
+        (1/2) (1 + x Y^{-1} (I - Y/a)^{-1/2} z).
 
-    with a Craig-representation quadrature fallback when the principal
-    inverse square root is unavailable.
+    For a stable Y every eigenvalue of I - Y/a has real part above 1, so
+    the principal inverse square root exists; a real eigenvalue of Y at or
+    above a raises :class:`~mekit.matfun.BranchCutError`.  :func:`pep` of
+    the single branch ``[(channel, a)]`` is the same BER by Craig
+    quadrature.
     """
     d = _dist(channel)
     if a <= 0:
         raise ValueError("a must be positive")
-    if method == "closed_form":
-        try:
-            W = matfun.mat_frac_power(np.eye(d.d) - d.Y / a, -0.5)
-        except matfun.BranchCutError as exc:
-            res = ber_coherent(d, a, method="quadrature")
-            return MetricResult(res.value, "quadrature", res.imag_residual,
-                                res.quad_error, res.notes + (str(exc),))
-        val = 0.5 * (1.0 + d.x @ np.linalg.solve(d.Y, W @ d.z))
-        return _result(val, "closed_form")
-    if method == "quadrature":
-        val, err = matfun.quad(lambda t: _craig_product([(d, a)], t),
-                               0.0, math.pi / 2.0)
-        return _result(val / math.pi, "quadrature", quad_error=err)
-    raise ValueError(f"unknown method {method!r}")
+    W = matfun.mat_frac_power(np.eye(d.d) - d.Y / a, -0.5)
+    val = 0.5 * (1.0 + d.x @ np.linalg.solve(d.Y, W @ d.z))
+    return _result(val, "closed_form")
 
 
 def pep(branches) -> MetricResult:

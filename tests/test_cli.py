@@ -188,6 +188,22 @@ class TestMetric:
             assert r["value"] == pytest.approx(
                 math.exp(-th / S) / (1.0 + th / S), rel=1e-9)
 
+    @pytest.mark.parametrize("spec", [
+        {"kind": "oscillatory_ex2", "params": {}},
+        {"kind": "mrc_list", "params": {"components": [
+            {"kind": "rayleigh", "params": {"S": 1.0}},
+            {"kind": "rayleigh", "params": {"S": 2.0}}]}},
+    ])
+    def test_S_sweep_on_kind_without_S_exit_two(self, capsys, tmp_path,
+                                                spec):
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps(spec))
+        code, out, err = run_cli(capsys, "metric", "--metric", "outage",
+                                 "--spec", str(p), "--sweep", "S=1:4:3")
+        assert code == 2
+        assert out == ""
+        assert spec["kind"] in err and "no S parameter" in err
+
     def test_unknown_metric_exit_two(self, capsys, ray_spec):
         code, _, err = run_cli(capsys, "metric", "--metric", "nope",
                                "--spec", ray_spec)

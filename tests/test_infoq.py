@@ -264,6 +264,12 @@ class TestTypeOne:
         with pytest.raises(ConstructionError):
             Type1Dist([-1.0], [[-1.0]], [1.0])
 
+    def test_fractional_moment_rejected(self):
+        # E{T^n} needs (-Y)^{-(n+1)/2}, an integer or half-integer power
+        # for integer n only
+        with pytest.raises(ValueError, match="half-integer"):
+            Type1Dist([1.0], [[-1.0]], [1.0]).moment(2.5)
+
 
 class TestTypeTwo:
     def test_scalar_marginal_is_gaussian(self):
@@ -320,3 +326,7 @@ class TestTypeThree:
     def test_rejects_unnormalized_triple(self):
         with pytest.raises(ConstructionError):
             Type3Dist([2.0], [[-1.0]], [1.0])
+
+    def test_fractional_moment_rejected(self):
+        with pytest.raises(ValueError, match="half-integer"):
+            Type3Dist([1.0], [[-1.0]], [1.0]).moment(0.5)

@@ -4,7 +4,7 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 from mekit import matfun
-from conftest import quadpack, random_stable_matrix
+from conftest import nakagami, quadpack, random_stable_matrix
 
 
 class TestExpm:
@@ -181,9 +181,12 @@ class TestFracPower:
                         rtol=1e-12, atol=1e-13)
 
     def test_defective_matrix_square_root(self):
-        M = np.array([[2.0, 1.0], [0.0, 2.0]])
-        X = matfun.mat_frac_power(M, -0.5)
-        assert np.max(np.abs(X @ X - np.linalg.inv(M))) < 1e-10
+        # a Jordan block, and I - Y for the Nakagami-8 generator Y (one
+        # Jordan block of order 8)
+        Y = nakagami(8).Y
+        for M in (np.array([[2.0, 1.0], [0.0, 2.0]]), np.eye(8) - Y):
+            X = matfun.mat_frac_power(M, -0.5)
+            assert np.max(np.abs(X @ X - np.linalg.inv(M))) < 1e-10
 
     def test_power_roundtrip(self, rng):
         M = -random_stable_matrix(rng, 3)  # spectrum in right half-plane
@@ -200,6 +203,10 @@ class TestFracPower:
     def test_branch_cut_rejected(self):
         with pytest.raises(matfun.BranchCutError):
             matfun.mat_frac_power([[-1.0]], -0.5)
+
+    def test_non_half_integer_power_rejected(self):
+        with pytest.raises(ValueError, match="half-integer"):
+            matfun.mat_frac_power(np.eye(2), 1.0 / 3.0)
 
 
 class TestQuad:

@@ -6,7 +6,7 @@ import scipy.special
 from numpy.testing import assert_allclose
 
 from mekit import RationalLT, erlang, exponential, metrics
-from mekit.algebra import kfold_block, min_dist, standard_channel
+from mekit.algebra import kfold_block, max_dist, min_dist, standard_channel
 from mekit.medist import ChannelSpec, MEDist
 from conftest import (classic_cdf, nakagami, quadpack, random_valid_dist,
                       sdc)
@@ -342,18 +342,18 @@ class TestBer:
         assert abs(float(d.x @ np.linalg.solve(d.Y, d.z)) + 1.0) < 1e-9
         assert metrics.ber_coherent(d, 1e8).value < 1e-3
 
-    def test_coherent_matches_quadrature(self):
-        d = nakagami(2)
-        a = metrics.ber_coherent(d, 1.0, method="closed_form").value
-        b = metrics.ber_coherent(d, 1.0, method="quadrature").value
-        assert abs(a - b) < 1e-8
-
 
 class TestPep:
     def test_single_branch_reduces_to_coherent_ber(self, rng):
-        for _ in range(3):
-            d = random_valid_dist(rng)
-            a = float(rng.uniform(0.3, 2.0))
+        # pep is the Craig quadrature, independent of the closed form's
+        # matrix square root; the Nakagami generators and the max (order
+        # 24) and min (order 64) closures of them are defective
+        cases = [(random_valid_dist(rng), float(rng.uniform(0.3, 2.0)))
+                 for _ in range(3)]
+        cases += [(nakagami(2), 1.0),
+                  (max_dist(nakagami(4), nakagami(4)).closure(), 1.0),
+                  (min_dist(nakagami(8), nakagami(8)).closure(), 0.5)]
+        for d, a in cases:
             assert abs(metrics.pep([(d, a)]).value
                        - metrics.ber_coherent(d, a).value) < 1e-8
 

@@ -19,7 +19,7 @@ from .infoq import (Type1Dist, Type2Dist, Type3Dist, entropy_numeric,
 from .matfun import expm, kron_sum, mat_frac_power, quad, solve_sylvester
 from .medist import (ChannelSpec, MEDist, RationalLT, erlang, exponential,
                      from_product_form, from_rational_lt, to_rational_lt)
-from .metrics import (LinkParams, MetricResult, arq_throughput, ber_coherent,
+from .metrics import (MetricResult, arq_throughput, ber_coherent,
                       ber_noncoherent, diversity_gain, eff_capacity_me_rate,
                       eff_capacity_shannon, ergodic_capacity,
                       harq_persistent_throughput, harq_truncated_throughput,
@@ -32,7 +32,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BivME", "ChannelSpec", "EffectiveChannel", "InterferenceScenario",
-    "LinkParams", "MCEstimate", "MEDist", "MetricResult", "RationalLT",
+    "MCEstimate", "MEDist", "MetricResult", "RationalLT",
     "RngConfig", "Type1Dist", "Type2Dist", "Type3Dist",
     "arq_interference_throughput", "arq_throughput", "ber_coherent",
     "ber_noncoherent", "convolve", "diversity_gain", "eff_capacity_me_rate",

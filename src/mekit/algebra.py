@@ -2,14 +2,13 @@
 convolution blocks, max, min) and constructors for the standard wireless
 channel models, all producing ME-distributed effective channels.
 
-Operations refuse to grow the representation past ``max_degree`` (default
-4096, overridable via the ``ME_KIT_MAX_DEGREE`` environment variable or the
-``allow_large`` flag) because matrix-exponential cost is cubic in degree.
+Operations refuse to grow the representation past degree 4096, because
+matrix-exponential cost is cubic in degree; the check runs before the
+oversized matrix is built.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,22 +26,16 @@ __all__ = [
     "kfold_block",
     "max_dist",
     "min_dist",
-    "max_degree",
     "standard_channel",
 ]
 
-_DEFAULT_MAX_DEGREE = 4096
+_MAX_DEGREE = 4096
 
 
-def max_degree() -> int:
-    return int(os.environ.get("ME_KIT_MAX_DEGREE", _DEFAULT_MAX_DEGREE))
-
-
-def _guard_degree(d, allow_large):
-    if d > max_degree() and not allow_large:
+def _guard_degree(d):
+    if d > _MAX_DEGREE:
         raise ConstructionError(
-            f"resulting degree {d} exceeds the guard {max_degree()}; "
-            "pass allow_large=True or set ME_KIT_MAX_DEGREE")
+            f"resulting degree {d} exceeds the guard {_MAX_DEGREE}")
 
 
 @dataclass(frozen=True)
@@ -71,7 +64,7 @@ def _unwrap(obj):
     return obj, {"op": "dist", "d": obj.d}
 
 
-def convolve(d1, d2, allow_large=False):
+def convolve(d1, d2):
     """Distribution of the sum of two independent ME variables.
 
     The block form stacks the summand generators with a rank-one coupling:
@@ -80,7 +73,7 @@ def convolve(d1, d2, allow_large=False):
     a, prov_a = _unwrap(d1)
     b, prov_b = _unwrap(d2)
     d = a.d + b.d
-    _guard_degree(d, allow_large)
+    _guard_degree(d)
     Y = np.zeros((d, d))
     Y[:a.d, :a.d] = a.Y
     Y[:a.d, a.d:] = np.outer(a.z, b.x)
@@ -117,7 +110,7 @@ class KFoldConvolution:
         return row.reshape(self.K, self.base.d) @ self.base.z
 
 
-def kfold_block(dist, K: int, allow_large=False) -> KFoldConvolution:
+def kfold_block(dist, K: int) -> KFoldConvolution:
     """Build the K-fold convolution block structure for ``dist``.
 
     The k-th diagonal block repeats the generator Y; superdiagonal blocks
@@ -129,7 +122,7 @@ def kfold_block(dist, K: int, allow_large=False) -> KFoldConvolution:
         raise ValueError("K must be a positive integer")
     K = int(K)
     d = base.d
-    _guard_degree(d * K + 1, allow_large)
+    _guard_degree(d * K + 1)
     n = d * K
     Q = np.zeros((n, n))
     P = np.outer(base.z, base.x)
@@ -158,9 +151,9 @@ class MaxOfTwo:
             raise ValueError("t must be nonnegative")
         return self.d1.cdf(t) * self.d2.cdf(t)
 
-    def closure(self, allow_large=False) -> MEDist:
+    def closure(self) -> MEDist:
         a, b = self.d1, self.d2
-        _guard_degree(a.d * b.d + a.d + b.d, allow_large)
+        _guard_degree(a.d * b.d + a.d + b.d)
         Y1i = np.linalg.inv(a.Y)
         Y2i = np.linalg.inv(b.Y)
         x = np.concatenate([np.kron(a.x, b.x), a.x, b.x])
@@ -186,9 +179,9 @@ class MinOfTwo:
             raise ValueError("t must be nonnegative")
         return 1.0 - (1.0 - self.d1.cdf(t)) * (1.0 - self.d2.cdf(t))
 
-    def closure(self, allow_large=False) -> MEDist:
+    def closure(self) -> MEDist:
         a, b = self.d1, self.d2
-        _guard_degree(a.d * b.d, allow_large)
+        _guard_degree(a.d * b.d)
         Y1i = np.linalg.inv(a.Y)
         Y2i = np.linalg.inv(b.Y)
         x = np.kron(a.x, b.x)
@@ -276,8 +269,33 @@ def _oscillatory_ex2() -> MEDist:
     return from_rational_lt(RationalLT(p=[50.0], q=[50.0, 52.0, 3.0]))
 
 
-def standard_channel(spec: ChannelSpec, allow_large=False) -> EffectiveChannel:
-    """Build the effective channel named by a :class:`ChannelSpec`."""
+def _spec_order(spec: ChannelSpec) -> int:
+    """Order of the triple that :func:`standard_channel` builds for
+    ``spec``, read from its parameters alone."""
+    P, kind = spec.params, spec.kind
+    if kind == "rational_lt":
+        return len(P["q"])
+    if kind == "product_form":
+        return sum(len(f["q"]) for f in P["factors"])
+    if kind in ("mrc_list", "sum_interference"):
+        return sum(_spec_order(ChannelSpec(c["kind"], c.get("params", {})))
+                   for c in P["components"])
+    if kind == "nakagami":
+        return int(P["m"])
+    if kind == "sdc":
+        return int(P["N"])
+    if kind == "ostbc_mrc":
+        return int(P["N_tx"]) * int(P["N_rx"])
+    if kind == "zf_mimo":
+        # a missing exponent is refused by _zf_mimo
+        return int(P.get("exponent") or 0)
+    return {"rayleigh": 1, "oscillatory_ex2": 3}[kind]
+
+
+def standard_channel(spec: ChannelSpec) -> EffectiveChannel:
+    """Build the effective channel named by a :class:`ChannelSpec`; a spec
+    of order above the guard is refused before anything is built."""
+    _guard_degree(_spec_order(spec))
     P = spec.params
     prov = {"op": spec.kind, **{k: v for k, v in P.items() if k != "components"}}
     if spec.kind == "rational_lt":
@@ -296,19 +314,15 @@ def standard_channel(spec: ChannelSpec, allow_large=False) -> EffectiveChannel:
     elif spec.kind == "zf_mimo":
         dist = _zf_mimo(P["N_rx"], P["N_tx"], P["S"], P.get("exponent"))
     elif spec.kind in ("mrc_list", "sum_interference"):
-        parts = [standard_channel(ChannelSpec(c["kind"], c.get("params", {})),
-                                  allow_large=allow_large)
+        parts = [standard_channel(ChannelSpec(c["kind"], c.get("params", {})))
                  for c in P["components"]]
         if not parts:
             raise ConstructionError(f"{spec.kind} requires components")
         acc = parts[0]
         for nxt in parts[1:]:
-            acc = convolve(acc, nxt, allow_large=allow_large)
+            acc = convolve(acc, nxt)
         dist = acc.dist
         prov["children"] = [p.provenance for p in parts]
     elif spec.kind == "oscillatory_ex2":
         dist = _oscillatory_ex2()
-    else:  # pragma: no cover - ChannelSpec already rejects unknown kinds
-        raise ConstructionError(f"unknown channel kind {spec.kind!r}")
-    _guard_degree(dist.d, allow_large)
     return EffectiveChannel(dist, prov)

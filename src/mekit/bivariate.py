@@ -154,13 +154,13 @@ class BivME:
                    np.asarray(o["P12"], float), np.asarray(o["Q2"], float),
                    np.asarray(o["r2"], float), bool(o.get("ordered", False)))
 
-    def validate(self, n_grid: int = 32) -> dict:
+    def validate(self) -> dict:
         """Grid nonnegativity and normalization report (necessary
         conditions only; no constructive validity test exists)."""
         t1 = 40.0 / np.abs(np.linalg.eigvals(self.Q1).real).min()
         t2 = 40.0 / np.abs(np.linalg.eigvals(self.Q2).real).min()
-        g1 = np.linspace(0, t1, n_grid)
-        g2 = np.linspace(0, t2, n_grid)
+        g1 = np.linspace(0, t1, 32)
+        g2 = np.linspace(0, t2, 32)
         # density on the grid as (p1 e^{g1 Q1} P12)(e^{g2 Q2} r2)^T
         L = self.p1 @ matfun.expm(g1[:, None, None] * self.Q1) @ self.P12
         R = matfun.expm(g2[:, None, None] * self.Q2) @ self.r2

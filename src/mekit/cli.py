@@ -171,6 +171,14 @@ def _interference_scenario(args, signal):
 # channel kinds whose spec carries the mean SNR S
 _S_KINDS = ("rayleigh", "nakagami", "sdc", "ostbc_mrc", "zf_mimo")
 
+# the metrics that read each swept argument
+_SWEEP_READERS = {
+    "R": ("outage", "arq", "harq", "harq_persistent", "arq_interference"),
+    "K": ("harq",),
+    "theta": ("eff_capacity_rate", "eff_capacity_shannon"),
+    "a": ("ber",),
+}
+
 
 def _sweep_rows(args):
     spec = _load_spec(args.spec)
@@ -178,20 +186,24 @@ def _sweep_rows(args):
         yield None, None, spec, args
         return
     key, values = _parse_sweep(args.sweep)
-    if key == "S" and spec.kind not in _S_KINDS:
+    if key == "S":
+        if spec.kind not in _S_KINDS:
+            raise ConstructionError(
+                f"--sweep S: channel kind {spec.kind!r} has no S parameter")
+    elif key not in _SWEEP_READERS:
+        raise ConstructionError(f"unsupported sweep key {key!r}")
+    elif args.metric not in _SWEEP_READERS[key]:
         raise ConstructionError(
-            f"--sweep S: channel kind {spec.kind!r} has no S parameter")
+            f"--sweep {key}: metric {args.metric!r} does not read {key}")
     for v in values:
         if key == "S":
             params = dict(spec.params)
             params["S"] = float(v)
             yield key, float(v), ChannelSpec(spec.kind, params), args
-        elif key in ("R", "K", "theta", "a"):
+        else:
             ns = argparse.Namespace(**vars(args))
             setattr(ns, key, float(v) if key != "K" else int(v))
             yield key, float(v), spec, ns
-        else:
-            raise ConstructionError(f"unsupported sweep key {key!r}")
 
 
 def _emit(rows, args) -> None:

@@ -32,7 +32,7 @@ __all__ = [
 _FLOOR = 1e-300
 
 
-def entropy_numeric(dist: MEDist, tol: float = 1e-9) -> float:
+def entropy_numeric(dist: MEDist) -> float:
     """Differential entropy -int f ln f dt by adaptive quadrature, with the
     density clipped below 1e-300 (no closed form exists for ME densities)."""
     t_hi = dist.t_max()
@@ -41,14 +41,15 @@ def entropy_numeric(dist: MEDist, tol: float = 1e-9) -> float:
         f = np.maximum(dist.pdf(t), _FLOOR)
         return -f * np.log(f)
 
-    val, _ = matfun.quad(integrand, 0.0, t_hi, tol=tol, limit=1000)
+    val, _ = matfun.quad(integrand, 0.0, t_hi, tol=1e-9, limit=1000)
     return val
 
 
-def entropy_theta_limit(dist: MEDist, theta: float = 1e-4) -> float:
+def entropy_theta_limit(dist: MEDist) -> float:
     """Entropy through the small-theta representation
-    (1/theta) ln int f^{1-theta} dt (cross-check of the direct integral)."""
-    t_hi = dist.t_max()
+    (1/theta) ln int f^{1-theta} dt at theta = 1e-4 (cross-check of the
+    direct integral)."""
+    theta, t_hi = 1e-4, dist.t_max()
     val, _ = matfun.quad(
         lambda t: np.maximum(dist.pdf(t), 0.0) ** (1.0 - theta),
         0.0, t_hi, tol=1e-10, limit=1000)
@@ -320,33 +321,19 @@ def lloyd_max(dist: MEDist, M: int, tol: float = 1e-10,
                           search.evaluations, tuple(notes))
 
 
-def panter_dite_mse(dist: MEDist, M: int, decomposition=None) -> float:
+def panter_dite_mse(dist: MEDist, M: int) -> float:
     """High-rate quantizer distortion (1/(12 M^2)) (int f^{1/3} dt)^3.
 
     The cube-root integral has no general closed form and is evaluated by
-    quadrature; when a triple-Kronecker ``decomposition`` (x, Y, z) with
-    f = (x e^{tY} z)^3 is supplied, the exact value -x Y^{-1} z is used and
-    cross-checked against quadrature.  Accurate for large M.
+    quadrature.  Accurate for large M.
     """
     if M < 1:
         raise ValueError("M must be a positive integer")
     # the cube root decays three times slower than the density itself
     t_hi = 3.0 * dist.t_max()
-    I_quad, _ = matfun.quad(
+    I, _ = matfun.quad(
         lambda t: np.maximum(dist.pdf(t), 0.0) ** (1.0 / 3.0),
         0.0, t_hi, tol=1e-9, limit=1000)
-    if decomposition is not None:
-        xb, Yb, zb = decomposition
-        xb = np.atleast_1d(np.asarray(xb, float)).ravel()
-        Yb = np.atleast_2d(np.asarray(Yb, float))
-        zb = np.atleast_1d(np.asarray(zb, float)).ravel()
-        I = float(-xb @ np.linalg.solve(Yb, zb))
-        if abs(I - I_quad) > 1e-8 * max(abs(I), 1.0):
-            warnings.warn(
-                f"decomposed cube-root integral {I} disagrees with "
-                f"quadrature {I_quad}", matfun.AccuracyWarning, stacklevel=2)
-    else:
-        I = I_quad
     return I ** 3 / (12.0 * M * M)
 
 
@@ -422,7 +409,10 @@ class Type2Dist:
         return float(self.x @ matfun.expm((u * u + v * v) * self.Y) @ self.z) / math.pi
 
     def moment(self, n: int, m: int) -> float:
-        """E{U^n V^m}; odd orders vanish by symmetry."""
+        """E{U^n V^m} for integers n, m >= 0; odd orders vanish by
+        symmetry."""
+        if n != int(n) or m != int(m):
+            raise ValueError(f"moment orders must be integers, got {n}, {m}")
         if n % 2 == 1 or m % 2 == 1:
             return 0.0
         return (gamma_fn((n + 1) / 2.0) * gamma_fn((m + 1) / 2.0) / math.pi

@@ -152,13 +152,13 @@ def spectral_abscissa(M):
     return float(np.max(np.linalg.eigvals(M).real))
 
 
-def _check_spectra_disjoint(A, B, rtol=1e-12):
+def _check_spectra_disjoint(A, B):
     """Raise if some eigenvalue of A coincides with one of -B."""
     la = np.linalg.eigvals(A)
     lb = -np.linalg.eigvals(B)
     scale = max(np.max(np.abs(la), initial=0.0), np.max(np.abs(lb), initial=0.0), 1.0)
     gap = np.min(np.abs(la[:, None] - lb[None, :]))
-    if gap <= rtol * scale:
+    if gap <= 1e-12 * scale:
         raise SpectralCollisionError(
             f"spectra of A and -B nearly collide (gap {gap:.3e}, scale {scale:.3e})")
     return gap
@@ -222,16 +222,17 @@ class EigDecomp:
     diagonalizable: bool
 
 
-def eig_decomp(M, rtol=1e-9):
+def eig_decomp(M):
     """Eigendecomposition of M; ``diagonalizable`` requires the
-    reconstruction V diag(lam) V^{-1} to match M to ``rtol`` in max norm."""
+    reconstruction V diag(lam) V^{-1} to match M to 1e-9 of its largest
+    entry."""
     M = _as_square(M)
     lam, V = np.linalg.eig(M)
     cond = float(np.linalg.cond(V))
     scale = max(np.max(np.abs(M)), 1e-300)
     try:
         rec = V @ np.diag(lam) @ np.linalg.inv(V)
-        ok = bool(np.max(np.abs(rec - M)) <= rtol * scale)
+        ok = bool(np.max(np.abs(rec - M)) <= 1e-9 * scale)
     except np.linalg.LinAlgError:
         ok = False
     return EigDecomp(lam, V, cond, ok)
@@ -335,15 +336,13 @@ def quad(f, a, b, tol=1e-10, limit=200):
     return value, error
 
 
-def assert_real(value, scale=None, rtol=1e-8, context="value"):
+def assert_real(value, context="value"):
     """Return the real part of ``value``, requiring the imaginary residual
-    to be below ``rtol`` times the scale."""
+    to be below 1e-8 of its modulus."""
     value = complex(value)
-    if scale is None:
-        scale = abs(value)
     resid = abs(value.imag)
-    if resid > rtol * max(scale, 1e-300):
+    if resid > 1e-8 * max(abs(value), 1e-300):
         raise ValueError(
             f"{context}: imaginary residual {resid:.3e} exceeds "
-            f"{rtol:.1e} * {scale:.3e}")
+            f"1e-8 * {abs(value):.3e}")
     return value.real

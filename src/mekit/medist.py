@@ -248,7 +248,7 @@ class MEDist:
         return self._stepped(np.eye(1, self.d + 1)[0],
                              matfun.augmented(self.x, self.Y), n, t_max)
 
-    def validate(self, n_grid: int = 512) -> "ValidationReport":
+    def validate(self) -> "ValidationReport":
         """Necessary-condition report; the ME class has no decidable
         sufficiency test, so this is empirical evidence only."""
         failures = []
@@ -260,7 +260,7 @@ class MEDist:
         except np.linalg.LinAlgError:
             lt_ok = False
             failures.append("lt(0) undefined (singular Y)")
-        ts, pv = self.pdf_grid(n_grid)
+        ts, pv = self.pdf_grid(512)
         neg = pv < -1e-9
         nonneg_ok = not bool(np.any(neg))
         if not nonneg_ok:

@@ -21,10 +21,9 @@ from scipy.special import gamma as gamma_fn
 from scipy.special import gammaincc, lambertw
 
 from . import algebra, matfun
-from .medist import MEDist, RationalLT, from_rational_lt
+from .medist import MEDist, RationalLT, _companion, from_rational_lt
 
 __all__ = [
-    "LinkParams",
     "MetricResult",
     "Optimum",
     "arq_throughput",
@@ -61,29 +60,6 @@ def theta_unit_mean(R: float, S: float) -> float:
 
 
 @dataclass(frozen=True)
-class LinkParams:
-    """Link-level parameters shared by the metric entry points."""
-
-    R: float = 1.0
-    S: float = 1.0
-    K: int = 1
-    theta: float = 1.0
-    a: float = 1.0
-
-    def __post_init__(self):
-        if self.R <= 0 or self.S <= 0 or self.theta <= 0:
-            raise ValueError("R, S and theta must be positive")
-        if self.K < 1 or self.K != int(self.K):
-            raise ValueError("K must be a positive integer")
-
-    def theta_abs(self) -> float:
-        return theta_absolute(self.R)
-
-    def theta_um(self) -> float:
-        return theta_unit_mean(self.R, self.S)
-
-
-@dataclass(frozen=True)
 class MetricResult:
     """Metric value plus the evaluation path and numeric diagnostics."""
 
@@ -97,10 +73,10 @@ class MetricResult:
         return self.value
 
 
-def _result(value, path, quad_error=None, rtol=1e-8):
+def _result(value, path, quad_error=None):
     value = complex(value)
     resid = abs(value.imag)
-    if resid > rtol * max(abs(value), 1e-12):
+    if resid > 1e-8 * max(abs(value), 1e-12):
         raise ValueError(
             f"{path}: imaginary residual {resid:.3e} too large for value {value}")
     return MetricResult(value=value.real, path=path, imag_residual=resid,
@@ -222,7 +198,8 @@ def harq_persistent_throughput(channel, R: float, theta: float,
                                    B.reshape(N * d.d, -1), theta)
         E = np.sum(row.reshape(N, -1) @ d.z)
         mean_tx = matfun.assert_real(1.0 + E, context="roots-of-unity path")
-        return MetricResult(R / mean_tx, "eigen", imag_residual=abs(E.imag))
+        return MetricResult(R / mean_tx, "roots_of_unity",
+                            imag_residual=abs(E.imag))
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -234,14 +211,12 @@ def harq_persistent_erlang_shifted(N: int, R: float, theta: float) -> MetricResu
     N = int(N)
     if N < 1:
         raise ValueError("N must be a positive integer")
-    d = N + 1
-    q = np.zeros(d)
+    q = np.zeros(N + 1)
     q[0] = 1.0
     q[1] += -1.0
     q[-1] += -1.0
-    Y = np.diag(np.ones(d - 1), 1)
-    Y[-1, :] -= q
-    E = matfun.expm(theta * (Y - np.eye(d)))
+    Y, _ = _companion(q)
+    E = matfun.expm(theta * (Y - np.eye(N + 1)))
     return _result(R / E[-1, -1], "closed_form")
 
 
@@ -416,16 +391,13 @@ def diversity_gain(channel) -> int:
     return _dist(channel).d
 
 
-def diversity_gain_numeric(channel_um, detection: str = "noncoherent",
-                           a: float = 1.0,
-                           S_lo: float = 1e3, S_hi: float = 1e5) -> float:
-    """Numeric -ln BER / ln S slope between two high SNR points for a
-    unit-mean channel (cross-check of :func:`diversity_gain`)."""
+def diversity_gain_numeric(channel_um) -> float:
+    """Numeric -ln BER / ln S slope of the DBPSK BER between S = 1e3 and
+    1e5 for a unit-mean channel (cross-check of :func:`diversity_gain`)."""
     d = _dist(channel_um)
-    f = {"noncoherent": ber_noncoherent, "coherent": ber_coherent}[detection]
-    b_lo = f(d.scale_mean(S_lo), a).value
-    b_hi = f(d.scale_mean(S_hi), a).value
-    return (math.log(b_lo) - math.log(b_hi)) / (math.log(S_hi) - math.log(S_lo))
+    b_lo = ber_noncoherent(d.scale_mean(1e3), 1.0).value
+    b_hi = ber_noncoherent(d.scale_mean(1e5), 1.0).value
+    return (math.log(b_lo) - math.log(b_hi)) / math.log(100.0)
 
 
 # -- parametric rate optimization -------------------------------------------

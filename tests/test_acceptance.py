@@ -234,7 +234,7 @@ class TestAcceptance:
         cases.append((ostbc.dist.to_unit_mean(), 4))
         for d, want in cases:
             assert metrics.diversity_gain(d) == want
-            slope = metrics.diversity_gain_numeric(d, "noncoherent")
+            slope = metrics.diversity_gain_numeric(d)
             assert abs(slope - want) < 0.05, f"slope {slope} vs {want}"
         report(6, "log-log BER slopes match transform degrees 1, 2, 4")
 

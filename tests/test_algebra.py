@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mekit import ChannelSpec, erlang, exponential, matfun
+from mekit import ChannelSpec, algebra, erlang, exponential, matfun
 from mekit.algebra import (EffectiveChannel, convolve, kfold_block, max_dist,
                            min_dist, standard_channel)
-from mekit.medist import ConstructionError
+from mekit.medist import ConstructionError, MEDist
 from mekit import metrics, oracle
 from conftest import example2, nakagami, random_valid_dist, sdc
 
@@ -252,13 +252,73 @@ class TestMixedExpressions:
             assert abs(emp - F) < 3.0 * sigma + 1e-9
 
 
-class TestDegreeGuard:
-    def test_convolve_refuses_oversized_result(self, monkeypatch):
-        monkeypatch.setenv("ME_KIT_MAX_DEGREE", "3")
-        with pytest.raises(ConstructionError, match="guard"):
-            convolve(erlang(2, 2.0), erlang(2, 2.0))
-        convolve(erlang(2, 2.0), erlang(2, 2.0), allow_large=True)
+def _one(kind, **params):
+    return {"kind": kind, "params": params}
 
-    def test_env_override(self, monkeypatch):
-        monkeypatch.setenv("ME_KIT_MAX_DEGREE", "8")
-        convolve(erlang(2, 2.0), erlang(2, 2.0))
+
+# one spec of order 4097 per kind that can grow
+OVERSIZED = [
+    _one("nakagami", m=4097, S=1.0),
+    _one("sdc", N=4097, S=1.0),
+    _one("ostbc_mrc", N_tx=17, N_rx=241, S=1.0),
+    _one("zf_mimo", N_rx=2, N_tx=1, S=1.0, exponent=4097),
+    _one("rational_lt", p=[1.0], q=[1.0] + [0.0] * 4096),
+    _one("product_form", factors=[{"p": [1.0], "q": [1.0]}] * 4097),
+    _one("mrc_list", components=[_one("nakagami", m=4096, S=1.0),
+                                 _one("rayleigh", S=1.0)]),
+    _one("sum_interference", components=[_one("sdc", N=2048, S=1.0),
+                                         _one("sdc", N=2049, S=1.0)]),
+]
+
+
+def _diagonal(d):
+    """Order-d triple with density e^{-t}."""
+    return MEDist(np.eye(1, d)[0], -np.eye(d), np.ones(d))
+
+
+class TestDegreeGuard:
+    def test_convolve_refuses_oversized_result(self):
+        with pytest.raises(ConstructionError,
+                           match="degree 4097 exceeds the guard 4096"):
+            convolve(_diagonal(2048), _diagonal(2049))
+        assert convolve(_diagonal(2), _diagonal(3)).d == 5
+
+    def test_closure_ops_refuse_oversized_result(self):
+        with pytest.raises(ConstructionError,
+                           match="degree 4097 exceeds the guard 4096"):
+            kfold_block(erlang(2), 2048)
+        with pytest.raises(ConstructionError, match="guard"):
+            max_dist(erlang(64), erlang(63)).closure()  # order 4159
+        with pytest.raises(ConstructionError, match="guard"):
+            min_dist(erlang(64), erlang(65)).closure()  # order 4160
+
+    def test_guard_boundary(self):
+        algebra._guard_degree(4096)
+        with pytest.raises(ConstructionError, match="guard"):
+            algebra._guard_degree(4097)
+
+    @pytest.mark.parametrize("spec", OVERSIZED, ids=lambda s: s["kind"])
+    def test_spec_refused_before_construction(self, monkeypatch, spec):
+        def built(*args):
+            pytest.fail("an oversized channel was constructed")
+
+        for name in ("from_product_form", "from_rational_lt", "_sdc"):
+            monkeypatch.setattr(algebra, name, built)
+        with pytest.raises(ConstructionError,
+                           match="degree 4097 exceeds the guard 4096"):
+            standard_channel(ChannelSpec(spec["kind"], spec["params"]))
+
+    @pytest.mark.parametrize("spec", [
+        _one("rayleigh", S=2.0), _one("nakagami", m=3, S=1.0),
+        _one("sdc", N=4, S=1.0), _one("ostbc_mrc", N_tx=2, N_rx=3, S=1.0),
+        _one("zf_mimo", N_rx=3, N_tx=2, S=1.0, exponent=2),
+        _one("rational_lt", p=[2.0, 1.0], q=[2.0, 3.0]),
+        _one("product_form", factors=[{"p": [1.0], "q": [1.0]},
+                                      {"p": [2.0], "q": [2.0, 3.0]}]),
+        _one("mrc_list", components=[_one("nakagami", m=2, S=1.0),
+                                     _one("sdc", N=3, S=2.0)]),
+        _one("oscillatory_ex2"),
+    ], ids=lambda s: s["kind"])
+    def test_spec_order_is_built_order(self, spec):
+        cs = ChannelSpec(spec["kind"], spec["params"])
+        assert algebra._spec_order(cs) == standard_channel(cs).dist.d

@@ -116,6 +116,22 @@ class TestChannel:
         assert code == 0
         assert json.loads(out)["validity"]["failures"] == []
 
+    def test_oversized_spec_exit_two_before_construction(self, capsys,
+                                                         tmp_path,
+                                                         monkeypatch):
+        # Y alone would take 80 GB at m = 100000
+        def built(*args):
+            pytest.fail("an oversized channel was constructed")
+
+        monkeypatch.setattr(mekit.algebra, "from_product_form", built)
+        p = tmp_path / "nak.json"
+        p.write_text(json.dumps({"kind": "nakagami",
+                                 "params": {"m": 100000, "S": 1.0}}))
+        code, out, err = run_cli(capsys, "channel", "--spec", str(p))
+        assert code == 2
+        assert out == ""
+        assert "degree 100000 exceeds the guard 4096" in err
+
     def test_constant_term_mismatch_exit_two(self, capsys, tmp_path):
         p = tmp_path / "bad.json"
         p.write_text(json.dumps({"kind": "rational_lt",
@@ -203,6 +219,34 @@ class TestMetric:
         assert code == 2
         assert out == ""
         assert spec["kind"] in err and "no S parameter" in err
+
+    def test_sweep_key_must_be_read_by_the_metric(self, capsys, ray_spec):
+        # a key the metric reads gives 3 distinct rows; any other key exits 2
+        readers = {"R": ("outage", "arq", "harq", "harq_persistent",
+                         "arq_interference"),
+                   "K": ("harq",),
+                   "theta": ("eff_capacity_rate", "eff_capacity_shannon"),
+                   "a": ("ber",)}
+        metrics = ("outage", "arq", "harq", "harq_persistent",
+                   "arq_interference", "eff_capacity_rate",
+                   "eff_capacity_shannon", "ergodic_capacity",
+                   "outage_capacity", "ber")
+        for key, reads in readers.items():
+            for metric in metrics:
+                extra = (["--interference-spec", ray_spec]
+                         if metric == "arq_interference" else [])
+                code, out, err = run_cli(capsys, "metric", "--metric", metric,
+                                         "--spec", ray_spec, "--sweep",
+                                         f"{key}=1:3:3", *extra)
+                if metric in reads:
+                    assert code == 0, (key, metric)
+                    values = [r["value"] for r in json.loads(out)["rows"]]
+                    assert len(set(values)) == 3, (key, metric)
+                else:
+                    assert code == 2, (key, metric)
+                    assert out == ""
+                    assert (f"--sweep {key}: metric {metric!r} does not "
+                            f"read {key}") in err
 
     def test_unknown_metric_exit_two(self, capsys, ray_spec):
         code, _, err = run_cli(capsys, "metric", "--metric", "nope",

@@ -8,7 +8,7 @@ from mekit import erlang, exponential, matfun
 from mekit.infoq import (Type1Dist, Type2Dist, Type3Dist, entropy_numeric,
                          entropy_theta_limit, lloyd_max, mi_additive_channel,
                          panter_dite_mse)
-from mekit.medist import ConstructionError, MEDist
+from mekit.medist import ConstructionError
 from mekit import oracle
 from conftest import example2, example2_entropy_mpmath, quadpack
 
@@ -41,7 +41,7 @@ class TestEntropy:
 
     def test_small_theta_representation(self):
         d = example2()
-        assert abs(entropy_theta_limit(d, 1e-4) - entropy_numeric(d)) < 1e-3
+        assert abs(entropy_theta_limit(d) - entropy_numeric(d)) < 1e-3
 
 
 class TestMutualInformation:
@@ -221,12 +221,6 @@ class TestPanterDite:
             assert abs(panter_dite_mse(exponential(1.0), M)
                        - 2.25 / M ** 2) < 1e-8
 
-    def test_decomposed_cubed_density(self):
-        # density e^{-3t} is the cube of e^{-t}: exact cube-root integral 1
-        cubed = MEDist([1.0], [[-3.0]], [1.0])
-        mse = panter_dite_mse(cubed, 8, decomposition=([1.0], [[-1.0]], [1.0]))
-        assert abs(mse - 1.0 / (12.0 * 64.0)) < 1e-10
-
     def test_high_rate_ratio_to_lloyd(self):
         # stationarity tolerance 1e-7 is ample for a 5% distortion comparison
         M = 64
@@ -303,6 +297,14 @@ class TestTypeTwo:
     def test_rejects_unnormalized_triple(self):
         with pytest.raises(ConstructionError):
             Type2Dist([0.5], [[-1.0]], [1.0])
+
+    @pytest.mark.parametrize("n, m", [(0.5, 0.5), (0.5, 1.5), (1.5, 0.5)])
+    def test_fractional_moment_rejected(self, n, m):
+        # with n + m an integer, (-Y)^{-(n+m+2)/2} is an integer or
+        # half-integer power and would give the absolute moment
+        d = erlang(2, mean=1.0)
+        with pytest.raises(ValueError, match="integers"):
+            Type2Dist(d.x, d.Y, d.z).moment(n, m)
 
 
 class TestTypeThree:

@@ -205,7 +205,7 @@ class TestHarqPersistent:
         th = math.expm1(1.0)
         res = metrics.harq_persistent_throughput(nakagami(16), 1.0, th,
                                                  method="roots_of_unity")
-        assert res.path == "eigen"
+        assert res.path == "roots_of_unity"
         assert abs(res.value - erlang_renewal_throughput(16, 1.0, 1.0, 1, th)) < 1e-12
 
     def test_nilpotent_compensated_block(self):
@@ -385,14 +385,14 @@ class TestDiversityGain:
     ])
     def test_degree_and_slope(self, channel_um, expect):
         assert metrics.diversity_gain(channel_um) == expect
-        slope = metrics.diversity_gain_numeric(channel_um, "noncoherent")
+        slope = metrics.diversity_gain_numeric(channel_um)
         assert abs(slope - expect) < 0.05
 
     def test_ostbc_2x2(self):
         ch = standard_channel(ChannelSpec(
             "ostbc_mrc", {"N_tx": 2, "N_rx": 2, "R_stc": 1.0, "S": 1.0})).dist
         assert metrics.diversity_gain(ch) == 4
-        slope = metrics.diversity_gain_numeric(ch.to_unit_mean(), "noncoherent")
+        slope = metrics.diversity_gain_numeric(ch.to_unit_mean())
         assert abs(slope - 4) < 0.05
 
 
@@ -515,9 +515,3 @@ class TestMetricResult:
     def test_float_conversion(self):
         assert float(metrics.outage(RAY, 1.0)) == metrics.outage(RAY, 1.0).value
 
-    def test_link_params_validation(self):
-        with pytest.raises(ValueError):
-            metrics.LinkParams(R=-1.0)
-        lp = metrics.LinkParams(R=1.0, S=2.0)
-        assert abs(lp.theta_abs() - THETA_R1) < 1e-12
-        assert abs(lp.theta_um() - THETA_R1 / 2.0) < 1e-12

@@ -195,6 +195,10 @@ def _sweep_rows(args):
     elif args.metric not in _SWEEP_READERS[key]:
         raise ConstructionError(
             f"--sweep {key}: metric {args.metric!r} does not read {key}")
+    if key == "K" and not np.all(values == np.round(values)):
+        raise ConstructionError(
+            "--sweep K: transmission counts must be integers, got "
+            + ", ".join(f"{v:g}" for v in values))
     for v in values:
         if key == "S":
             params = dict(spec.params)

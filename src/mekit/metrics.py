@@ -260,13 +260,17 @@ def _shannon_expectation_quad(d: MEDist, theta: float, tol=1e-12):
     The kernel's u^{theta-1} endpoint singularity is peeled off
     analytically (it integrates to 1/theta against h(0) = 1), which keeps
     the evaluation stable down to theta ~ 1e-5 where the raw integral
-    suffers catastrophic cancellation.
+    suffers catastrophic cancellation.  The rest of [0, 1] is integrated
+    as int_0^inf e^{-theta y} (h(e^{-y}) - 1) dy (u = e^{-y}), whose
+    integrand decays like e^{-(1+theta) y} with no endpoint singularity
+    for any theta.
     """
     def h(u):
         return np.exp(-u) * d.lt(u)
 
-    inner, e1 = matfun.quad(lambda u: u ** (theta - 1.0) * (h(u) - 1.0),
-                            0.0, 1.0, tol=tol)
+    inner, e1 = matfun.quad(
+        lambda y: np.exp(-theta * y) * (h(np.exp(-y)) - 1.0),
+        0.0, np.inf, tol=tol)
     outer, e2 = matfun.quad(lambda u: u ** (theta - 1.0) * h(u),
                             1.0, np.inf, tol=tol)
     E = 1.0 / gamma_fn(theta + 1.0) + (inner + outer) / gamma_fn(theta)

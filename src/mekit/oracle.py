@@ -55,21 +55,46 @@ def _dist(channel) -> MEDist:
 
 
 def _spectral_cdf(dist: MEDist):
-    """Vectorized cdf through the eigendecomposition of the augmented
-    generator; ``None`` when the generator is defective or badly
-    conditioned."""
+    """Vectorized cdf F(t) = Re sum_j w_j e^{t lam_j} through the
+    eigendecomposition of the augmented generator; ``None`` when the
+    generator is defective or badly conditioned.  Its ``with_pdf(ts)``
+    returns (F, f), the density f = Re sum_j lam_j w_j e^{t lam_j} coming
+    from the same exponentials."""
     dec = matfun.eig_decomp(matfun.augmented(dist.x, dist.Y))
     if not dec.diagonalizable or dec.condition > 1e10:
         return None
     V = dec.vectors
     zvec = np.concatenate([[0.0], dist.z]).astype(complex)
     w = V[0, :] * np.linalg.solve(V, zvec)
+    # the generator is real: its complex eigenvalues come in conjugate
+    # pairs with conjugate weights, so one of each pair counts twice
     lam = dec.eigenvalues
+    pick = lam.imag >= 0.0
+    lam = lam[pick]
+    w = np.where(lam.imag > 0.0, 2.0, 1.0) * w[pick]
+    terms = list(zip(lam.real, lam.imag, w, lam * w))
+
+    def with_pdf(ts):
+        ts = np.asarray(ts, dtype=float)
+        F = np.zeros(ts.shape)
+        f = np.zeros(ts.shape)
+        # real arithmetic, one eigenvalue at a time: Re(c e^{t(a+ib)}) is
+        # e^{ta} (Re c cos tb - Im c sin tb), and memory stays linear in ts
+        for a, b, wj, lw in terms:
+            e = np.exp(a * ts)
+            if b:
+                c, s = e * np.cos(b * ts), e * np.sin(b * ts)
+                F += wj.real * c - wj.imag * s
+                f += lw.real * c - lw.imag * s
+            else:
+                F += wj.real * e
+                f += lw.real * e
+        return F, f
 
     def cdf(ts):
-        ts = np.asarray(ts, dtype=float)
-        return np.real(np.exp(ts[..., None] * lam) @ w)
+        return with_pdf(ts)[0]
 
+    cdf.with_pdf = with_pdf
     return cdf
 
 
@@ -86,36 +111,42 @@ def _upper_bracket(dist: MEDist, cdf_vec):
 def _pchip_cdf(dist: MEDist, n: int = 1 << 16):
     """Monotone-interpolated cdf surrogate on a fine uniform grid, for
     generators whose eigendecomposition is defective or ill-conditioned.
-    Interpolation error is O(h^4), ~1e-11 at this resolution."""
+    Interpolation error is O(h^4), ~1e-11 at this resolution.  Its
+    ``with_pdf(ts)`` returns (F, f), f the interpolant's derivative."""
     from scipy.interpolate import PchipInterpolator
     ts, vals = dist.cdf_grid(n)
     vals = np.minimum.accumulate(np.clip(vals, 0.0, 1.0)[::-1])[::-1]
     vals = np.maximum.accumulate(vals)
     interp = PchipInterpolator(ts, vals, extrapolate=False)
+    deriv = interp.derivative()
     top = vals[-1]
     T = ts[-1]
 
-    def cdf(x):
-        out = interp(np.clip(x, 0.0, T))
-        return np.where(np.asarray(x) >= T, top, out)
+    def with_pdf(x):
+        xc = np.clip(x, 0.0, T)
+        beyond = np.asarray(x) >= T
+        return np.where(beyond, top, interp(xc)), np.where(beyond, 0.0, deriv(xc))
 
+    def cdf(x):
+        return with_pdf(x)[0]
+
+    cdf.with_pdf = with_pdf
     return cdf
 
 
-# find_root keeps several work arrays per element; solving in fixed chunks
-# bounds its memory for the 10^5-10^6 probabilities of one sample call
-_ROOT_CHUNK = 1 << 16
+# the first Newton pass keeps ~20 arrays the size of its probabilities;
+# solving the sorted probabilities in blocks bounds that working set for
+# the 10^6-10^7 draws of one persistent-HARQ simulation
+_NEWTON_BLOCK = 1 << 18
 
 
 def _inverse_cdf_grid(dist: MEDist, probs, tol: float = 1e-10):
-    """Inverse cdf at the given probabilities: each probability is
-    bracketed on a 4096-point table of the cdf and solved by
-    ``scipy.optimize.elementwise.find_root`` (Chandrupatla's bracketing
-    method) to |F(t) - p| <= tol / 10, against the spectral cdf when the
-    augmented generator is diagonalizable and a monotone interpolant
-    otherwise.  Raises when a root is missing or misses ``tol``
-    (non-monotone cdf)."""
-    from scipy.optimize.elementwise import find_root
+    """Inverse cdf at the given probabilities, against the spectral cdf
+    when the augmented generator is diagonalizable and a monotone
+    interpolant otherwise.  The probabilities are sorted once, bracketed
+    on a 4096-point table of the cdf and solved by :func:`_newton_in_table`
+    in blocks of ascending probabilities.  Raises when a root misses
+    ``tol`` (non-monotone cdf)."""
     probs = np.asarray(probs, dtype=float)
     cdf_vec = _spectral_cdf(dist) or _pchip_cdf(dist)
     T = _upper_bracket(dist, cdf_vec)
@@ -123,17 +154,48 @@ def _inverse_cdf_grid(dist: MEDist, probs, tol: float = 1e-10):
     Fg = np.maximum.accumulate(cdf_vec(grid))
     # quantiles beyond the representable tail clamp to the horizon, and
     # those below the roundoff of F(0) to 0, so every bracket is valid
-    probs = np.clip(probs, Fg[0], float(cdf_vec(np.array([T]))[0]) - 1e-12)
-    k = np.clip(np.searchsorted(Fg, probs), 1, grid.size - 1)
-    t = np.empty_like(probs)
-    resid = np.empty_like(probs)
-    for s in range(0, probs.size, _ROOT_CHUNK):
-        c = slice(s, s + _ROOT_CHUNK)
-        res = find_root(lambda ts, p: cdf_vec(ts) - p,
-                        (grid[k[c] - 1], grid[k[c]]), args=(probs[c],),
-                        tolerances={"fatol": 0.1 * tol})
-        t[c], resid[c] = res.x, np.abs(res.f_x)
-    # an invalid bracket gives nan, which the negated test catches
+    p = np.clip(probs, Fg[0], float(cdf_vec(np.array([T]))[0]) - 1e-12)
+    order = np.argsort(p)
+    t = np.empty_like(p)
+    for s in range(0, p.size, _NEWTON_BLOCK):
+        b = order[s:s + _NEWTON_BLOCK]
+        t[b] = _newton_in_table(cdf_vec, grid, Fg, p[b], tol)
+    return t
+
+
+def _newton_in_table(cdf_vec, grid, Fg, p, tol):
+    """Roots of F(t) = p for ascending p inside the table (grid, Fg = F on
+    the grid).  Each starts at the linear interpolant inside its table
+    cell and takes Newton steps with the density of the same surrogate
+    (``cdf_vec.with_pdf``), falling back to bisection whenever a step
+    leaves the shrinking bracket or the density is not positive.  Each
+    pass evaluates only the probabilities not yet within
+    |F(t) - p| <= tol / 10."""
+    k = np.clip(np.searchsorted(Fg, p), 1, grid.size - 1)
+    lo, hi = grid[k - 1], grid[k]
+    rise = Fg[k] - Fg[k - 1]
+    x = lo + (hi - lo) * np.divide(p - Fg[k - 1], rise, out=np.zeros_like(p),
+                                   where=rise > 0.0)
+    t = np.empty_like(p)
+    resid = np.empty_like(p)
+    idx = np.arange(p.size)
+    # bisection alone shrinks a table cell to roundoff within 60 passes
+    for _ in range(60):
+        F, f = cdf_vec.with_pdf(x)
+        r = F - p
+        err = np.abs(r)
+        t[idx], resid[idx] = x, err
+        keep = err > 0.1 * tol
+        if not keep.any():
+            break
+        idx, x, r, f, p = idx[keep], x[keep], r[keep], f[keep], p[keep]
+        below = r < 0.0
+        lo = np.where(below, x, lo[keep])
+        hi = np.where(below, hi[keep], x)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            step = x - r / f
+        x = np.where((f > 0.0) & (step > lo) & (step < hi), step, 0.5 * (lo + hi))
+    # a nan residual (no finite cdf value) fails the negated test
     if not np.all(resid <= max(tol, 1e-9)):
         raise ValueError(
             f"inverse cdf failed to converge (residual {float(np.max(resid)):.2e}); "

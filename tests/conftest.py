@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -7,9 +10,19 @@ import pytest
 import scipy.integrate
 import scipy.linalg
 
+import mekit
 from mekit import ChannelSpec, MEDist, RationalLT, erlang, exponential
 from mekit import from_rational_lt, matfun, standard_channel
 from mekit.algebra import convolve
+
+
+def run_fresh(code):
+    """stdout of ``code`` run in a fresh interpreter importing this mekit."""
+    src = str(Path(mekit.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True).stdout
 
 
 def random_stable_matrix(rng, n, margin=0.5):

@@ -1,14 +1,13 @@
 import json
 import math
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
 import mekit
 from mekit import cli
+
+from conftest import run_fresh
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -57,15 +56,6 @@ def assert_json_close(text, golden_name, rtol=1e-12):
     walk(got, want)
 
 
-def _run_fresh(code):
-    """stdout of ``code`` run in a fresh interpreter importing this mekit."""
-    src = str(Path(mekit.__file__).parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True).stdout
-
-
 def test_import_leaves_solver_modules_unloaded():
     """``import mekit`` (the start-up of every CLI command) loads neither
     scipy.optimize nor scipy.integrate; the functions that need them import
@@ -73,7 +63,7 @@ def test_import_leaves_solver_modules_unloaded():
     code = ("import sys, mekit; print(sorted(m for m in sys.modules if "
             "m.split('.')[:2] in (['scipy', 'optimize'], "
             "['scipy', 'integrate'])))")
-    assert _run_fresh(code).strip() == "[]"
+    assert run_fresh(code).strip() == "[]"
 
 
 def test_quadrature_metrics_never_load_scipy_integrate():
@@ -87,7 +77,7 @@ def test_quadrature_metrics_never_load_scipy_integrate():
             "metrics.pep([(ray, 1.0), (mekit.erlang(2), 0.5)])\n"
             "print(sorted(m for m in sys.modules "
             "if m.startswith('scipy.integrate')))")
-    assert _run_fresh(code).strip() == "[]"
+    assert run_fresh(code).strip() == "[]"
 
 
 class TestChannel:
@@ -247,6 +237,18 @@ class TestMetric:
                     assert out == ""
                     assert (f"--sweep {key}: metric {metric!r} does not "
                             f"read {key}") in err
+
+    def test_non_integer_K_sweep_exit_two(self, capsys, ray_spec):
+        # K=1:3:4 steps by 2/3; truncating would label K=1.67 but evaluate K=1
+        code, out, err = run_cli(capsys, "metric", "--metric", "harq",
+                                 "--spec", ray_spec, "--sweep", "K=1:3:4")
+        assert code == 2
+        assert out == ""
+        assert "--sweep K" in err and "1.66667" in err
+        code, out, _ = run_cli(capsys, "metric", "--metric", "harq",
+                               "--spec", ray_spec, "--sweep", "K=1:4:4")
+        assert code == 0
+        assert [r["K"] for r in json.loads(out)["rows"]] == [1, 2, 3, 4]
 
     def test_unknown_metric_exit_two(self, capsys, ray_spec):
         code, _, err = run_cli(capsys, "metric", "--metric", "nope",

@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.special
@@ -276,6 +277,20 @@ class TestEffCapacityShannon:
         # lambda = -1, theta = 1: E{(1+z)^{-1}} = e Gamma(0, 1) = e E1(1)
         E, _ = metrics._shannon_expectation_quad(RAY, 1.0)
         assert abs(E - math.e * scipy.special.exp1(1.0)) < 1e-10
+
+    @pytest.mark.parametrize("S", [0.01, 1.0, 1000.0])
+    def test_rayleigh_expectation_against_mpmath(self, S):
+        # E{(1+Z)^{-theta}} = e^{1/S} S^{-theta} Gamma(1 - theta, 1/S) for
+        # Z ~ Exp(mean S).  The peeled-off 1/Gamma(theta + 1) is rounded
+        # once, which bounds the absolute error where the rest cancels it
+        for th in (1e-5, 1e-2, 0.5, 0.99, 3.0, 20.0):
+            with mpmath.workdps(40):
+                s, t = mpmath.mpf(S), mpmath.mpf(th)
+                ref = float(mpmath.exp(1 / s) * s ** -t
+                            * mpmath.gammainc(1 - t, 1 / s))
+            E, _ = metrics._shannon_expectation_quad(exponential(S), th)
+            floor = 4.0 * np.finfo(float).eps / math.gamma(th + 1.0)
+            assert abs(E - ref) <= 1e-13 * ref + floor, (S, th)
 
     def test_paths_agree(self, rng):
         for _ in range(20):

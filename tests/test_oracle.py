@@ -1,17 +1,18 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mekit import erlang, exponential, metrics
+from mekit import erlang, exponential, metrics, oracle
 from mekit.algebra import convolve
 from mekit.medist import MEDist
 from mekit.oracle import (RngConfig, mc_metric, numeric_convolve,
                           pdf_on_grid, sample, wishart_region_outage_quad,
                           _inverse_cdf_grid, _pchip_cdf, _recognize_erlang,
                           _recognize_exponential, _spectral_cdf)
-from conftest import example2, nakagami, sdc
+from conftest import example2, nakagami, run_fresh, sdc
 
 RAY = exponential(1.0)
 
@@ -114,12 +115,77 @@ class TestInverseCdf:
         assert np.max(np.abs(exact - u[:300])) <= 1e-10
 
     def test_residual_800k_probabilities(self):
-        # more probabilities than one root-finding chunk, as in a
-        # persistent-HARQ simulation
+        # more probabilities than one Newton block, as in a persistent-HARQ
+        # simulation (8 draws per packet for 10^5 packets)
         d = sdc(4)
         u = np.random.default_rng(12).random(800_000)
         t = _inverse_cdf_grid(d, u)
         assert np.max(np.abs(_spectral_cdf(d)(t) - u)) <= 1e-10
+
+    def test_roots_at_density_zeros(self):
+        # (1 + 1/49)(1 - cos 7t) e^{-t} vanishes at t_k = 2 pi k / 7, where
+        # F(t_k) = 1 - e^{-t_k}; the spectral density there is zero to
+        # roundoff, so Newton has no slope and bisection takes over
+        d = example2()
+        tk = 2.0 * np.pi * np.arange(1, 8) / 7.0
+        p = -np.expm1(-tk)
+        assert np.max(_spectral_cdf(d).with_pdf(tk)[1]) < 1e-15
+        t = _inverse_cdf_grid(d, p)
+        exact = np.array([d.cdf(x) for x in t])
+        assert np.max(np.abs(exact - p)) <= 1e-10
+        # F - p grows like (t - t_k)^3 there, so 1e-11 in F is ~1e-3 in t
+        assert np.max(np.abs(t - tk)) < 2e-3
+
+    @pytest.mark.parametrize("path", list(PATHS))
+    def test_probabilities_clipped_to_the_table(self, path):
+        # below F(0) the quantile is 0; at and above F(T) it is the
+        # quantile of F(T) - 1e-12, near the horizon T
+        d = self.PATHS[path][0]()
+        cdf = _spectral_cdf(d) or _pchip_cdf(d)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            t = _inverse_cdf_grid(d, np.array([-0.5, -1e-3, 1.0, 1.5, 2.0]))
+        assert t[0] == t[1] == 0.0
+        assert t[2] == t[3] == t[4]
+        assert 1.0 - 1e-9 <= cdf(t[2:3])[0] <= 1.0 + 1e-12
+        assert t[2] > d.t_max() / 2
+
+    def test_pchip_path_solved_through_derivative(self, monkeypatch):
+        # the defective generator takes the monotone interpolant, whose
+        # derivative is the density; Newton on it needs a few passes where
+        # bisection alone would need ~30 to shrink a table cell to 1e-11
+        d = convolve(exponential(1.0), erlang(2, mean=1.0))
+        assert _spectral_cdf(d) is None
+        surrogate = _pchip_cdf(d)
+        ts = np.linspace(0.0, 20.0, 2001)
+        assert np.max(np.abs(surrogate.with_pdf(ts)[1] - d.pdf(ts))) < 1e-6
+        passes = []
+        solve_with = surrogate.with_pdf
+
+        def counted(x):
+            passes.append(np.size(x))
+            return solve_with(x)
+
+        surrogate.with_pdf = counted
+        monkeypatch.setattr(oracle, "_pchip_cdf", lambda dist: surrogate)
+        u = np.random.default_rng(13).random(100_000)
+        t = _inverse_cdf_grid(d, u)
+        assert np.max(np.abs(solve_with(t)[0] - u)) <= 1e-10
+        assert len(passes) <= 6
+        assert passes[0] == u.size and passes[-1] < u.size // 100
+
+
+def test_inverse_sampling_leaves_scipy_optimize_unloaded():
+    """The inverse-cdf sampler solves with its own Newton iteration, so a
+    first inverted draw in a fresh process imports no scipy.optimize."""
+    code = ("import sys; from mekit import ChannelSpec, oracle, "
+            "standard_channel; d = standard_channel(ChannelSpec('sdc', "
+            "{'N': 4, 'S': 1.0})).dist; "
+            "assert oracle._recognize_erlang(d) is None; "
+            "oracle.sample(d, oracle.RngConfig(seed=1, n=1000)); "
+            "print(sorted(m for m in sys.modules "
+            "if m.split('.')[:2] == ['scipy', 'optimize']))")
+    assert run_fresh(code).strip() == "[]"
 
 
 class TestMcMetric:

@@ -154,16 +154,17 @@ class MaxOfTwo:
     def closure(self) -> MEDist:
         a, b = self.d1, self.d2
         _guard_degree(a.d * b.d + a.d + b.d)
-        Y1i = np.linalg.inv(a.Y)
-        Y2i = np.linalg.inv(b.Y)
-        x = np.concatenate([np.kron(a.x, b.x), a.x, b.x])
+        # the first to finish hands the survivor's phase on (Assaf & Levikson
+        # 1982): density f1 F2 + F1 f2 with no inverse and no cancelling tail
         n = a.d * b.d
+        x = np.concatenate([np.kron(a.x, b.x), np.zeros(a.d + b.d)])
         Y = np.zeros((n + a.d + b.d, n + a.d + b.d))
         Y[:n, :n] = matfun.kron_sum(a.Y, b.Y)
+        Y[:n, n:n + a.d] = np.kron(np.eye(a.d), b.z[:, None])
+        Y[:n, n + a.d:] = np.kron(a.z[:, None], np.eye(b.d))
         Y[n:n + a.d, n:n + a.d] = a.Y
         Y[n + a.d:, n + a.d:] = b.Y
-        z = np.concatenate([matfun.kron_sum(Y1i, Y2i) @ np.kron(a.z, b.z),
-                            a.z, b.z])
+        z = np.concatenate([np.zeros(n), a.z, b.z])
         return MEDist(x, Y, z)
 
 

@@ -12,7 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from . import algebra, matfun
 from .medist import ConstructionError, MEDist
@@ -380,6 +379,7 @@ class Type1Dist:
 
     def moment(self, n: int) -> float:
         """E{T^n} for an integer n >= 0; odd orders vanish by symmetry."""
+        from scipy.special import gamma as gamma_fn
         if n % 2 == 1:
             return 0.0
         return self.c * gamma_fn((n + 1) / 2.0) * float(
@@ -413,6 +413,7 @@ class Type2Dist:
         symmetry."""
         if n != int(n) or m != int(m):
             raise ValueError(f"moment orders must be integers, got {n}, {m}")
+        from scipy.special import gamma as gamma_fn
         if n % 2 == 1 or m % 2 == 1:
             return 0.0
         return (gamma_fn((n + 1) / 2.0) * gamma_fn((m + 1) / 2.0) / math.pi
@@ -450,5 +451,6 @@ class Type3Dist:
     def moment(self, n: int) -> float:
         """E{T^n} = Gamma((n+2)/2) x (-Y)^{-(n+2)/2} z for an integer
         n >= 0."""
+        from scipy.special import gamma as gamma_fn
         return gamma_fn((n + 2) / 2.0) * float(
             self.x @ _neg_power(self.Y, -(n + 2) / 2.0) @ self.z)

@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 __all__ = [
     "AccuracyWarning",
@@ -170,6 +169,7 @@ def solve_sylvester(A, B, C):
     Requires the spectra of A and -B to be disjoint; a residual above
     1e-10 of the scale raises an :class:`AccuracyWarning`.
     """
+    import scipy.linalg
     A = _as_square(A, "A")
     B = _as_square(B, "B")
     C = np.asarray(C)
@@ -206,6 +206,7 @@ def mat_frac_power(M, p):
         raise BranchCutError(
             "matrix has an eigenvalue on the closed negative real axis; "
             f"principal power {p} is undefined")
+    import scipy.linalg
     F = mat_frac_power(scipy.linalg.sqrtm(M), 2 * p)
     if not np.iscomplexobj(M) and np.max(np.abs(F.imag)) <= 1e-12 * max(np.max(np.abs(F.real)), 1e-300):
         F = F.real
@@ -297,17 +298,18 @@ def quad(f, a, b, tol=1e-10, limit=200):
     within ``limit`` subintervals raises an :class:`AccuracyWarning` (never
     silent) but still returns the best estimate.
     """
+    # fold (-inf, inf) or reflect (-inf, b], then map [a, inf) onto (0, 1]
     if math.isinf(a) and math.isinf(b):
-        def g(x):
+        def f(x, f=f):
             fx = f(np.concatenate([x, -x]))
             return fx[:x.size] + fx[x.size:]
-        return quad(g, 0.0, math.inf, tol, limit)
-    if math.isinf(a):
-        return quad(lambda x: f(-x), -b, math.inf, tol, limit)
+        a = 0.0
+    elif math.isinf(a):
+        f, a, b = (lambda x, f=f: f(-x)), -b, math.inf
     if math.isinf(b):
-        def g(x):
+        def f(x, f=f, a=a):
             return f(a + (1.0 - x) / x) / (x * x)
-        return quad(g, 0.0, 1.0, tol, limit)
+        a, b = 0.0, 1.0
     lo, hi = np.array([float(a)]), np.array([float(b)])
     res, err = _gk21(f, lo, hi)
     while True:

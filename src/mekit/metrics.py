@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
-from scipy.special import gammaincc, lambertw
 
 from . import algebra, matfun
 from .medist import MEDist, RationalLT, _companion, from_rational_lt
@@ -265,6 +263,8 @@ def _shannon_expectation_quad(d: MEDist, theta: float, tol=1e-12):
     integrand decays like e^{-(1+theta) y} with no endpoint singularity
     for any theta.
     """
+    from scipy.special import gamma as gamma_fn
+
     def h(u):
         return np.exp(-u) * d.lt(u)
 
@@ -310,6 +310,7 @@ def eff_capacity_shannon(channel, theta: float,
                                 res.quad_error,
                                 res.notes + ("eigen path unavailable ("
                                              + ", ".join(blockers) + ")",))
+        from scipy.special import gamma as gamma_fn, gammaincc
         lr = lam.real
         xi = (-lr) ** (theta - 1.0) * np.exp(-lr) \
             * gammaincc(1.0 - theta, -lr) * gamma_fn(1.0 - theta)
@@ -414,6 +415,7 @@ def lambert_w0(v: float) -> float:
         raise ValueError(f"lambert_w0 requires v >= -1/e, got {v}")
     if v < -math.exp(-1.0) + 1e-15:
         return -1.0
+    from scipy.special import lambertw
     return float(lambertw(v).real)
 
 

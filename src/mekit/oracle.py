@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import erfc
 
 from . import matfun
 from .medist import MEDist
@@ -371,6 +370,7 @@ def mc_metric(kind: str, scenario: dict, cfg: RngConfig) -> MCEstimate:
         if scenario.get("detection", "noncoherent") == "noncoherent":
             p = 0.5 * np.exp(-a * z)
         else:
+            from scipy.special import erfc
             p = 0.5 * erfc(np.sqrt(a * z))
         u = cfg.generator(worker=99).random(n)
         return _bernoulli(u < p, n)

@@ -1,15 +1,30 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy.special import gammainc
 
 from mekit import ChannelSpec, algebra, erlang, exponential, matfun
 from mekit.algebra import (EffectiveChannel, convolve, kfold_block, max_dist,
                            min_dist, standard_channel)
 from mekit.medist import ConstructionError, MEDist
 from mekit import metrics, oracle
-from conftest import example2, nakagami, random_valid_dist, sdc
+from conftest import example2, example2_pdf, nakagami, random_valid_dist, sdc
+
+
+def _max_erlang_ber_mpmath(k, lam):
+    """DBPSK BER (1/2) E{e^{-Z}} of Z = max of two iid Erlang(k, lam) at
+    80 digits, from the closed form
+    2 (lam/(lam+1))^k - 2 sum_{j<k} C(k-1+j, j) lam^{k+j} / (1+2 lam)^{k+j}
+    of E{e^{-Z}}, with its leading term C(2k, k) lam^{2k} / 2 as lam -> 0."""
+    with mpmath.workdps(80):
+        lam = mpmath.mpf(lam)
+        lt = 2 * (lam / (lam + 1)) ** k - 2 * sum(
+            mpmath.binomial(k - 1 + j, j) * lam ** (k + j)
+            / (1 + 2 * lam) ** (k + j) for j in range(k))
+        return float(lt / 2), float(mpmath.binomial(2 * k, k) * lam ** (2 * k) / 2)
 
 
 class TestConvolve:
@@ -121,6 +136,37 @@ class TestMax:
         c = max_dist(erlang(16, 600.0), erlang(16, 900.0)).closure()
         assert c.d == 288
         assert abs(c.lt(0.0) - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("k", [2, 4, 8])
+    @pytest.mark.parametrize("ratio", [1e-2, 1e-3])
+    def test_closure_outage_tail_relative(self, k, ratio):
+        # F = P(k, k theta)^2 falls to 1.7e-43 at k = 8, theta = 1e-3 S: the
+        # closure must carry the cdf's zero of order 2k, not cancel O(1) terms
+        S = 3.0
+        c = max_dist(erlang(k, S), erlang(k, S)).closure()
+        ref = gammainc(k, k * ratio) ** 2
+        assert c.d == k * k + 2 * k
+        assert abs(metrics.outage(c, ratio * S).value - ref) <= 1e-11 * ref
+
+    def test_closure_outage_tail_oscillatory(self):
+        theta = 1e-3
+        c = max_dist(erlang(2, 1.0), example2()).closure()
+        with mpmath.workdps(30):
+            F2 = mpmath.quad(lambda t: example2_pdf(t, mpmath.mp), [0, theta])
+        ref = gammainc(2, 2.0 * theta) * float(F2)
+        assert abs(metrics.outage(c, theta).value - ref) <= 1e-11 * ref
+
+    @pytest.mark.parametrize("k", [2, 4, 8])
+    def test_closure_ber_tail_relative(self, k):
+        # components of mean S = 1e5: the BER is 2.3e-34 at k = 4 and
+        # 1.8e-62 at k = 8, far below the O(1) terms of a cancelling form
+        S = 1e5
+        c = max_dist(erlang(k, S), erlang(k, S)).closure()
+        ref, lead = _max_erlang_ber_mpmath(k, k / S)
+        assert abs(ref / lead - 1.0) < 1e-2
+        ber = metrics.ber_noncoherent(c, 1.0).value
+        assert ber > 0.0
+        assert abs(ber - ref) <= 1e-12 * ref
 
 
 class TestMin:

@@ -57,13 +57,71 @@ def assert_json_close(text, golden_name, rtol=1e-12):
 
 
 def test_import_leaves_solver_modules_unloaded():
-    """``import mekit`` (the start-up of every CLI command) loads neither
-    scipy.optimize nor scipy.integrate; the functions that need them import
-    them on first call."""
-    code = ("import sys, mekit; print(sorted(m for m in sys.modules if "
-            "m.split('.')[:2] in (['scipy', 'optimize'], "
-            "['scipy', 'integrate'])))")
+    """``import mekit`` (the start-up of every CLI command) loads no scipy
+    module; the functions that need one import it on first call."""
+    code = ("import sys, mekit; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
     assert run_fresh(code).strip() == "[]"
+
+
+def run_cli_fresh(tmp_path, spec, *argv):
+    """(stdout, scipy modules loaded) of one CLI command in a fresh
+    interpreter; a nonzero exit fails the test."""
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    argv = [argv[0], "--spec", str(path), *argv[1:]]
+    code = ("import json, sys\n"
+            "from mekit import cli\n"
+            f"rc = cli.main({argv!r})\n"
+            "print(json.dumps(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy')))\n"
+            "sys.exit(rc)")
+    out, _, loaded = run_fresh(code).rstrip("\n").rpartition("\n")
+    return out, json.loads(loaded)
+
+
+NAK2 = {"kind": "nakagami", "params": {"m": 2, "S": 2.0}}
+RAY = {"kind": "rayleigh", "params": {"S": 1.0}}
+
+
+@pytest.mark.parametrize("spec, argv", [
+    ({"kind": "nakagami", "params": {"m": 4, "S": 3.0}}, ["channel"]),
+    (RAY, ["metric", "--metric", "outage", "--R", "1",
+           "--sweep", "S=0.5:8:20", "--out", "csv"]),
+    (NAK2, ["metric", "--metric", "outage", "--R", "1", "--S", "4",
+            "--Theta-convention", "per-unit-mean", "--sweep", "R=0.2:2:10",
+            "--out", "json"]),
+    ({"kind": "sdc", "params": {"N": 4, "S": 2.0}},
+     ["metric", "--metric", "harq", "--K", "4", "--R", "1",
+      "--sweep", "S=1:8:10", "--out", "csv"]),
+    (RAY, ["metric", "--metric", "ergodic_capacity", "--sweep", "S=1:10:5",
+           "--out", "csv"]),
+    (NAK2, ["verify", "--metric", "outage", "--R", "1", "--n", "20000",
+            "--seed", "1"]),
+], ids=["channel", "outage_csv", "outage_per_unit_mean", "harq",
+        "ergodic_capacity", "verify_outage"])
+def test_numpy_only_commands_load_no_scipy(tmp_path, spec, argv):
+    # only a fresh process shows the footprint: conftest has loaded scipy
+    # into this one
+    out, loaded = run_cli_fresh(tmp_path, spec, *argv)
+    assert out.strip()
+    assert loaded == []
+
+
+def test_scipy_commands_import_on_first_call(tmp_path):
+    # the commands that need scipy import it on first call and give the
+    # rows the in-process tests expect from a cold start
+    out, loaded = run_cli_fresh(tmp_path, RAY, "metric", "--metric", "ber",
+                                "--detection", "coherent", "--a", "1")
+    assert "scipy.linalg" in loaded
+    val = json.loads(out)["rows"][0]["value"]
+    assert val == pytest.approx(0.5 * (1 - math.sqrt(0.5)), rel=1e-10)
+    out, loaded = run_cli_fresh(tmp_path, RAY, "optimize", "--metric", "arq",
+                                "--theta-sweep", "0.5:0.5:1")
+    assert "scipy.special" in loaded
+    row = json.loads(out)["rows"][0]
+    assert row["g"] == pytest.approx(2.0, rel=1e-9)
+    assert row["R_opt"] == pytest.approx(1.5936242600400401, rel=1e-9)
 
 
 def test_quadrature_metrics_never_load_scipy_integrate():

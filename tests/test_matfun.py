@@ -246,6 +246,31 @@ class TestQuad:
         assert all(len(s) == 1 and s[0] % 21 == 0 for s in calls)
         assert sum(s[0] for s in calls) > 21 * len(calls)
 
+    @pytest.mark.parametrize("f, a, b, sizes", [
+        (lambda t: t * np.exp(-t), 0.0, np.inf, [21, 42, 42, 42, 42]),
+        (lambda t: np.exp(-t * t), -np.inf, np.inf, [42, 84, 84, 84]),
+        (lambda t: np.exp(t), -np.inf, 0.0, [21, 42, 42, 42, 42]),
+    ], ids=["half_line", "whole_line", "lower_infinite"])
+    def test_infinite_range_is_one_call(self, monkeypatch, f, a, b, sizes):
+        # an infinite range is mapped once and integrated by one adaptive
+        # pass: one call of quad, with the same node batches as before
+        calls, seen = [], []
+        inner = matfun.quad
+
+        def counted(*args, **kwargs):
+            calls.append(args[1:3])
+            return inner(*args, **kwargs)
+
+        def g(t):
+            seen.append(t.size)
+            return f(t)
+
+        monkeypatch.setattr(matfun, "quad", counted)
+        val, _ = matfun.quad(g, a, b)
+        assert calls == [(a, b)]
+        assert seen == sizes
+        assert val == inner(f, a, b)[0]
+
     def test_warns_instead_of_silent_failure(self):
         with pytest.warns(matfun.AccuracyWarning):
             matfun.quad(lambda t: np.sin(1.0 / (t + 1e-12)) / (t + 1e-12),

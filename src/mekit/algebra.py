@@ -15,7 +15,8 @@ import numpy as np
 
 from . import matfun
 from .medist import (ChannelSpec, ConstructionError, MEDist, RationalLT,
-                     from_product_form, from_rational_lt)
+                     _erlang, exponential, from_product_form,
+                     from_rational_lt)
 
 __all__ = [
     "EffectiveChannel",
@@ -206,16 +207,11 @@ def min_dist(d1, d2) -> MinOfTwo:
 # -- standard channel constructions -------------------------------------
 
 
-def _rayleigh(S: float) -> MEDist:
-    return from_rational_lt(RationalLT(p=[1.0 / S], q=[1.0 / S]))
-
-
 def _nakagami(m: int, S: float) -> MEDist:
     if m != int(m) or m < 1:
         raise ConstructionError(
             "Nakagami fading is ME-distributed only for integer m >= 1")
-    rate = int(m) / S
-    return from_product_form([RationalLT(p=[rate], q=[rate])] * int(m))
+    return _erlang(m, int(m) / S)
 
 
 def _sdc(N: int, S: float) -> MEDist:
@@ -236,12 +232,6 @@ def _sdc(N: int, S: float) -> MEDist:
     return MEDist(x, Y, z)
 
 
-def _ostbc_mrc(N_tx: int, N_rx: int, R_stc: float, S: float) -> MEDist:
-    N = int(N_tx) * int(N_rx)
-    rate = R_stc * N_tx / S
-    return from_product_form([RationalLT(p=[rate], q=[rate])] * N)
-
-
 def _zf_mimo(N_rx: int, N_tx: int, S: float, exponent=None) -> MEDist:
     """Zero-forcing MIMO per-stream SNR with transform 1/(1+sS)^exponent.
 
@@ -260,8 +250,7 @@ def _zf_mimo(N_rx: int, N_tx: int, S: float, exponent=None) -> MEDist:
     exponent = int(exponent)
     if exponent < 1:
         raise ConstructionError("zf_mimo exponent must be >= 1")
-    rate = 1.0 / S
-    return from_product_form([RationalLT(p=[rate], q=[rate])] * exponent)
+    return _erlang(exponent, 1.0 / S)
 
 
 def _oscillatory_ex2() -> MEDist:
@@ -305,13 +294,14 @@ def standard_channel(spec: ChannelSpec) -> EffectiveChannel:
         dist = from_product_form(
             [RationalLT(p=f["p"], q=f["q"]) for f in P["factors"]])
     elif spec.kind == "rayleigh":
-        dist = _rayleigh(P["S"])
+        dist = exponential(P["S"])
     elif spec.kind == "nakagami":
         dist = _nakagami(P["m"], P["S"])
     elif spec.kind == "sdc":
         dist = _sdc(P["N"], P["S"])
     elif spec.kind == "ostbc_mrc":
-        dist = _ostbc_mrc(P["N_tx"], P["N_rx"], P.get("R_stc", 1.0), P["S"])
+        dist = _erlang(int(P["N_tx"]) * int(P["N_rx"]),
+                       P.get("R_stc", 1.0) * P["N_tx"] / P["S"])
     elif spec.kind == "zf_mimo":
         dist = _zf_mimo(P["N_rx"], P["N_tx"], P["S"], P.get("exponent"))
     elif spec.kind in ("mrc_list", "sum_interference"):

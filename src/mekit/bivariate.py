@@ -2,9 +2,10 @@
 
 The joint density is ``p1 e^{z1 Q1} P12 e^{z2 Q2} r2`` on the quadrant
 (optionally restricted to the ordered wedge 0 <= z1 <= z2).  The
-bivariate integrals that drive the throughput expressions have three exact
-evaluation paths, which cross-check each other: Kronecker closed form,
-Sylvester equation, and vectorized Kronecker-sum solve.
+bivariate integrals that drive the throughput expressions are Sylvester
+solves; an independent signal and interferer also have a Kronecker closed
+form.  A product-density integral is the Sylvester integral with the
+rank-one coupling X12 = z1 x2^T.
 """
 
 from __future__ import annotations
@@ -23,10 +24,7 @@ __all__ = [
     "BivME",
     "InterferenceScenario",
     "arq_interference_throughput",
-    "integral_product_finite",
-    "integral_product_independent",
     "integral_sylvester",
-    "integral_vectorized",
     "interference_g_theta",
     "sm_mimo_2x2_outage",
     "wishart2x2_bivme",
@@ -200,20 +198,6 @@ def independent_bivme(d1: MEDist, d2: MEDist) -> BivME:
 # -- bivariate integrals -----------------------------------------------------
 
 
-def integral_product_independent(d1: MEDist, d2: MEDist) -> float:
-    """int_0^inf f1(t) f2(t) dt = -(x1 (x) x2)(Y1 (+) Y2)^{-1}(z1 (x) z2)."""
-    K = matfun.kron_sum(d1.Y, d2.Y)
-    return float(-np.kron(d1.x, d2.x) @ np.linalg.solve(K, np.kron(d1.z, d2.z)))
-
-
-def integral_product_finite(d1: MEDist, d2: MEDist, b: float) -> float:
-    """int_0^b f1 f2 dt as one augmented exponential row."""
-    if b < 0:
-        raise ValueError("b must be nonnegative")
-    row = matfun.expm_integral(np.kron(d1.x, d2.x), matfun.kron_sum(d1.Y, d2.Y), b)
-    return float(row @ np.kron(d1.z, d2.z))
-
-
 def integral_sylvester(a, b, x1, Y1, X12, Y2, z2):
     """int_a^b x1 e^{tY1} X12 e^{tY2} z2 dt via a Sylvester solve.
 
@@ -237,23 +221,6 @@ def integral_sylvester(a, b, x1, Y1, X12, Y2, z2):
     return float(x1 @ X @ z2), X
 
 
-def integral_vectorized(b, x1, Y1, X12, Y2, z2) -> float:
-    """Same integral on (0, b) through vectorization: the finite-b case is
-    one augmented exponential row against vec(X12); b = inf closes to
-    -(z2^T (x) x1)(Y2^T (+) Y1)^{-1} vec(X12)."""
-    Y1 = np.atleast_2d(np.asarray(Y1, float))
-    Y2 = np.atleast_2d(np.asarray(Y2, float))
-    X12 = np.atleast_2d(np.asarray(X12, float))
-    x1 = np.atleast_1d(np.asarray(x1, float)).ravel()
-    z2 = np.atleast_1d(np.asarray(z2, float)).ravel()
-    vec = X12.flatten(order="F")
-    K = matfun.kron_sum(Y2.T, Y1)
-    row = np.kron(z2, x1)
-    if math.isinf(b):
-        return float(-row @ np.linalg.solve(K, vec))
-    return float(matfun.expm_integral(row, K, b) @ vec)
-
-
 # -- interference-limited ARQ -------------------------------------------------
 
 
@@ -272,6 +239,8 @@ class InterferenceScenario:
         if self.joint is None and (self.signal is None or not self.interferers):
             raise ConstructionError(
                 "provide signal + interferers, or a joint density")
+        if self.theta is not None and self.theta < 0:
+            raise ValueError("theta must be nonnegative")
         object.__setattr__(self, "interferers", tuple(self.interferers))
 
     @property
@@ -302,15 +271,15 @@ def arq_interference_throughput(scn: InterferenceScenario, R: float,
                                 path: str = "auto") -> MetricResult:
     """ARQ throughput R P with P = P(ln(1 + Z/(1+Z_I)) > R).
 
-    Paths, all exact: ``kron`` (independent scenarios only), ``sylvester``
-    (general joint; auto-switches to ``vectorized`` on spectral
-    collision) and ``vectorized``.  The decoding threshold is
-    ``scn.theta`` when set, else e^R - 1.
+    Paths, both exact: ``kron`` (independent scenarios only) and
+    ``sylvester`` (any joint); ``auto`` takes ``kron`` when it applies.
+    A spectral collision of Q_I and -theta Q raises
+    :class:`~mekit.matfun.SpectralCollisionError`.  The decoding threshold
+    is ``scn.theta`` when set, else e^R - 1.
     """
     if R <= 0:
         raise ValueError("R must be positive")
     theta = scn.theta if scn.theta is not None else math.expm1(R)
-    joint = scn.as_joint()
     if path == "auto":
         path = "kron" if scn.independent else "sylvester"
     if path == "kron":
@@ -322,20 +291,11 @@ def arq_interference_throughput(scn: InterferenceScenario, R: float,
         B = np.kron(np.eye(zi.d), sig.Y @ matfun.expm(-theta * sig.Y))
         P = np.kron(zi.x, sig.x) @ np.linalg.solve(A @ B, np.kron(zi.z, sig.z))
         return _result(R * float(P), "kron")
-    pI, QI, Q, r = joint.p1, joint.Q1, joint.Q2, joint.r2
-    Pb = _boundary_term(joint, theta)
     if path == "sylvester":
-        try:
-            X = matfun.solve_sylvester(QI, theta * Q, -Pb)
-            return _result(R * float(pI @ X @ r), "sylvester")
-        except matfun.SpectralCollisionError as exc:
-            res = arq_interference_throughput(scn, R, path="vectorized")
-            return MetricResult(res.value, "vectorized", res.imag_residual,
-                                res.quad_error, res.notes + (str(exc),))
-    if path == "vectorized":
-        K = matfun.kron_sum(theta * Q.T, QI)
-        P = np.kron(r, pI) @ np.linalg.solve(K, -Pb.flatten(order="F"))
-        return _result(R * float(P), "vectorized")
+        joint = scn.as_joint()
+        X = matfun.solve_sylvester(joint.Q1, theta * joint.Q2,
+                                   -_boundary_term(joint, theta))
+        return _result(R * float(joint.p1 @ X @ joint.r2), "sylvester")
     raise ValueError(f"unknown path {path!r}")
 
 
@@ -347,6 +307,8 @@ def interference_g_theta(scn: InterferenceScenario, theta: float):
     P' is obtained from the derivative Sylvester system
     Q_I X' + X' theta Q = -(Pb + X) Q; returns ``(g, P)``.
     """
+    if theta < 0:
+        raise ValueError("theta must be nonnegative")
     joint = scn.as_joint()
     if scn.independent and abs(scn.signal.mean - 1.0) > 1e-8:
         raise ValueError("optimization requires a unit-mean signal")

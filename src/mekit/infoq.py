@@ -22,7 +22,6 @@ __all__ = [
     "Type2Dist",
     "Type3Dist",
     "entropy_numeric",
-    "entropy_theta_limit",
     "lloyd_max",
     "mi_additive_channel",
     "panter_dite_mse",
@@ -42,17 +41,6 @@ def entropy_numeric(dist: MEDist) -> float:
 
     val, _ = matfun.quad(integrand, 0.0, t_hi, tol=1e-9, limit=1000)
     return val
-
-
-def entropy_theta_limit(dist: MEDist) -> float:
-    """Entropy through the small-theta representation
-    (1/theta) ln int f^{1-theta} dt at theta = 1e-4 (cross-check of the
-    direct integral)."""
-    theta, t_hi = 1e-4, dist.t_max()
-    val, _ = matfun.quad(
-        lambda t: np.maximum(dist.pdf(t), 0.0) ** (1.0 - theta),
-        0.0, t_hi, tol=1e-10, limit=1000)
-    return math.log(val) / theta
 
 
 def mi_additive_channel(dx: MEDist, dw: MEDist) -> float:

@@ -393,11 +393,16 @@ def to_rational_lt(dist: MEDist) -> RationalLT:
     return RationalLT(p=num, q=c[:d])
 
 
+def _erlang(k: int, rate: float) -> MEDist:
+    """Product form of ``k`` exponential stages of rate ``rate``."""
+    return from_product_form([RationalLT(p=[rate], q=[rate])] * int(k))
+
+
 def exponential(S: float) -> MEDist:
     """Exponential distribution with mean ``S`` (rate 1/S)."""
     if S <= 0:
         raise ConstructionError("mean must be positive")
-    return from_rational_lt(RationalLT(p=[1.0 / S], q=[1.0 / S]))
+    return _erlang(1, 1.0 / S)
 
 
 def erlang(k: int, mean: float = 1.0) -> MEDist:
@@ -405,8 +410,7 @@ def erlang(k: int, mean: float = 1.0) -> MEDist:
     ``mean`` (gamma with integer shape k)."""
     if k < 1 or k != int(k):
         raise ConstructionError("shape k must be a positive integer")
-    rate = k / mean
-    return from_product_form([RationalLT(p=[rate], q=[rate])] * int(k))
+    return _erlang(k, k / mean)
 
 
 @dataclass(frozen=True)

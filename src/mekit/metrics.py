@@ -180,6 +180,8 @@ def harq_persistent_throughput(channel, R: float, theta: float,
     """
     if R <= 0:
         raise ValueError("R must be positive")
+    if theta < 0:
+        raise ValueError("theta must be nonnegative")
     N = int(diversity)
     if N < 1:
         raise ValueError("diversity must be a positive integer")
@@ -277,51 +279,15 @@ def _shannon_expectation_quad(d: MEDist, theta: float, tol=1e-12):
     return E, e1 + e2
 
 
-def eff_capacity_shannon(channel, theta: float,
-                         method: str = "quadrature") -> MetricResult:
-    """Effective capacity when the service rate is the Shannon rate
-    ln(1 + Z) of an ME-distributed SNR Z.
-
-    ``quadrature`` (default) integrates the gamma-kernel form.  ``eigen``
-    uses the spectral closed form xi_j = (-l_j)^{theta-1} e^{-l_j}
-    Gamma(1-theta, -l_j) and requires a diagonalizable generator with real
-    negative eigenvalues, decay rates below 700 and 0 < theta < 1;
-    otherwise it falls back to quadrature with a note naming each unmet
-    condition.
-    """
+def eff_capacity_shannon(channel, theta: float) -> MetricResult:
+    """Effective capacity -(1/theta) ln E{(1+Z)^{-theta}} of the Shannon
+    service rate ln(1 + Z), Z the ME-distributed SNR, by the gamma-kernel
+    integral of :func:`_shannon_expectation_quad`."""
     d = _dist(channel)
     if theta <= 0:
         raise ValueError("theta must be positive")
-    if method == "eigen":
-        dec = matfun.eig_decomp(d.Y)
-        lam = dec.eigenvalues
-        rate = np.max(-lam.real)
-        # rates beyond ~700 overflow the e^{-lambda} factor in double
-        # precision before the incomplete-gamma factor can compensate
-        blockers = [why for why, hit in (
-            ("defective", not dec.diagonalizable),
-            ("complex", np.any(np.abs(lam.imag) > 1e-12 * np.max(np.abs(lam)))),
-            ("eigenvalue with real part >= 0", np.any(lam.real >= 0)),
-            (f"decay rate {rate:.3g} >= 700", rate >= 700.0),
-            ("theta outside (0, 1)", not 0.0 < theta < 1.0)) if hit]
-        if blockers:
-            res = eff_capacity_shannon(d, theta, method="quadrature")
-            return MetricResult(res.value, "quadrature", res.imag_residual,
-                                res.quad_error,
-                                res.notes + ("eigen path unavailable ("
-                                             + ", ".join(blockers) + ")",))
-        from scipy.special import gamma as gamma_fn, gammaincc
-        lr = lam.real
-        xi = (-lr) ** (theta - 1.0) * np.exp(-lr) \
-            * gammaincc(1.0 - theta, -lr) * gamma_fn(1.0 - theta)
-        V = dec.vectors
-        E = complex(d.x @ (V @ np.diag(xi.astype(complex)) @ np.linalg.inv(V)) @ d.z)
-        val = matfun.assert_real(E, context="eff_capacity_shannon eigen")
-        return _result(-math.log(val) / theta, "eigen")
-    if method == "quadrature":
-        E, err = _shannon_expectation_quad(d, theta)
-        return _result(-math.log(E) / theta, "quadrature", quad_error=err)
-    raise ValueError(f"unknown method {method!r}")
+    E, err = _shannon_expectation_quad(d, theta)
+    return _result(-math.log(E) / theta, "quadrature", quad_error=err)
 
 
 def ergodic_capacity(channel) -> MetricResult:
@@ -358,12 +324,12 @@ def _craig_product(branches, t):
 
 
 def ber_coherent(channel, a: float) -> MetricResult:
-    """BER for coherent BPSK (a=1) / FSK (a=1/2) under symbol-rate fading:
+    """BER for coherent BPSK (a=1) / FSK (a=1/2) under symbol-rate fading,
+    x [S (I + S)]^{-1} z / (2a) with S = (I - Y/a)^{1/2}.
 
-        (1/2) (1 + x Y^{-1} (I - Y/a)^{-1/2} z).
-
-    For a stable Y every eigenvalue of I - Y/a has real part above 1, so
-    the principal inverse square root exists; a real eigenvalue of Y at or
+    This is (1/2)(1 + x Y^{-1} S^{-1} z) rewritten with 1 = -x Y^{-1} z
+    and S^{-1} - I = S^{-1} (Y/a) (I + S)^{-1}, so no O(1) terms cancel and
+    the tail keeps its relative accuracy.  A real eigenvalue of Y at or
     above a raises :class:`~mekit.matfun.BranchCutError`.  :func:`pep` of
     the single branch ``[(channel, a)]`` is the same BER by Craig
     quadrature.
@@ -371,8 +337,8 @@ def ber_coherent(channel, a: float) -> MetricResult:
     d = _dist(channel)
     if a <= 0:
         raise ValueError("a must be positive")
-    W = matfun.mat_frac_power(np.eye(d.d) - d.Y / a, -0.5)
-    val = 0.5 * (1.0 + d.x @ np.linalg.solve(d.Y, W @ d.z))
+    S = matfun.mat_frac_power(np.eye(d.d) - d.Y / a, 0.5)
+    val = d.x @ np.linalg.solve(S + S @ S, d.z) / (2.0 * a)
     return _result(val, "closed_form")
 
 
@@ -470,6 +436,8 @@ def optimize_rate(metric: str, channel, thetas, **kwargs) -> list[Optimum]:
         x, G, z = _renewal_generator(channel, int(kwargs.get("diversity", 1)))
         A = matfun.augmented(x, G)
         for th in thetas:
+            if th < 0:
+                raise ValueError("theta must be nonnegative")
             # first row: the mean count; lower block: f' = x e^{th G} z,
             # the renewal density at th
             E = matfun.expm(th * A)

@@ -55,6 +55,42 @@ def classic_cdf(d, t):
                  @ np.linalg.solve(d.Y, d.z))
 
 
+def classic_pdf(d, t):
+    """x e^{tY} z with ``scipy.linalg.expm``: the tests' reference density,
+    independent of mekit's Pade kernel."""
+    return float(d.x @ scipy.linalg.expm(t * d.Y) @ d.z)
+
+
+def vectorized_integral(x1, Y1, X12, Y2, z2):
+    """int_0^inf x1 e^{tY1} X12 e^{tY2} z2 dt for stable Y1, Y2 by one dense
+    solve, -(z2^T (x) x1)(Y2^T (+) Y1)^{-1} vec(X12), with the Kronecker sum
+    written out here: the tests' reference for the Sylvester integral."""
+    Y1, Y2 = np.atleast_2d(Y1), np.atleast_2d(Y2)
+    K = (np.kron(Y2.T, np.eye(Y1.shape[0]))
+         + np.kron(np.eye(Y2.shape[0]), Y1))
+    vec = np.atleast_2d(X12).flatten(order="F")
+    return float(-np.kron(z2, x1) @ np.linalg.solve(K, vec))
+
+
+def product_integral_ref(d1, d2):
+    """int_0^inf f1 f2 dt: :func:`vectorized_integral` on the rank-one
+    coupling z1 x2^T of a product of densities."""
+    return vectorized_integral(d1.x, d1.Y, np.outer(d1.z, d2.x), d2.Y, d2.z)
+
+
+def sdc_eff_capacity_mpmath(N, S, theta):
+    """-(1/theta) ln E{(1+Z)^{-theta}} for selection diversity over N iid
+    exponential branches of mean S, by mpmath at 30 digits on the closed-form
+    density (N/S) e^{-z/S} (1 - e^{-z/S})^{N-1}."""
+    with mpmath.workdps(30):
+        S, th = mpmath.mpf(S), mpmath.mpf(theta)
+        f = lambda z: (N / S * mpmath.exp(-z / S)
+                       * (1 - mpmath.exp(-z / S)) ** (N - 1))
+        E = mpmath.quad(lambda z: (1 + z) ** -th * f(z),
+                        [0, S, 4 * S, 16 * S, mpmath.inf])
+        return float(-mpmath.log(E) / th)
+
+
 def example2():
     """Oscillatory degree-3 density (1 + 1/49)(1 - cos 7t) e^{-t}."""
     return from_rational_lt(RationalLT(p=[50.0], q=[50.0, 52.0, 3.0]))

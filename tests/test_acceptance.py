@@ -13,13 +13,14 @@ from mekit import (RationalLT, erlang, exponential, metrics, oracle,
                    to_rational_lt)
 from mekit.algebra import convolve, max_dist, min_dist
 from mekit.bivariate import (InterferenceScenario, arq_interference_throughput,
-                             integral_product_independent, integral_sylvester,
-                             integral_vectorized, sm_mimo_2x2_outage,
+                             integral_sylvester, sm_mimo_2x2_outage,
                              wishart2x2_bivme)
 from mekit.infoq import (Type1Dist, Type2Dist, Type3Dist, entropy_numeric,
                          lloyd_max)
-from conftest import (classic_cdf, example2, example2_pdf, nakagami,
-                      quadpack, random_valid_dist, sdc, standard_five)
+from conftest import (classic_cdf, classic_pdf, example2, example2_pdf,
+                      nakagami, product_integral_ref, quadpack,
+                      random_valid_dist, sdc, sdc_eff_capacity_mpmath,
+                      standard_five)
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -152,38 +153,45 @@ class TestAcceptance:
                     RationalLT([1.0], [1.0]), 1.0, th, diversity=N).value
                 b = metrics.harq_persistent_erlang_shifted(N, 1.0, th).value
                 assert abs(a - b) < 1e-8
-        # Shannon effective capacity: quadrature vs spectral
+        # Shannon effective capacity: quadrature vs mpmath on the closed-form
+        # selection-diversity density
         for _ in range(20):
-            d = sdc(int(rng.integers(2, 5)), S=float(rng.uniform(0.5, 2.0)))
+            N, S = int(rng.integers(2, 5)), float(rng.uniform(0.5, 2.0))
             th = float(rng.uniform(0.05, 0.95))
-            assert abs(metrics.eff_capacity_shannon(d, th, "quadrature").value
-                       - metrics.eff_capacity_shannon(d, th, "eigen").value) < 1e-7
-        # interference: all three closed paths
+            assert abs(metrics.eff_capacity_shannon(sdc(N, S), th).value
+                       - sdc_eff_capacity_mpmath(N, S, th)) < 1e-12
+        # interference: Kronecker vs Sylvester vs QUADPACK over the
+        # interferer density against the signal's survival function
         for _ in range(20):
             sig = random_valid_dist(rng, allow_oscillatory=False)
             intf = random_valid_dist(rng, allow_oscillatory=False)
             scn = InterferenceScenario(signal=sig, interferers=(intf,))
             R = float(rng.uniform(0.3, 1.5))
+            th = math.expm1(R)
+            P, _ = quadpack(lambda zi: classic_pdf(intf, zi)
+                            * (1.0 - classic_cdf(sig, th * (1.0 + zi))),
+                            0.0, np.inf)
             vals = [arq_interference_throughput(scn, R, path=p).value
-                    for p in ("kron", "sylvester", "vectorized")]
+                    for p in ("kron", "sylvester")] + [R * P]
             assert max(vals) - min(vals) < 1e-8
-        # bivariate integrals: Sylvester vs vectorized (finite and infinite)
+        # product-density integrals: Sylvester vs QUADPACK on (0, b) and vs
+        # the Kronecker-sum solve on (0, inf)
         for _ in range(20):
             d1 = random_valid_dist(rng)
             d2 = random_valid_dist(rng)
             X12 = np.outer(d1.z, d2.x)
             b = float(rng.uniform(0.5, 4.0))
             s_fin, _ = integral_sylvester(0.0, b, d1.x, d1.Y, X12, d2.Y, d2.z)
-            v_fin = integral_vectorized(b, d1.x, d1.Y, X12, d2.Y, d2.z)
-            assert abs(s_fin - v_fin) < 1e-8
+            q_fin, _ = quadpack(lambda t: classic_pdf(d1, t) * classic_pdf(d2, t),
+                                0.0, b)
+            assert abs(s_fin - q_fin) < 1e-8
             s_inf, _ = integral_sylvester(0.0, math.inf, d1.x, d1.Y, X12,
                                           d2.Y, d2.z)
-            v_inf = integral_vectorized(math.inf, d1.x, d1.Y, X12, d2.Y, d2.z)
-            kr = integral_product_independent(d1, d2)
-            assert max(abs(s_inf - v_inf), abs(s_inf - kr)) < 1e-8
+            assert abs(s_inf - product_integral_ref(d1, d2)) < 1e-8
         elapsed = time.monotonic() - start
         assert elapsed < 300.0, f"runtime {elapsed:.1f}s"
-        report(4, f"six multi-path families x 20 instances ({elapsed:.1f}s)")
+        report(4, f"six families x 20 instances against independent references "
+               f"({elapsed:.1f}s)")
 
     def test_criterion_5_monte_carlo_cross_validation(self):
         start = time.monotonic()

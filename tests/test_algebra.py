@@ -348,7 +348,8 @@ class TestDegreeGuard:
         def built(*args):
             pytest.fail("an oversized channel was constructed")
 
-        for name in ("from_product_form", "from_rational_lt", "_sdc"):
+        for name in ("from_product_form", "from_rational_lt", "_erlang",
+                     "exponential", "_sdc"):
             monkeypatch.setattr(algebra, name, built)
         with pytest.raises(ConstructionError,
                            match="degree 4097 exceeds the guard 4096"):

@@ -7,16 +7,22 @@ from numpy.testing import assert_allclose
 from mekit import erlang, exponential, matfun, oracle
 from mekit.bivariate import (BivME, InterferenceScenario,
                              arq_interference_throughput, independent_bivme,
-                             integral_product_finite,
-                             integral_product_independent, integral_sylvester,
-                             integral_vectorized, sm_mimo_2x2_outage,
-                             wishart2x2_bivme)
+                             integral_sylvester, interference_g_theta,
+                             sm_mimo_2x2_outage, wishart2x2_bivme)
 from mekit.medist import ConstructionError
 from mekit import metrics
-from conftest import (nakagami, quadpack, random_stable_matrix,
-                      random_valid_dist)
+from conftest import (classic_cdf, classic_pdf, nakagami,
+                      product_integral_ref, quadpack, random_stable_matrix,
+                      random_valid_dist, vectorized_integral)
 
 RAY = exponential(1.0)
+
+
+def product_integral(d1, d2, b=math.inf):
+    """int_0^b f1 f2 dt: the Sylvester integral with coupling z1 x2^T."""
+    val, _ = integral_sylvester(0.0, b, d1.x, d1.Y, np.outer(d1.z, d2.x),
+                                d2.Y, d2.z)
+    return val
 
 
 def mixture_joint(w=0.6):
@@ -98,42 +104,42 @@ class TestBivME:
 
 class TestProductIntegrals:
     def test_scalar_infinite(self):
-        assert abs(integral_product_independent(RAY, RAY) - 0.5) < 1e-14
+        assert abs(product_integral(RAY, RAY) - 0.5) < 1e-14
 
     def test_erlang_squared_vs_quadrature(self):
         d = erlang(2, mean=2.0)
-        val = integral_product_independent(d, d)
-        q, _ = quadpack(lambda t: d.pdf(t) ** 2, 0.0, np.inf)
+        val = product_integral(d, d)
+        q, _ = quadpack(lambda t: classic_pdf(d, t) ** 2, 0.0, np.inf)
         assert abs(val - q) < 1e-9
 
     def test_linear_in_weight(self):
         d = exponential(1.0)
         scaled = type(d)(3.0 * d.x, d.Y, d.z)
-        assert abs(integral_product_independent(scaled, d)
-                   - 3.0 * integral_product_independent(d, d)) < 1e-12
+        assert abs(product_integral(scaled, d)
+                   - 3.0 * product_integral(d, d)) < 1e-12
 
     def test_large_erlang_pair_closed_form(self):
-        # det of the order-576 Kronecker sum underflows to 0; the integral
-        # is l1^k l2^k Gamma(2k-1) / ((k-1)!^2 (l1+l2)^(2k-1))
+        # order-576 pair; the integral is
+        # l1^k l2^k Gamma(2k-1) / ((k-1)!^2 (l1+l2)^(2k-1))
         k, l1, l2 = 24, 24 / 2000.0, 24 / 3000.0
         exact = math.exp(k * math.log(l1 * l2) + math.lgamma(2 * k - 1)
                          - 2 * math.lgamma(k) - (2 * k - 1) * math.log(l1 + l2))
-        val = integral_product_independent(erlang(k, 2000.0), erlang(k, 3000.0))
+        val = product_integral(erlang(k, 2000.0), erlang(k, 3000.0))
         assert abs(val - exact) < 1e-12 * exact
 
     def test_finite_zero_interval(self):
-        assert integral_product_finite(RAY, RAY, 0.0) == 0.0
+        assert product_integral(RAY, RAY, 0.0) == 0.0
 
     def test_finite_interval_antiderivative(self):
-        val = integral_product_finite(RAY, RAY, 1.0)
+        val = product_integral(RAY, RAY, 1.0)
         assert abs(val - (1.0 - math.exp(-2.0)) / 2.0) < 1e-12
 
     def test_finite_limit_matches_infinite(self):
         d1, d2 = erlang(2, 2.0), nakagami(2)
         lam = min(np.abs(np.linalg.eigvals(d1.Y).real).min(),
                   np.abs(np.linalg.eigvals(d2.Y).real).min())
-        val_b = integral_product_finite(d1, d2, 40.0 / lam)
-        assert abs(val_b - integral_product_independent(d1, d2)) < 1e-8
+        val_b = product_integral(d1, d2, 40.0 / lam)
+        assert abs(val_b - product_integral_ref(d1, d2)) < 1e-8
 
 
 class TestSylvesterIntegral:
@@ -147,7 +153,7 @@ class TestSylvesterIntegral:
         d1, d2 = random_valid_dist(rng), random_valid_dist(rng)
         X12 = np.outer(d1.z, d2.x)
         val, _ = integral_sylvester(0.0, math.inf, d1.x, d1.Y, X12, d2.Y, d2.z)
-        assert abs(val - integral_product_independent(d1, d2)) < 1e-10
+        assert abs(val - product_integral_ref(d1, d2)) < 1e-10
 
     def test_finite_interval_vs_quadrature(self, rng):
         Y1 = random_stable_matrix(rng, 3)
@@ -172,8 +178,12 @@ class TestSylvesterIntegral:
 
 
 class TestVectorizedIntegral:
+    """The Sylvester integral against the vectorized (Kronecker-sum) closed
+    form written out in the tests' conftest."""
+
     def test_scalar_finite(self):
-        val = integral_vectorized(1.0, [1.0], [[-1.0]], [[1.0]], [[-1.0]], [1.0])
+        val, _ = integral_sylvester(0.0, 1.0, [1.0], [[-1.0]], [[1.0]],
+                                    [[-1.0]], [1.0])
         assert abs(val - (1.0 - math.exp(-2.0)) / 2.0) < 1e-12
 
     def test_infinite_matches_closed_form(self, rng):
@@ -182,27 +192,34 @@ class TestVectorizedIntegral:
         X12 = rng.normal(size=(3, 2))
         x1 = rng.normal(size=3)
         z2 = rng.normal(size=2)
-        vec = integral_vectorized(math.inf, x1, Y1, X12, Y2, z2)
         syl, _ = integral_sylvester(0.0, math.inf, x1, Y1, X12, Y2, z2)
-        assert abs(vec - syl) < 1e-10
+        assert abs(syl - vectorized_integral(x1, Y1, X12, Y2, z2)) < 1e-10
 
     def test_zero_coupling(self):
-        assert integral_vectorized(1.0, [1.0], [[-1.0]], [[0.0]],
-                                   [[-1.0]], [1.0]) == 0.0
+        val, _ = integral_sylvester(0.0, 1.0, [1.0], [[-1.0]], [[0.0]],
+                                    [[-1.0]], [1.0])
+        assert val == 0.0
 
 
 class TestPathAgreement:
     def test_four_paths_random_instances(self, rng):
+        # Sylvester, the vectorized solve on the general coupling, the
+        # Kronecker-sum solve on the product and QUADPACK
         for _ in range(20):
             d1 = random_valid_dist(rng)
             d2 = random_valid_dist(rng)
             X12 = np.outer(d1.z, d2.x)
             syl, _ = integral_sylvester(0.0, math.inf, d1.x, d1.Y, X12,
                                         d2.Y, d2.z)
-            vec = integral_vectorized(math.inf, d1.x, d1.Y, X12, d2.Y, d2.z)
-            kro = integral_product_independent(d1, d2)
+            vec = vectorized_integral(d1.x, d1.Y, X12, d2.Y, d2.z)
+            kro = float(-np.kron(d1.x, d2.x) @ np.linalg.solve(
+                np.kron(d1.Y, np.eye(d2.d)) + np.kron(np.eye(d1.d), d2.Y),
+                np.kron(d1.z, d2.z)))
+            q, _ = quadpack(lambda t: classic_pdf(d1, t) * classic_pdf(d2, t),
+                            0.0, np.inf)
             assert abs(syl - kro) < 1e-8
             assert abs(vec - kro) < 1e-8
+            assert abs(syl - q) < 1e-8
 
 
 class TestInterferenceThroughput:
@@ -212,14 +229,20 @@ class TestInterferenceThroughput:
         assert abs(res.value - math.exp(-math.e)) < 1e-12
 
     def test_all_paths_agree(self, rng):
+        # both closed paths and QUADPACK over the interferer density
+        # against the signal's survival function
         for _ in range(8):
             sig = random_valid_dist(rng, allow_oscillatory=False)
             intf = random_valid_dist(rng, allow_oscillatory=False)
             scn = InterferenceScenario(signal=sig, interferers=(intf,))
             R = float(rng.uniform(0.3, 1.5))
+            th = math.expm1(R)
+            P, _ = quadpack(lambda zi: classic_pdf(intf, zi)
+                            * (1.0 - classic_cdf(sig, th * (1.0 + zi))),
+                            0.0, np.inf)
             vals = [arq_interference_throughput(scn, R, path=p).value
-                    for p in ("kron", "sylvester", "vectorized")]
-            assert np.max(np.abs(np.diff(vals))) < 1e-9
+                    for p in ("kron", "sylvester")] + [R * P]
+            assert np.max(vals) - np.min(vals) < 1e-9
 
     def test_closed_form_with_exponential_interferer(self):
         # ME signal, exponential interference: the z-integral closes to
@@ -250,22 +273,49 @@ class TestInterferenceThroughput:
         expect = 1.0 - metrics.outage(RAY, THETA := math.e - 1.0).value
         assert abs(res.value - expect) < 1e-6
 
-    def test_collision_switches_to_vectorized(self):
+    def test_collision_raises(self):
         # For stable generators eigenvalue sums stay negative, so a true
-        # collision cannot occur; exercise the fallback mechanism with an
-        # artificial near-collision joint (unstable first block).
-        j = BivME([1.0], [[1.0 - 1e-13]], [[1.0]], [[-1.0]], [1.0])
-        scn = InterferenceScenario(joint=j, theta=1.0)
-        res = arq_interference_throughput(scn, 1.0, path="sylvester")
-        assert res.path == "vectorized"
-        assert any("collide" in n for n in res.notes)
+        # collision cannot occur; an unstable first block makes one.  The
+        # near collision is a joint of mass -1, which must not be turned
+        # into a throughput
+        for q in (1.0 - 1e-13, 1.0):
+            j = BivME([1.0], [[q]], [[1.0]], [[-1.0]], [1.0])
+            scn = InterferenceScenario(joint=j, theta=1.0)
+            for path in ("auto", "sylvester"):
+                with pytest.raises(matfun.SpectralCollisionError):
+                    arq_interference_throughput(scn, 1.0, path=path)
+
+    def test_unknown_path_rejected(self):
+        scn = InterferenceScenario(signal=RAY, interferers=(RAY,))
+        with pytest.raises(ValueError, match="unknown path"):
+            arq_interference_throughput(scn, 1.0, path="vectorized")
+
+    def test_negative_theta_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            InterferenceScenario(signal=RAY, interferers=(RAY,), theta=-0.5)
+        j, _ = mixture_joint()
+        with pytest.raises(ValueError, match="nonnegative"):
+            InterferenceScenario(joint=j, theta=-2.0)
+        scn = InterferenceScenario(signal=RAY, interferers=(exponential(0.6),))
+        with pytest.raises(ValueError, match="nonnegative"):
+            interference_g_theta(scn, -0.5)
+        # at theta = 0 every packet gets through
+        scn = InterferenceScenario(signal=nakagami(2),
+                                   interferers=(exponential(0.6),), theta=0.0)
+        for path in ("kron", "sylvester"):
+            assert abs(arq_interference_throughput(scn, 0.7, path=path).value
+                       - 0.7) < 1e-14
 
     def test_dependent_joint_paths_agree(self):
-        j, _ = mixture_joint()
+        # the mixture joint is exactly the w, 1 - w mixture of two
+        # independent scenarios, each on the Kronecker path
+        j, (w, a, b, c, d) = mixture_joint()
         scn = InterferenceScenario(joint=j)
-        a = arq_interference_throughput(scn, 0.8, path="sylvester").value
-        b = arq_interference_throughput(scn, 0.8, path="vectorized").value
-        assert abs(a - b) < 1e-10
+        syl = arq_interference_throughput(scn, 0.8, path="sylvester").value
+        kron = [arq_interference_throughput(
+            InterferenceScenario(signal=sig, interferers=(intf,)), 0.8,
+            path="kron").value for intf, sig in ((a, b), (c, d))]
+        assert abs(syl - (w * kron[0] + (1 - w) * kron[1])) < 1e-14
 
     def test_kron_requires_independence(self):
         j, _ = mixture_joint()

@@ -6,7 +6,7 @@ from numpy.testing import assert_allclose
 
 from mekit import erlang, exponential, matfun
 from mekit.infoq import (Type1Dist, Type2Dist, Type3Dist, entropy_numeric,
-                         entropy_theta_limit, lloyd_max, mi_additive_channel,
+                         lloyd_max, mi_additive_channel,
                          panter_dite_mse)
 from mekit.medist import ConstructionError
 from mekit import oracle
@@ -38,10 +38,6 @@ class TestEntropy:
     def test_oscillatory_vs_mpmath(self):
         ref = example2_entropy_mpmath()
         assert abs(entropy_numeric(example2()) - ref) <= 5e-10 * abs(ref)
-
-    def test_small_theta_representation(self):
-        d = example2()
-        assert abs(entropy_theta_limit(d) - entropy_numeric(d)) < 1e-3
 
 
 class TestMutualInformation:

@@ -7,10 +7,11 @@ import scipy.special
 from numpy.testing import assert_allclose
 
 from mekit import RationalLT, erlang, exponential, metrics
-from mekit.algebra import kfold_block, max_dist, min_dist, standard_channel
+from mekit.algebra import (convolve, kfold_block, max_dist, min_dist,
+                           standard_channel)
 from mekit.medist import ChannelSpec, MEDist
 from conftest import (classic_cdf, nakagami, quadpack, random_valid_dist,
-                      sdc)
+                      sdc, sdc_eff_capacity_mpmath)
 
 RAY = exponential(1.0)
 THETA_R1 = math.e - 1.0  # threshold for R = 1 nat
@@ -170,6 +171,16 @@ class TestHarqPersistent:
             RationalLT([1.0], [1.0]), 1.0, THETA_R1).value
         assert abs(1.0 / val - math.e) < 1e-12
 
+    def test_negative_theta_rejected(self):
+        for method in ("companion", "roots_of_unity"):
+            with pytest.raises(ValueError, match="nonnegative"):
+                metrics.harq_persistent_throughput(RAY, 1.0, -0.5,
+                                                   method=method)
+            # at theta = 0 the first transmission always succeeds
+            res = metrics.harq_persistent_throughput(RAY, 1.0, 0.0,
+                                                     method=method)
+            assert res.value == 1.0
+
     def test_diversity_two_paths_agree(self):
         lt = RationalLT([1.0], [1.0])
         a = metrics.harq_persistent_throughput(lt, 1.0, THETA_R1, diversity=2,
@@ -278,42 +289,31 @@ class TestEffCapacityShannon:
         E, _ = metrics._shannon_expectation_quad(RAY, 1.0)
         assert abs(E - math.e * scipy.special.exp1(1.0)) < 1e-10
 
-    @pytest.mark.parametrize("S", [0.01, 1.0, 1000.0])
+    @pytest.mark.parametrize("S", [0.001, 0.01, 1.0, 1000.0])
     def test_rayleigh_expectation_against_mpmath(self, S):
-        # E{(1+Z)^{-theta}} = e^{1/S} S^{-theta} Gamma(1 - theta, 1/S) for
-        # Z ~ Exp(mean S).  The peeled-off 1/Gamma(theta + 1) is rounded
-        # once, which bounds the absolute error where the rest cancels it
-        for th in (1e-5, 1e-2, 0.5, 0.99, 3.0, 20.0):
-            with mpmath.workdps(40):
-                s, t = mpmath.mpf(S), mpmath.mpf(th)
-                ref = float(mpmath.exp(1 / s) * s ** -t
-                            * mpmath.gammainc(1 - t, 1 / s))
-            E, _ = metrics._shannon_expectation_quad(exponential(S), th)
-            floor = 4.0 * np.finfo(float).eps / math.gamma(th + 1.0)
-            assert abs(E - ref) <= 1e-13 * ref + floor, (S, th)
+        # Rayleigh (k = 1) and Nakagami-k SNR, Z ~ Erlang(k, mean S):
+        # E{(1+Z)^{-theta}} = a^k U(k, k + 1 - theta, a), a = k/S; mean
+        # 1e-3 is decay rate 1000 at k = 1, and k > 1 is a defective
+        # generator.  The peeled-off 1/Gamma(theta + 1) is rounded once,
+        # which bounds the absolute error where the rest cancels it
+        for k in (1, 2, 4):
+            for th in (1e-5, 1e-2, 0.5, 0.99, 3.0, 20.0):
+                with mpmath.workdps(40):
+                    a, t = mpmath.mpf(k) / S, mpmath.mpf(th)
+                    ref = float(a ** k * mpmath.hyperu(k, k + 1 - t, a))
+                E, _ = metrics._shannon_expectation_quad(erlang(k, S), th)
+                floor = 4.0 * np.finfo(float).eps / math.gamma(th + 1.0)
+                assert abs(E - ref) <= 1e-13 * ref + floor, (S, k, th)
 
     def test_paths_agree(self, rng):
-        for _ in range(20):
-            # distinct real negative eigenvalues: selection-diversity channels
-            d = sdc(int(rng.integers(2, 5)), S=float(rng.uniform(0.5, 2.0)))
+        # the quadrature path against mpmath on the closed-form
+        # selection-diversity density
+        for _ in range(10):
+            N, S = int(rng.integers(2, 5)), float(rng.uniform(0.5, 2.0))
             th = float(rng.uniform(0.05, 0.95))
-            a = metrics.eff_capacity_shannon(d, th, method="quadrature").value
-            b = metrics.eff_capacity_shannon(d, th, method="eigen").value
-            assert abs(a - b) < 1e-7
-
-    def test_eigen_falls_back_on_extreme_rates(self):
-        # decay rate 1000 overflows e^{-lambda}; must reroute to quadrature
-        d = exponential(1e-3)
-        res = metrics.eff_capacity_shannon(d, 0.5, method="eigen")
-        assert res.path == "quadrature"
-        assert np.isfinite(res.value)
-        assert res.notes == ("eigen path unavailable (decay rate 1e+03 >= 700)",)
-
-    def test_eigen_falls_back_on_defective(self):
-        d = erlang(2, mean=1.0)  # repeated eigenvalue, defective generator
-        res = metrics.eff_capacity_shannon(d, 0.5, method="eigen")
-        assert res.path == "quadrature"
-        assert any("eigen path unavailable" in n for n in res.notes)
+            res = metrics.eff_capacity_shannon(sdc(N, S), th)
+            assert res.path == "quadrature"
+            assert abs(res.value - sdc_eff_capacity_mpmath(N, S, th)) < 1e-12
 
     def test_ergodic_capacity_golden(self):
         res = metrics.ergodic_capacity(RAY)
@@ -327,6 +327,18 @@ class TestEffCapacityShannon:
         expect = math.exp(1.0 / S) * scipy.special.exp1(1.0 / S)
         assert abs(res.value - expect) < 1e-13
         assert res.quad_error is not None
+
+
+def coherent_ber_mpmath(cdf, a, mean):
+    """E{Q(sqrt(2 a Z))} = int_0^inf F(z) sqrt(a/(4 pi z)) e^{-a z} dz (by
+    parts against the derivative of Q) by mpmath at 40 digits, from an
+    mpmath cdf F of mean ``mean``."""
+    with mpmath.workdps(40):
+        a = mpmath.mpf(a)
+        pts = sorted({0, mpmath.mpf(mean), 1 / a, 10 / a, 50 / a})
+        return float(mpmath.quad(
+            lambda z: cdf(z) * mpmath.sqrt(a / (4 * mpmath.pi * z))
+            * mpmath.exp(-a * z), pts + [mpmath.inf]))
 
 
 class TestBer:
@@ -350,6 +362,46 @@ class TestBer:
     def test_bpsk_golden(self):
         val = metrics.ber_coherent(RAY, 1.0).value
         assert abs(val - 0.5 * (1.0 - math.sqrt(0.5))) < 1e-12
+
+    def test_coherent_tail_against_mpmath(self):
+        # Nakagami-k BPSK closed form ((1-mu)/2)^k sum_j C(k-1+j, j)
+        # ((1+mu)/2)^j, mu = sqrt(g/(1+g)), g = a S/k, deep in the tail
+        for k, S, a in ((4, 1e4, 1.0), (8, 1e3, 1.0), (4, 1e2, 0.5)):
+            with mpmath.workdps(40):
+                g = mpmath.mpf(a) * S / k
+                mu = mpmath.sqrt(g / (1 + g))
+                ref = float(((1 - mu) / 2) ** k * mpmath.fsum(
+                    mpmath.binomial(k - 1 + j, j) * ((1 + mu) / 2) ** j
+                    for j in range(k)))
+            val = metrics.ber_coherent(erlang(k, S), a).value
+            assert abs(val - ref) <= 1e-13 * ref, (k, S, a, val, ref)
+        # max(E4, E4) at component mean 1e3: 4.27e-19
+        G = lambda z: mpmath.gammainc(4, 0, 4 * z / 1e3, regularized=True)
+        ref = coherent_ber_mpmath(lambda z: G(z) ** 2, 1.0, 1e3)
+        val = metrics.ber_coherent(
+            max_dist(erlang(4, 1e3), erlang(4, 1e3)).closure(), 1.0).value
+        assert abs(ref - 4.2669e-19) < 1e-23
+        assert abs(val - ref) <= 1e-13 * ref, (val, ref)
+
+    def test_coherent_families_against_mpmath(self):
+        e = lambda z, m: mpmath.exp(-z / m)
+        for S in (1.5, 6.0, 1e3):
+            m1, m2 = 0.4 * S, 2.2 * S
+            hypo = lambda z: 1 - (m2 * e(z, m2) - m1 * e(z, m1)) / (
+                mpmath.mpf(m2) - m1)
+            cases = {
+                "sdc3": (sdc(3, S), lambda z: (1 - e(z, S)) ** 3),
+                "mrc2": (convolve(exponential(m1), exponential(m2)), hypo),
+                "max": (max_dist(exponential(S / 2), exponential(S)).closure(),
+                        lambda z: (1 - e(z, S / 2)) * (1 - e(z, S))),
+                "min": (min_dist(exponential(2 * S), sdc(2, S)).closure(),
+                        lambda z: 1 - e(z, 2 * S) * (1 - (1 - e(z, S)) ** 2)),
+            }
+            for name, (d, cdf) in cases.items():
+                for a in (0.5, 1.0):
+                    ref = coherent_ber_mpmath(cdf, a, S)
+                    val = metrics.ber_coherent(d, a).value
+                    assert abs(val - ref) <= 1e-13 * ref, (name, S, a, val, ref)
 
     def test_coherent_limit_uses_total_mass(self, rng):
         d = random_valid_dist(rng)
@@ -488,6 +540,11 @@ class TestOptimizeRate:
             dT = (T(r.R_opt + h, r.S) - T(r.R_opt - h, r.S)) / (2.0 * h)
             assert abs(dT) < 1e-4 * r.T_opt
             assert abs(T(r.R_opt, r.S) - r.T_opt) < 1e-10
+
+    def test_negative_theta_rejected(self):
+        for metric in ("arq", "harq_persistent"):
+            with pytest.raises(ValueError, match="nonnegative"):
+                metrics.optimize_rate(metric, RAY, [0.5, -0.5])
 
     def test_requires_unit_mean(self):
         with pytest.raises(ValueError, match="unit-mean"):

@@ -84,8 +84,8 @@ class BivME:
             raise ValueError("support is the nonnegative quadrant")
         if self.ordered and z1 > z2:
             return 0.0
-        return float(self.p1 @ matfun.expm(z1 * self.Q1) @ self.P12
-                     @ matfun.expm(z2 * self.Q2) @ self.r2)
+        row = matfun.expm_row(self.p1, z1 * self.Q1) @ self.P12
+        return float(matfun.expm_row(row, z2 * self.Q2) @ self.r2)
 
     def lt(self, s1, s2) -> complex:
         """Joint transform p1 (s1 I - Q1)^{-1} P12 (s2 I - Q2)^{-1} r2
@@ -130,15 +130,16 @@ class BivME:
             raise ValueError("z must be nonnegative")
         if not self.ordered:
             return self.marginal(which).pdf(z)
-        E1 = matfun.expm(z * self.Q1)
-        E2 = matfun.expm(z * self.Q2)
+        # p1 e^{z Q1} and e^{z Q2} r2, the latter as a row of e^{z Q2^T}
+        row1 = matfun.expm_row(self.p1, z * self.Q1)
+        col2 = matfun.expm_row(self.r2, z * self.Q2.T)
         if which == 1:
             # integrate z2 over (z, inf)
-            col = -np.linalg.solve(self.Q2, E2 @ self.r2)
-            return float(self.p1 @ E1 @ self.P12 @ col)
+            col = -np.linalg.solve(self.Q2, col2)
+            return float(row1 @ self.P12 @ col)
         # integrate z1 over (0, z)
-        row = np.linalg.solve(self.Q1.T, (self.p1 @ (E1 - np.eye(self.d1))).T).T
-        return float(row @ self.P12 @ E2 @ self.r2)
+        row = np.linalg.solve(self.Q1.T, row1 - self.p1)
+        return float(row @ self.P12 @ col2)
 
     def to_json(self) -> str:
         return json.dumps({"p1": self.p1.tolist(), "Q1": self.Q1.tolist(),
@@ -183,8 +184,11 @@ def _integral_to_inf(x, Q):
         rates = np.abs(np.linalg.eigvals(Q).real)
         rates = rates[rates > 1e-12]
         b = 40.0 / rates.min() if rates.size else 40.0
-        E = matfun.expm(b * matfun.augmented(x, Q))
-        if np.max(np.abs(x @ E[1:, 1:])) > 1e-12 * np.max(np.abs(x)):
+        # rows e_0 and [0, x] of e^{bA}: the integral and x e^{bQ}
+        rows = np.eye(2, x.size + 1)
+        rows[1, 1:] = x
+        E = matfun.expm_row(rows, b * matfun.augmented(x, Q))
+        if np.max(np.abs(E[1, 1:])) > 1e-12 * np.max(np.abs(x)):
             raise np.linalg.LinAlgError(
                 "integral diverges: x e^{tQ} has not decayed") from None
         return E[0, 1:]
@@ -307,8 +311,8 @@ def interference_g_theta(scn: InterferenceScenario, theta: float):
     P' is obtained from the derivative Sylvester system
     Q_I X' + X' theta Q = -(Pb + X) Q; returns ``(g, P)``.
     """
-    if theta < 0:
-        raise ValueError("theta must be nonnegative")
+    if not theta > 0:
+        raise ValueError(f"theta must be positive, got {theta}")
     joint = scn.as_joint()
     if scn.independent and abs(scn.signal.mean - 1.0) > 1e-8:
         raise ValueError("optimization requires a unit-mean signal")

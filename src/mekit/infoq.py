@@ -363,7 +363,7 @@ class Type1Dist:
         object.__setattr__(self, "c", 1.0 / mass)
 
     def pdf(self, t: float) -> float:
-        return self.c * float(self.x @ matfun.expm(t * t * self.Y) @ self.z)
+        return self.c * float(matfun.expm_row(self.x, t * t * self.Y) @ self.z)
 
     def moment(self, n: int) -> float:
         """E{T^n} for an integer n >= 0; odd orders vanish by symmetry."""
@@ -394,7 +394,8 @@ class Type2Dist:
         object.__setattr__(self, "z", z)
 
     def pdf(self, u: float, v: float) -> float:
-        return float(self.x @ matfun.expm((u * u + v * v) * self.Y) @ self.z) / math.pi
+        return float(matfun.expm_row(self.x, (u * u + v * v) * self.Y)
+                     @ self.z) / math.pi
 
     def moment(self, n: int, m: int) -> float:
         """E{U^n V^m} for integers n, m >= 0; odd orders vanish by
@@ -409,7 +410,7 @@ class Type2Dist:
 
     def marginal_pdf(self, u: float) -> float:
         """Marginal (1/sqrt(pi)) x e^{u^2 Y} (-Y)^{-1/2} z."""
-        return float(self.x @ matfun.expm(u * u * self.Y)
+        return float(matfun.expm_row(self.x, u * u * self.Y)
                      @ _neg_power(self.Y, -0.5) @ self.z) / math.sqrt(math.pi)
 
 
@@ -434,7 +435,7 @@ class Type3Dist:
     def pdf(self, t: float) -> float:
         if t < 0:
             return 0.0
-        return 2.0 * t * float(self.x @ matfun.expm(t * t * self.Y) @ self.z)
+        return 2.0 * t * float(matfun.expm_row(self.x, t * t * self.Y) @ self.z)
 
     def moment(self, n: int) -> float:
         """E{T^n} = Gamma((n+2)/2) x (-Y)^{-(n+2)/2} z for an integer

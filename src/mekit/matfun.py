@@ -1,6 +1,7 @@
-"""Matrix-function kernel: matrix exponential (of one matrix or a stack),
-Kronecker sum, Sylvester solver, integer and half-integer matrix powers,
-eigendecomposition and adaptive quadrature of array-valued integrands.
+"""Matrix-function kernel: matrix exponential (of one matrix or a stack)
+and rows of it, Kronecker sum, Sylvester solver, integer and half-integer
+matrix powers, eigendecomposition and adaptive quadrature of array-valued
+integrands.
 
 All operations are pure functions over immutable inputs and are safe to call
 concurrently.
@@ -24,6 +25,7 @@ __all__ = [
     "eig_decomp",
     "expm",
     "expm_integral",
+    "expm_row",
     "kron_sum",
     "mat_frac_power",
     "quad",
@@ -78,6 +80,17 @@ def _pade13(A):
     return np.linalg.solve(V - U, V + U)
 
 
+def _scaled_pade13(M):
+    """(R, s) for one matrix: s is the least exponent with
+    ||M / 2^s||_1 <= theta_13 and R the Pade-13 approximant to e^{M/2^s},
+    so e^M = R^(2^s)."""
+    A = M.astype(complex if np.iscomplexobj(M) else float)
+    norm = np.abs(A).sum(axis=0).max() / _PADE13_THETA
+    s = int(np.ceil(np.log2(norm))) if norm > 1.0 else 0
+    A /= 2.0 ** s
+    return _pade13(A), s
+
+
 def expm(M):
     """Matrix exponential via Pade-13 scaling and squaring.
 
@@ -85,20 +98,19 @@ def expm(M):
     stack gets its own scaling exponent and the same arithmetic as a lone
     call on it.  Block upper-triangular structure of the input is preserved
     exactly (elimination multipliers below a zero block are exactly zero,
-    and squaring keeps the zero block).
+    and squaring keeps the zero block).  For a row of e^M use
+    :func:`expm_row`.
     """
     M = _as_square(M, stacked=True)
-    A = M.astype(complex if np.iscomplexobj(M) else float)
-    norm = np.abs(A).sum(axis=-2).max(axis=-1) / _PADE13_THETA
     # a lone matrix skips the stack bookkeeping, which would cost as much
     # as the exponential itself at small orders
-    if A.ndim == 2:
-        s = int(np.ceil(np.log2(norm))) if norm > 1.0 else 0
-        A /= 2.0 ** s
-        R = _pade13(A)
+    if M.ndim == 2:
+        R, s = _scaled_pade13(M)
         for _ in range(s):
             R = R @ R
         return R
+    A = M.astype(complex if np.iscomplexobj(M) else float)
+    norm = np.abs(A).sum(axis=-2).max(axis=-1) / _PADE13_THETA
     n = A.shape[-1]
     s = np.ceil(np.log2(np.maximum(norm, 1.0))).astype(int).ravel()
     A = A.reshape(-1, n, n)
@@ -114,6 +126,29 @@ def expm(M):
     out = np.empty_like(R)
     out[order] = R
     return out.reshape(M.shape)
+
+
+def expm_row(r, M):
+    """Row r e^M for one square matrix M: ``r`` is a 1-D row or a block of
+    rows (m, n), real or complex, or ``None`` for the first unit row.
+
+    The approximant R and exponent s are those of :func:`expm`, so
+    e^M = R^(2^s).  The first s - k squarings run as in :func:`expm`; the
+    last k become 2^k row products r <- r R, with k = min(s, floor(log2 n)
+    - 2).  In flops a row product is 1/n of a squaring (a fixed call
+    overhead brings the two closer at small n), and 2^k <= n/4 keeps the
+    products below the squarings they replace.  Below n = 8, k = 0 and
+    the result is a row of :func:`expm`, computed by the same calls.
+    """
+    M = _as_square(M)
+    R, s = _scaled_pade13(M)
+    k = min(s, max(0, M.shape[0].bit_length() - 3))
+    for _ in range(s - k):
+        R = R @ R
+    r = R[0] if r is None else r @ R
+    for _ in range(2 ** k - 1):
+        r = r @ R
+    return r
 
 
 def augmented(x, Y):
@@ -134,9 +169,9 @@ def augmented(x, Y):
 
 
 def expm_integral(x, Y, b):
-    """Row int_0^b x e^{tY} dt from one exponential of :func:`augmented`;
-    Y may be singular."""
-    return expm(b * augmented(x, Y))[0, 1:]
+    """Row int_0^b x e^{tY} dt: the first row of e^{b A}, A the
+    :func:`augmented` generator, by :func:`expm_row`; Y may be singular."""
+    return expm_row(None, b * augmented(x, Y))[1:]
 
 
 def kron_sum(A, B):

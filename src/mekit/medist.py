@@ -213,7 +213,8 @@ class MEDist:
         T = 40.0 / slowest
         zmax = np.max(np.abs(self.z))
         for _ in range(60):
-            if T * np.max(np.abs(self.x @ matfun.expm(T * self.Y))) * zmax <= 1e-12:
+            row = matfun.expm_row(self.x, T * self.Y)
+            if T * np.max(np.abs(row)) * zmax <= 1e-12:
                 break
             T *= 2.0
         return T

@@ -419,7 +419,12 @@ def optimize_rate(metric: str, channel, thetas, **kwargs) -> list[Optimum]:
     ``arq_interference`` (channel: interference scenario with unit-mean
     signal; handled in the bivariate module and dispatched here).
     Rows where the auxiliary ratio g <= 1 are flagged as boundary points.
+    Every theta must be positive: g has theta in its denominator.
     """
+    thetas = list(thetas)
+    for th in thetas:
+        if not th > 0:
+            raise ValueError(f"theta must be positive, got {th}")
     out = []
     if metric == "arq":
         d = _dist(channel)
@@ -435,14 +440,15 @@ def optimize_rate(metric: str, channel, thetas, **kwargs) -> list[Optimum]:
     if metric == "harq_persistent":
         x, G, z = _renewal_generator(channel, int(kwargs.get("diversity", 1)))
         A = matfun.augmented(x, G)
+        # rows e_0 and [0, x] of e^{th A}: the integral int_0^th x e^{tG} dt
+        # (the mean count) and x e^{th G} (f' = x e^{th G} z, the renewal
+        # density at th)
+        rows = np.eye(2, A.shape[0])
+        rows[1, 1:] = x
         for th in thetas:
-            if th < 0:
-                raise ValueError("theta must be nonnegative")
-            # first row: the mean count; lower block: f' = x e^{th G} z,
-            # the renewal density at th
-            E = matfun.expm(th * A)
-            mean_tx = 1.0 + E[0, 1:] @ z
-            g = mean_tx / (th * (x @ E[1:, 1:] @ z))
+            count, fprime = matfun.expm_row(rows, th * A)[:, 1:] @ z
+            mean_tx = 1.0 + count
+            g = mean_tx / (th * fprime)
             out.append(_optimum_from_g(th, g, mean_tx))
         return out
     if metric == "arq_interference":
@@ -473,8 +479,8 @@ def mimo_high_snr_outage(N: int, R: float, t: float) -> MetricResult:
     scale = 1.0
     for n in range(N):
         scale *= math.factorial(n)
-    E = matfun.expm(R * mimo_asymptote_generator(N))
-    return _result(t ** (-N * N) * scale * E[0, -1], "closed_form")
+    row = matfun.expm_row(None, R * mimo_asymptote_generator(N))
+    return _result(t ** (-N * N) * scale * row[-1], "closed_form")
 
 
 def mimo_asymptote_generator(N: int) -> np.ndarray:

@@ -95,6 +95,22 @@ class TestKFold:
         assert abs(F[0] - base.cdf(th)) < 1e-10
         assert abs(F[1] - convolve(base, base).cdf(th)) < 1e-10
 
+    @pytest.mark.parametrize("m", [2, 4])
+    def test_erlang_partial_sums_vs_gammainc(self, m):
+        # the k-fold sum of Erlang-m is Erlang-mk; orders 129 and 257 run
+        # the last squarings of the exponential as row products.  Near
+        # F = 1e-10 the dense Pade kernel itself is good to 3.9e-12
+        # relative (4e-22 absolute), with or without the row phase
+        S = 2.0
+        block = kfold_block(erlang(m, S), 64)
+        k = np.arange(1, 65)
+        for ratio in np.geomspace(0.5, 80.0, 33):
+            got = block.partial_cdfs(ratio * S)
+            ref = gammainc(m * k, m * ratio)
+            assert np.all(np.abs(got - ref) <= 1e-13)
+            big = ref >= 1e-10
+            assert np.all(np.abs(got - ref)[big] <= 5e-12 * ref[big])
+
     def test_rejects_zero_K(self):
         with pytest.raises(ValueError):
             kfold_block(exponential(1.0), 0)
@@ -147,6 +163,16 @@ class TestMax:
         ref = gammainc(k, k * ratio) ** 2
         assert c.d == k * k + 2 * k
         assert abs(metrics.outage(c, ratio * S).value - ref) <= 1e-11 * ref
+
+    def test_closure_outage_bulk_order_288(self):
+        # order 288 with scaling exponents 3-6: the row phase carries the
+        # bulk of the cdf to the last digits
+        c = max_dist(erlang(16, 4.0), erlang(16, 6.0)).closure()
+        assert c.d == 288
+        for ratio in np.geomspace(0.3, 3.0, 7):
+            th = 6.0 * ratio
+            ref = gammainc(16, 4.0 * th) * gammainc(16, 16.0 * th / 6.0)
+            assert abs(metrics.outage(c, th).value - ref) <= 1e-13 * ref
 
     def test_closure_outage_tail_oscillatory(self):
         theta = 1e-3

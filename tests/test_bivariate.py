@@ -297,8 +297,9 @@ class TestInterferenceThroughput:
         with pytest.raises(ValueError, match="nonnegative"):
             InterferenceScenario(joint=j, theta=-2.0)
         scn = InterferenceScenario(signal=RAY, interferers=(exponential(0.6),))
-        with pytest.raises(ValueError, match="nonnegative"):
-            interference_g_theta(scn, -0.5)
+        for theta in (-0.5, 0.0):
+            with pytest.raises(ValueError, match="theta must be positive"):
+                interference_g_theta(scn, theta)
         # at theta = 0 every packet gets through
         scn = InterferenceScenario(signal=nakagami(2),
                                    interferers=(exponential(0.6),), theta=0.0)

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import pytest
@@ -94,12 +95,15 @@ RAY = {"kind": "rayleigh", "params": {"S": 1.0}}
     ({"kind": "sdc", "params": {"N": 4, "S": 2.0}},
      ["metric", "--metric", "harq", "--K", "4", "--R", "1",
       "--sweep", "S=1:8:10", "--out", "csv"]),
+    # order 257 with scaling exponent >= 4: the row phase of expm_row runs
+    ({"kind": "nakagami", "params": {"m": 4, "S": 0.1}},
+     ["metric", "--metric", "harq", "--K", "64", "--R", "1"]),
     (RAY, ["metric", "--metric", "ergodic_capacity", "--sweep", "S=1:10:5",
            "--out", "csv"]),
     (NAK2, ["verify", "--metric", "outage", "--R", "1", "--n", "20000",
             "--seed", "1"]),
 ], ids=["channel", "outage_csv", "outage_per_unit_mean", "harq",
-        "ergodic_capacity", "verify_outage"])
+        "harq_order_257", "ergodic_capacity", "verify_outage"])
 def test_numpy_only_commands_load_no_scipy(tmp_path, spec, argv):
     # only a fresh process shows the footprint: conftest has loaded scipy
     # into this one
@@ -404,6 +408,17 @@ class TestOptimize:
         for row in json.loads(out)["rows"]:
             assert row["boundary"]
             assert row["R_opt"] is None
+
+    @pytest.mark.parametrize("metric", ["arq", "harq_persistent"])
+    def test_zero_theta_refused_by_name(self, capsys, ray_spec, metric):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "optimize", "--metric", metric,
+                                     "--spec", ray_spec,
+                                     "--theta-sweep", "0:0.5:3")
+        assert code == 2 and not out
+        assert "theta must be positive" in err
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_golden_csv(self, capsys, ray_spec):
         _, out, _ = run_cli(capsys, "optimize", "--metric", "arq",

@@ -122,6 +122,53 @@ class TestExpm:
             matfun.expm([[np.nan, 0.0], [0.0, 0.0]])
 
 
+def _subgenerator(rng, n, s, imag):
+    """n x n transient generator (nonnegative off-diagonal, exit rates on
+    the diagonal) scaled so that Pade-13 scaling picks exponent s; ``imag``
+    adds an imaginary diagonal, which keeps |e^M|_inf <= 1."""
+    M = rng.uniform(size=(n, n)) * (rng.uniform(size=(n, n)) < 4.0 / n)
+    np.fill_diagonal(M, 0.0)
+    np.fill_diagonal(M, -M.sum(axis=1) - rng.uniform(0.1, 1.0, n))
+    if imag:
+        M = M + 1j * np.diag(rng.normal(size=n))
+    norm = np.abs(M).sum(axis=0).max()
+    return M * (0.5 if s == 0 else 0.9 * 2.0 ** s) * matfun._PADE13_THETA / norm
+
+
+class TestExpmRow:
+    @pytest.mark.parametrize("imag", [False, True], ids=["real", "complex"])
+    @pytest.mark.parametrize("n", [2, 9, 65, 257])
+    def test_matches_scipy_rows(self, rng, n, imag):
+        # scaling exponents 0..7; at n = 65 and 257 the last 4 and 6
+        # squarings run as row products
+        for s in range(8):
+            M = _subgenerator(rng, n, s, imag)
+            E = scipy.linalg.expm(M)
+            r = rng.normal(size=(2, n))
+            if imag:
+                r = r + 1j * rng.normal(size=(2, n))
+            assert_allclose(matfun.expm_row(r[0], M), r[0] @ E,
+                            rtol=1e-11, atol=1e-11)
+            assert_allclose(matfun.expm_row(r, M), r @ E,
+                            rtol=1e-11, atol=1e-11)
+            assert_allclose(matfun.expm_row(None, M), E[0],
+                            rtol=1e-11, atol=1e-11)
+
+    @pytest.mark.parametrize("n", [1, 3, 7])
+    def test_small_order_is_a_row_of_expm(self, rng, n):
+        # below n = 8 no squaring becomes a row product: the row is the
+        # one expm gives, to the last bit
+        for t in (1e-3, 1.0, 1e3):
+            M = t * random_stable_matrix(rng, n)
+            x = rng.normal(size=n)
+            assert np.array_equal(matfun.expm_row(None, M), matfun.expm(M)[0])
+            assert np.array_equal(matfun.expm_row(x, M), x @ matfun.expm(M))
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match="square"):
+            matfun.expm_row(None, np.ones((2, 3)))
+
+
 class TestKron:
     def test_kron_sum_scalar(self):
         assert_allclose(matfun.kron_sum([[2.0]], [[3.0]]), [[5.0]])

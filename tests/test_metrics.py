@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from mekit import RationalLT, erlang, exponential, metrics
 from mekit.algebra import (convolve, kfold_block, max_dist, min_dist,
                            standard_channel)
+from mekit.bivariate import InterferenceScenario
 from mekit.medist import ChannelSpec, MEDist
 from conftest import (classic_cdf, nakagami, quadpack, random_valid_dist,
                       sdc, sdc_eff_capacity_mpmath)
@@ -543,8 +544,19 @@ class TestOptimizeRate:
 
     def test_negative_theta_rejected(self):
         for metric in ("arq", "harq_persistent"):
-            with pytest.raises(ValueError, match="nonnegative"):
+            with pytest.raises(ValueError, match="theta must be positive"):
                 metrics.optimize_rate(metric, RAY, [0.5, -0.5])
+
+    @pytest.mark.parametrize("metric", ["arq", "harq_persistent",
+                                        "arq_interference"])
+    def test_zero_theta_rejected_by_name(self, metric):
+        # g = f/(theta f') has no value at theta = 0
+        channel = RAY
+        if metric == "arq_interference":
+            channel = InterferenceScenario(signal=RAY,
+                                           interferers=(exponential(0.6),))
+        with pytest.raises(ValueError, match="theta must be positive"):
+            metrics.optimize_rate(metric, channel, [0.5, 0.0])
 
     def test_requires_unit_mean(self):
         with pytest.raises(ValueError, match="unit-mean"):

@@ -26,7 +26,7 @@ from .metrics import (MetricResult, arq_throughput, ber_coherent,
                       lambert_w0, mimo_high_snr_outage, ncbr_throughput,
                       optimize_rate, outage, outage_capacity, pep,
                       theta_absolute, theta_unit_mean)
-from .oracle import MCEstimate, RngConfig, mc_metric, numeric_convolve, sample
+from .oracle import MCEstimate, RngConfig, mc_metric, sample
 
 __version__ = "0.1.0"
 
@@ -41,7 +41,7 @@ __all__ = [
     "harq_persistent_throughput", "harq_truncated_throughput", "kfold_block",
     "kron_sum", "lambert_w0", "lloyd_max", "mat_frac_power",
     "max_dist", "mc_metric", "mi_additive_channel", "mimo_high_snr_outage",
-    "min_dist", "ncbr_throughput", "numeric_convolve", "optimize_rate",
+    "min_dist", "ncbr_throughput", "optimize_rate",
     "outage", "outage_capacity", "panter_dite_mse", "pep", "quad", "sample",
     "sm_mimo_2x2_outage", "solve_sylvester", "standard_channel",
     "theta_absolute", "theta_unit_mean", "to_rational_lt",

@@ -179,16 +179,20 @@ class MinOfTwo:
     def cdf(self, t: float) -> float:
         if t < 0:
             raise ValueError("t must be nonnegative")
-        return 1.0 - (1.0 - self.d1.cdf(t)) * (1.0 - self.d2.cdf(t))
+        # 1 - (1 - F1)(1 - F2) without the cancellation in the lower tail
+        F1 = self.d1.cdf(t)
+        return F1 + self.d2.cdf(t) * (1.0 - F1)
 
     def closure(self) -> MEDist:
         a, b = self.d1, self.d2
         _guard_degree(a.d * b.d)
-        Y1i = np.linalg.inv(a.Y)
-        Y2i = np.linalg.inv(b.Y)
+        # z = -(Y1^-1 (+) Y2^-1)(z1 (x) z2) = s1 (x) z2 + z1 (x) s2 with
+        # s_i = -Y_i^-1 z_i: two solves, no inverse, no second Kronecker sum
+        s1 = -np.linalg.solve(a.Y, a.z)
+        s2 = -np.linalg.solve(b.Y, b.z)
         x = np.kron(a.x, b.x)
         Y = matfun.kron_sum(a.Y, b.Y)
-        z = -matfun.kron_sum(Y1i, Y2i) @ np.kron(a.z, b.z)
+        z = np.kron(s1, b.z) + np.kron(a.z, s2)
         return MEDist(x, Y, z)
 
 

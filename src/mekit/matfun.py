@@ -1,7 +1,7 @@
 """Matrix-function kernel: matrix exponential (of one matrix or a stack)
-and rows of it, Kronecker sum, Sylvester solver, integer and half-integer
-matrix powers, eigendecomposition and adaptive quadrature of array-valued
-integrands.
+and rows of it, rows of matrix powers, Kronecker sum, Sylvester solver,
+integer and half-integer matrix powers, eigendecomposition and adaptive
+quadrature of array-valued integrands.
 
 All operations are pure functions over immutable inputs and are safe to call
 concurrently.
@@ -20,7 +20,6 @@ __all__ = [
     "BranchCutError",
     "EigDecomp",
     "SpectralCollisionError",
-    "assert_real",
     "augmented",
     "eig_decomp",
     "expm",
@@ -29,6 +28,7 @@ __all__ = [
     "kron_sum",
     "mat_frac_power",
     "quad",
+    "row_powers",
     "solve_sylvester",
     "spectral_abscissa",
 ]
@@ -149,6 +149,24 @@ def expm_row(r, M):
     for _ in range(2 ** k - 1):
         r = r @ R
     return r
+
+
+def row_powers(w, P, n):
+    """Rows w P^k for k = 0..n-1, an (n, len(w)) array, by blocked
+    doubling: rows [B, 2B) are rows [0, B) times P^B, then P^B is squared
+    while 2B <= n / len(w) (so the squarings cost no more flops than the
+    row products); later blocks of B rows step by P^B."""
+    W = np.empty((n, w.size), dtype=np.result_type(w, P))
+    W[0] = w
+    m = B = 1
+    while m < n:
+        k = min(B, n - m)
+        W[m:m + k] = W[m - B:m - B + k] @ P
+        m += k
+        if m == 2 * B and 2 * B * w.size <= n:
+            P = P @ P
+            B *= 2
+    return W
 
 
 def augmented(x, Y):
@@ -371,15 +389,3 @@ def quad(f, a, b, tol=1e-10, limit=200):
             f"{lo.size} subintervals, limit {limit})",
             AccuracyWarning, stacklevel=2)
     return value, error
-
-
-def assert_real(value, context="value"):
-    """Return the real part of ``value``, requiring the imaginary residual
-    to be below 1e-8 of its modulus."""
-    value = complex(value)
-    resid = abs(value.imag)
-    if resid > 1e-8 * max(abs(value), 1e-300):
-        raise ValueError(
-            f"{context}: imaginary residual {resid:.3e} exceeds "
-            f"1e-8 * {abs(value):.3e}")
-    return value.real

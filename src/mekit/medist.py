@@ -221,23 +221,10 @@ class MEDist:
 
     def _stepped(self, w, A, n, t_max):
         """(t, w e^{tA} dotted with z in its last d entries) on ``n``
-        uniform points of [0, t_max], from one step exponential E by
-        blocked doubling: rows [B, 2B) are rows [0, B) times E^B, then
-        E^B is squared while 2B <= n / order (so the squarings cost no
-        more flops than the row products); later blocks of B rows step
-        by E^B."""
+        uniform points of [0, t_max], stepping by one exponential
+        (:func:`matfun.row_powers`)."""
         ts = np.linspace(0.0, self.t_max() if t_max is None else t_max, n)
-        P = matfun.expm((ts[1] - ts[0]) * A)
-        W = np.empty((n, w.size))
-        W[0] = w
-        m = B = 1
-        while m < n:
-            k = min(B, n - m)
-            W[m:m + k] = W[m - B:m - B + k] @ P
-            m += k
-            if m == 2 * B and 2 * B * w.size <= n:
-                P = P @ P
-                B *= 2
+        W = matfun.row_powers(w, matfun.expm((ts[1] - ts[0]) * A), n)
         return ts, W[:, -self.d:] @ self.z
 
     def pdf_grid(self, n: int = 512, t_max: float | None = None):

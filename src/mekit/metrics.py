@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra, matfun
-from .medist import MEDist, RationalLT, _companion, from_rational_lt
+from .medist import MEDist, RationalLT, from_rational_lt
 
 __all__ = [
     "MetricResult",
@@ -33,7 +33,6 @@ __all__ = [
     "eff_capacity_shannon",
     "ergodic_capacity",
     "harq_persistent_throughput",
-    "harq_persistent_erlang_shifted",
     "harq_truncated_throughput",
     "lambert_w0",
     "mimo_high_snr_outage",
@@ -197,27 +196,8 @@ def harq_persistent_throughput(channel, R: float, theta: float,
         row = matfun.expm_integral((w[:, None] * d.x).ravel() / N,
                                    B.reshape(N * d.d, -1), theta)
         E = np.sum(row.reshape(N, -1) @ d.z)
-        mean_tx = matfun.assert_real(1.0 + E, context="roots-of-unity path")
-        return MetricResult(R / mean_tx, "roots_of_unity",
-                            imag_residual=abs(E.imag))
+        return _result(R / (1.0 + E), "roots_of_unity")
     raise ValueError(f"unknown method {method!r}")
-
-
-def harq_persistent_erlang_shifted(N: int, R: float, theta: float) -> MetricResult:
-    """Persistent-HARQ throughput for the transform 1/(1+s)^N via the
-    frequency-shift reduction: the mean transmission count is the last
-    diagonal entry of e^{theta (Y - I)} with Y the companion matrix of
-    s^{N+1} - s^N - s + 1."""
-    N = int(N)
-    if N < 1:
-        raise ValueError("N must be a positive integer")
-    q = np.zeros(N + 1)
-    q[0] = 1.0
-    q[1] += -1.0
-    q[-1] += -1.0
-    Y, _ = _companion(q)
-    E = matfun.expm(theta * (Y - np.eye(N + 1)))
-    return _result(R / E[-1, -1], "closed_form")
 
 
 def ncbr_throughput(links: dict, R12: float, R21: float) -> MetricResult:

@@ -1,7 +1,7 @@
-"""Independent verification: reproducible sampling from ME distributions,
-Monte Carlo simulation of every closed-form metric, and numeric reference
-integrals.  Everything here is deliberately simple and independent of the
-closed-form paths it cross-checks.
+"""Independent verification: reproducible sampling from ME distributions
+and Monte Carlo simulation of every closed-form metric.  Everything here
+is deliberately simple and independent of the closed-form paths it
+cross-checks.
 """
 
 from __future__ import annotations
@@ -18,10 +18,7 @@ __all__ = [
     "MCEstimate",
     "RngConfig",
     "mc_metric",
-    "numeric_convolve",
-    "pdf_on_grid",
     "sample",
-    "wishart_region_outage_quad",
 ]
 
 
@@ -50,167 +47,129 @@ def _dist(channel) -> MEDist:
     return dist
 
 
-# -- fast cdf machinery ---------------------------------------------------------
+# -- inverse cdf ---------------------------------------------------------------------
 
 
-def _spectral_cdf(dist: MEDist):
-    """Vectorized cdf F(t) = Re sum_j w_j e^{t lam_j} through the
-    eigendecomposition of the augmented generator; ``None`` when the
-    generator is defective or badly conditioned.  Its ``with_pdf(ts)``
-    returns (F, f), the density f = Re sum_j lam_j w_j e^{t lam_j} coming
-    from the same exponentials."""
-    dec = matfun.eig_decomp(matfun.augmented(dist.x, dist.Y))
-    if not dec.diagonalizable or dec.condition > 1e10:
-        return None
-    V = dec.vectors
-    zvec = np.concatenate([[0.0], dist.z]).astype(complex)
-    w = V[0, :] * np.linalg.solve(V, zvec)
-    # the generator is real: its complex eigenvalues come in conjugate
-    # pairs with conjugate weights, so one of each pair counts twice
-    lam = dec.eigenvalues
-    pick = lam.imag >= 0.0
-    lam = lam[pick]
-    w = np.where(lam.imag > 0.0, 2.0, 1.0) * w[pick]
-    terms = list(zip(lam.real, lam.imag, w, lam * w))
-
-    def with_pdf(ts):
-        ts = np.asarray(ts, dtype=float)
-        F = np.zeros(ts.shape)
-        f = np.zeros(ts.shape)
-        # real arithmetic, one eigenvalue at a time: Re(c e^{t(a+ib)}) is
-        # e^{ta} (Re c cos tb - Im c sin tb), and memory stays linear in ts
-        for a, b, wj, lw in terms:
-            e = np.exp(a * ts)
-            if b:
-                c, s = e * np.cos(b * ts), e * np.sin(b * ts)
-                F += wj.real * c - wj.imag * s
-                f += lw.real * c - lw.imag * s
-            else:
-                F += wj.real * e
-                f += lw.real * e
-        return F, f
-
-    def cdf(ts):
-        return with_pdf(ts)[0]
-
-    cdf.with_pdf = with_pdf
-    return cdf
+# a mode e^{lam t} is dead once |Re lam| t >= 40 (e^{-40} ~ 4e-18); while
+# it lives, each table step keeps h |lam| <= 0.01
+_MODE_LIFE = 40.0
+_STEP_PHASE = 0.01
 
 
-def _upper_bracket(dist: MEDist, cdf_vec):
-    # 1e-9 headroom absorbs accumulated roundoff in the grid surrogate
+def _cdf_table(dist: MEDist):
+    """(t, F, f) on a table of [0, t_max]: the rows r(t) of e^{tA}, A the
+    :func:`matfun.augmented` generator, stepped from the first unit row.
+    F = r z and the density f = x z + r (Y z) come from the same rows,
+    because x e^{tY} = x + r(t) Y.  The table is uniform within
+    segments: from each segment start on, the step is 0.01 / max |lam|
+    over the eigenvalues of Y still alive there, and adjacent segments
+    whose steps differ by less than 2x share the smaller one."""
     T = dist.t_max()
-    for _ in range(60):
-        if float(cdf_vec(np.array([T]))[0]) > 1.0 - 1e-9:
-            return T
-        T *= 2.0
-    raise ValueError("cdf does not approach 1; distribution looks invalid")
+    lam = np.linalg.eigvals(dist.Y)
+    rates = np.abs(lam.real)
+    starts = np.unique(np.concatenate(
+        [[0.0], _MODE_LIFE / rates[rates * T > _MODE_LIFE]]))
+    steps = []
+    for a in starts:
+        alive = rates * a < _MODE_LIFE
+        if not alive.any():
+            alive = rates == rates.min()
+        steps.append(_STEP_PHASE / np.max(np.abs(lam[alive])))
+    A = matfun.augmented(dist.x, dist.Y)
+    Z = np.column_stack([dist.z, dist.Y @ dist.z])
+    r = np.eye(1, dist.d + 1)[0]
+    ts, Ff = [np.zeros(1)], [np.zeros((1, 2))]
+    i = 0
+    while i < starts.size:
+        j = i + 1
+        while j < starts.size and steps[j] < 2.0 * steps[i]:
+            j += 1
+        a, b = starts[i], (starts[j] if j < starts.size else T)
+        n = max(1, math.ceil((b - a) / steps[i]))
+        W = matfun.row_powers(r, matfun.expm((b - a) / n * A), n + 1)
+        r = W[-1]
+        ts.append(np.linspace(a, b, n + 1)[1:])
+        Ff.append(W[1:, 1:] @ Z)
+        i = j
+    Ff = np.concatenate(Ff)
+    return np.concatenate(ts), Ff[:, 0], dist.x @ dist.z + Ff[:, 1]
 
 
-def _pchip_cdf(dist: MEDist, n: int = 1 << 16):
-    """Monotone-interpolated cdf surrogate on a fine uniform grid, for
-    generators whose eigendecomposition is defective or ill-conditioned.
-    Interpolation error is O(h^4), ~1e-11 at this resolution.  Its
-    ``with_pdf(ts)`` returns (F, f), f the interpolant's derivative."""
-    from scipy.interpolate import PchipInterpolator
-    ts, vals = dist.cdf_grid(n)
-    vals = np.minimum.accumulate(np.clip(vals, 0.0, 1.0)[::-1])[::-1]
-    vals = np.maximum.accumulate(vals)
-    interp = PchipInterpolator(ts, vals, extrapolate=False)
-    deriv = interp.derivative()
-    top = vals[-1]
-    T = ts[-1]
-
-    def with_pdf(x):
-        xc = np.clip(x, 0.0, T)
-        beyond = np.asarray(x) >= T
-        return np.where(beyond, top, interp(xc)), np.where(beyond, 0.0, deriv(xc))
-
-    def cdf(x):
-        return with_pdf(x)[0]
-
-    cdf.with_pdf = with_pdf
-    return cdf
-
-
-# the first Newton pass keeps ~20 arrays the size of its probabilities;
-# solving the sorted probabilities in blocks bounds that working set for
-# the 10^6-10^7 draws of one persistent-HARQ simulation
+# solving the sorted probabilities in blocks bounds the working set of
+# ~20 arrays their size for the 10^6-10^7 draws of one persistent-HARQ
+# simulation
 _NEWTON_BLOCK = 1 << 18
 
 
 def _inverse_cdf_grid(dist: MEDist, probs, tol: float = 1e-10):
-    """Inverse cdf at the given probabilities, against the spectral cdf
-    when the augmented generator is diagonalizable and a monotone
-    interpolant otherwise.  The probabilities are sorted once, bracketed
-    on a 4096-point table of the cdf and solved by :func:`_newton_in_table`
-    in blocks of ascending probabilities.  Raises when a root misses
-    ``tol`` (non-monotone cdf)."""
-    probs = np.asarray(probs, dtype=float)
-    cdf_vec = _spectral_cdf(dist) or _pchip_cdf(dist)
-    T = _upper_bracket(dist, cdf_vec)
-    grid = np.linspace(0.0, T, 4096)
-    Fg = np.maximum.accumulate(cdf_vec(grid))
+    """Inverse cdf at the given probabilities.  Each probability is
+    bracketed once in the :func:`_cdf_table` and solved by Newton steps
+    on the cubic Hermite interpolant of its cell (nodal F and f), with
+    bisection whenever a step leaves the shrinking bracket or the slope
+    is not positive; each pass evaluates only the probabilities not yet
+    within |F - p| <= tol / 10.  The probabilities are sorted once and
+    solved in blocks.  Raises when the density goes below -1e-6 on the
+    table, the cdf does not approach 1, or a root misses ``tol``."""
+    ts, F, f = _cdf_table(dist)
+    if np.min(f) < -1e-6:
+        raise ValueError(
+            "density goes negative; the cdf is non-monotone and cannot "
+            "be inverted (invalid distribution)")
+    # 1e-9 headroom absorbs roundoff accumulated along the table
+    if not F[-1] > 1.0 - 1e-9:
+        raise ValueError("cdf does not approach 1; distribution looks invalid")
+    Fm = np.maximum.accumulate(F)
     # quantiles beyond the representable tail clamp to the horizon, and
-    # those below the roundoff of F(0) to 0, so every bracket is valid
-    p = np.clip(probs, Fg[0], float(cdf_vec(np.array([T]))[0]) - 1e-12)
+    # those below F(0) to 0, so every bracket is valid
+    p = np.clip(np.asarray(probs, dtype=float), F[0], F[-1] - 1e-12)
     order = np.argsort(p)
     t = np.empty_like(p)
     for s in range(0, p.size, _NEWTON_BLOCK):
         b = order[s:s + _NEWTON_BLOCK]
-        t[b] = _newton_in_table(cdf_vec, grid, Fg, p[b], tol)
+        t[b] = _solve_cells(ts, F, f, Fm, p[b], tol)
     return t
 
 
-def _newton_in_table(cdf_vec, grid, Fg, p, tol):
-    """Roots of F(t) = p for ascending p inside the table (grid, Fg = F on
-    the grid).  Each starts at the linear interpolant inside its table
-    cell and takes Newton steps with the density of the same surrogate
-    (``cdf_vec.with_pdf``), falling back to bisection whenever a step
-    leaves the shrinking bracket or the density is not positive.  Each
-    pass evaluates only the probabilities not yet within
-    |F(t) - p| <= tol / 10."""
-    k = np.clip(np.searchsorted(Fg, p), 1, grid.size - 1)
-    lo, hi = grid[k - 1], grid[k]
-    rise = Fg[k] - Fg[k - 1]
-    x = lo + (hi - lo) * np.divide(p - Fg[k - 1], rise, out=np.zeros_like(p),
-                                   where=rise > 0.0)
-    t = np.empty_like(p)
+def _solve_cells(ts, F, f, Fm, p, tol):
+    """Roots of the cubic Hermite interpolant H = p for the probabilities
+    ``p``, each in the table cell [t_{k-1}, t_k] where the running maximum
+    ``Fm`` of F first reaches it (F_{k-1} < p <= F_k there)."""
+    k = np.clip(np.searchsorted(Fm, p), 1, ts.size - 1)
+    t0, h = ts[k - 1], ts[k] - ts[k - 1]
+    # H(s) - p = c0 + s (c1 + s (c2 + s c3)) on s = (t - t0) / h in [0, 1]
+    F0, dF, g0, g1 = F[k - 1], F[k] - F[k - 1], h * f[k - 1], h * f[k]
+    c0, c1 = F0 - p, g0
+    c2 = 3.0 * dF - 2.0 * g0 - g1
+    c3 = g0 + g1 - 2.0 * dF
+    x = np.divide(-c0, dF, out=np.zeros_like(p), where=dF > 0.0)
+    lo, hi = np.zeros_like(p), np.ones_like(p)
+    s = np.empty_like(p)
     resid = np.empty_like(p)
     idx = np.arange(p.size)
-    # bisection alone shrinks a table cell to roundoff within 60 passes
+    # bisection alone shrinks a cell to roundoff within 60 passes
     for _ in range(60):
-        F, f = cdf_vec.with_pdf(x)
-        r = F - p
+        r = c0 + x * (c1 + x * (c2 + x * c3))
         err = np.abs(r)
-        t[idx], resid[idx] = x, err
+        s[idx], resid[idx] = x, err
         keep = err > 0.1 * tol
         if not keep.any():
             break
-        idx, x, r, f, p = idx[keep], x[keep], r[keep], f[keep], p[keep]
+        idx, x, r = idx[keep], x[keep], r[keep]
+        c0, c1, c2, c3 = c0[keep], c1[keep], c2[keep], c3[keep]
+        slope = c1 + x * (2.0 * c2 + 3.0 * x * c3)
         below = r < 0.0
         lo = np.where(below, x, lo[keep])
         hi = np.where(below, hi[keep], x)
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            step = x - r / f
-        x = np.where((f > 0.0) & (step > lo) & (step < hi), step, 0.5 * (lo + hi))
+            step = x - r / slope
+        x = np.where((slope > 0.0) & (step > lo) & (step < hi), step,
+                     0.5 * (lo + hi))
     # a nan residual (no finite cdf value) fails the negated test
     if not np.all(resid <= max(tol, 1e-9)):
         raise ValueError(
             f"inverse cdf failed to converge (residual {float(np.max(resid)):.2e}); "
             "cdf may be non-monotone (invalid distribution)")
-    return t
-
-
-def _recognize_exponential(dist: MEDist):
-    if dist.d != 1:
-        return None
-    rate = -float(dist.Y[0, 0])
-    if rate <= 0:
-        return None
-    if abs(float(dist.x[0] * dist.z[0]) - rate) > 1e-9 * rate:
-        return None
-    return rate
+    return t0 + h * s
 
 
 def _recognize_erlang(dist: MEDist):
@@ -229,24 +188,16 @@ def _recognize_erlang(dist: MEDist):
 def sample(channel, cfg: RngConfig, worker: int | None = None) -> np.ndarray:
     """Draw ``cfg.n`` iid samples.
 
-    Exponential and integer-shape gamma forms are recognized and drawn
-    directly; anything else goes through inverse-cdf root finding on the
-    augmented cdf (to ~1e-10 in probability), which raises when the cdf is
-    numerically non-monotone.
+    Integer-shape gamma forms (the exponential among them) are recognized
+    and drawn directly; anything else goes through inverse-cdf root
+    finding on the augmented cdf (to ~1e-10 in probability), which raises
+    when the cdf is numerically non-monotone.
     """
     dist = _dist(channel)
     rng = cfg.generator(worker)
-    rate = _recognize_exponential(dist)
-    if rate is not None:
-        return rng.exponential(scale=1.0 / rate, size=cfg.n)
     rate = _recognize_erlang(dist)
     if rate is not None:
         return rng.gamma(shape=dist.d, scale=1.0 / rate, size=cfg.n)
-    _, pv = dist.pdf_grid(256)
-    if np.min(pv) < -1e-6:
-        raise ValueError(
-            "density goes negative; the cdf is non-monotone and cannot "
-            "be inverted (invalid distribution)")
     u = rng.random(cfg.n)
     return _inverse_cdf_grid(dist, u)
 
@@ -375,46 +326,3 @@ def mc_metric(kind: str, scenario: dict, cfg: RngConfig) -> MCEstimate:
         u = cfg.generator(worker=99).random(n)
         return _bernoulli(u < p, n)
     raise ValueError(f"unknown Monte Carlo metric kind {kind!r}")
-
-
-# -- numeric reference integrals --------------------------------------------------
-
-
-def pdf_on_grid(dist: MEDist, ts: np.ndarray) -> np.ndarray:
-    """Density on a uniform ascending grid starting at 0
-    (:meth:`MEDist.pdf_grid`)."""
-    ts = np.asarray(ts, dtype=float)
-    h = ts[1] - ts[0]
-    if ts[0] != 0.0 or np.max(np.abs(np.diff(ts) - h)) > 1e-9 * h:
-        raise ValueError("grid must be uniform and start at 0")
-    return dist.pdf_grid(ts.size, ts[-1])[1]
-
-
-def numeric_convolve(d1, d2, ts: np.ndarray) -> np.ndarray:
-    """Trapezoid-rule convolution of two densities on a uniform grid:
-    an oracle for the block-matrix convolution closure."""
-    f1 = pdf_on_grid(_dist(d1), ts)
-    f2 = pdf_on_grid(_dist(d2), ts)
-    h = ts[1] - ts[0]
-    full = np.convolve(f1, f2)[:ts.size]
-    corr = 0.5 * (f1[0] * f2 + f2[0] * f1)
-    return h * (full - corr)
-
-
-def wishart_region_outage_quad(R: float, tol: float = 1e-12) -> float:
-    """2-D quadrature of e^{-z1-z2}(z1-z2)^2 over the outage region
-    {0 <= z1 <= z2, (1+z1)(1+z2) <= e^R}: the independent oracle for the
-    2x2 spatial-multiplexing outage."""
-    TH = math.exp(R)
-
-    def inner(z1):
-        hi = TH / (1.0 + z1) - 1.0
-        if hi <= z1:
-            return 0.0
-        val, _ = matfun.quad(
-            lambda z2: np.exp(-z1 - z2) * (z1 - z2) ** 2, z1, hi, tol=tol)
-        return val
-
-    val, _ = matfun.quad(lambda z1s: np.array([inner(z1) for z1 in z1s]),
-                         0.0, math.sqrt(TH) - 1.0, tol=tol)
-    return val

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -14,6 +15,7 @@ import mekit
 from mekit import ChannelSpec, MEDist, RationalLT, erlang, exponential
 from mekit import from_rational_lt, matfun, standard_channel
 from mekit.algebra import convolve
+from mekit.medist import _companion
 
 
 def run_fresh(code):
@@ -59,6 +61,57 @@ def classic_pdf(d, t):
     """x e^{tY} z with ``scipy.linalg.expm``: the tests' reference density,
     independent of mekit's Pade kernel."""
     return float(d.x @ scipy.linalg.expm(t * d.Y) @ d.z)
+
+
+def pdf_on_grid(dist, ts):
+    """Density on a uniform ascending grid starting at 0
+    (:meth:`MEDist.pdf_grid`)."""
+    ts = np.asarray(ts, dtype=float)
+    h = ts[1] - ts[0]
+    if ts[0] != 0.0 or np.max(np.abs(np.diff(ts) - h)) > 1e-9 * h:
+        raise ValueError("grid must be uniform and start at 0")
+    return dist.pdf_grid(ts.size, ts[-1])[1]
+
+
+def numeric_convolve(d1, d2, ts):
+    """Trapezoid-rule convolution of two densities on a uniform grid:
+    the tests' reference for the block-matrix convolution closure."""
+    f1 = pdf_on_grid(getattr(d1, "dist", d1), ts)
+    f2 = pdf_on_grid(getattr(d2, "dist", d2), ts)
+    h = ts[1] - ts[0]
+    full = np.convolve(f1, f2)[:ts.size]
+    corr = 0.5 * (f1[0] * f2 + f2[0] * f1)
+    return h * (full - corr)
+
+
+def wishart_region_outage_quad(R, tol=1e-12):
+    """2-D :func:`quadpack` quadrature of e^{-z1-z2}(z1-z2)^2 over the
+    outage region {0 <= z1 <= z2, (1+z1)(1+z2) <= e^R}: the tests'
+    reference for the 2x2 spatial-multiplexing outage."""
+    TH = math.exp(R)
+
+    def inner(z1):
+        hi = TH / (1.0 + z1) - 1.0
+        if hi <= z1:
+            return 0.0
+        return quadpack(lambda z2: math.exp(-z1 - z2) * (z1 - z2) ** 2,
+                        z1, hi, tol=tol)[0]
+
+    return quadpack(inner, 0.0, math.sqrt(TH) - 1.0, tol=tol)[0]
+
+
+def harq_persistent_erlang_shifted(N, R, theta):
+    """Persistent-HARQ throughput for the transform 1/(1+s)^N via the
+    frequency-shift reduction: the mean transmission count is the last
+    diagonal entry of e^{theta (Y - I)} with Y the companion matrix of
+    s^{N+1} - s^N - s + 1."""
+    q = np.zeros(N + 1)
+    q[0] = 1.0
+    q[1] += -1.0
+    q[-1] += -1.0
+    Y, _ = _companion(q)
+    E = matfun.expm(theta * (Y - np.eye(N + 1)))
+    return R / E[-1, -1]
 
 
 def vectorized_integral(x1, Y1, X12, Y2, z2):

@@ -18,9 +18,10 @@ from mekit.bivariate import (InterferenceScenario, arq_interference_throughput,
 from mekit.infoq import (Type1Dist, Type2Dist, Type3Dist, entropy_numeric,
                          lloyd_max)
 from conftest import (classic_cdf, classic_pdf, example2, example2_pdf,
-                      nakagami, product_integral_ref, quadpack,
-                      random_valid_dist, sdc, sdc_eff_capacity_mpmath,
-                      standard_five)
+                      harq_persistent_erlang_shifted, nakagami,
+                      product_integral_ref, quadpack, random_valid_dist, sdc,
+                      sdc_eff_capacity_mpmath, standard_five,
+                      wishart_region_outage_quad)
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -151,7 +152,7 @@ class TestAcceptance:
             for th in (0.3, 1.0, 2.2):
                 a = metrics.harq_persistent_throughput(
                     RationalLT([1.0], [1.0]), 1.0, th, diversity=N).value
-                b = metrics.harq_persistent_erlang_shifted(N, 1.0, th).value
+                b = harq_persistent_erlang_shifted(N, 1.0, th)
                 assert abs(a - b) < 1e-8
         # Shannon effective capacity: quadrature vs mpmath on the closed-form
         # selection-diversity density
@@ -275,7 +276,7 @@ class TestAcceptance:
                 worst = max(worst, abs(w.pdf(float(z1), float(z2)) - expect))
         assert worst < 1e-10
         got = sm_mimo_2x2_outage(1.0).value
-        ref = oracle.wishart_region_outage_quad(1.0)
+        ref = wishart_region_outage_quad(1.0)
         assert abs(got - ref) < 1e-6
         report(8, f"Wishart grid {worst:.1e}; spatial-multiplexing outage "
                   f"vs region quadrature {abs(got - ref):.1e}")

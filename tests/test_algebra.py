@@ -11,7 +11,8 @@ from mekit.algebra import (EffectiveChannel, convolve, kfold_block, max_dist,
                            min_dist, standard_channel)
 from mekit.medist import ConstructionError, MEDist
 from mekit import metrics, oracle
-from conftest import example2, example2_pdf, nakagami, random_valid_dist, sdc
+from conftest import (example2, example2_pdf, nakagami, numeric_convolve,
+                      pdf_on_grid, random_valid_dist, sdc)
 
 
 def _max_erlang_ber_mpmath(k, lam):
@@ -61,8 +62,8 @@ class TestConvolve:
         a, b = exponential(1.0), example2()
         c = convolve(a, b)
         ts = np.arange(0.0, 8.0, 1e-3)
-        grid = oracle.numeric_convolve(a, b, ts)
-        closed = oracle.pdf_on_grid(c, ts)
+        grid = numeric_convolve(a, b, ts)
+        closed = pdf_on_grid(c, ts)
         assert np.max(np.abs(grid - closed)) < 1e-5
 
 
@@ -220,6 +221,19 @@ class TestMin:
         c = m.closure()
         for t in (0.4, 1.1, 2.5):
             assert abs(c.cdf(t) - m.cdf(t)) < 1e-9
+
+    @pytest.mark.parametrize("k, S1, S2", [(8, 2.0, 3.0), (16, 1.0, 4.0)])
+    def test_lower_tail_against_gammainc(self, k, S1, S2):
+        # at theta = 0.01 the cdf is 1.6e-16 (k = 8) and 7.6e-27 (k = 16):
+        # 1 - (1 - F1)(1 - F2) would cancel to noise or to 0 there
+        th = 0.01
+        m = min_dist(erlang(k, S1), erlang(k, S2))
+        with mpmath.workdps(40):
+            F1 = mpmath.gammainc(k, 0, k / S1 * th, regularized=True)
+            F2 = mpmath.gammainc(k, 0, k / S2 * th, regularized=True)
+            ref = float(F1 + F2 - F1 * F2)
+        assert abs(m.cdf(th) - ref) <= 1e-11 * ref
+        assert abs(m.closure().cdf(th) - ref) <= 1e-11 * ref
 
 
 class TestStandardChannels:

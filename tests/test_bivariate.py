@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mekit import erlang, exponential, matfun, oracle
+from mekit import erlang, exponential, matfun
 from mekit.bivariate import (BivME, InterferenceScenario,
                              arq_interference_throughput, independent_bivme,
                              integral_sylvester, interference_g_theta,
@@ -13,7 +13,8 @@ from mekit.medist import ConstructionError
 from mekit import metrics
 from conftest import (classic_cdf, classic_pdf, nakagami,
                       product_integral_ref, quadpack, random_stable_matrix,
-                      random_valid_dist, vectorized_integral)
+                      random_valid_dist, vectorized_integral,
+                      wishart_region_outage_quad)
 
 RAY = exponential(1.0)
 
@@ -380,8 +381,8 @@ class TestSmMimo:
 
     def test_matches_region_quadrature(self):
         got = sm_mimo_2x2_outage(1.0).value
-        ref = oracle.wishart_region_outage_quad(1.0)
+        ref = wishart_region_outage_quad(1.0)
         assert abs(got - ref) < 1e-6
         for R in (0.5, 2.0):
             assert abs(sm_mimo_2x2_outage(R).value
-                       - oracle.wishart_region_outage_quad(R)) < 1e-6
+                       - wishart_region_outage_quad(R)) < 1e-6

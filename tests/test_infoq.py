@@ -9,8 +9,8 @@ from mekit.infoq import (Type1Dist, Type2Dist, Type3Dist, entropy_numeric,
                          lloyd_max, mi_additive_channel,
                          panter_dite_mse)
 from mekit.medist import ConstructionError
-from mekit import oracle
-from conftest import example2, example2_entropy_mpmath, quadpack
+from conftest import (example2, example2_entropy_mpmath, numeric_convolve,
+                      pdf_on_grid, quadpack)
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -31,7 +31,7 @@ class TestEntropy:
     def test_oscillatory_vs_trapezoid_oracle(self):
         d = example2()
         ts = np.linspace(0.0, 45.0, 600_001)
-        f = np.maximum(oracle.pdf_on_grid(d, ts), 1e-300)
+        f = np.maximum(pdf_on_grid(d, ts), 1e-300)
         ref = -np.trapezoid(f * np.log(f), ts)
         assert abs(entropy_numeric(d) - ref) < 1e-6
 
@@ -46,7 +46,7 @@ class TestMutualInformation:
         I = mi_additive_channel(dx, dw)
         # independent oracle: numeric convolution + trapezoid entropies
         ts = np.arange(0.0, 90.0, 1e-3)
-        fy = np.maximum(oracle.numeric_convolve(dx, dw, ts), 1e-300)
+        fy = np.maximum(numeric_convolve(dx, dw, ts), 1e-300)
         h_y = -np.trapezoid(fy * np.log(fy), ts)
         I_ref = h_y - 1.0  # h(w) = 1 for the unit exponential
         assert abs(I - I_ref) < 1e-4
@@ -56,7 +56,7 @@ class TestMutualInformation:
         dx, dw = exponential(2.0), exponential(1.0)
         I = mi_additive_channel(dx, dw)
         ts = np.arange(0.0, 150.0, 1e-3)
-        fy = np.maximum(oracle.numeric_convolve(dx, dw, ts), 1e-300)
+        fy = np.maximum(numeric_convolve(dx, dw, ts), 1e-300)
         h_y = -np.trapezoid(fy * np.log(fy), ts)
         assert abs(I - (h_y - 1.0)) < 1e-4
 
@@ -87,7 +87,7 @@ def grid_search_two_level(dist, t_hi=50.0, n=400_000):
     (independent of the closed-form path)."""
     from scipy.integrate import cumulative_trapezoid
     ts = np.linspace(0.0, t_hi, n + 1)
-    f = oracle.pdf_on_grid(dist, ts)
+    f = pdf_on_grid(dist, ts)
     C0 = cumulative_trapezoid(f, ts, initial=0.0)
     C1 = cumulative_trapezoid(ts * f, ts, initial=0.0)
     C2 = cumulative_trapezoid(ts ** 2 * f, ts, initial=0.0)

@@ -325,12 +325,18 @@ class TestQuad:
 
 
 class TestHelpers:
-    def test_assert_real_passes(self):
-        assert matfun.assert_real(1.0 + 1e-12j) == 1.0
-
-    def test_assert_real_raises(self):
-        with pytest.raises(ValueError, match="imaginary residual"):
-            matfun.assert_real(1.0 + 1e-3j)
+    @pytest.mark.parametrize("n", [1, 2, 7, 64, 300])
+    def test_row_powers(self, rng, n):
+        # rows w P^k against repeated products, across the doubling and
+        # the blocked stages; P is a rotation, so every row has unit norm
+        K = rng.normal(size=(3, 3))
+        P = scipy.linalg.expm(0.1 * (K - K.T))
+        w = np.array([0.6, 0.8, 0.0])
+        ref = [w]
+        for _ in range(n - 1):
+            ref.append(ref[-1] @ P)
+        assert_allclose(matfun.row_powers(w, P, n), np.array(ref),
+                        rtol=0.0, atol=1e-12)
 
     def test_eig_decomp_diagonalizable(self, rng):
         M = random_stable_matrix(rng, 4)

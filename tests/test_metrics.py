@@ -11,8 +11,9 @@ from mekit.algebra import (convolve, kfold_block, max_dist, min_dist,
                            standard_channel)
 from mekit.bivariate import InterferenceScenario
 from mekit.medist import ChannelSpec, MEDist
-from conftest import (classic_cdf, nakagami, quadpack, random_valid_dist,
-                      sdc, sdc_eff_capacity_mpmath)
+from conftest import (classic_cdf, harq_persistent_erlang_shifted, nakagami,
+                      quadpack, random_valid_dist, sdc,
+                      sdc_eff_capacity_mpmath)
 
 RAY = exponential(1.0)
 THETA_R1 = math.e - 1.0  # threshold for R = 1 nat
@@ -196,7 +197,7 @@ class TestHarqPersistent:
         lt = RationalLT([1.0], [1.0])
         a = metrics.harq_persistent_throughput(lt, 1.0, THETA_R1,
                                                diversity=N, method=method).value
-        b = metrics.harq_persistent_erlang_shifted(N, 1.0, THETA_R1).value
+        b = harq_persistent_erlang_shifted(N, 1.0, THETA_R1)
         assert abs(a - b) < 1e-9
 
     @pytest.mark.parametrize("method", ["companion", "roots_of_unity"])

@@ -3,16 +3,18 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.special
 from numpy.testing import assert_allclose
 
-from mekit import erlang, exponential, metrics, oracle
-from mekit.algebra import convolve
+from mekit import (ChannelSpec, RationalLT, erlang, exponential,
+                   from_rational_lt, metrics, standard_channel)
+from mekit.algebra import convolve, max_dist
 from mekit.medist import MEDist
-from mekit.oracle import (RngConfig, mc_metric, numeric_convolve,
-                          pdf_on_grid, sample, wishart_region_outage_quad,
-                          _inverse_cdf_grid, _pchip_cdf, _recognize_erlang,
-                          _recognize_exponential, _spectral_cdf)
-from conftest import example2, nakagami, run_fresh, sdc
+from mekit.oracle import (RngConfig, mc_metric, sample, _inverse_cdf_grid,
+                          _recognize_erlang)
+from conftest import (classic_cdf, example2, example2_pdf, nakagami,
+                      numeric_convolve, pdf_on_grid, run_fresh, sdc,
+                      wishart_region_outage_quad)
 
 RAY = exponential(1.0)
 
@@ -27,6 +29,60 @@ def ks_statistic(samples, cdf_grid_fn, n_grid=1 << 14):
     emp_hi = np.arange(1, n + 1) / n
     emp_lo = np.arange(0, n) / n
     return float(max(np.max(np.abs(Fs - emp_hi)), np.max(np.abs(Fs - emp_lo))))
+
+
+def defective():
+    """E(mean 1) + Erlang-2(mean 1): eigenvalues {-1, -2, -2}, a Jordan
+    block, so neither a pure gamma nor diagonalizable."""
+    return convolve(exponential(1.0), erlang(2, mean=1.0))
+
+
+def _defective_cdf(t):
+    # Exp(1) + Gamma(2, 2) by convolving the densities
+    return 1.0 - 4.0 * np.exp(-t) + np.exp(-2.0 * t) * (3.0 + 2.0 * t)
+
+
+def stiff_mrc():
+    """MRC of Nakagami-2 with mean 0.02 and Rayleigh with mean 100: a
+    defective generator whose rates differ by 10^4."""
+    parts = [{"kind": "nakagami", "params": {"m": 2, "S": 0.02}},
+             {"kind": "rayleigh", "params": {"S": 100.0}}]
+    return standard_channel(ChannelSpec("mrc_list", {"components": parts})).dist
+
+
+def cos40():
+    """Density (1601/1600)(1 - cos 40t) e^{-t}: transform
+    1601 / ((s + 1)(s^2 + 2s + 1601))."""
+    return from_rational_lt(RationalLT(p=[1601.0], q=[1601.0, 1603.0, 3.0]))
+
+
+def _stiff_mrc_cdf(t, lam=100.0, mu=0.01):
+    # Gamma(2, lam) + Exp(mu): F_Y(t) - e^{-mu t} int_0^t lam^2 y e^{-(lam-mu) y} dy
+    a = lam - mu
+    return (-np.expm1(-lam * t) - lam * t * np.exp(-lam * t)
+            - np.exp(-mu * t) * (lam / a) ** 2
+            * (-np.expm1(-a * t) - a * t * np.exp(-a * t)))
+
+
+# (channel, independent closed-form cdf) for the inverse-cdf residuals.
+# The first three ids are kept from the cdf surrogates these channels
+# once took: real_spectral is diagonalizable with real eigenvalues,
+# complex_spectral has complex ones and pchip is defective.
+CHANNELS = {
+    "real_spectral": (lambda: sdc(4), lambda t: (-np.expm1(-t)) ** 4),
+    "complex_spectral": (
+        example2, lambda t: 1.0 - 50.0 / 49.0 * np.exp(-t)
+        * (1.0 - (np.cos(7.0 * t) - 7.0 * np.sin(7.0 * t)) / 50.0)),
+    "pchip": (defective, _defective_cdf),
+    "sdc16_S1": (lambda: sdc(16, 1.0), lambda t: (-np.expm1(-t)) ** 16),
+    "sdc16_S0.1": (lambda: sdc(16, 0.1), lambda t: (-np.expm1(-t / 0.1)) ** 16),
+    "stiff_mrc": (stiff_mrc, _stiff_mrc_cdf),
+    "cos40": (cos40, lambda t: 1.0 - 1601.0 / 1600.0 * np.exp(-t)
+              * (1.0 - (np.cos(40.0 * t) - 40.0 * np.sin(40.0 * t)) / 1601.0)),
+    # order 80: the max closure of two Erlang-8 with mean 1
+    "max_erlang8": (lambda: max_dist(erlang(8), erlang(8)).closure(),
+                    lambda t: scipy.special.gammainc(8, 8.0 * t) ** 2),
+}
 
 
 class TestRngConfig:
@@ -47,10 +103,17 @@ class TestRngConfig:
 
 class TestSample:
     def test_exponential_recognized_and_unbiased(self):
-        assert _recognize_exponential(RAY) == 1.0
+        assert _recognize_erlang(RAY) == 1.0
         cfg = RngConfig(seed=3, n=10 ** 6)
         s = sample(RAY, cfg)
         assert abs(s.mean() - 1.0) < 3.0 / math.sqrt(cfg.n)
+
+    def test_exponential_draw_is_the_exponential_stream(self):
+        # the exponential goes through rng.gamma(shape=1), which numpy
+        # draws bit for bit as rng.exponential
+        cfg = RngConfig(seed=8, n=10_000)
+        ref = cfg.generator().exponential(scale=2.0, size=cfg.n)
+        assert np.array_equal(sample(exponential(2.0), cfg), ref)
 
     def test_gamma_recognized(self):
         d = nakagami(3)
@@ -73,9 +136,7 @@ class TestSample:
         assert ks < 1.63 / math.sqrt(cfg.n)
 
     def test_defective_generator_interpolated_path(self):
-        # eigenvalues {-1, -2, -2} with a Jordan block: neither a pure
-        # gamma nor spectrally invertible
-        d = convolve(exponential(1.0), erlang(2, mean=1.0))
+        d = defective()
         cfg = RngConfig(seed=6, n=100_000)
         s = sample(d, cfg)
         ks = ks_statistic(s, d.cdf_grid)
@@ -90,101 +151,78 @@ class TestSample:
 
 
 class TestInverseCdf:
-    # (distribution, spectral path expected, eigenvalues complex)
-    PATHS = {
-        "real_spectral": (lambda: sdc(4), True, False),
-        "complex_spectral": (example2, True, True),
-        "pchip": (lambda: convolve(exponential(1.0), erlang(2, mean=1.0)),
-                  False, False),
-    }
-
-    @pytest.mark.parametrize("path", list(PATHS))
-    def test_residual(self, path):
-        make, spectral, complex_eigs = self.PATHS[path]
+    @pytest.mark.parametrize("name", list(CHANNELS))
+    def test_residual(self, name):
+        make, cdf = CHANNELS[name]
         d = make()
-        cdf = _spectral_cdf(d)
-        assert (cdf is not None) == spectral
-        lam = np.linalg.eigvals(d.Y)
-        assert bool(np.any(np.abs(lam.imag) > 1e-9)) == complex_eigs
-        u = np.random.default_rng(11).random(100_000)
+        # random probabilities plus both tails, where F or 1 - F is tiny
+        u = np.concatenate([np.random.default_rng(11).random(100_000),
+                            np.geomspace(1e-12, 1e-2, 200),
+                            1.0 - np.geomspace(1e-11, 1e-2, 200)])
         t = _inverse_cdf_grid(d, u)
-        cdf = cdf or _pchip_cdf(d)
         assert np.max(np.abs(cdf(t) - u)) <= 1e-10
-        # against the closed-form cdf, independent of the surrogate
-        exact = np.array([d.cdf(x) for x in t[:300]])
+        # against the scipy-expm cdf too, independent of the closed form
+        exact = np.array([classic_cdf(d, x) for x in t[:300]])
         assert np.max(np.abs(exact - u[:300])) <= 1e-10
 
     def test_residual_800k_probabilities(self):
-        # more probabilities than one Newton block, as in a persistent-HARQ
-        # simulation (8 draws per packet for 10^5 packets)
-        d = sdc(4)
+        # more probabilities than one Newton block (2^18 of the sorted
+        # probabilities), as in a persistent-HARQ simulation (8 draws per
+        # packet for 10^5 packets); the check covers every probability,
+        # on both sides of each block boundary
         u = np.random.default_rng(12).random(800_000)
-        t = _inverse_cdf_grid(d, u)
-        assert np.max(np.abs(_spectral_cdf(d)(t) - u)) <= 1e-10
+        t = _inverse_cdf_grid(sdc(4), u)
+        assert np.max(np.abs((-np.expm1(-t)) ** 4 - u)) <= 1e-10
 
     def test_roots_at_density_zeros(self):
         # (1 + 1/49)(1 - cos 7t) e^{-t} vanishes at t_k = 2 pi k / 7, where
-        # F(t_k) = 1 - e^{-t_k}; the spectral density there is zero to
-        # roundoff, so Newton has no slope and bisection takes over
+        # F(t_k) = 1 - e^{-t_k}; the density there is zero, so Newton has
+        # no slope and bisection takes over
         d = example2()
         tk = 2.0 * np.pi * np.arange(1, 8) / 7.0
         p = -np.expm1(-tk)
-        assert np.max(_spectral_cdf(d).with_pdf(tk)[1]) < 1e-15
+        assert np.max(example2_pdf(tk)) < 1e-15
         t = _inverse_cdf_grid(d, p)
-        exact = np.array([d.cdf(x) for x in t])
+        exact = np.array([classic_cdf(d, x) for x in t])
         assert np.max(np.abs(exact - p)) <= 1e-10
         # F - p grows like (t - t_k)^3 there, so 1e-11 in F is ~1e-3 in t
         assert np.max(np.abs(t - tk)) < 2e-3
 
-    @pytest.mark.parametrize("path", list(PATHS))
-    def test_probabilities_clipped_to_the_table(self, path):
+    def test_defective_draws_solved_to_tolerance(self):
+        # sample() on the defective generator returns the quantiles of its
+        # own uniform stream, each within 1e-10 of the closed-form cdf
+        cfg = RngConfig(seed=13, n=100_000)
+        t = sample(defective(), cfg)
+        u = cfg.generator().random(cfg.n)
+        assert np.max(np.abs(_defective_cdf(t) - u)) <= 1e-10
+
+    @pytest.mark.parametrize("name", ["real_spectral", "complex_spectral", "pchip"])
+    def test_probabilities_clipped_to_the_table(self, name):
         # below F(0) the quantile is 0; at and above F(T) it is the
         # quantile of F(T) - 1e-12, near the horizon T
-        d = self.PATHS[path][0]()
-        cdf = _spectral_cdf(d) or _pchip_cdf(d)
+        d = CHANNELS[name][0]()
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             t = _inverse_cdf_grid(d, np.array([-0.5, -1e-3, 1.0, 1.5, 2.0]))
         assert t[0] == t[1] == 0.0
         assert t[2] == t[3] == t[4]
-        assert 1.0 - 1e-9 <= cdf(t[2:3])[0] <= 1.0 + 1e-12
+        assert 1.0 - 1e-9 <= classic_cdf(d, t[2]) <= 1.0 + 1e-12
         assert t[2] > d.t_max() / 2
-
-    def test_pchip_path_solved_through_derivative(self, monkeypatch):
-        # the defective generator takes the monotone interpolant, whose
-        # derivative is the density; Newton on it needs a few passes where
-        # bisection alone would need ~30 to shrink a table cell to 1e-11
-        d = convolve(exponential(1.0), erlang(2, mean=1.0))
-        assert _spectral_cdf(d) is None
-        surrogate = _pchip_cdf(d)
-        ts = np.linspace(0.0, 20.0, 2001)
-        assert np.max(np.abs(surrogate.with_pdf(ts)[1] - d.pdf(ts))) < 1e-6
-        passes = []
-        solve_with = surrogate.with_pdf
-
-        def counted(x):
-            passes.append(np.size(x))
-            return solve_with(x)
-
-        surrogate.with_pdf = counted
-        monkeypatch.setattr(oracle, "_pchip_cdf", lambda dist: surrogate)
-        u = np.random.default_rng(13).random(100_000)
-        t = _inverse_cdf_grid(d, u)
-        assert np.max(np.abs(solve_with(t)[0] - u)) <= 1e-10
-        assert len(passes) <= 6
-        assert passes[0] == u.size and passes[-1] < u.size // 100
 
 
 def test_inverse_sampling_leaves_scipy_optimize_unloaded():
-    """The inverse-cdf sampler solves with its own Newton iteration, so a
-    first inverted draw in a fresh process imports no scipy.optimize."""
-    code = ("import sys; from mekit import ChannelSpec, oracle, "
-            "standard_channel; d = standard_channel(ChannelSpec('sdc', "
-            "{'N': 4, 'S': 1.0})).dist; "
+    """The inverse-cdf sampler solves with its own Newton iteration on its
+    own table, so first inverted draws in a fresh process, on a
+    diagonalizable and on a defective generator, import no scipy module."""
+    code = ("import sys; from mekit import ChannelSpec, convolve, erlang, "
+            "exponential, oracle, standard_channel; "
+            "d = standard_channel(ChannelSpec('sdc', {'N': 4, 'S': 1.0})).dist; "
+            "e = convolve(exponential(1.0), erlang(2, mean=1.0)); "
             "assert oracle._recognize_erlang(d) is None; "
+            "assert oracle._recognize_erlang(e) is None; "
             "oracle.sample(d, oracle.RngConfig(seed=1, n=1000)); "
-            "print(sorted(m for m in sys.modules "
-            "if m.split('.')[:2] == ['scipy', 'optimize']))")
+            "oracle.sample(e, oracle.RngConfig(seed=1, n=1000)); "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert run_fresh(code).strip() == "[]"
 
 

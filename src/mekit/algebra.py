@@ -211,13 +211,6 @@ def min_dist(d1, d2) -> MinOfTwo:
 # -- standard channel constructions -------------------------------------
 
 
-def _nakagami(m: int, S: float) -> MEDist:
-    if m != int(m) or m < 1:
-        raise ConstructionError(
-            "Nakagami fading is ME-distributed only for integer m >= 1")
-    return _erlang(m, int(m) / S)
-
-
 def _sdc(N: int, S: float) -> MEDist:
     """Selection diversity over N iid exponential branches with mean S.
 
@@ -300,7 +293,7 @@ def standard_channel(spec: ChannelSpec) -> EffectiveChannel:
     elif spec.kind == "rayleigh":
         dist = exponential(P["S"])
     elif spec.kind == "nakagami":
-        dist = _nakagami(P["m"], P["S"])
+        dist = _erlang(P["m"], P["m"] / P["S"])
     elif spec.kind == "sdc":
         dist = _sdc(P["N"], P["S"])
     elif spec.kind == "ostbc_mrc":

@@ -160,10 +160,12 @@ class BivME:
         t2 = 40.0 / np.abs(np.linalg.eigvals(self.Q2).real).min()
         g1 = np.linspace(0, t1, 32)
         g2 = np.linspace(0, t2, 32)
-        # density on the grid as (p1 e^{g1 Q1} P12)(e^{g2 Q2} r2)^T
-        L = self.p1 @ matfun.expm(g1[:, None, None] * self.Q1) @ self.P12
-        R = matfun.expm(g2[:, None, None] * self.Q2) @ self.r2
-        V = L @ R.T
+        # density on the grid as L (e^{g2 Q2} r2), L = p1 e^{g1 Q1} P12,
+        # from the stepped rows L and r2 e^{g2 Q2^T} L^T
+        L = matfun.row_powers(self.p1, matfun.expm1(g1[1] * self.Q1), 32,
+                              self.P12)[0]
+        V = matfun.row_powers(self.r2, matfun.expm1(g2[1] * self.Q2).T, 32,
+                              L.T)[0].T
         if self.ordered:
             V[g1[:, None] > g2[None, :]] = 0.0
         worst = min(0.0, float(V.min()))

@@ -70,22 +70,23 @@ def _resolve_threshold(channel, args):
 
 
 def _parse_sweep(text: str):
-    try:
-        key, rng = text.split("=", 1)
-        a, b, n = rng.split(":")
-        return key.strip(), np.linspace(float(a), float(b), int(n))
-    except ValueError as exc:
+    key, sep, span = text.partition("=")
+    if not sep:
         raise ConstructionError(
-            f"bad --sweep {text!r}; expected key=start:stop:count") from exc
+            f"bad --sweep {text!r}; expected key=start:stop:count")
+    return key.strip(), _parse_span(span)
 
 
 def _parse_span(text: str):
     try:
         a, b, n = text.split(":")
-        return np.linspace(float(a), float(b), int(n))
+        a, b, n = float(a), float(b), int(n)
     except ValueError as exc:
         raise ConstructionError(
             f"bad sweep {text!r}; expected start:stop:count") from exc
+    if n < 1:
+        raise ConstructionError(f"bad sweep {text!r}: count {n} is below 1")
+    return np.linspace(a, b, n)
 
 
 # -- channel ------------------------------------------------------------------
@@ -168,9 +169,6 @@ def _interference_scenario(args, signal):
                                           interferers=(interferer,))
 
 
-# channel kinds whose spec carries the mean SNR S
-_S_KINDS = ("rayleigh", "nakagami", "sdc", "ostbc_mrc", "zf_mimo")
-
 # the metrics that read each swept argument
 _SWEEP_READERS = {
     "R": ("outage", "arq", "harq", "harq_persistent", "arq_interference"),
@@ -187,7 +185,7 @@ def _sweep_rows(args):
         return
     key, values = _parse_sweep(args.sweep)
     if key == "S":
-        if spec.kind not in _S_KINDS:
+        if "S" not in ChannelSpec.KINDS[spec.kind]:
             raise ConstructionError(
                 f"--sweep S: channel kind {spec.kind!r} has no S parameter")
     elif key not in _SWEEP_READERS:

@@ -1,7 +1,7 @@
-"""Matrix-function kernel: matrix exponential (of one matrix or a stack)
-and rows of it, rows of matrix powers, Kronecker sum, Sylvester solver,
-integer and half-integer matrix powers, eigendecomposition and adaptive
-quadrature of array-valued integrands.
+"""Matrix-function kernel: matrix exponential (of one matrix or a stack),
+rows of it and e^M - I, stepped rows of matrix powers, Kronecker sum,
+Sylvester solver, integer and half-integer matrix powers,
+eigendecomposition and adaptive quadrature of array-valued integrands.
 
 All operations are pure functions over immutable inputs and are safe to call
 concurrently.
@@ -23,6 +23,7 @@ __all__ = [
     "augmented",
     "eig_decomp",
     "expm",
+    "expm1",
     "expm_integral",
     "expm_row",
     "kron_sum",
@@ -65,9 +66,10 @@ _PADE13_B = (
 _PADE13_THETA = 5.371920351148152
 
 
-def _pade13(A):
+def _pade13(A, minus_one=False):
     """Degree-13 Pade approximant to e^A for ||A||_1 <= theta_13; A is one
-    matrix or a stack."""
+    matrix or a stack.  With ``minus_one`` it is the approximant minus I,
+    2 (V - U)^{-1} U, which keeps its digits when A is small."""
     I = np.eye(A.shape[-1], dtype=A.dtype)
     b = _PADE13_B
     A2 = A @ A
@@ -77,18 +79,18 @@ def _pade13(A):
              + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * I)
     V = (A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2)
          + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * I)
-    return np.linalg.solve(V - U, V + U)
+    return np.linalg.solve(V - U, 2.0 * U if minus_one else V + U)
 
 
-def _scaled_pade13(M):
+def _scaled_pade13(M, minus_one=False):
     """(R, s) for one matrix: s is the least exponent with
-    ||M / 2^s||_1 <= theta_13 and R the Pade-13 approximant to e^{M/2^s},
-    so e^M = R^(2^s)."""
+    ||M / 2^s||_1 <= theta_13 and R the Pade-13 approximant to e^{M/2^s}
+    (minus I with ``minus_one``), so e^M = R^(2^s)."""
     A = M.astype(complex if np.iscomplexobj(M) else float)
     norm = np.abs(A).sum(axis=0).max() / _PADE13_THETA
     s = int(np.ceil(np.log2(norm))) if norm > 1.0 else 0
     A /= 2.0 ** s
-    return _pade13(A), s
+    return _pade13(A, minus_one), s
 
 
 def expm(M):
@@ -151,22 +153,49 @@ def expm_row(r, M):
     return r
 
 
-def row_powers(w, P, n):
-    """Rows w P^k for k = 0..n-1, an (n, len(w)) array, by blocked
-    doubling: rows [B, 2B) are rows [0, B) times P^B, then P^B is squared
-    while 2B <= n / len(w) (so the squarings cost no more flops than the
-    row products); later blocks of B rows step by P^B."""
-    W = np.empty((n, w.size), dtype=np.result_type(w, P))
-    W[0] = w
-    m = B = 1
-    while m < n:
-        k = min(B, n - m)
-        W[m:m + k] = W[m - B:m - B + k] @ P
-        m += k
-        if m == 2 * B and 2 * B * w.size <= n:
-            P = P @ P
-            B *= 2
-    return W
+def expm1(M):
+    """e^M - I for one square matrix, without the cancellation of forming
+    e^M first: the approximant of :func:`expm` minus I, then each squaring
+    maps E to 2E + E^2."""
+    E, s = _scaled_pade13(_as_square(M), minus_one=True)
+    for _ in range(s):
+        E = 2.0 * E + E @ E
+    return E
+
+
+def row_powers(w, E, n, Z):
+    """(w P^k Z for k < n, w P^(n-1)) with P = I + E, for a row or a block
+    of rows w (m, N); the first result is (n, m) + Z.shape[1:], m dropped
+    for a lone row.  Blocked doubling: steps [B, 2B) step from steps
+    [0, B) by P^B, squared while 2B <= n / N; later blocks step by P^B.
+    While P^B is near I (entries of E within 1/2) it is kept as E, squared
+    as 2E + E^2 and applied as W + W E, so a step of :func:`expm1` keeps
+    the slow modes over any number of steps.  Only the rows that the next
+    block steps from are kept."""
+    N = E.shape[0]
+    W = np.reshape(w, (-1, N))
+    m = W.shape[0]
+    V = np.empty((n * m,) + np.shape(Z)[1:], np.result_type(w, E, Z))
+    V[:m] = W @ Z
+    P = None
+    k = B = 1
+    while k < n:
+        if P is None and np.abs(E).max() > 0.5:
+            P = np.eye(N) + E
+        c = min(B, n - k)
+        nxt = W[:c * m] + W[:c * m] @ E if P is None else W[:c * m] @ P
+        V[k * m:(k + c) * m] = nxt @ Z
+        k += c
+        if k == 2 * B and 2 * B * N <= n:
+            W, B = np.concatenate([W, nxt]), 2 * B
+            if P is None:
+                E = 2.0 * E + E @ E
+            else:
+                P = P @ P
+        else:
+            W = nxt
+    return (V.reshape((n,) + np.shape(w)[:-1] + np.shape(Z)[1:]),
+            W[-m:].reshape(np.shape(w)))
 
 
 def augmented(x, Y):

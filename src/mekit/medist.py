@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -219,22 +220,35 @@ class MEDist:
             T *= 2.0
         return T
 
-    def _stepped(self, w, A, n, t_max):
-        """(t, w e^{tA} dotted with z in its last d entries) on ``n``
-        uniform points of [0, t_max], stepping by one exponential
-        (:func:`matfun.row_powers`)."""
-        ts = np.linspace(0.0, self.t_max() if t_max is None else t_max, n)
-        W = matfun.row_powers(w, matfun.expm((ts[1] - ts[0]) * A), n)
-        return ts, W[:, -self.d:] @ self.z
+    def _table(self, edges, steps):
+        """(t, F, f) on the segments [edges[i], edges[i+1]] of steps[i]
+        uniform steps: the rows e_0 and [0, x] of e^{tA}, A the
+        :func:`matfun.augmented` generator, stepped by one
+        :func:`matfun.row_powers` per segment and dotted with [0; z], give
+        F = int_0^t x e^{sY} z ds and f = x e^{tY} z, neither by cancelling."""
+        A = matfun.augmented(self.x, self.Y)
+        Z = np.append(0.0, self.z)
+        rows = np.vstack([np.eye(1, self.d + 1), A[:1]])
+        ts, V = [edges[:1]], [(rows @ Z)[None]]
+        for a, b, n in zip(edges[:-1], edges[1:], steps):
+            Vi, rows = matfun.row_powers(
+                rows, matfun.expm1((b - a) / n * A), n + 1, Z)
+            ts.append(np.linspace(a, b, n + 1)[1:])
+            V.append(Vi[1:])
+        V = np.concatenate(V)
+        return np.concatenate(ts), V[:, 0], V[:, 1]
 
     def pdf_grid(self, n: int = 512, t_max: float | None = None):
         """(t, pdf) sampled on ``n`` uniform points of [0, t_max]."""
-        return self._stepped(self.x, self.Y, n, t_max)
+        T = self.t_max() if t_max is None else t_max
+        ts, _, f = self._table((0.0, T), (n - 1,))
+        return ts, f
 
     def cdf_grid(self, n: int = 512, t_max: float | None = None):
-        """(t, cdf) on the same grid, stepping the augmented row."""
-        return self._stepped(np.eye(1, self.d + 1)[0],
-                             matfun.augmented(self.x, self.Y), n, t_max)
+        """(t, cdf) on the same grid, from the same table."""
+        T = self.t_max() if t_max is None else t_max
+        ts, F, _ = self._table((0.0, T), (n - 1,))
+        return ts, F
 
     def validate(self) -> "ValidationReport":
         """Necessary-condition report; the ME class has no decidable
@@ -248,13 +262,12 @@ class MEDist:
         except np.linalg.LinAlgError:
             lt_ok = False
             failures.append("lt(0) undefined (singular Y)")
-        ts, pv = self.pdf_grid(512)
-        neg = pv < -1e-9
-        nonneg_ok = not bool(np.any(neg))
+        ts, F, pv = self._table((0.0, self.t_max()), (511,))
+        nonneg_ok = not bool(np.any(pv < -1e-9))
         if not nonneg_ok:
             i = int(np.argmin(pv))
             failures.append(f"pdf({ts[i]:.6g}) = {pv[i]:.3e} < -1e-9")
-        cdf_end = self.cdf(ts[-1])
+        cdf_end = float(F[-1])
         cdf_ok = abs(cdf_end - 1.0) <= 1e-6
         if not cdf_ok:
             failures.append(f"cdf({ts[-1]:.6g}) = {cdf_end!r} != 1")
@@ -413,23 +426,35 @@ class ChannelSpec:
     kind: str
     params: dict = field(default_factory=dict)
 
-    KINDS = ("rational_lt", "product_form", "rayleigh", "nakagami", "sdc",
-             "ostbc_mrc", "zf_mimo", "mrc_list", "sum_interference",
-             "oscillatory_ex2")
+    # each kind and the parameters it requires
+    KINDS = {"rational_lt": ("p", "q"), "product_form": ("factors",),
+             "rayleigh": ("S",), "nakagami": ("m", "S"), "sdc": ("N", "S"),
+             "ostbc_mrc": ("N_tx", "N_rx", "S"),
+             "zf_mimo": ("N_rx", "N_tx", "S"), "mrc_list": ("components",),
+             "sum_interference": ("components",), "oscillatory_ex2": ()}
 
     def __post_init__(self):
         if self.kind not in self.KINDS:
             raise ConstructionError(
-                f"unknown channel kind {self.kind!r}; expected one of {self.KINDS}")
-        for key in ("S",):
-            if key in self.params and not self.params[key] > 0:
-                raise ConstructionError(f"parameter {key} must be positive")
-        for key in ("m", "N", "N_tx", "N_rx", "K"):
-            if key in self.params:
-                v = self.params[key]
-                if v != int(v) or v < 1:
-                    raise ConstructionError(
-                        f"parameter {key} must be a positive integer, got {v!r}")
+                f"unknown channel kind {self.kind!r}; expected one of "
+                f"{tuple(self.KINDS)}")
+        if not isinstance(self.params, dict):
+            raise ConstructionError(f"{self.kind} params must be an object")
+        for key in self.KINDS[self.kind]:
+            if key not in self.params:
+                raise ConstructionError(
+                    f"{self.kind} requires parameter {key!r}")
+        for key in ("S", "m", "N", "N_tx", "N_rx", "K"):
+            v = self.params.get(key, 1)
+            if not (isinstance(v, numbers.Real) and v > 0
+                    and (key == "S" or v % 1 == 0)):
+                what = "number" if key == "S" else "integer"
+                raise ConstructionError(
+                    f"parameter {key} must be a positive {what}, got {v!r}")
+        for c in self.params.get("components", ()):
+            if not (isinstance(c, dict) and "kind" in c):
+                raise ConstructionError(
+                    f"every {self.kind} component requires a 'kind', got {c!r}")
 
     def to_json(self) -> str:
         return json.dumps({"kind": self.kind, "params": self.params})

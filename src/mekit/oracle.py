@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import matfun
 from .medist import MEDist
 
 __all__ = [
@@ -57,13 +56,11 @@ _STEP_PHASE = 0.01
 
 
 def _cdf_table(dist: MEDist):
-    """(t, F, f) on a table of [0, t_max]: the rows r(t) of e^{tA}, A the
-    :func:`matfun.augmented` generator, stepped from the first unit row.
-    F = r z and the density f = x z + r (Y z) come from the same rows,
-    because x e^{tY} = x + r(t) Y.  The table is uniform within
-    segments: from each segment start on, the step is 0.01 / max |lam|
-    over the eigenvalues of Y still alive there, and adjacent segments
-    whose steps differ by less than 2x share the smaller one."""
+    """(t, F, f) on a table of [0, t_max] (:meth:`MEDist._table`), uniform
+    within segments: from each segment start on, the step is
+    0.01 / max |lam| over the eigenvalues of Y still alive there, and
+    adjacent segments whose steps differ by less than 2x share the
+    smaller one."""
     T = dist.t_max()
     lam = np.linalg.eigvals(dist.Y)
     rates = np.abs(lam.real)
@@ -75,24 +72,14 @@ def _cdf_table(dist: MEDist):
         if not alive.any():
             alive = rates == rates.min()
         steps.append(_STEP_PHASE / np.max(np.abs(lam[alive])))
-    A = matfun.augmented(dist.x, dist.Y)
-    Z = np.column_stack([dist.z, dist.Y @ dist.z])
-    r = np.eye(1, dist.d + 1)[0]
-    ts, Ff = [np.zeros(1)], [np.zeros((1, 2))]
-    i = 0
-    while i < starts.size:
-        j = i + 1
-        while j < starts.size and steps[j] < 2.0 * steps[i]:
-            j += 1
-        a, b = starts[i], (starts[j] if j < starts.size else T)
-        n = max(1, math.ceil((b - a) / steps[i]))
-        W = matfun.row_powers(r, matfun.expm((b - a) / n * A), n + 1)
-        r = W[-1]
-        ts.append(np.linspace(a, b, n + 1)[1:])
-        Ff.append(W[1:, 1:] @ Z)
-        i = j
-    Ff = np.concatenate(Ff)
-    return np.concatenate(ts), Ff[:, 0], dist.x @ dist.z + Ff[:, 1]
+    edges, h = [0.0], [steps[0]]
+    for a, step in zip(starts[1:], steps[1:]):
+        if step >= 2.0 * h[-1]:
+            edges.append(a)
+            h.append(step)
+    edges.append(T)
+    return dist._table(edges, [max(1, math.ceil((b - a) / step))
+                               for a, b, step in zip(edges, edges[1:], h)])
 
 
 # solving the sorted probabilities in blocks bounds the working set of

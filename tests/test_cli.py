@@ -199,6 +199,22 @@ class TestChannel:
         assert code == 2
         assert "line 1" in err and "column" in err
 
+    @pytest.mark.parametrize("spec, key", [
+        ({"kind": "rayleigh", "params": {}}, "'S'"),
+        ({"kind": "rayleigh", "params": {"S": "abc"}}, "S"),
+        ({"kind": "nakagami", "params": {"S": 1.0}}, "'m'"),
+        ({"kind": "mrc_list", "params": {"components": [
+            {"kind": "rayleigh", "params": {"S": 1.0}},
+            {"params": {"S": 2.0}}]}}, "'kind'"),
+    ])
+    def test_malformed_params_exit_two_naming_the_key(self, capsys, tmp_path,
+                                                      spec, key):
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps(spec))
+        code, out, err = run_cli(capsys, "channel", "--spec", str(p))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and key in err
+
     def test_golden(self, capsys, ray_spec):
         _, out, _ = run_cli(capsys, "channel", "--spec", ray_spec)
         assert_json_close(out, "channel_rayleigh.json")
@@ -312,6 +328,13 @@ class TestMetric:
         assert code == 0
         assert [r["K"] for r in json.loads(out)["rows"]] == [1, 2, 3, 4]
 
+    def test_zero_count_sweep_exit_two(self, capsys, ray_spec):
+        code, out, err = run_cli(capsys, "metric", "--metric", "outage",
+                                 "--spec", ray_spec, "--sweep", "S=1:8:0",
+                                 "--out", "csv")
+        assert code == 2 and out == ""
+        assert "count 0 is below 1" in err
+
     def test_unknown_metric_exit_two(self, capsys, ray_spec):
         code, _, err = run_cli(capsys, "metric", "--metric", "nope",
                                "--spec", ray_spec)
@@ -419,6 +442,13 @@ class TestOptimize:
         assert code == 2 and not out
         assert "theta must be positive" in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_zero_count_theta_sweep_exit_two(self, capsys, ray_spec):
+        code, out, err = run_cli(capsys, "optimize", "--metric", "arq",
+                                 "--spec", ray_spec,
+                                 "--theta-sweep", "0.1:0.9:0")
+        assert code == 2 and out == ""
+        assert "count 0 is below 1" in err
 
     def test_golden_csv(self, capsys, ray_spec):
         _, out, _ = run_cli(capsys, "optimize", "--metric", "arq",

@@ -52,6 +52,20 @@ class TestExpm:
         assert np.all(E[3:, :3] == 0.0)
         assert_allclose(E[:3, :3], matfun.expm(A), rtol=1e-12)
 
+    @pytest.mark.parametrize("scale", [1e-8, 1.0, 30.0])
+    def test_expm1_keeps_small_steps(self, rng, scale):
+        # e^M - I to the relative accuracy of its own entries: for a tiny
+        # M against the series M + M^2/2 + M^3/6 (the next term is below
+        # 1e-16 of M), otherwise against scipy
+        M = scale * random_stable_matrix(rng, 4)
+        E = matfun.expm1(M)
+        if scale < 1e-6:
+            ref = M + M @ M / 2.0 + M @ M @ M / 6.0
+            assert_allclose(E, ref, rtol=1e-13, atol=0.0)
+        else:
+            ref = scipy.linalg.expm(M) - np.eye(4)
+            assert_allclose(E, ref, rtol=1e-11, atol=1e-11)
+
     def test_stack_matches_each_matrix(self, rng):
         # scaling exponents from 0 (t = 1e-3) to about 12 (t = 1e3)
         M = random_stable_matrix(rng, 4)
@@ -327,16 +341,29 @@ class TestQuad:
 class TestHelpers:
     @pytest.mark.parametrize("n", [1, 2, 7, 64, 300])
     def test_row_powers(self, rng, n):
-        # rows w P^k against repeated products, across the doubling and
-        # the blocked stages; P is a rotation, so every row has unit norm
+        # a block of two rows w P^k projected on Z, and the last row,
+        # against repeated products, across the doubling and the blocked
+        # stages and both forms of P^B (I + E, then P); P = I + E is a
+        # rotation and Z has orthonormal columns, so every row and
+        # projection is at most 1
         K = rng.normal(size=(3, 3))
-        P = scipy.linalg.expm(0.1 * (K - K.T))
-        w = np.array([0.6, 0.8, 0.0])
+        E = scipy.linalg.expm(0.1 * (K - K.T)) - np.eye(3)
+        P = np.eye(3) + E
+        Z = np.linalg.qr(rng.normal(size=(3, 2)))[0]
+        w = np.array([[0.6, 0.8, 0.0], [0.0, 0.6, 0.8]])
         ref = [w]
         for _ in range(n - 1):
             ref.append(ref[-1] @ P)
-        assert_allclose(matfun.row_powers(w, P, n), np.array(ref),
-                        rtol=0.0, atol=1e-12)
+        ref = np.array(ref)
+        V, last = matfun.row_powers(w, E, n, Z)
+        assert V.shape == (n, 2, 2) and last.shape == (2, 3)
+        assert_allclose(V, ref @ Z, rtol=0.0, atol=1e-12)
+        assert_allclose(last, ref[-1], rtol=0.0, atol=1e-12)
+        # a lone row projected on a column drops both axes
+        v, last = matfun.row_powers(w[1], E, n, Z[:, 0])
+        assert v.shape == (n,) and last.shape == (3,)
+        assert_allclose(v, ref[:, 1] @ Z[:, 0], rtol=0.0, atol=1e-12)
+        assert_allclose(last, ref[-1, 1], rtol=0.0, atol=1e-12)
 
     def test_eig_decomp_diagonalizable(self, rng):
         M = random_stable_matrix(rng, 4)

@@ -159,6 +159,27 @@ class TestEvaluation:
                     assert abs(F[i] - d.cdf(ts[i])) < 1e-12
                     assert abs(f[i] - d.pdf(ts[i])) < 1e-12
 
+    def test_grids_are_table_columns(self, rng):
+        for d in (random_valid_dist(rng), example2()):
+            T = d.t_max()
+            ts, F, f = d._table((0.0, T), (99,))
+            assert ts.size == 100 and ts[-1] == T
+            for got, want in ((d.cdf_grid(100), F), (d.pdf_grid(100), f)):
+                assert np.array_equal(got[0], ts)
+                assert np.array_equal(got[1], want)
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_table_density_matches_pdf(self, k):
+        # the sampler's table on Erlang-k: f is the row [0, x] of e^{tA},
+        # so it keeps its relative accuracy deep into the tail
+        from mekit.oracle import _cdf_table
+        d = erlang(k)
+        ts, F, f = _cdf_table(d)
+        pv = d.pdf(ts)
+        live = pv > 1e-300
+        assert np.count_nonzero(live) > 1000
+        assert np.max(np.abs(f[live] - pv[live]) / pv[live]) <= 1e-12
+
     def test_pdf_is_cdf_derivative(self, rng):
         for _ in range(5):
             d = random_valid_dist(rng)

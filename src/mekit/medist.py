@@ -455,6 +455,21 @@ class ChannelSpec:
             if not (isinstance(c, dict) and "kind" in c):
                 raise ConstructionError(
                     f"every {self.kind} component requires a 'kind', got {c!r}")
+        polys = [self.params] if self.kind == "rational_lt" else []
+        if self.kind == "product_form":
+            polys = self.params["factors"]
+            if not (isinstance(polys, (list, tuple))
+                    and all(isinstance(f, dict) for f in polys)):
+                raise ConstructionError(
+                    f"parameter 'factors' must be a list of objects, got {polys!r}")
+        for poly in polys:
+            for key in ("p", "q"):
+                v = poly.get(key)
+                if not (isinstance(v, (list, tuple))
+                        and all(isinstance(c, numbers.Real) for c in v)):
+                    raise ConstructionError(
+                        f"{self.kind} parameter {key!r} must be a list of "
+                        f"numbers, got {v!r}")
 
     def to_json(self) -> str:
         return json.dumps({"kind": self.kind, "params": self.params})

@@ -7,6 +7,7 @@ cross-checks.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,21 +83,16 @@ def _cdf_table(dist: MEDist):
                                for a, b, step in zip(edges, edges[1:], h)])
 
 
-# solving the sorted probabilities in blocks bounds the working set of
-# ~20 arrays their size for the 10^6-10^7 draws of one persistent-HARQ
-# simulation
-_NEWTON_BLOCK = 1 << 18
+# the sorted probabilities are solved in blocks whose ~20 working arrays
+# (64 KB each) stay in cache and, below the allocator's mmap threshold,
+# are reused from the heap instead of page-faulted fresh on every call
+_NEWTON_BLOCK = 1 << 13
 
 
-def _inverse_cdf_grid(dist: MEDist, probs, tol: float = 1e-10):
-    """Inverse cdf at the given probabilities.  Each probability is
-    bracketed once in the :func:`_cdf_table` and solved by Newton steps
-    on the cubic Hermite interpolant of its cell (nodal F and f), with
-    bisection whenever a step leaves the shrinking bracket or the slope
-    is not positive; each pass evaluates only the probabilities not yet
-    within |F - p| <= tol / 10.  The probabilities are sorted once and
-    solved in blocks.  Raises when the density goes below -1e-6 on the
-    table, the cdf does not approach 1, or a root misses ``tol``."""
+def _checked_table(dist: MEDist):
+    """The :func:`_cdf_table` of ``dist`` and the running maximum of its
+    F, once the table is checked to be invertible: raises when the
+    density goes below -1e-6 on the table or the cdf does not approach 1."""
     ts, F, f = _cdf_table(dist)
     if np.min(f) < -1e-6:
         raise ValueError(
@@ -105,7 +101,20 @@ def _inverse_cdf_grid(dist: MEDist, probs, tol: float = 1e-10):
     # 1e-9 headroom absorbs roundoff accumulated along the table
     if not F[-1] > 1.0 - 1e-9:
         raise ValueError("cdf does not approach 1; distribution looks invalid")
-    Fm = np.maximum.accumulate(F)
+    return ts, F, f, np.maximum.accumulate(F)
+
+
+def _inverse_cdf_grid(dist: MEDist, probs, tol: float = 1e-10, table=None):
+    """Inverse cdf at the given probabilities.  Each probability is
+    bracketed once in the :func:`_cdf_table` and solved by Newton steps
+    on the cubic Hermite interpolant of its cell (nodal F and f), with
+    bisection whenever a step leaves the shrinking bracket or the slope
+    is not positive; each pass evaluates only the probabilities not yet
+    within |F - p| <= tol / 10.  The probabilities are sorted once and
+    solved in blocks.  ``table`` is a :func:`_checked_table` of ``dist``
+    to reuse.  Raises when the table fails its checks or a root misses
+    ``tol``."""
+    ts, F, f, Fm = _checked_table(dist) if table is None else table
     # quantiles beyond the representable tail clamp to the horizon, and
     # those below F(0) to 0, so every bracket is valid
     p = np.clip(np.asarray(probs, dtype=float), F[0], F[-1] - 1e-12)
@@ -172,6 +181,16 @@ def _recognize_erlang(dist: MEDist):
     return rate
 
 
+def _sampler(dist: MEDist):
+    """``draw(rng, n)``, ``n`` iid samples of ``dist`` from ``rng``; the
+    Erlang recognition and the checked table are done here, once."""
+    rate = _recognize_erlang(dist)
+    if rate is not None:
+        return lambda rng, n: rng.gamma(shape=dist.d, scale=1.0 / rate, size=n)
+    table = _checked_table(dist)
+    return lambda rng, n: _inverse_cdf_grid(dist, rng.random(n), table=table)
+
+
 def sample(channel, cfg: RngConfig, worker: int | None = None) -> np.ndarray:
     """Draw ``cfg.n`` iid samples.
 
@@ -180,13 +199,7 @@ def sample(channel, cfg: RngConfig, worker: int | None = None) -> np.ndarray:
     finding on the augmented cdf (to ~1e-10 in probability), which raises
     when the cdf is numerically non-monotone.
     """
-    dist = _dist(channel)
-    rng = cfg.generator(worker)
-    rate = _recognize_erlang(dist)
-    if rate is not None:
-        return rng.gamma(shape=dist.d, scale=1.0 / rate, size=cfg.n)
-    u = rng.random(cfg.n)
-    return _inverse_cdf_grid(dist, u)
+    return _sampler(_dist(channel))(cfg.generator(worker), cfg.n)
 
 
 # -- Monte Carlo metrics ---------------------------------------------------------
@@ -211,40 +224,24 @@ def _bernoulli(mask, n, scale=1.0):
 def _partial_sum_transmissions(dist, theta, K, cfg, worker=0):
     """Simulate accumulation renewals: per packet, transmissions until the
     running sum exceeds theta, truncated at K (math.inf for persistent).
-    Returns (transmissions, success)."""
-    n = cfg.n
-    rng_worker = worker
-    # persistent runs extend rare unfinished packets below, so a small
-    # initial block wastes fewer draws than provisioning for the tail
-    block = 8 if math.isinf(K) else int(K)
-    acc = sample(dist, RngConfig(cfg.seed, n * block), worker=rng_worker)
-    acc = acc.reshape(n, block).cumsum(axis=1)
-    tx = np.full(n, block, dtype=np.int64)
-    done = acc[:, -1] > theta
-    first = np.argmax(acc > theta, axis=1)
-    tx[done] = first[done] + 1
-    if math.isinf(K):
-        # extend the rare unfinished packets until they succeed
-        unfinished = np.flatnonzero(~done)
-        total = acc[:, -1]
-        extra_round = 1
-        while unfinished.size:
-            more = sample(dist, RngConfig(cfg.seed, unfinished.size * block),
-                          worker=rng_worker + 1000 + extra_round)
-            more = more.reshape(unfinished.size, block).cumsum(axis=1)
-            rows = total[unfinished, None] + more
-            now_done = rows[:, -1] > theta
-            first = np.argmax(rows > theta, axis=1)
-            tx[unfinished[now_done]] += first[now_done] + 1
-            tx[unfinished[~now_done]] += block
-            total[unfinished] = rows[:, -1]
-            unfinished = unfinished[~now_done]
-            extra_round += 1
-            if extra_round > 10_000:
-                raise RuntimeError("persistent HARQ simulation did not finish")
-        success = np.ones(n, dtype=bool)
-    else:
-        success = done
+    Each transmission draws one SNR per packet still unfinished, all from
+    one stream.  Returns (transmissions, success)."""
+    draw = _sampler(dist)
+    rng = cfg.generator(worker)
+    tx = np.zeros(cfg.n, dtype=np.int64)
+    live = np.arange(cfg.n)
+    acc = np.zeros(cfg.n)
+    k = 0
+    while live.size and k < K:
+        k += 1
+        if k > 80_000:
+            raise RuntimeError("persistent HARQ simulation did not finish")
+        tx[live] = k
+        acc += draw(rng, live.size)
+        keep = np.flatnonzero(acc <= theta)
+        live, acc = live.take(keep), acc.take(keep)
+    success = np.ones(cfg.n, dtype=bool)
+    success[live] = False
     return tx, success
 
 
@@ -278,7 +275,11 @@ def mc_metric(kind: str, scenario: dict, cfg: RngConfig) -> MCEstimate:
         z = sample(scenario["dist"], cfg)
         return _bernoulli(z > scenario["theta"], n, scale=scenario["R"])
     if kind in ("harq_truncated", "harq_persistent"):
-        K = scenario.get("K", math.inf) if kind == "harq_truncated" else math.inf
+        K = scenario.get("K") if kind == "harq_truncated" else None
+        if K is None:
+            K = math.inf
+        elif not (isinstance(K, numbers.Real) and K >= 1 and K % 1 == 0):
+            raise ValueError(f"harq_truncated K must be a positive integer, got {K!r}")
         tx, success = _partial_sum_transmissions(
             _dist(scenario["dist"]), scenario["theta"], K, cfg)
         return _ratio_estimate(success.astype(float), tx.astype(float), n,

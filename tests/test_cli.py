@@ -215,6 +215,19 @@ class TestChannel:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and key in err
 
+    @pytest.mark.parametrize("spec, key", [
+        ({"kind": "product_form", "params": {"factors": [{"p": [1.0]}]}}, "'q'"),
+        ({"kind": "rational_lt", "params": {"p": [1.0], "q": 5}}, "'q'"),
+        ({"kind": "product_form", "params": {"factors": 5}}, "'factors'"),
+    ])
+    def test_malformed_polynomials_exit_two_naming_the_key(self, capsys,
+                                                           tmp_path, spec, key):
+        p = tmp_path / "spec.json"
+        p.write_text(json.dumps(spec))
+        code, out, err = run_cli(capsys, "channel", "--spec", str(p))
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and key in err
+
     def test_golden(self, capsys, ray_spec):
         _, out, _ = run_cli(capsys, "channel", "--spec", ray_spec)
         assert_json_close(out, "channel_rayleigh.json")

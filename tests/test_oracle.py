@@ -10,8 +10,9 @@ from mekit import (ChannelSpec, RationalLT, erlang, exponential,
                    from_rational_lt, metrics, standard_channel)
 from mekit.algebra import convolve, max_dist
 from mekit.medist import MEDist
+from mekit import oracle
 from mekit.oracle import (RngConfig, mc_metric, sample, _inverse_cdf_grid,
-                          _recognize_erlang)
+                          _partial_sum_transmissions, _recognize_erlang)
 from conftest import (classic_cdf, example2, example2_pdf, nakagami,
                       numeric_convolve, pdf_on_grid, run_fresh, sdc,
                       wishart_region_outage_quad)
@@ -166,10 +167,10 @@ class TestInverseCdf:
         assert np.max(np.abs(exact - u[:300])) <= 1e-10
 
     def test_residual_800k_probabilities(self):
-        # more probabilities than one Newton block (2^18 of the sorted
-        # probabilities), as in a persistent-HARQ simulation (8 draws per
-        # packet for 10^5 packets); the check covers every probability,
-        # on both sides of each block boundary
+        # about a hundred Newton blocks (2^13 of the sorted probabilities
+        # each), as in one transmission round of a HARQ simulation of
+        # 8 * 10^5 packets; the check covers every probability, on both
+        # sides of each block boundary
         u = np.random.default_rng(12).random(800_000)
         t = _inverse_cdf_grid(sdc(4), u)
         assert np.max(np.abs((-np.expm1(-t)) ** 4 - u)) <= 1e-10
@@ -300,6 +301,70 @@ class TestMcMetric:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             mc_metric("pep", {}, self.CFG)
+
+    @pytest.mark.parametrize("K", [0, -1, 2.5])
+    def test_harq_truncated_refuses_non_integer_K(self, K):
+        scn = {"dist": RAY, "R": 1.0, "theta": math.e - 1.0, "K": K}
+        with pytest.raises(ValueError, match="K"):
+            mc_metric("harq_truncated", scn, RngConfig(seed=1, n=100))
+
+
+def _poisson_pmf(mu, m):
+    return math.exp(-mu) * mu ** m / math.factorial(m)
+
+
+class TestTransmissions:
+    """The transmission count of the HARQ simulation against its law,
+    apart from the closed forms: for Erlang-d SNRs with rate lam, the
+    running sum first exceeds theta at N = floor(M / d) + 1 with
+    M ~ Poisson(lam theta), the number of events of the underlying
+    Poisson process in [0, theta]."""
+
+    N = 200_000
+
+    @staticmethod
+    def _law(d, lam, theta, k):
+        # P(N = k) = P((k - 1) d <= M < k d)
+        return sum(_poisson_pmf(lam * theta, m)
+                   for m in range((k - 1) * d, k * d))
+
+    @pytest.mark.parametrize("d", [1, 2])
+    @pytest.mark.parametrize("K", [math.inf, 3])
+    def test_pmf_of_transmissions(self, d, K):
+        lam, theta = float(d), 2.0
+        cfg = RngConfig(seed=20 + d, n=self.N)
+        tx, success = _partial_sum_transmissions(erlang(d, mean=1.0), theta,
+                                                 K, cfg)
+        law = [self._law(d, lam, theta, k) for k in range(1, 7)]
+        if K == 3:
+            # transmissions stop at K whether or not the packet got through
+            law = law[:2] + [1.0 - sum(law[:2]), 0.0, 0.0, 0.0]
+            p = sum(self._law(d, lam, theta, k) for k in range(1, 4))
+            se = math.sqrt(p * (1.0 - p) / self.N)
+            assert abs(np.mean(success) - p) < 4.0 * se
+        else:
+            assert success.all()
+        for k, p in enumerate(law, start=1):
+            got = np.mean(tx == k)
+            if p == 0.0:
+                assert got == 0.0
+            else:
+                assert abs(got - p) < 4.0 * math.sqrt(p * (1.0 - p) / self.N), k
+
+    @pytest.mark.parametrize("kind, make, scenario", [
+        # R = 4 takes ~26 transmissions per packet
+        ("harq_persistent", lambda: sdc(4, 1.0),
+         {"R": 4.0, "theta": math.expm1(4.0)}),
+        ("harq_truncated", example2, {"R": 1.0, "theta": 1.3, "K": 3}),
+    ])
+    def test_table_built_once(self, monkeypatch, kind, make, scenario):
+        builds = []
+        table = oracle._cdf_table
+        monkeypatch.setattr(oracle, "_cdf_table",
+                            lambda d: builds.append(d) or table(d))
+        mc_metric(kind, {"dist": make(), **scenario},
+                  RngConfig(seed=3, n=100_000))
+        assert len(builds) == 1
 
 
 class TestNumericConvolve:

@@ -7,10 +7,9 @@ import scipy.special
 from numpy.testing import assert_allclose
 
 from mekit import (ChannelSpec, RationalLT, erlang, exponential,
-                   from_rational_lt, metrics, standard_channel)
+                   from_rational_lt, metrics, oracle, standard_channel)
 from mekit.algebra import convolve, max_dist
 from mekit.medist import MEDist
-from mekit import oracle
 from mekit.oracle import (RngConfig, mc_metric, sample, _inverse_cdf_grid,
                           _partial_sum_transmissions, _recognize_erlang)
 from conftest import (classic_cdf, example2, example2_pdf, nakagami,
@@ -309,10 +308,6 @@ class TestMcMetric:
             mc_metric("harq_truncated", scn, RngConfig(seed=1, n=100))
 
 
-def _poisson_pmf(mu, m):
-    return math.exp(-mu) * mu ** m / math.factorial(m)
-
-
 class TestTransmissions:
     """The transmission count of the HARQ simulation against its law,
     apart from the closed forms: for Erlang-d SNRs with rate lam, the
@@ -325,7 +320,8 @@ class TestTransmissions:
     @staticmethod
     def _law(d, lam, theta, k):
         # P(N = k) = P((k - 1) d <= M < k d)
-        return sum(_poisson_pmf(lam * theta, m)
+        mu = lam * theta
+        return sum(math.exp(-mu) * mu ** m / math.factorial(m)
                    for m in range((k - 1) * d, k * d))
 
     @pytest.mark.parametrize("d", [1, 2])
@@ -337,11 +333,11 @@ class TestTransmissions:
                                                  K, cfg)
         law = [self._law(d, lam, theta, k) for k in range(1, 7)]
         if K == 3:
-            # transmissions stop at K whether or not the packet got through
-            law = law[:2] + [1.0 - sum(law[:2]), 0.0, 0.0, 0.0]
-            p = sum(self._law(d, lam, theta, k) for k in range(1, 4))
+            p = sum(law[:3])
             se = math.sqrt(p * (1.0 - p) / self.N)
             assert abs(np.mean(success) - p) < 4.0 * se
+            # transmissions stop at K whether or not the packet got through
+            law = law[:2] + [1.0 - sum(law[:2]), 0.0, 0.0, 0.0]
         else:
             assert success.all()
         for k, p in enumerate(law, start=1):

@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from . import algebra, bivariate, metrics, oracle
+from . import algebra, metrics
 from .medist import ChannelSpec, ConstructionError, RationalLT
 
 EXIT_OK = 0
@@ -155,12 +155,14 @@ def _eval_metric(name, channel, args):
             return metrics.ber_coherent(channel.dist, args.a), None
         return metrics.ber_noncoherent(channel.dist, args.a), None
     if name == "arq_interference":
+        from . import bivariate
         scn = _interference_scenario(args, channel.dist)
         return bivariate.arq_interference_throughput(scn, args.R), None
     raise ConstructionError(f"unknown metric {name!r}")
 
 
 def _interference_scenario(args, signal):
+    from . import bivariate
     if args.interference_spec is None:
         raise ConstructionError(
             "arq_interference requires --interference-spec FILE")
@@ -248,6 +250,7 @@ _MC_KIND = {"outage": "outage", "arq": "arq", "harq": "harq_truncated",
 
 
 def cmd_verify(args) -> int:
+    from . import oracle
     spec = _load_spec(args.spec)
     channel = _build(spec)
     cfg = oracle.RngConfig(seed=args.seed, n=args.n)
@@ -307,6 +310,7 @@ def cmd_optimize(args) -> int:
             th = metrics.theta_unit_mean(R, S)
             return metrics.harq_persistent_throughput(dist_um, R, th).value
     elif args.metric == "arq_interference":
+        from . import bivariate
         scn = _interference_scenario(args, channel.dist)
         scn = bivariate.InterferenceScenario(
             signal=scn.signal.to_unit_mean(), interferers=scn.interferers)

@@ -341,6 +341,15 @@ def _coerce(x, Y, z):
     return x, Y, z
 
 
+def _gamma(a: float, order) -> float:
+    """Gamma(a) for a moment; refuses a pole or an overflow by order."""
+    try:
+        return math.gamma(a)
+    except (ValueError, OverflowError):
+        raise ValueError(f"moment order {order} puts Gamma({a}) at a pole "
+                         "or beyond the double range") from None
+
+
 @dataclass(frozen=True)
 class Type1Dist:
     """Gaussian-like density c x e^{t^2 Y} z on the whole real line, with
@@ -367,10 +376,9 @@ class Type1Dist:
 
     def moment(self, n: int) -> float:
         """E{T^n} for an integer n >= 0; odd orders vanish by symmetry."""
-        from scipy.special import gamma as gamma_fn
         if n % 2 == 1:
             return 0.0
-        return self.c * gamma_fn((n + 1) / 2.0) * float(
+        return self.c * _gamma((n + 1) / 2.0, n) * float(
             self.x @ _neg_power(self.Y, -(n + 1) / 2.0) @ self.z)
 
 
@@ -402,10 +410,9 @@ class Type2Dist:
         symmetry."""
         if n != int(n) or m != int(m):
             raise ValueError(f"moment orders must be integers, got {n}, {m}")
-        from scipy.special import gamma as gamma_fn
         if n % 2 == 1 or m % 2 == 1:
             return 0.0
-        return (gamma_fn((n + 1) / 2.0) * gamma_fn((m + 1) / 2.0) / math.pi
+        return (_gamma((n + 1) / 2.0, n) * _gamma((m + 1) / 2.0, m) / math.pi
                 * float(self.x @ _neg_power(self.Y, -(n + m + 2) / 2.0) @ self.z))
 
     def marginal_pdf(self, u: float) -> float:
@@ -440,6 +447,5 @@ class Type3Dist:
     def moment(self, n: int) -> float:
         """E{T^n} = Gamma((n+2)/2) x (-Y)^{-(n+2)/2} z for an integer
         n >= 0."""
-        from scipy.special import gamma as gamma_fn
-        return gamma_fn((n + 2) / 2.0) * float(
+        return _gamma((n + 2) / 2.0, n) * float(
             self.x @ _neg_power(self.Y, -(n + 2) / 2.0) @ self.z)

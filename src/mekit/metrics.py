@@ -243,9 +243,14 @@ def _shannon_expectation_quad(d: MEDist, theta: float, tol=1e-12):
     suffers catastrophic cancellation.  The rest of [0, 1] is integrated
     as int_0^inf e^{-theta y} (h(e^{-y}) - 1) dy (u = e^{-y}), whose
     integrand decays like e^{-(1+theta) y} with no endpoint singularity
-    for any theta.
+    for any theta.  Then E = (1 + theta (inner + outer)) / Gamma(theta + 1);
+    a theta at which Gamma(theta + 1) overflows a double is refused.
     """
-    from scipy.special import gamma as gamma_fn
+    try:
+        g1 = math.gamma(theta + 1.0)
+    except OverflowError:
+        raise ValueError(
+            f"theta = {theta} overflows Gamma(theta + 1)") from None
 
     def h(u):
         return np.exp(-u) * d.lt(u)
@@ -255,7 +260,7 @@ def _shannon_expectation_quad(d: MEDist, theta: float, tol=1e-12):
         0.0, np.inf, tol=tol)
     outer, e2 = matfun.quad(lambda u: u ** (theta - 1.0) * h(u),
                             1.0, np.inf, tol=tol)
-    E = 1.0 / gamma_fn(theta + 1.0) + (inner + outer) / gamma_fn(theta)
+    E = (1.0 + theta * (inner + outer)) / g1
     return E, e1 + e2
 
 
@@ -355,14 +360,34 @@ def diversity_gain_numeric(channel_um) -> float:
 
 
 def lambert_w0(v: float) -> float:
-    """Principal-branch Lambert W (``scipy.special.lambertw``); requires
-    v >= -1/e."""
+    """Principal-branch Lambert W by Halley's iteration (Corless et al.,
+    Adv. Comput. Math. 5, 1996); requires v >= -1/e.  Below v = -0.3 it
+    starts from the series -1 + p - p^2/3 + 11p^3/72, p = sqrt(2(e v + 1)),
+    and takes the residual in w + 1 against 1/e split in two doubles, so
+    that nothing cancels near -1/e; elsewhere it starts from log1p(v)."""
     if v < -math.exp(-1.0) - 1e-15:
         raise ValueError(f"lambert_w0 requires v >= -1/e, got {v}")
     if v < -math.exp(-1.0) + 1e-15:
         return -1.0
-    from scipy.special import lambertw
-    return float(lambertw(v).real)
+    near = v < -0.3
+    if near:
+        # e v + 1, with 1/e as math.exp(-1.0) plus its rounding error
+        ev1 = math.e * ((v + math.exp(-1.0)) - 1.2428753672788363e-17)
+        p = math.sqrt(2.0 * ev1)
+        w = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * 11.0 / 72.0))
+    else:
+        w = math.log1p(v)
+        w -= math.log(w) if w > 1.0 else 0.0
+    for _ in range(10):
+        # f = (w e^w - v) e^{-w}, with f' = w + 1 and f'' = w + 2 scaled alike
+        x = w + 1.0
+        f = (x + math.expm1(-x) - ev1 * math.exp(-x) if near
+             else w - v * math.exp(-w))
+        step = f / (x - f * (x + 1.0) / (2.0 * x))
+        w -= step
+        if abs(step) <= 1e-15 * abs(w):   # about 4.5 eps
+            break
+    return w
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,15 @@ a stale trace target fails here."""
 
 import importlib
 import importlib.util
+import json
 import pkgutil
 from pathlib import Path
 
 import pytest
 
 import mekit
+
+from conftest import run_fresh
 
 SUBMODULES = [importlib.import_module(f"mekit.{m.name}")
               for m in pkgutil.iter_modules(mekit.__path__)]
@@ -32,6 +35,25 @@ def test_bench_tracer_installs_on_current_source():
     tracer.install()
     try:
         assert mekit.matfun.expm is not expm
+        assert mekit.expm is mekit.matfun.expm
     finally:
         tracer.uninstall()
-    assert mekit.matfun.expm is expm
+    assert mekit.matfun.expm is expm and mekit.expm is expm
+
+
+def test_bare_import_resolves_every_name():
+    """After a bare ``import mekit`` every ``__all__`` name and every
+    submodule resolves on first use, ``dir(mekit)`` lists them, and each
+    name is the object its module defines."""
+    code = ("import json, pkgutil, sys, mekit\n"
+            "mods = [m.name for m in pkgutil.iter_modules(mekit.__path__)]\n"
+            "out = {'mods': [getattr(mekit, m).__name__ for m in mods],\n"
+            "       'same': [getattr(mekit, n) is getattr(\n"
+            "                    sys.modules[getattr(mekit, n).__module__], n)\n"
+            "                for n in mekit.__all__],\n"
+            "       'dir': sorted(set(mekit.__all__ + mods) - set(dir(mekit)))}\n"
+            "print(json.dumps(out))")
+    out = json.loads(run_fresh(code))
+    assert out["mods"] == [m.__name__ for m in SUBMODULES]
+    assert all(out["same"]) and len(out["same"]) == len(mekit.__all__)
+    assert out["dir"] == []

@@ -4,6 +4,7 @@ import warnings
 from pathlib import Path
 
 import pytest
+import scipy.special
 
 import mekit
 from mekit import cli
@@ -65,9 +66,9 @@ def test_import_leaves_solver_modules_unloaded():
     assert run_fresh(code).strip() == "[]"
 
 
-def run_cli_fresh(tmp_path, spec, *argv):
-    """(stdout, scipy modules loaded) of one CLI command in a fresh
-    interpreter; a nonzero exit fails the test."""
+def run_cli_fresh(tmp_path, spec, *argv, package="scipy"):
+    """(stdout, modules of ``package`` loaded) of one CLI command in a
+    fresh interpreter; a nonzero exit fails the test."""
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
     argv = [argv[0], "--spec", str(path), *argv[1:]]
@@ -75,7 +76,7 @@ def run_cli_fresh(tmp_path, spec, *argv):
             "from mekit import cli\n"
             f"rc = cli.main({argv!r})\n"
             "print(json.dumps(sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'scipy')))\n"
+            f"if m.split('.')[0] == {package!r})))\n"
             "sys.exit(rc)")
     out, _, loaded = run_fresh(code).rstrip("\n").rpartition("\n")
     return out, json.loads(loaded)
@@ -83,6 +84,10 @@ def run_cli_fresh(tmp_path, spec, *argv):
 
 NAK2 = {"kind": "nakagami", "params": {"m": 2, "S": 2.0}}
 RAY = {"kind": "rayleigh", "params": {"S": 1.0}}
+# Rayleigh at Theta = 0.5: g = 1/Theta for ARQ and 1 + 1/Theta for
+# persistent HARQ (renewal density 1); R* = g + W0(-g e^{-g}) to 40 digits
+RAY_OPTIMA = {"arq": (2.0, 1.5936242600400400923),
+              "harq_persistent": (3.0, 2.8214393721220788934)}
 
 
 @pytest.mark.parametrize("spec, argv", [
@@ -102,14 +107,30 @@ RAY = {"kind": "rayleigh", "params": {"S": 1.0}}
            "--out", "csv"]),
     (NAK2, ["verify", "--metric", "outage", "--R", "1", "--n", "20000",
             "--seed", "1"]),
+    (RAY, ["optimize", "--metric", "arq", "--theta-sweep", "0.5:0.5:1"]),
+    (RAY, ["optimize", "--metric", "harq_persistent",
+           "--theta-sweep", "0.5:0.5:1"]),
+    (RAY, ["metric", "--metric", "eff_capacity_shannon", "--theta", "1"]),
 ], ids=["channel", "outage_csv", "outage_per_unit_mean", "harq",
-        "harq_order_257", "ergodic_capacity", "verify_outage"])
+        "harq_order_257", "ergodic_capacity", "verify_outage", "optimize_arq",
+        "optimize_harq_persistent", "eff_capacity_shannon"])
 def test_numpy_only_commands_load_no_scipy(tmp_path, spec, argv):
     # only a fresh process shows the footprint: conftest has loaded scipy
     # into this one
     out, loaded = run_cli_fresh(tmp_path, spec, *argv)
     assert out.strip()
     assert loaded == []
+    # a cold start gives the rows the in-process tests expect
+    if argv[0] == "optimize":
+        g, R_opt = RAY_OPTIMA[argv[2]]
+        row = json.loads(out)["rows"][0]
+        assert row["g"] == pytest.approx(g, rel=1e-9)
+        assert row["R_opt"] == pytest.approx(R_opt, rel=1e-9)
+    elif "eff_capacity_shannon" in argv:
+        # E{1/(1+Z)} = e E1(1) on unit-mean Rayleigh
+        val = json.loads(out)["rows"][0]["value"]
+        expect = -math.log(math.e * scipy.special.exp1(1.0))
+        assert val == pytest.approx(expect, rel=1e-10)
 
 
 def test_scipy_commands_import_on_first_call(tmp_path):
@@ -120,12 +141,19 @@ def test_scipy_commands_import_on_first_call(tmp_path):
     assert "scipy.linalg" in loaded
     val = json.loads(out)["rows"][0]["value"]
     assert val == pytest.approx(0.5 * (1 - math.sqrt(0.5)), rel=1e-10)
-    out, loaded = run_cli_fresh(tmp_path, RAY, "optimize", "--metric", "arq",
-                                "--theta-sweep", "0.5:0.5:1")
-    assert "scipy.special" in loaded
-    row = json.loads(out)["rows"][0]
-    assert row["g"] == pytest.approx(2.0, rel=1e-9)
-    assert row["R_opt"] == pytest.approx(1.5936242600400401, rel=1e-9)
+
+
+@pytest.mark.parametrize("argv, oracle", [
+    (["channel"], False),
+    (["metric", "--metric", "outage", "--R", "1"], False),
+    (["verify", "--metric", "outage", "--R", "1", "--n", "2000",
+      "--seed", "1"], True),
+])
+def test_commands_load_only_the_modules_they_run(tmp_path, argv, oracle):
+    out, loaded = run_cli_fresh(tmp_path, RAY, *argv, package="mekit")
+    assert out.strip()
+    unused = {"mekit.infoq", "mekit.bivariate", "mekit.oracle"} & set(loaded)
+    assert unused == ({"mekit.oracle"} if oracle else set())
 
 
 def test_quadrature_metrics_never_load_scipy_integrate():

@@ -328,3 +328,18 @@ class TestTypeThree:
     def test_fractional_moment_rejected(self):
         with pytest.raises(ValueError, match="half-integer"):
             Type3Dist([1.0], [[-1.0]], [1.0]).moment(0.5)
+
+
+def test_moment_orders_beyond_gamma_refused():
+    # the orders at which Gamma has a pole or overflows a double are
+    # refused by name
+    t = ([1.0], [[-1.0]], [1.0])
+    assert math.isfinite(Type1Dist(*t).moment(342))
+    with pytest.raises(ValueError, match="moment order 344 "):
+        Type1Dist(*t).moment(344)
+    with pytest.raises(ValueError, match="moment order 344 "):
+        Type2Dist(*t).moment(0, 344)
+    with pytest.raises(ValueError, match="moment order -2 "):
+        Type3Dist(*t).moment(-2)
+    with pytest.raises(ValueError, match="moment order 342 "):
+        Type3Dist(*t).moment(342)

@@ -286,6 +286,12 @@ class TestEffCapacityShannon:
         assert abs(res.value - expect) < 1e-10
         assert abs(res.value - 0.516931) < 1e-5
 
+    @pytest.mark.parametrize("theta", [171.0, 1e3])
+    def test_theta_beyond_gamma_refused(self, theta):
+        # Gamma(theta + 1) overflows a double there
+        with pytest.raises(ValueError, match=f"theta = {theta} overflows"):
+            metrics.eff_capacity_shannon(RAY, theta)
+
     def test_scalar_spectral_factor(self):
         # lambda = -1, theta = 1: E{(1+z)^{-1}} = e Gamma(0, 1) = e E1(1)
         E, _ = metrics._shannon_expectation_quad(RAY, 1.0)
@@ -477,6 +483,26 @@ class TestLambertW:
             w = metrics.lambert_w0(v)
             assert abs(w * math.exp(w) - v) < 1e-12
 
+    def test_against_mpmath(self):
+        # relative error against 40-digit mpmath at each double v: no
+        # worse than scipy.special.lambertw's there, or 2 eps where scipy
+        # is exact to the last bits
+        eps = np.finfo(float).eps
+        vs = ([-math.exp(-1.0) + 10.0 ** -k for k in range(1, 15)]
+              + [-g * math.exp(-g) for g in np.linspace(1.0, 50.0, 400)[1:]]
+              + list(np.linspace(-0.36, 0.0, 400, endpoint=False))
+              + list(np.logspace(-300.0, 300.0, 301)))
+        worse = []
+        with mpmath.workdps(40):
+            for v in map(float, vs):
+                ref = mpmath.lambertw(v).real
+                err = float(abs((metrics.lambert_w0(v) - ref) / ref))
+                err_scipy = float(abs((scipy.special.lambertw(v).real - ref)
+                                      / ref))
+                if err > max(err_scipy, 2.0 * eps):
+                    worse.append((v, err, err_scipy))
+        assert not worse
+
     def test_branch_point(self):
         assert metrics.lambert_w0(-math.exp(-1.0)) == -1.0
 
@@ -494,6 +520,18 @@ class TestOptimizeRate:
         assert abs(r.g - 2.0) < 1e-10
         assert abs(r.R_opt - 1.5936242600400401) < 1e-9
         assert not r.boundary
+
+    @pytest.mark.parametrize("theta", [0.8, 0.5, 0.2])
+    def test_arq_optimum_against_mpmath(self, theta):
+        # Rayleigh ARQ: g = 1/theta in {1.25, 2, 5}.  R* carries the
+        # rounding of v = -g e^{-g} times W0's condition number 1/(1 + W0),
+        # 4.7 at g = 1.25; 4 eps covers it at these g
+        r = metrics.optimize_rate("arq", RAY, [theta])[0]
+        with mpmath.workdps(40):
+            g = mpmath.mpf(r.g)
+            ref = g + mpmath.lambertw(-g * mpmath.exp(-g)).real
+            err = float(abs((r.R_opt - ref) / ref))
+        assert err <= 4.0 * np.finfo(float).eps
 
     def test_branch_point_flagged(self):
         rows = metrics.optimize_rate("arq", RAY, [1.0, 2.0])

@@ -31,7 +31,7 @@ _EXPORTS = {mod: tuple(names.split()) for mod, names in {
     "metrics": "MetricResult arq_throughput ber_coherent ber_noncoherent "
                "diversity_gain eff_capacity_me_rate eff_capacity_shannon "
                "ergodic_capacity harq_persistent_throughput "
-               "harq_truncated_throughput lambert_w0 mimo_high_snr_outage "
+               "harq_truncated_throughput mimo_high_snr_outage "
                "ncbr_throughput optimize_rate outage outage_capacity pep "
                "theta_absolute theta_unit_mean",
     "oracle": "MCEstimate RngConfig mc_metric sample",

@@ -293,9 +293,12 @@ def arq_interference_throughput(scn: InterferenceScenario, R: float,
             raise ValueError("the Kronecker path requires independence")
         zi = scn.interference()
         sig = scn.signal
+        # P = (x_I (x) x) (A B)^{-1} (z_I (x) z), B = I (x) Y e^{-theta Y};
+        # B^{-1} turns x into the decaying row x e^{theta Y} Y^{-1}, where
+        # e^{-theta Y} itself would overflow
+        w = np.linalg.solve(sig.Y.T, matfun.expm_row(sig.x, theta * sig.Y))
         A = matfun.kron_sum(zi.Y, theta * sig.Y)
-        B = np.kron(np.eye(zi.d), sig.Y @ matfun.expm(-theta * sig.Y))
-        P = np.kron(zi.x, sig.x) @ np.linalg.solve(A @ B, np.kron(zi.z, sig.z))
+        P = np.kron(zi.x, w) @ np.linalg.solve(A, np.kron(zi.z, sig.z))
         return _result(R * float(P), "kron")
     if path == "sylvester":
         joint = scn.as_joint()

@@ -29,6 +29,8 @@ CSV_HEADER = ("metric,sweep_key,sweep_value,R,S,K,theta,a,Theta,"
 def _fmt(x) -> str:
     if x is None:
         return ""
+    if isinstance(x, str):
+        return x
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
@@ -210,13 +212,11 @@ def _sweep_rows(args):
             yield key, float(v), spec, ns
 
 
-def _emit(rows, args) -> None:
+def _emit(rows, args, header) -> None:
     if args.out == "csv":
-        print(CSV_HEADER)
+        print(header)
         for r in rows:
-            print(",".join(_fmt(r.get(c)) if not isinstance(r.get(c), str)
-                           else r.get(c)
-                           for c in CSV_HEADER.split(",")))
+            print(",".join(_fmt(r[c]) for c in header.split(",")))
     else:
         print(json.dumps({"rows": rows}, indent=2,
                          default=lambda o: float(o)))
@@ -237,7 +237,7 @@ def cmd_metric(args) -> int:
             "imag_residual": res.imag_residual,
             "quad_error": res.quad_error,
         })
-    _emit(rows, args)
+    _emit(rows, args, CSV_HEADER)
     return EXIT_OK
 
 
@@ -297,18 +297,13 @@ def cmd_optimize(args) -> int:
     thetas = _parse_span(args.theta_sweep)
     dist_um = channel.dist.to_unit_mean()
 
-    if args.metric == "arq":
-        opts = metrics.optimize_rate("arq", dist_um, thetas)
+    if args.metric in ("arq", "harq_persistent"):
+        opts = metrics.optimize_rate(args.metric, dist_um, thetas)
+        metric = (metrics.arq_throughput if args.metric == "arq"
+                  else metrics.harq_persistent_throughput)
 
         def throughput(R, S):
-            th = metrics.theta_unit_mean(R, S)
-            return metrics.arq_throughput(dist_um, R, th).value
-    elif args.metric == "harq_persistent":
-        opts = metrics.optimize_rate("harq_persistent", dist_um, thetas)
-
-        def throughput(R, S):
-            th = metrics.theta_unit_mean(R, S)
-            return metrics.harq_persistent_throughput(dist_um, R, th).value
+            return metric(dist_um, R, metrics.theta_unit_mean(R, S)).value
     elif args.metric == "arq_interference":
         from . import bivariate
         scn = _interference_scenario(args, channel.dist)
@@ -330,20 +325,14 @@ def cmd_optimize(args) -> int:
         row = {"Theta": o.theta, "g": o.g, "boundary": o.boundary,
                "R_opt": None, "T_opt": None, "S": None, "dT_dR": None}
         if not o.boundary:
-            h = 1e-5 * max(o.R_opt, 1.0)
+            # the step stays inside R > 0 as R* -> 0
+            h = min(1e-5 * max(o.R_opt, 1.0), 1e-3 * o.R_opt)
             dT = (throughput(o.R_opt + h, o.S)
                   - throughput(o.R_opt - h, o.S)) / (2.0 * h)
             row.update({"R_opt": o.R_opt, "T_opt": o.T_opt, "S": o.S,
                         "dT_dR": dT})
         rows.append(row)
-
-    if args.out == "csv":
-        header = "Theta,g,boundary,R_opt,T_opt,S,dT_dR"
-        print(header)
-        for r in rows:
-            print(",".join(_fmt(r[c]) for c in header.split(",")))
-    else:
-        print(json.dumps({"rows": rows}, indent=2))
+    _emit(rows, args, "Theta,g,boundary,R_opt,T_opt,S,dT_dR")
     return EXIT_OK
 
 

@@ -356,6 +356,9 @@ def _gk21(f, lo, hi):
     h = 0.5 * (hi - lo)
     x = c[:, None] + h[:, None] * _X21
     fx = f(x.ravel()).reshape(x.shape)
+    if not np.isfinite(fx).all():
+        bad = x[~np.isfinite(fx)][0]
+        raise ValueError(f"quadrature integrand is not finite at {bad:.17g}")
     resk = fx @ _WK21
     resasc = np.abs(fx - 0.5 * resk[:, None]) @ _WK21 * np.abs(h)
     resabs = np.abs(fx) @ _WK21 * np.abs(h)
@@ -378,7 +381,8 @@ def quad(f, a, b, tol=1e-10, limit=200):
     each.  Infinite ranges map onto finite ones (u = a + (1 - x)/x on
     [a, inf)).  Returns ``(value, error_estimate)``.  Failure to converge
     within ``limit`` subintervals raises an :class:`AccuracyWarning` (never
-    silent) but still returns the best estimate.
+    silent) but still returns the best estimate; a non-finite integrand
+    value or error estimate raises ``ValueError``.
     """
     # fold (-inf, inf) or reflect (-inf, b], then map [a, inf) onto (0, 1]
     if math.isinf(a) and math.isinf(b):
@@ -396,10 +400,14 @@ def quad(f, a, b, tol=1e-10, limit=200):
     res, err = _gk21(f, lo, hi)
     while True:
         value, error = float(np.sum(res)), float(np.sum(err))
+        if not math.isfinite(error):
+            raise ValueError("quadrature error estimate is not finite")
         bound = max(tol, tol * abs(value))
         if error <= bound or lo.size == limit:
             break
         split = np.flatnonzero(err > bound / lo.size)
+        if not split.size:
+            break
         if lo.size + split.size > limit:
             split = split[np.argsort(err[split])[lo.size - limit:]]
         keep = np.ones(lo.size, bool)

@@ -34,7 +34,6 @@ __all__ = [
     "ergodic_capacity",
     "harq_persistent_throughput",
     "harq_truncated_throughput",
-    "lambert_w0",
     "mimo_high_snr_outage",
     "ncbr_throughput",
     "optimize_rate",
@@ -233,9 +232,16 @@ def eff_capacity_me_rate(channel, theta: float) -> MetricResult:
     return _result(-math.log(val) / theta, "closed_form")
 
 
+# Euler's gamma, then zeta(2), ..., zeta(8): ln Gamma(1 + t) is the sum of
+# (-1)^k c_k t^k / k over these
+_ZETA = (0.5772156649015329, 1.6449340668482264, 1.2020569031595942,
+         1.0823232337111381, 1.03692775514337, 1.0173430619844492,
+         1.008349277381923, 1.0040773561979444)
+
+
 def _shannon_expectation_quad(d: MEDist, theta: float, tol=1e-12):
-    """E{(1+Z)^{-theta}} via the gamma-kernel integral
-    int u^{theta-1} e^{-u} F(u) du / Gamma(theta).
+    """-ln E{(1+Z)^{-theta}} via the gamma-kernel integral
+    E = int u^{theta-1} e^{-u} F(u) du / Gamma(theta).
 
     The kernel's u^{theta-1} endpoint singularity is peeled off
     analytically (it integrates to 1/theta against h(0) = 1), which keeps
@@ -243,14 +249,16 @@ def _shannon_expectation_quad(d: MEDist, theta: float, tol=1e-12):
     suffers catastrophic cancellation.  The rest of [0, 1] is integrated
     as int_0^inf e^{-theta y} (h(e^{-y}) - 1) dy (u = e^{-y}), whose
     integrand decays like e^{-(1+theta) y} with no endpoint singularity
-    for any theta.  Then E = (1 + theta (inner + outer)) / Gamma(theta + 1);
-    a theta at which Gamma(theta + 1) overflows a double is refused.
+    for any theta; the outer kernel on [1, inf) is taken in logs.  Then
+    -ln E = ln Gamma(1 + theta) - log1p(theta (inner + outer)), with
+    ln Gamma(1 + theta) from its series -gamma theta + sum_{k=2..8}
+    (-1)^k zeta(k) theta^k / k below theta = 0.01, where 1 + theta would
+    round.  A theta at which Gamma(theta + 1) overflows a double is refused.
     """
-    try:
-        g1 = math.gamma(theta + 1.0)
-    except OverflowError:
-        raise ValueError(
-            f"theta = {theta} overflows Gamma(theta + 1)") from None
+    if not theta <= 170.62437695630272:
+        raise ValueError(f"theta = {theta} overflows Gamma(theta + 1)")
+    lgam = (math.lgamma(1.0 + theta) if theta >= 0.01 else sum(
+        (-1) ** k * c * theta ** k / k for k, c in enumerate(_ZETA, 1)))
 
     def h(u):
         return np.exp(-u) * d.lt(u)
@@ -258,10 +266,10 @@ def _shannon_expectation_quad(d: MEDist, theta: float, tol=1e-12):
     inner, e1 = matfun.quad(
         lambda y: np.exp(-theta * y) * (h(np.exp(-y)) - 1.0),
         0.0, np.inf, tol=tol)
-    outer, e2 = matfun.quad(lambda u: u ** (theta - 1.0) * h(u),
-                            1.0, np.inf, tol=tol)
-    E = (1.0 + theta * (inner + outer)) / g1
-    return E, e1 + e2
+    outer, e2 = matfun.quad(
+        lambda u: np.exp((theta - 1.0) * np.log(u) - u) * d.lt(u),
+        1.0, np.inf, tol=tol)
+    return lgam - math.log1p(theta * (inner + outer)), e1 + e2
 
 
 def eff_capacity_shannon(channel, theta: float) -> MetricResult:
@@ -271,8 +279,8 @@ def eff_capacity_shannon(channel, theta: float) -> MetricResult:
     d = _dist(channel)
     if theta <= 0:
         raise ValueError("theta must be positive")
-    E, err = _shannon_expectation_quad(d, theta)
-    return _result(-math.log(E) / theta, "quadrature", quad_error=err)
+    neg_log_E, err = _shannon_expectation_quad(d, theta)
+    return _result(neg_log_E / theta, "quadrature", quad_error=err)
 
 
 def ergodic_capacity(channel) -> MetricResult:
@@ -359,37 +367,6 @@ def diversity_gain_numeric(channel_um) -> float:
 # -- parametric rate optimization -------------------------------------------
 
 
-def lambert_w0(v: float) -> float:
-    """Principal-branch Lambert W by Halley's iteration (Corless et al.,
-    Adv. Comput. Math. 5, 1996); requires v >= -1/e.  Below v = -0.3 it
-    starts from the series -1 + p - p^2/3 + 11p^3/72, p = sqrt(2(e v + 1)),
-    and takes the residual in w + 1 against 1/e split in two doubles, so
-    that nothing cancels near -1/e; elsewhere it starts from log1p(v)."""
-    if v < -math.exp(-1.0) - 1e-15:
-        raise ValueError(f"lambert_w0 requires v >= -1/e, got {v}")
-    if v < -math.exp(-1.0) + 1e-15:
-        return -1.0
-    near = v < -0.3
-    if near:
-        # e v + 1, with 1/e as math.exp(-1.0) plus its rounding error
-        ev1 = math.e * ((v + math.exp(-1.0)) - 1.2428753672788363e-17)
-        p = math.sqrt(2.0 * ev1)
-        w = -1.0 + p * (1.0 + p * (-1.0 / 3.0 + p * 11.0 / 72.0))
-    else:
-        w = math.log1p(v)
-        w -= math.log(w) if w > 1.0 else 0.0
-    for _ in range(10):
-        # f = (w e^w - v) e^{-w}, with f' = w + 1 and f'' = w + 2 scaled alike
-        x = w + 1.0
-        f = (x + math.expm1(-x) - ev1 * math.exp(-x) if near
-             else w - v * math.exp(-w))
-        step = f / (x - f * (x + 1.0) / (2.0 * x))
-        w -= step
-        if abs(step) <= 1e-15 * abs(w):   # about 4.5 eps
-            break
-    return w
-
-
 @dataclass(frozen=True)
 class Optimum:
     """One point of the parametric optimal-rate curve."""
@@ -404,23 +381,42 @@ class Optimum:
 
 
 def _optimum_from_g(theta, g, f_value):
-    """Map the auxiliary ratio g = f/(theta f') to the optimal rate
-    R* = g + W0(-g e^{-g}); g <= 1 has no interior optimum (R* = 0)."""
+    """Map the auxiliary ratio g = f/(theta f') to the optimal rate R*, the
+    positive root of R = g (1 - e^{-R}); g <= 1 has no interior optimum
+    (R* = 0).  Newton's steps on the convex R + g expm1(-R) from
+    min(g, 2(g - 1)), right of the root, fall monotonically; they stop once
+    a step no longer lowers R."""
     if g <= 1.0 + 1e-12:
         return Optimum(theta, g, 0.0, 0.0, 0.0, boundary=True,
                        notes=("no interior optimum (g <= 1)",))
-    R = g + lambert_w0(-g * math.exp(-g))
+    R = min(g, 2.0 * (g - 1.0))
+    for _ in range(64):
+        step = (R + g * math.expm1(-R)) / (1.0 - g * math.exp(-R))
+        if not R - step < R:
+            break
+        R -= step
     S = math.expm1(R) / theta
     return Optimum(theta, g, R, R / f_value, S, boundary=False)
 
 
-def optimize_rate(metric: str, channel, thetas, **kwargs) -> list[Optimum]:
+def _row_pairs(x, Y, z, thetas):
+    """(theta, (int_0^theta x e^{tY} z dt, x e^{theta Y} z)) for each
+    theta: rows e_0 and [0, x] of e^{theta A}, A the augmented generator,
+    dotted with [0; z]."""
+    A = matfun.augmented(x, Y)
+    rows = np.eye(2, A.shape[0])
+    rows[1, 1:] = x
+    for th in thetas:
+        yield th, matfun.expm_row(rows, th * A)[:, 1:] @ z
+
+
+def optimize_rate(metric: str, channel, thetas) -> list[Optimum]:
     """Parametric throughput optimization over the auxiliary threshold
     parameter, for a unit-mean channel with theta = (e^R - 1)/S.
 
     Supported metrics: ``arq`` (channel: unit-mean distribution),
     ``harq_persistent`` (channel: unit-mean distribution or rational
-    transform; ``diversity`` kwarg),
+    transform),
     ``arq_interference`` (channel: interference scenario with unit-mean
     signal; handled in the bivariate module and dispatched here).
     Rows where the auxiliary ratio g <= 1 are flagged as boundary points.
@@ -430,34 +426,22 @@ def optimize_rate(metric: str, channel, thetas, **kwargs) -> list[Optimum]:
     for th in thetas:
         if not th > 0:
             raise ValueError(f"theta must be positive, got {th}")
-    out = []
     if metric == "arq":
+        # T = R (1 - F(theta)), F' the density
         d = _dist(channel)
         if abs(d.mean - 1.0) > 1e-8:
             raise ValueError("optimize_rate expects a unit-mean channel")
-        for th in thetas:
-            E = outage(d, th).value
-            fprime_density = d.pdf(th)
-            f = 1.0 / (1.0 - E)
-            g = (1.0 - E) / (th * fprime_density)
-            out.append(_optimum_from_g(th, g, f))
-        return out
+        return [_optimum_from_g(th, (1.0 - F) / (th * f), 1.0 / (1.0 - F))
+                for th, (F, f) in _row_pairs(d.x, d.Y, d.z, thetas)]
     if metric == "harq_persistent":
-        x, G, z = _renewal_generator(channel, int(kwargs.get("diversity", 1)))
-        A = matfun.augmented(x, G)
-        # rows e_0 and [0, x] of e^{th A}: the integral int_0^th x e^{tG} dt
-        # (the mean count) and x e^{th G} (f' = x e^{th G} z, the renewal
-        # density at th)
-        rows = np.eye(2, A.shape[0])
-        rows[1, 1:] = x
-        for th in thetas:
-            count, fprime = matfun.expm_row(rows, th * A)[:, 1:] @ z
-            mean_tx = 1.0 + count
-            g = mean_tx / (th * fprime)
-            out.append(_optimum_from_g(th, g, mean_tx))
-        return out
+        # T = R / (1 + n(theta)), n the mean retransmission count and n'
+        # the renewal density
+        return [_optimum_from_g(th, (1.0 + n) / (th * f), 1.0 + n)
+                for th, (n, f) in _row_pairs(*_renewal_generator(channel, 1),
+                                             thetas)]
     if metric == "arq_interference":
         from . import bivariate
+        out = []
         for th in thetas:
             g, P = bivariate.interference_g_theta(channel, th)
             out.append(_optimum_from_g(th, g, 1.0 / P))

@@ -19,12 +19,13 @@ from mekit.medist import _companion
 
 
 def run_fresh(code):
-    """stdout of ``code`` run in a fresh interpreter importing this mekit."""
+    """stdout of ``code`` run in a fresh interpreter importing this mekit;
+    a nonzero exit or a run past 120 s fails the calling test."""
     src = str(Path(mekit.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     return subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                          capture_output=True, text=True).stdout
+                          capture_output=True, text=True, timeout=120).stdout
 
 
 def random_stable_matrix(rng, n, margin=0.5):
@@ -142,6 +143,18 @@ def sdc_eff_capacity_mpmath(N, S, theta):
         E = mpmath.quad(lambda z: (1 + z) ** -th * f(z),
                         [0, S, 4 * S, 16 * S, mpmath.inf])
         return float(-mpmath.log(E) / th)
+
+
+def rate_optimum_error(g, R):
+    """Relative error of R against the optimal rate R* = g + W0(-g e^{-g}),
+    the root of R = g (1 - e^{-R}) at the double g, by mpmath at 50
+    digits, in units of max(4, 1/(g - 1)) eps: the root's condition number
+    grows like 1/(g - 1) as g -> 1."""
+    with mpmath.workdps(50):
+        G = mpmath.mpf(g)
+        ref = G + mpmath.lambertw(-G * mpmath.exp(-G)).real
+        err = float(abs((R - ref) / ref))
+    return err / (max(4.0, 1.0 / (g - 1.0)) * np.finfo(float).eps)
 
 
 def example2():

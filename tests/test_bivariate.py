@@ -258,6 +258,17 @@ class TestInterferenceThroughput:
         res = arq_interference_throughput(scn, R)
         assert abs(res.value - R * closed) < 1e-10
 
+    def test_kron_deep_tail(self):
+        # theta |lambda| = 720 for a Nakagami-16 signal at R = ln 46, where
+        # e^{-theta Y} overflows a double
+        scn = InterferenceScenario(signal=nakagami(16),
+                                   interferers=(exponential(0.3),))
+        kron, syl = (arq_interference_throughput(scn, math.log(46.0),
+                                                 path=p).value
+                     for p in ("kron", "sylvester"))
+        assert math.isfinite(kron) and kron > 0.0
+        assert abs(kron - syl) <= 1e-12 * syl
+
     def test_quadrature_oracle(self):
         sig, intf = nakagami(2), exponential(0.7)
         scn = InterferenceScenario(signal=sig, interferers=(intf,))

@@ -9,7 +9,7 @@ import scipy.special
 import mekit
 from mekit import cli
 
-from conftest import run_fresh
+from conftest import rate_optimum_error, run_fresh
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -313,6 +313,21 @@ class TestMetric:
             assert r["value"] == pytest.approx(
                 math.exp(-th / S) / (1.0 + th / S), rel=1e-9)
 
+    def test_interference_deep_tail_finite(self, capsys, tmp_path):
+        # Nakagami-16 signal over a Rayleigh interferer of mean 0.3 at
+        # R = ln 46: Theta |lambda| = 720 on the Kronecker path
+        sig, intf = tmp_path / "nak16.json", tmp_path / "ray03.json"
+        sig.write_text(json.dumps({"kind": "nakagami",
+                                   "params": {"m": 16, "S": 1.0}}))
+        intf.write_text(json.dumps({"kind": "rayleigh", "params": {"S": 0.3}}))
+        code, out, err = run_cli(capsys, "metric", "--metric",
+                                 "arq_interference", "--spec", str(sig),
+                                 "--interference-spec", str(intf),
+                                 "--R", repr(math.log(46.0)))
+        assert code == 0, err
+        value = json.loads(out)["rows"][0]["value"]
+        assert math.isfinite(value) and value > 0.0
+
     @pytest.mark.parametrize("spec", [
         {"kind": "oscillatory_ex2", "params": {}},
         {"kind": "mrc_list", "params": {"components": [
@@ -483,6 +498,17 @@ class TestOptimize:
         assert code == 2 and not out
         assert "theta must be positive" in err
         assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+
+    def test_optimum_near_zero_rate(self, capsys, ray_spec):
+        # Theta -> 1 on unit Rayleigh: g = 1/Theta -> 1 and R* -> 2e-7; the
+        # difference step stays inside R > 0
+        code, out, err = run_cli(capsys, "optimize", "--metric", "arq",
+                                 "--spec", ray_spec,
+                                 "--theta-sweep", "0.99:0.9999999:3")
+        assert code == 0, err
+        for row in json.loads(out)["rows"]:
+            assert rate_optimum_error(row["g"], row["R_opt"]) <= 1.0
+            assert abs(row["dT_dR"]) * row["R_opt"] / row["T_opt"] <= 1e-4
 
     def test_zero_count_theta_sweep_exit_two(self, capsys, ray_spec):
         code, out, err = run_cli(capsys, "optimize", "--metric", "arq",

@@ -4,7 +4,7 @@ import scipy.linalg
 from numpy.testing import assert_allclose
 
 from mekit import matfun
-from conftest import nakagami, quadpack, random_stable_matrix
+from conftest import nakagami, quadpack, random_stable_matrix, run_fresh
 
 
 class TestExpm:
@@ -331,6 +331,20 @@ class TestQuad:
         assert calls == [(a, b)]
         assert seen == sizes
         assert val == inner(f, a, b)[0]
+
+    @pytest.mark.parametrize("integrand", [
+        "np.where(t < 0.5, np.nan, 1.0)", "np.full_like(t, np.nan)",
+        "np.full_like(t, np.inf)"], ids=["half_nan", "nan", "inf"])
+    def test_non_finite_integrand_refused(self, integrand):
+        # in a subprocess under a timeout, so that a loop that never ends
+        # fails instead of hanging the suite
+        code = ("import warnings; warnings.simplefilter('error')\n"
+                "import numpy as np; from mekit import matfun\n"
+                "try:\n"
+                f"    matfun.quad(lambda t: {integrand}, 0.0, 1.0)\n"
+                "except ValueError as exc:\n"
+                "    print(exc)\n")
+        assert "quadrature integrand is not finite" in run_fresh(code)
 
     def test_warns_instead_of_silent_failure(self):
         with pytest.warns(matfun.AccuracyWarning):

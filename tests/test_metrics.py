@@ -12,7 +12,7 @@ from mekit.algebra import (convolve, kfold_block, max_dist, min_dist,
 from mekit.bivariate import InterferenceScenario
 from mekit.medist import ChannelSpec, MEDist
 from conftest import (classic_cdf, harq_persistent_erlang_shifted, nakagami,
-                      quadpack, random_valid_dist, sdc,
+                      quadpack, random_valid_dist, rate_optimum_error, sdc,
                       sdc_eff_capacity_mpmath)
 
 RAY = exponential(1.0)
@@ -294,8 +294,9 @@ class TestEffCapacityShannon:
 
     def test_scalar_spectral_factor(self):
         # lambda = -1, theta = 1: E{(1+z)^{-1}} = e Gamma(0, 1) = e E1(1)
-        E, _ = metrics._shannon_expectation_quad(RAY, 1.0)
-        assert abs(E - math.e * scipy.special.exp1(1.0)) < 1e-10
+        neg_log_E, _ = metrics._shannon_expectation_quad(RAY, 1.0)
+        ref = math.e * scipy.special.exp1(1.0)
+        assert abs(neg_log_E + math.log(ref)) < 1e-10
 
     @pytest.mark.parametrize("S", [0.001, 0.01, 1.0, 1000.0])
     def test_rayleigh_expectation_against_mpmath(self, S):
@@ -303,15 +304,32 @@ class TestEffCapacityShannon:
         # E{(1+Z)^{-theta}} = a^k U(k, k + 1 - theta, a), a = k/S; mean
         # 1e-3 is decay rate 1000 at k = 1, and k > 1 is a defective
         # generator.  The peeled-off 1/Gamma(theta + 1) is rounded once,
-        # which bounds the absolute error where the rest cancels it
+        # which bounds the absolute error in E where the rest cancels it
         for k in (1, 2, 4):
             for th in (1e-5, 1e-2, 0.5, 0.99, 3.0, 20.0):
                 with mpmath.workdps(40):
                     a, t = mpmath.mpf(k) / S, mpmath.mpf(th)
                     ref = float(a ** k * mpmath.hyperu(k, k + 1 - t, a))
-                E, _ = metrics._shannon_expectation_quad(erlang(k, S), th)
+                neg_log_E, _ = metrics._shannon_expectation_quad(
+                    erlang(k, S), th)
                 floor = 4.0 * np.finfo(float).eps / math.gamma(th + 1.0)
-                assert abs(E - ref) <= 1e-13 * ref + floor, (S, k, th)
+                assert (abs(neg_log_E + math.log(ref))
+                        <= 1e-13 + floor / ref), (S, k, th)
+
+    def test_whole_accepted_theta_range(self):
+        # -ln(a^k U(k, k + 1 - theta, a))/theta, a = k/S, for theta up to
+        # the Gamma(theta + 1) overflow; the tiny theta need the digits
+        # that cancel in -ln E
+        for k in (1, 4):
+            for S in (0.1, 1.0, 10.0, 1000.0):
+                for th in (1e-300, 1e-12, 1e-8, 1e-6, 1e-5, 2e-5, 1e-3, 9e-3,
+                           1.1e-2, 0.5, 10.0, 100.0, 169.0, 170.5):
+                    with mpmath.workdps(50 if th > 1e-20 else 360):
+                        a, t = mpmath.mpf(k) / S, mpmath.mpf(th)
+                        ref = float(-mpmath.log(
+                            a ** k * mpmath.hyperu(k, k + 1 - t, a)) / t)
+                    got = metrics.eff_capacity_shannon(erlang(k, S), th).value
+                    assert abs(got - ref) <= 1e-11 * ref, (k, S, th)
 
     def test_paths_agree(self, rng):
         # the quadrature path against mpmath on the closed-form
@@ -471,46 +489,6 @@ class TestDiversityGain:
         assert abs(slope - 4) < 0.05
 
 
-class TestLambertW:
-    def test_matches_scipy(self):
-        for v in np.linspace(-math.exp(-1.0) + 1e-9, 10.0, 200):
-            w = metrics.lambert_w0(float(v))
-            assert abs(w - scipy.special.lambertw(v).real) < 1e-10
-
-    def test_residual_bound(self):
-        for g in (1.01, 1.5, 2.0, 3.7, 8.0):
-            v = -g * math.exp(-g)
-            w = metrics.lambert_w0(v)
-            assert abs(w * math.exp(w) - v) < 1e-12
-
-    def test_against_mpmath(self):
-        # relative error against 40-digit mpmath at each double v: no
-        # worse than scipy.special.lambertw's there, or 2 eps where scipy
-        # is exact to the last bits
-        eps = np.finfo(float).eps
-        vs = ([-math.exp(-1.0) + 10.0 ** -k for k in range(1, 15)]
-              + [-g * math.exp(-g) for g in np.linspace(1.0, 50.0, 400)[1:]]
-              + list(np.linspace(-0.36, 0.0, 400, endpoint=False))
-              + list(np.logspace(-300.0, 300.0, 301)))
-        worse = []
-        with mpmath.workdps(40):
-            for v in map(float, vs):
-                ref = mpmath.lambertw(v).real
-                err = float(abs((metrics.lambert_w0(v) - ref) / ref))
-                err_scipy = float(abs((scipy.special.lambertw(v).real - ref)
-                                      / ref))
-                if err > max(err_scipy, 2.0 * eps):
-                    worse.append((v, err, err_scipy))
-        assert not worse
-
-    def test_branch_point(self):
-        assert metrics.lambert_w0(-math.exp(-1.0)) == -1.0
-
-    def test_domain_error(self):
-        with pytest.raises(ValueError):
-            metrics.lambert_w0(-1.0)
-
-
 class TestOptimizeRate:
     def test_known_auxiliary_value(self):
         # Rayleigh ARQ: g = 1/theta, so theta = 0.5 gives g = 2 and
@@ -521,17 +499,17 @@ class TestOptimizeRate:
         assert abs(r.R_opt - 1.5936242600400401) < 1e-9
         assert not r.boundary
 
-    @pytest.mark.parametrize("theta", [0.8, 0.5, 0.2])
+    @pytest.mark.parametrize("theta", [0.999, 0.99, 0.9, 0.8, 0.5, 0.2])
     def test_arq_optimum_against_mpmath(self, theta):
-        # Rayleigh ARQ: g = 1/theta in {1.25, 2, 5}.  R* carries the
-        # rounding of v = -g e^{-g} times W0's condition number 1/(1 + W0),
-        # 4.7 at g = 1.25; 4 eps covers it at these g
+        # Rayleigh ARQ: g = 1/theta, from 1.001 to 5
         r = metrics.optimize_rate("arq", RAY, [theta])[0]
-        with mpmath.workdps(40):
-            g = mpmath.mpf(r.g)
-            ref = g + mpmath.lambertw(-g * mpmath.exp(-g)).real
-            err = float(abs((r.R_opt - ref) / ref))
-        assert err <= 4.0 * np.finfo(float).eps
+        assert rate_optimum_error(r.g, r.R_opt) <= 1.0
+
+    def test_root_against_mpmath(self):
+        for g in np.concatenate([1.0 + np.logspace(-11.0, -1.0, 60),
+                                 np.linspace(1.1, 50.0, 400)]):
+            r = metrics._optimum_from_g(1.0, float(g), 1.0)
+            assert rate_optimum_error(r.g, r.R_opt) <= 1.0, g
 
     def test_branch_point_flagged(self):
         rows = metrics.optimize_rate("arq", RAY, [1.0, 2.0])

@@ -100,13 +100,19 @@ class KFoldConvolution:
     Q_block: np.ndarray
 
     def partial_cdfs(self, theta: float) -> np.ndarray:
-        """P(Z_1 + ... + Z_k <= theta) for k = 1..K from one exponential.
+        """P(Z_1 + ... + Z_k <= theta) for k = 1..K.
 
-        The k-th partial convolution ends its block with the base z vector,
-        so its cdf is row 1 of the exponential dotted with z in block k.
+        A phase-type base takes :func:`matfun.ph_partial_cdfs` on the base
+        triple under the rule of :meth:`MEDist._uniformizes`; otherwise one
+        exponential of the block: the k-th partial convolution ends its
+        block with the base z vector, so its cdf is row 1 of the
+        exponential dotted with z in block k.
         """
         if theta < 0:
             raise ValueError("theta must be nonnegative")
+        b = self.base
+        if b._uniformizes(theta, self.K):
+            return matfun.ph_partial_cdfs(b.x, b.Y, b.z, theta, self.K)
         row = matfun.expm_integral(self.p_block, self.Q_block, theta)
         return row.reshape(self.K, self.base.d) @ self.base.z
 

@@ -1,5 +1,6 @@
 """Matrix-function kernel: matrix exponential (of one matrix or a stack),
-rows of it and e^M - I, stepped rows of matrix powers, Kronecker sum,
+rows of it and e^M - I, stepped rows of matrix powers, uniformized
+partial-sum cdfs of phase-type triples, Kronecker sum,
 Sylvester solver, integer and half-integer matrix powers,
 eigendecomposition and adaptive quadrature of array-valued integrands.
 
@@ -28,6 +29,7 @@ __all__ = [
     "expm_row",
     "kron_sum",
     "mat_frac_power",
+    "ph_partial_cdfs",
     "quad",
     "row_powers",
     "solve_sylvester",
@@ -198,6 +200,103 @@ def row_powers(w, E, n, Z):
             W[-m:].reshape(np.shape(w)))
 
 
+def _poisson_tails(lam, n):
+    """P(N > j) for j = 0, 1, ..., max(n, lam) + s, N ~ Poisson(lam) and
+    s = 10 sqrt(lam) + 10: the pmf weights relative to the one s below the
+    mode, stepped by their ratios lam/j and normalized by their sum (Fox &
+    Glynn 1988), so no factor e^{-lam} underflows.  The weights below that
+    one, and above the last index by more than s + 30, are left out; each
+    group sums to below 1e-20 of what it is added to.  Every tail is a sum
+    of nonnegative weights."""
+    m, s = int(lam), int(10.0 * math.sqrt(lam)) + 10
+    lo, hi = max(0, m - s), max(n, m) + s
+    # relative to the weight at lo, the mode's is below e^200
+    w = np.cumprod(np.concatenate(
+        [[1.0], lam / np.arange(lo + 1, hi + s + 31)]))
+    above = np.cumsum(w[::-1])[::-1]
+    tails = np.ones(hi + 1)
+    tails[lo:] = above[1:hi + 2 - lo] / above[0]
+    return tails
+
+
+def _ph_terms(lam):
+    """Terms of a uniformized sum at q theta = lam that leave a Poisson
+    mass below about 1e-17 in the bulk, the size that
+    :meth:`mekit.medist.MEDist.cdf` weighs against the Pade row."""
+    return lam + 9.0 * math.sqrt(lam) + 16.0
+
+
+def ph_partial_cdfs(x, Y, z, theta, K=1):
+    """P(Z_1 + ... + Z_k <= theta) for k = 1..K, the Z_i iid with pdf
+    x e^{tY} z, for a phase-type triple: x >= 0, z >= 0 and Y >= 0 off its
+    diagonal.
+
+    Uniformization (Jensen 1953; Grassmann 1977): with q = max|y_ii| the
+    matrix P = I + Y/q is nonnegative, and a_j = x P^j z / q (by
+    :func:`row_powers`) is the law of the jump count, less one, of the
+    uniformized chain up to absorption.  A sum of k variables makes the
+    sum of k such counts, so its law a^(k) is the unit-shifted convolution
+    power a^(k)_j = sum_i a^(k-1)_i a_{j-1-i}, built by doubling from
+    Toeplitz matrices of the base sequence; the Kd x Kd block is never
+    formed.  Then F_k = sum_j P(N > j) a^(k)_j with N ~ Poisson(q theta):
+    every term is nonnegative, so nothing cancels and the lower tail keeps
+    its relative accuracy.
+
+    With r the first index of a nonzero a_r, F_K >= P(N > K(r + 1) - 1)
+    a_r^K, and n terms are kept once P(N > n) is at most eps times that
+    bound.  As sum_j a^(k)_j <= 1 the terms left out sum to at most
+    P(N > n), within eps of every F_k >= F_K.
+    """
+    x, z = np.asarray(x, float), np.asarray(z, float)
+    Y = _as_square(Y, "Y")
+    q = float(np.abs(np.diagonal(Y)).max())
+    if not (q > 0 and theta >= 0 and np.isfinite(x).all()
+            and np.isfinite(z).all()):
+        raise ValueError("ph_partial_cdfs needs finite x and z, "
+                         "max|y_ii| > 0 and theta >= 0")
+    lam = q * theta
+    d, E, Zq = Y.shape[0], Y / q, z / q
+    # a sum of K variables makes at least K(r + 1) <= Kd jumps: twice that
+    # on the base order costs little and leaves room for the terms past it
+    n = int(max(_ph_terms(lam), 2 * K * d + 16 if K > 1 else 0))
+    while True:
+        a = row_powers(x, E, n, Zq)[0]
+        nz = np.flatnonzero(a)
+        if not nz.size:
+            if n >= d:
+                # x P^j z = 0 for j < d, hence for every j (Cayley-Hamilton)
+                return np.zeros(K)
+            n = d
+            continue
+        # F_K >= P(N > j0) a_r^K with j0 = K(r + 1) - 1, the one way to
+        # make K(r + 1) jumps; n terms do once P(N > n) <= eps of that
+        r = int(nz[0])
+        j0 = K * (r + 1) - 1
+        tails = _poisson_tails(lam, max(n, j0))
+        done = tails <= _EPS * tails[j0] * a[r] ** K
+        need = int(np.argmax(done)) if done[-1] else tails.size
+        if need <= n:
+            break
+        n = need
+    n = need
+    a = a[:n]
+    # a^(k+B)_j = sum_i a^(k)_i a^(B)_{j-1-i}: rows [B, 2B) from rows
+    # [0, B) times the Toeplitz matrix of a^(B), zero below its diagonal;
+    # a^(k) is zero below k(r + 1) - 1
+    C = np.zeros((K, n))
+    C[0] = a
+    B = 1
+    while B < K:
+        c = min(B, K - B)
+        g = np.concatenate([np.zeros(n), C[B - 1, :n - 1]])
+        # T[i, j] = g[n - 1 - i + j], a window view of g
+        T = np.ndarray((n, n), float, g, 0, g.strides * 2)[::-1]
+        s = (B + 1) * (r + 1) - 1
+        C[B:B + c, s:] = C[:c, r:] @ T[r:, s:]
+        B += c
+    return C @ tails[:n]
+
+
 def augmented(x, Y):
     """(d+1) x (d+1) block matrix [[0, x], [0, Y]] (Van Loan 1978).
 
@@ -359,11 +458,13 @@ def _gk21(f, lo, hi):
     if not np.isfinite(fx).all():
         bad = x[~np.isfinite(fx)][0]
         raise ValueError(f"quadrature integrand is not finite at {bad:.17g}")
-    resk = fx @ _WK21
-    resasc = np.abs(fx - 0.5 * resk[:, None]) @ _WK21 * np.abs(h)
-    resabs = np.abs(fx) @ _WK21 * np.abs(h)
-    err = np.abs((resk - fx @ _WG21) * h)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # sums of finite values near the double limit may overflow; quad
+    # refuses the non-finite error estimate by name
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        resk = fx @ _WK21
+        resasc = np.abs(fx - 0.5 * resk[:, None]) @ _WK21 * np.abs(h)
+        resabs = np.abs(fx) @ _WK21 * np.abs(h)
+        err = np.abs((resk - fx @ _WG21) * h)
         scaled = resasc * np.minimum(1.0, (200.0 * err / resasc) ** 1.5)
     err = np.where(resasc > 0.0, scaled, err)
     return resk * h, np.maximum(err, 50.0 * _EPS * resabs)

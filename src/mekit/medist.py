@@ -13,6 +13,7 @@ first; denominators are monic with the leading coefficient implicit.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -144,11 +145,40 @@ class MEDist:
         val = self.x @ matfun.expm(t[..., None, None] * self.Y) @ self.z
         return float(val) if t.ndim == 0 else val
 
+    @functools.cached_property
+    def phase_type(self) -> bool:
+        """Whether the triple is phase-type: x >= 0, z >= 0 and Y >= 0 off
+        its diagonal, by exact sign tests."""
+        off = self.Y[~np.eye(self.d, dtype=bool)]
+        return bool((self.x >= 0).all() and (self.z >= 0).all()
+                    and (off >= 0).all())
+
+    @functools.cached_property
+    def _rate(self) -> float:
+        """Uniformization rate max|y_ii|."""
+        return float(np.abs(np.diagonal(self.Y)).max())
+
+    def _uniformizes(self, t, K=1) -> bool:
+        """The route rule of :meth:`cdf` and
+        :meth:`~mekit.algebra.KFoldConvolution.partial_cdfs`: a phase-type
+        triple whose uniformized sum at t needs at most about twice the
+        order Kd + 1 that the Pade row would exponentiate.  The O(d) size
+        test runs first, so small channels skip the sign test."""
+        return (0.0 < self._rate
+                and matfun._ph_terms(self._rate * t) <= 2 * (K * self.d + 1)
+                and self.phase_type)
+
     def cdf(self, t: float) -> float:
-        """Cumulative distribution at t: the row integral of one matrix
-        exponential of the augmented generator, valid for singular Y."""
+        """Cumulative distribution at t.  A phase-type triple takes
+        :func:`matfun.ph_partial_cdfs` under the rule of
+        :meth:`_uniformizes`, a sum of nonnegative terms that keeps its
+        relative accuracy in the lower tail; otherwise the row integral of
+        one matrix exponential of the augmented generator, valid for
+        singular Y."""
         if t < 0:
             raise ValueError(f"cdf requires t >= 0, got {t}")
+        if self._uniformizes(t):
+            return float(matfun.ph_partial_cdfs(self.x, self.Y, self.z, t)[0])
         return float(matfun.expm_integral(self.x, self.Y, t) @ self.z)
 
     def sf(self, t: float) -> float:

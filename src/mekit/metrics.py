@@ -350,9 +350,26 @@ def pep(branches) -> MetricResult:
 
 
 def diversity_gain(channel) -> int:
-    """High-SNR BER slope: the denominator degree of the effective-channel
-    transform (assumes a minimal representation)."""
-    return _dist(channel).d
+    """High-SNR BER slope r, the order of the first nonzero Markov
+    parameter x Y^(r-1) z.
+
+    For a phase-type triple (:attr:`MEDist.phase_type`) r is 1 plus the
+    shortest path from supp(x) to supp(z) along the nonzero off-diagonal
+    entries of Y, found breadth first: shorter walks do not reach supp(z),
+    and those of that length take only off-diagonal steps, all positive,
+    so their sum cannot cancel.  Any other triple returns its order d, the
+    denominator degree of the transform when the representation is
+    minimal."""
+    d = _dist(channel)
+    if not d.phase_type:
+        return d.d
+    step = (d.Y > 0) & ~np.eye(d.d, dtype=bool)
+    reached = d.x > 0
+    for r in range(1, d.d + 1):
+        if (reached & (d.z > 0)).any():
+            return r
+        reached = reached | step[reached].any(axis=0)
+    return d.d
 
 
 def diversity_gain_numeric(channel_um) -> float:
@@ -385,7 +402,8 @@ def _optimum_from_g(theta, g, f_value):
     positive root of R = g (1 - e^{-R}); g <= 1 has no interior optimum
     (R* = 0).  Newton's steps on the convex R + g expm1(-R) from
     min(g, 2(g - 1)), right of the root, fall monotonically; they stop once
-    a step no longer lowers R."""
+    a step no longer lowers R.  An R* whose mean SNR (e^R* - 1)/theta
+    overflows a double is refused by name."""
     if g <= 1.0 + 1e-12:
         return Optimum(theta, g, 0.0, 0.0, 0.0, boundary=True,
                        notes=("no interior optimum (g <= 1)",))
@@ -395,7 +413,15 @@ def _optimum_from_g(theta, g, f_value):
         if not R - step < R:
             break
         R -= step
-    S = math.expm1(R) / theta
+    try:
+        S = math.expm1(R) / theta
+    except OverflowError:
+        S = math.inf
+    if math.isinf(S):
+        raise ValueError(
+            f"Theta = {float(theta):.17g}: the optimal rate "
+            f"R* = {float(R):.17g} needs a mean SNR (e^R* - 1)/Theta that "
+            f"overflows a double")
     return Optimum(theta, g, R, R / f_value, S, boundary=False)
 
 

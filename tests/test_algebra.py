@@ -98,10 +98,11 @@ class TestKFold:
 
     @pytest.mark.parametrize("m", [2, 4])
     def test_erlang_partial_sums_vs_gammainc(self, m):
-        # the k-fold sum of Erlang-m is Erlang-mk; orders 129 and 257 run
-        # the last squarings of the exponential as row products.  Near
-        # F = 1e-10 the dense Pade kernel itself is good to 3.9e-12
-        # relative (4e-22 absolute), with or without the row phase
+        # the k-fold sum of Erlang-m is Erlang-mk.  Most ratios take the
+        # uniformized sum; the largest ones at m = 2 exceed the size rule
+        # and run the Pade row of the order-129 block, whose last squarings
+        # are row products.  Near F = 1e-10 the dense Pade kernel itself is
+        # good to 3.9e-12 relative (4e-22 absolute)
         S = 2.0
         block = kfold_block(erlang(m, S), 64)
         k = np.arange(1, 65)
@@ -166,8 +167,8 @@ class TestMax:
         assert abs(metrics.outage(c, ratio * S).value - ref) <= 1e-11 * ref
 
     def test_closure_outage_bulk_order_288(self):
-        # order 288 with scaling exponents 3-6: the row phase carries the
-        # bulk of the cdf to the last digits
+        # order 288: the uniformized sum carries the bulk of the cdf to the
+        # last digits
         c = max_dist(erlang(16, 4.0), erlang(16, 6.0)).closure()
         assert c.d == 288
         for ratio in np.geomspace(0.3, 3.0, 7):

@@ -100,7 +100,7 @@ RAY_OPTIMA = {"arq": (2.0, 1.5936242600400400923),
     ({"kind": "sdc", "params": {"N": 4, "S": 2.0}},
      ["metric", "--metric", "harq", "--K", "4", "--R", "1",
       "--sweep", "S=1:8:10", "--out", "csv"]),
-    # order 257 with scaling exponent >= 4: the row phase of expm_row runs
+    # a K-fold block of order 257, by the uniformized partial sums
     ({"kind": "nakagami", "params": {"m": 4, "S": 0.1}},
      ["metric", "--metric", "harq", "--K", "64", "--R", "1"]),
     (RAY, ["metric", "--metric", "ergodic_capacity", "--sweep", "S=1:10:5",
@@ -509,6 +509,17 @@ class TestOptimize:
         for row in json.loads(out)["rows"]:
             assert rate_optimum_error(row["g"], row["R_opt"]) <= 1.0
             assert abs(row["dT_dR"]) * row["R_opt"] / row["T_opt"] <= 1e-4
+
+    def test_rate_past_double_range_exit_two(self, capsys, ray_spec):
+        # Theta = 1e-3 on unit Rayleigh: g = 1000, so R* = 1000 and the
+        # mean SNR (e^R* - 1)/Theta overflows; an uncaught OverflowError
+        # would escape main instead of returning 2
+        code, out, err = run_cli(capsys, "optimize", "--metric", "arq",
+                                 "--spec", ray_spec,
+                                 "--theta-sweep", "0.001:0.001:1")
+        assert code == 2 and out == ""
+        assert "Theta = 0.001:" in err and "R* = 999.99" in err
+        assert "Traceback" not in err
 
     def test_zero_count_theta_sweep_exit_two(self, capsys, ray_spec):
         code, out, err = run_cli(capsys, "optimize", "--metric", "arq",

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -345,6 +347,14 @@ class TestQuad:
                 "except ValueError as exc:\n"
                 "    print(exc)\n")
         assert "quadrature integrand is not finite" in run_fresh(code)
+
+    def test_overflowing_sums_refused_without_warning(self):
+        # 1.7e308 sin(40 t) is finite at every node, but its weighted sums
+        # overflow: the refusal is the named ValueError, not a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="estimate is not finite"):
+                matfun.quad(lambda t: 1.7e308 * np.sin(40.0 * t), 0.0, 1.0)
 
     def test_warns_instead_of_silent_failure(self):
         with pytest.warns(matfun.AccuracyWarning):

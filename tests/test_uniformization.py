@@ -1,0 +1,158 @@
+"""Uniformized cdfs of phase-type triples (``matfun.ph_partial_cdfs``) and
+the route rule that ``MEDist.cdf`` and ``KFoldConvolution.partial_cdfs``
+apply to them."""
+
+import math
+
+import mpmath
+import numpy as np
+import pytest
+
+from mekit import ChannelSpec, erlang, matfun, metrics, standard_channel
+from mekit.algebra import convolve, kfold_block, max_dist, min_dist
+from mekit.matfun import _poisson_tails
+from conftest import example2, random_valid_dist
+
+
+def _gammainc(k, x):
+    """Regularized lower incomplete gamma P(k, x) at 40 digits."""
+    with mpmath.workdps(40):
+        return float(mpmath.gammainc(k, 0, x, regularized=True))
+
+
+def _pade_cdf(d, t):
+    """The augmented-row cdf, the route every triple took before."""
+    return float(matfun.expm_integral(d.x, d.Y, t) @ d.z)
+
+
+@pytest.mark.parametrize("k", [1, 4, 16, 32, 64, 100])
+@pytest.mark.parametrize("ratio", [0.01, 0.1, 1.0, 3.0])
+def test_erlang_cdf_against_gammainc(k, ratio):
+    # E64 at 0.01 S is 1.7e-102 and E100 at 0.01 S is 4.0e-159
+    S = 2.5
+    d = erlang(k, S)
+    ref = _gammainc(k, k * ratio)
+    assert abs(d.cdf(ratio * S) - ref) <= 1e-13 * ref
+
+
+def test_deep_tail_takes_the_uniformized_route():
+    d = erlang(32, 1.0)
+    assert d.phase_type and d._uniformizes(0.01)
+    assert not erlang(1, 1.0)._uniformizes(0.01)
+
+
+@pytest.mark.parametrize("k", [4, 16])
+@pytest.mark.parametrize("th", [1e-3, 0.05, 1.0, 5.0])
+def test_max_min_closures_against_gammainc_products(k, th):
+    S1, S2 = 4.0, 6.0
+    F1, F2 = _gammainc(k, k / S1 * th), _gammainc(k, k / S2 * th)
+    cmax = max_dist(erlang(k, S1), erlang(k, S2)).closure()
+    cmin = min_dist(erlang(k, S1), erlang(k, S2)).closure()
+    assert abs(cmax.cdf(th) - F1 * F2) <= 1e-13 * F1 * F2
+    lo = F1 + F2 - F1 * F2
+    assert abs(cmin.cdf(th) - lo) <= 1e-13 * lo
+
+
+@pytest.mark.parametrize("m", [2, 4])
+@pytest.mark.parametrize("K", [32, 64])
+def test_partial_cdfs_against_gammainc(m, K):
+    S = 2.0
+    block = kfold_block(erlang(m, S), K)
+    k = np.arange(1, K + 1)
+    smallest = 1.0
+    for th in (0.02 * K, 0.05 * K, K / 8, K / 3, 2 * K / 3, K * S):
+        got = block.partial_cdfs(th)
+        ref = np.array([_gammainc(m * j, m / S * th) for j in k])
+        assert np.all(np.abs(got - ref) <= 1e-13 * ref)
+        smallest = min(smallest, ref[ref > 0].min())
+    assert smallest < 1e-100
+
+
+def _ph_channels():
+    rng = np.random.default_rng(7)
+    out = [random_valid_dist(rng, allow_oscillatory=False) for _ in range(6)]
+    out += [standard_channel(ChannelSpec("sdc", {"N": 6, "S": 1.3})).dist,
+            standard_channel(ChannelSpec("mrc_list", {"components": [
+                {"kind": "nakagami", "params": {"m": 2, "S": s}}
+                for s in (0.5, 1.0, 2.0)]})).dist,
+            convolve(max_dist(erlang(2, 1.0), erlang(2, 1.0)).closure(),
+                     erlang(3, 1.0)),
+            min_dist(erlang(8, 3.0), erlang(8, 5.0)).closure()]
+    return out
+
+
+@pytest.mark.parametrize("d", _ph_channels(), ids=lambda d: f"d{d.d}")
+def test_routes_agree_where_both_are_accurate(d):
+    assert d.phase_type
+    for th in np.geomspace(0.05, 20.0, 12) * d.mean:
+        for K in (1, 3):
+            uni = matfun.ph_partial_cdfs(d.x, d.Y, d.z, th, K)
+            block = kfold_block(d, K)
+            row = matfun.expm_integral(block.p_block, block.Q_block, th)
+            pade = row.reshape(K, d.d) @ d.z
+            big = pade > 1e-6
+            assert np.all(np.abs(uni - pade)[big] <= 1e-13 * pade[big])
+
+
+@pytest.mark.parametrize("lam", [1e-3, 700.0, 800.0, 2000.0])
+def test_poisson_tails_bounded_and_nonincreasing(lam):
+    n = int(lam + 9.0 * math.sqrt(lam)) + 16
+    tails = _poisson_tails(lam, n)
+    assert tails.size > n
+    assert np.all(np.isfinite(tails))
+    assert np.all((tails >= 0.0) & (tails <= 1.0))
+    assert np.all(np.diff(tails) <= 0.0)
+    for j in (0, int(lam), n):
+        ref = _gammainc(j + 1, lam)
+        assert abs(tails[j] - ref) <= 1e-14 * ref
+
+
+def test_refuses_inputs_without_a_uniformization():
+    # a negative or NaN threshold, a NaN row, a zero diagonal (no rate)
+    d = erlang(2, 1.0)
+    no_rate = d.Y - np.diag(np.diag(d.Y))
+    for x, Y, th in ((d.x, d.Y, -1.0), (d.x, d.Y, math.nan),
+                     (d.x * math.nan, d.Y, 1.0), (d.x, no_rate, 1.0)):
+        with pytest.raises(ValueError, match="ph_partial_cdfs needs"):
+            matfun.ph_partial_cdfs(x, Y, d.z, th)
+
+
+def test_zero_threshold_and_zero_density():
+    d = erlang(16, 1.0)
+    assert np.all(matfun.ph_partial_cdfs(d.x, d.Y, d.z, 0.0, 4) == 0.0)
+    assert np.all(matfun.ph_partial_cdfs(0 * d.x, d.Y, d.z, 1.0, 2) == 0.0)
+
+
+@pytest.mark.parametrize("d", [
+    example2(),
+    standard_channel(ChannelSpec(
+        "rational_lt", {"p": [6.0, 3.0], "q": [6.0, 11.0, 6.0]})).dist,
+], ids=["oscillatory_ex2", "rational_lt"])
+def test_non_phase_type_keeps_the_pade_row(d):
+    # bit-identical to the augmented row, the only route before
+    assert not d.phase_type
+    for t in (0.01, 0.3, 2.0, 9.0):
+        assert d.cdf(t) == _pade_cdf(d, t)
+        block = kfold_block(d, 3)
+        row = matfun.expm_integral(block.p_block, block.Q_block, t)
+        assert np.array_equal(block.partial_cdfs(t), row.reshape(3, d.d) @ d.z)
+
+
+@pytest.mark.parametrize("name, dist, r", [
+    ("max(E1,E1)", lambda: max_dist(erlang(1), erlang(1)).closure(), 2),
+    ("max(E4,E4)", lambda: max_dist(erlang(4), erlang(4)).closure(), 8),
+    ("min(E4,E4)", lambda: min_dist(erlang(4), erlang(4)).closure(), 4),
+    ("conv(max(E2,E2),E3)", lambda: convolve(
+        max_dist(erlang(2), erlang(2)).closure(), erlang(3)), 7),
+    ("SDC-6", lambda: standard_channel(
+        ChannelSpec("sdc", {"N": 6, "S": 1.0})).dist, 6),
+    ("max(E16,E16)", lambda: max_dist(erlang(16), erlang(16)).closure(), 32),
+])
+def test_diversity_gain_of_phase_type_closures(name, dist, r):
+    d = dist().to_unit_mean()
+    assert metrics.diversity_gain(d) == r
+    assert abs(metrics.diversity_gain_numeric(d) / r - 1.0) < 0.01
+
+
+def test_diversity_gain_of_other_triples_is_the_order():
+    assert metrics.diversity_gain(example2()) == 3

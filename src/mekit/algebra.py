@@ -15,7 +15,7 @@ import numpy as np
 
 from . import matfun
 from .medist import (ChannelSpec, ConstructionError, MEDist, RationalLT,
-                     _erlang, exponential, from_product_form,
+                     _erlang, _threshold, exponential, from_product_form,
                      from_rational_lt)
 
 __all__ = [
@@ -65,27 +65,68 @@ def _unwrap(obj):
     return obj, {"op": "dist", "d": obj.d}
 
 
-def convolve(d1, d2):
-    """Distribution of the sum of two independent ME variables.
+def convolve(*parts):
+    """Distribution of the sum of independent ME variables.
 
-    The block form stacks the summand generators with a rank-one coupling:
-    x = [x1 0], Y = [[Y1, z1 x2], [0, Y2]], z = [0; z2].
+    The block form is block upper-bidiagonal, built in one pass: the
+    summand generators on the diagonal, each coupled to the next by the
+    rank-one block z_i x_{i+1}, x = [x_1 0 ... 0] and z = [0 ... 0 z_K].
+    For two summands this is Y = [[Y1, z1 x2], [0, Y2]]; for more it is
+    the pairwise chain's triple, entry for entry.  One summand is returned
+    as it is.
     """
-    a, prov_a = _unwrap(d1)
-    b, prov_b = _unwrap(d2)
-    d = a.d + b.d
+    if not parts:
+        raise ConstructionError("convolve requires at least one summand")
+    if len(parts) == 1:
+        return parts[0]
+    dists, provs = zip(*map(_unwrap, parts))
+    offs = np.cumsum([0] + [a.d for a in dists])
+    d = int(offs[-1])
     _guard_degree(d)
     Y = np.zeros((d, d))
-    Y[:a.d, :a.d] = a.Y
-    Y[:a.d, a.d:] = np.outer(a.z, b.x)
-    Y[a.d:, a.d:] = b.Y
-    x = np.concatenate([a.x, np.zeros(b.d)])
-    z = np.concatenate([np.zeros(a.d), b.z])
+    for i, a in enumerate(dists):
+        lo, hi = offs[i], offs[i + 1]
+        Y[lo:hi, lo:hi] = a.Y
+        if i + 1 < len(dists):
+            Y[lo:hi, hi:offs[i + 2]] = np.outer(a.z, dists[i + 1].x)
+    x = np.zeros(d)
+    x[:offs[1]] = dists[0].x
+    z = np.zeros(d)
+    z[offs[-2]:] = dists[-1].z
     out = MEDist(x, Y, z)
-    if isinstance(d1, EffectiveChannel) or isinstance(d2, EffectiveChannel):
+    if any(isinstance(p, EffectiveChannel) for p in parts):
         return EffectiveChannel(out, {"op": "convolve",
-                                      "children": [prov_a, prov_b]})
+                                      "children": list(provs)})
     return out
+
+
+def _partial_cdfs(base: MEDist, K: int, theta: float, block=None):
+    """P(Z_1 + ... + Z_k <= theta) for k = 1..K, the route rule of
+    :meth:`KFoldConvolution.partial_cdfs` and
+    :func:`~mekit.metrics.harq_truncated_throughput`: a phase-type base
+    under the rule of :meth:`MEDist._uniformizes` takes
+    :func:`matfun.ph_partial_cdfs` on the base triple and builds no block;
+    any other base takes one exponential of the K-fold ``block`` (built
+    here when not given): the k-th partial convolution ends its block with
+    the base z vector, so its cdf is row 1 of the exponential dotted with
+    z in block k."""
+    theta = _threshold(theta)
+    if base._uniformizes(theta, K):
+        return matfun.ph_partial_cdfs(base.x, base.Y, base.z, theta, K,
+                                      jumps=base._jumps)
+    if block is None:
+        block = kfold_block(base, K)
+    row = matfun.expm_integral(block.p_block, block.Q_block, theta)
+    return row.reshape(K, base.d) @ base.z
+
+
+def _fold_count(base: MEDist, K) -> int:
+    """K as an int; a K that is not a positive integer, or a K-fold block
+    past the degree guard, is refused."""
+    if K < 1 or K != int(K):
+        raise ValueError("K must be a positive integer")
+    _guard_degree(base.d * int(K) + 1)
+    return int(K)
 
 
 @dataclass(frozen=True)
@@ -100,21 +141,9 @@ class KFoldConvolution:
     Q_block: np.ndarray
 
     def partial_cdfs(self, theta: float) -> np.ndarray:
-        """P(Z_1 + ... + Z_k <= theta) for k = 1..K.
-
-        A phase-type base takes :func:`matfun.ph_partial_cdfs` on the base
-        triple under the rule of :meth:`MEDist._uniformizes`; otherwise one
-        exponential of the block: the k-th partial convolution ends its
-        block with the base z vector, so its cdf is row 1 of the
-        exponential dotted with z in block k.
-        """
-        if theta < 0:
-            raise ValueError("theta must be nonnegative")
-        b = self.base
-        if b._uniformizes(theta, self.K):
-            return matfun.ph_partial_cdfs(b.x, b.Y, b.z, theta, self.K)
-        row = matfun.expm_integral(self.p_block, self.Q_block, theta)
-        return row.reshape(self.K, self.base.d) @ self.base.z
+        """P(Z_1 + ... + Z_k <= theta) for k = 1..K, by the route rule of
+        :func:`_partial_cdfs`."""
+        return _partial_cdfs(self.base, self.K, theta, self)
 
 
 def kfold_block(dist, K: int) -> KFoldConvolution:
@@ -125,11 +154,8 @@ def kfold_block(dist, K: int) -> KFoldConvolution:
     produces every partial-convolution cdf simultaneously.
     """
     base, _ = _unwrap(dist)
-    if K < 1 or K != int(K):
-        raise ValueError("K must be a positive integer")
-    K = int(K)
+    K = _fold_count(base, K)
     d = base.d
-    _guard_degree(d * K + 1)
     n = d * K
     Q = np.zeros((n, n))
     P = np.outer(base.z, base.x)
@@ -154,8 +180,7 @@ class MaxOfTwo:
     d2: MEDist
 
     def cdf(self, t: float) -> float:
-        if t < 0:
-            raise ValueError("t must be nonnegative")
+        t = _threshold(t, "t")
         return self.d1.cdf(t) * self.d2.cdf(t)
 
     def closure(self) -> MEDist:
@@ -183,8 +208,7 @@ class MinOfTwo:
     d2: MEDist
 
     def cdf(self, t: float) -> float:
-        if t < 0:
-            raise ValueError("t must be nonnegative")
+        t = _threshold(t, "t")
         # 1 - (1 - F1)(1 - F2) without the cancellation in the lower tail
         F1 = self.d1.cdf(t)
         return F1 + self.d2.cdf(t) * (1.0 - F1)
@@ -312,10 +336,7 @@ def standard_channel(spec: ChannelSpec) -> EffectiveChannel:
                  for c in P["components"]]
         if not parts:
             raise ConstructionError(f"{spec.kind} requires components")
-        acc = parts[0]
-        for nxt in parts[1:]:
-            acc = convolve(acc, nxt)
-        dist = acc.dist
+        dist = convolve(*(p.dist for p in parts))
         prov["children"] = [p.provenance for p in parts]
     elif spec.kind == "oscillatory_ex2":
         dist = _oscillatory_ex2()

@@ -254,10 +254,7 @@ class InterferenceScenario:
         return self.joint is None
 
     def interference(self) -> MEDist:
-        acc = self.interferers[0]
-        for nxt in self.interferers[1:]:
-            acc = algebra.convolve(acc, nxt)
-        return acc
+        return algebra.convolve(*self.interferers)
 
     def as_joint(self) -> BivME:
         if self.joint is not None:

@@ -1,6 +1,7 @@
 """Matrix-function kernel: matrix exponential (of one matrix or a stack),
 rows of it and e^M - I, stepped rows of matrix powers, uniformized
-partial-sum cdfs of phase-type triples, Kronecker sum,
+partial-sum cdfs of phase-type triples (stepped on the nonzeros of the
+jump matrix where it is sparse), Kronecker sum,
 Sylvester solver, integer and half-integer matrix powers,
 eigendecomposition and adaptive quadrature of array-valued integrands.
 
@@ -27,6 +28,7 @@ __all__ = [
     "expm1",
     "expm_integral",
     "expm_row",
+    "jump_nonzeros",
     "kron_sum",
     "mat_frac_power",
     "ph_partial_cdfs",
@@ -226,41 +228,101 @@ def _ph_terms(lam):
     return lam + 9.0 * math.sqrt(lam) + 16.0
 
 
-def ph_partial_cdfs(x, Y, z, theta, K=1):
+# the measured crossover of the two steps of ph_partial_cdfs (one BLAS
+# thread): on closures with about 3d nonzeros they tie at orders 32-48 and
+# the sparse step is 1.6-1.9x faster from 56 on; at orders 128-512 it
+# breaks even near one nonzero entry of P in 20-25
+_SPARSE_ORDER, _SPARSE_FILL = 64, 32
+
+
+def jump_nonzeros(Y):
+    """The nonzeros of P = I + Y/q, q = max|y_ii|, as the index and value
+    arrays of one step of :func:`ph_partial_cdfs`' stacked vector, or
+    ``None`` where the dense step is as fast: below order 64, or with more
+    than one entry in 32 of P nonzero.
+
+    The stacked vector is [x P^i, P^i z/q]: entry (r, c, p) of P moves
+    u[r] p to c and u[d + c] p to d + r, so a step is
+    ``np.bincount(dst, u[src] * w, minlength=2d)``.  Each p is the entry
+    of the dense P = I + Y/q, bit for bit."""
+    Y = _as_square(Y, "Y")
+    d = Y.shape[0]
+    if d < _SPARSE_ORDER:
+        return None
+    q = float(np.abs(np.diagonal(Y)).max())
+    P = Y / q
+    P[np.diag_indices(d)] += 1.0
+    r, c = np.nonzero(P)
+    if _SPARSE_FILL * r.size > d * d:
+        return None
+    w = P[r, c]
+    return (np.concatenate([r, d + c]), np.concatenate([c, d + r]),
+            np.concatenate([w, w]))
+
+
+def _sparse_jump_law(x, zq, jumps, n):
+    """a_j = x P^j z/q for j < n by the stacked step of
+    :func:`jump_nonzeros`: from u_0 = [x, z/q] it makes
+    u_i = [x P^i, P^i z/q], and a_j = (x P^ceil(j/2)) . (P^floor(j/2) z/q),
+    so n terms take n // 2 steps and every product is of nonnegative
+    numbers."""
+    src, dst, w = jumps
+    d = x.size
+    U = np.empty((n // 2 + 1, 2 * d))
+    u = U[0] = np.concatenate([x, zq])
+    for i in range(n // 2):
+        u = U[i + 1] = np.bincount(dst, u[src] * w, minlength=2 * d)
+    rows, cols = U[:, :d], U[:, d:]
+    a = np.empty(2 * U.shape[0])
+    a[0::2] = np.einsum("ij,ij->i", rows, cols)
+    a[1:-1:2] = np.einsum("ij,ij->i", rows[1:], cols[:-1])
+    return a[:n]
+
+
+def ph_partial_cdfs(x, Y, z, theta, K=1, jumps=None):
     """P(Z_1 + ... + Z_k <= theta) for k = 1..K, the Z_i iid with pdf
     x e^{tY} z, for a phase-type triple: x >= 0, z >= 0 and Y >= 0 off its
     diagonal.
 
     Uniformization (Jensen 1953; Grassmann 1977): with q = max|y_ii| the
-    matrix P = I + Y/q is nonnegative, and a_j = x P^j z / q (by
-    :func:`row_powers`) is the law of the jump count, less one, of the
-    uniformized chain up to absorption.  A sum of k variables makes the
-    sum of k such counts, so its law a^(k) is the unit-shifted convolution
-    power a^(k)_j = sum_i a^(k-1)_i a_{j-1-i}, built by doubling from
-    Toeplitz matrices of the base sequence; the Kd x Kd block is never
-    formed.  Then F_k = sum_j P(N > j) a^(k)_j with N ~ Poisson(q theta):
-    every term is nonnegative, so nothing cancels and the lower tail keeps
-    its relative accuracy.
+    matrix P = I + Y/q is nonnegative, and a_j = x P^j z / q is the law of
+    the jump count, less one, of the uniformized chain up to absorption.
+    It is stepped by :func:`row_powers`, or, given ``jumps`` =
+    :func:`jump_nonzeros` of Y (which a caller builds once per triple), on
+    the nonzeros of P alone, with no pass over all of Y.  A sum of k
+    variables makes the sum of k such counts, so its law a^(k) is the
+    unit-shifted convolution power a^(k)_j = sum_i a^(k-1)_i a_{j-1-i},
+    built by doubling from Toeplitz matrices of the base sequence; the
+    Kd x Kd block is never formed.  Then F_k = sum_j P(N > j) a^(k)_j with
+    N ~ Poisson(q theta): every term is nonnegative, so nothing cancels and
+    the lower tail keeps its relative accuracy.
 
     With r the first index of a nonzero a_r, F_K >= P(N > K(r + 1) - 1)
     a_r^K, and n terms are kept once P(N > n) is at most eps times that
     bound.  As sum_j a^(k)_j <= 1 the terms left out sum to at most
-    P(N > n), within eps of every F_k >= F_K.
+    P(N > n), within eps of every F_k >= F_K; for the same reason each
+    F_k is at most 1, and a sum that rounds above 1 is clipped to it.
     """
     x, z = np.asarray(x, float), np.asarray(z, float)
-    Y = _as_square(Y, "Y")
+    if jumps is None:
+        Y = _as_square(Y, "Y")
     q = float(np.abs(np.diagonal(Y)).max())
     if not (q > 0 and theta >= 0 and np.isfinite(x).all()
             and np.isfinite(z).all()):
         raise ValueError("ph_partial_cdfs needs finite x and z, "
                          "max|y_ii| > 0 and theta >= 0")
     lam = q * theta
-    d, E, Zq = Y.shape[0], Y / q, z / q
+    d, zq = x.size, z / q
+    if jumps is None:
+        E = Y / q
+        law = lambda n: row_powers(x, E, n, zq)[0]
+    else:
+        law = lambda n: _sparse_jump_law(x, zq, jumps, n)
     # a sum of K variables makes at least K(r + 1) <= Kd jumps: twice that
     # on the base order costs little and leaves room for the terms past it
     n = int(max(_ph_terms(lam), 2 * K * d + 16 if K > 1 else 0))
     while True:
-        a = row_powers(x, E, n, Zq)[0]
+        a = law(n)
         nz = np.flatnonzero(a)
         if not nz.size:
             if n >= d:
@@ -294,7 +356,7 @@ def ph_partial_cdfs(x, Y, z, theta, K=1):
         s = (B + 1) * (r + 1) - 1
         C[B:B + c, s:] = C[:c, r:] @ T[r:, s:]
         B += c
-    return C @ tails[:n]
+    return np.minimum(C @ tails[:n], 1.0)
 
 
 def augmented(x, Y):

@@ -46,6 +46,19 @@ class PointMassAtZeroError(ConstructionError):
     """Numerator and denominator constant terms differ (total mass != 1)."""
 
 
+def _threshold(t, name="theta"):
+    """``t`` as a float.  A threshold that is not a finite real scalar
+    >= 0 is refused by name before any kernel runs; an array has no
+    meaning here yet."""
+    # a float skips np.ndim, which would build an array from it at a cost
+    # that shows in the root-finding loops over cdf
+    scalar = isinstance(t, float) or np.ndim(t) == 0
+    if not (scalar and 0.0 <= t < math.inf):
+        raise ValueError(
+            f"{name} must be a finite nonnegative scalar, got {t!r}")
+    return float(t)
+
+
 def _poly_eval(coeffs, s):
     """Evaluate sum_k coeffs[k] s^k (ascending order) at complex s."""
     out = 0.0 + 0.0j
@@ -158,6 +171,13 @@ class MEDist:
         """Uniformization rate max|y_ii|."""
         return float(np.abs(np.diagonal(self.Y)).max())
 
+    @functools.cached_property
+    def _jumps(self):
+        """:func:`matfun.jump_nonzeros` of Y, built on first use: the
+        nonzeros of P = I + Y/q where the sparse step of
+        :func:`matfun.ph_partial_cdfs` is the faster, else ``None``."""
+        return matfun.jump_nonzeros(self.Y)
+
     def _uniformizes(self, t, K=1) -> bool:
         """The route rule of :meth:`cdf` and
         :meth:`~mekit.algebra.KFoldConvolution.partial_cdfs`: a phase-type
@@ -175,10 +195,10 @@ class MEDist:
         relative accuracy in the lower tail; otherwise the row integral of
         one matrix exponential of the augmented generator, valid for
         singular Y."""
-        if t < 0:
-            raise ValueError(f"cdf requires t >= 0, got {t}")
+        t = _threshold(t, "t")
         if self._uniformizes(t):
-            return float(matfun.ph_partial_cdfs(self.x, self.Y, self.z, t)[0])
+            return float(matfun.ph_partial_cdfs(
+                self.x, self.Y, self.z, t, jumps=self._jumps)[0])
         return float(matfun.expm_integral(self.x, self.Y, t) @ self.z)
 
     def sf(self, t: float) -> float:
@@ -425,8 +445,16 @@ def to_rational_lt(dist: MEDist) -> RationalLT:
 
 
 def _erlang(k: int, rate: float) -> MEDist:
-    """Product form of ``k`` exponential stages of rate ``rate``."""
-    return from_product_form([RationalLT(p=[rate], q=[rate])] * int(k))
+    """``k`` exponential stages of rate ``rate``: x = rate e_1, Y = -rate
+    on the diagonal and rate above it, z = e_k; entry for entry the
+    :func:`from_product_form` of k factors rate / (s + rate)."""
+    k, rate = int(k), float(rate)
+    Y = np.diag(np.full(k, -rate)) + np.diag(np.full(k - 1, rate), 1)
+    x = np.zeros(k)
+    x[0] = rate
+    z = np.zeros(k)
+    z[-1] = 1.0
+    return MEDist(x, Y, z)
 
 
 def exponential(S: float) -> MEDist:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra, matfun
-from .medist import MEDist, RationalLT, from_rational_lt
+from .medist import MEDist, RationalLT, _threshold, from_rational_lt
 
 __all__ = [
     "MetricResult",
@@ -45,14 +45,32 @@ __all__ = [
 ]
 
 
+def _threshold_of_rate(R, S=None) -> float:
+    """e^R - 1, over S when given.  A rate R that is not finite, a mean SNR
+    S that is not positive, or a threshold that overflows a double (e^R
+    does past R = 709.78) is refused by name."""
+    if not math.isfinite(R):
+        raise ValueError(f"R = {R!r} is not a finite rate")
+    if S is not None and not S > 0:
+        raise ValueError(f"S = {S!r}: the mean SNR must be positive")
+    try:
+        theta = math.expm1(R) if S is None else math.expm1(R) / S
+    except OverflowError:
+        theta = math.inf
+    if math.isinf(theta):
+        what = "e^R - 1" if S is None else f"(e^R - 1)/S at S = {S!r}"
+        raise ValueError(f"R = {R!r}: the threshold {what} overflows a double")
+    return theta
+
+
 def theta_absolute(R: float) -> float:
     """Decoding threshold e^R - 1 for a channel used at its natural scale."""
-    return math.expm1(R)
+    return _threshold_of_rate(R)
 
 
 def theta_unit_mean(R: float, S: float) -> float:
     """Decoding threshold (e^R - 1)/S for the unit-mean channel convention."""
-    return math.expm1(R) / S
+    return _threshold_of_rate(R, S)
 
 
 @dataclass(frozen=True)
@@ -94,9 +112,7 @@ def outage(channel, theta: float) -> MetricResult:
     """Outage probability P(Z <= theta): the augmented cdf (valid for
     singular generators)."""
     d = _dist(channel)
-    if theta < 0:
-        raise ValueError("theta must be nonnegative")
-    return _result(d.cdf(theta), "closed_form")
+    return _result(d.cdf(_threshold(theta)), "closed_form")
 
 
 def outage_capacity(channel, q_target: float) -> MetricResult:
@@ -136,13 +152,14 @@ def harq_truncated_throughput(channel, R: float, K: int,
 
         R (1 - F_K(theta)) / (1 + sum_{k<K} F_k(theta)),
 
-    with all partial-sum cdfs F_k taken from one block exponential.
+    with all partial-sum cdfs F_k by the route rule of
+    :meth:`~mekit.algebra.KFoldConvolution.partial_cdfs`; the uniformized
+    route builds no K-fold block.
     """
     d = _dist(channel)
     if R <= 0:
         raise ValueError("R must be positive")
-    block = algebra.kfold_block(d, K)
-    F = block.partial_cdfs(theta)
+    F = algebra._partial_cdfs(d, algebra._fold_count(d, K), theta)
     denom = 1.0 + float(np.sum(F[:-1]))
     return _result(R * (1.0 - F[-1]) / denom, "closed_form")
 

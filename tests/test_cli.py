@@ -299,6 +299,24 @@ class TestMetric:
         assert code == 2
         assert "not rational" in err
 
+    @pytest.mark.parametrize("argv, named", [
+        (("--R", "800"), "R = 800.0: the threshold e^R - 1 overflows"),
+        (("--R", "inf"), "R = inf is not a finite rate"),
+        (("--R", "nan"), "R = nan is not a finite rate"),
+        (("--Theta-convention", "per-unit-mean", "--S", "0"),
+         "S = 0.0: the mean SNR must be positive"),
+    ], ids=["R800", "Rinf", "Rnan", "S0"])
+    def test_rate_without_a_threshold_exit_two(self, capsys, ray_spec, argv,
+                                               named):
+        # e^R - 1 overflows past R = 709.78; a warning raised as an error
+        # would escape main
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "metric", "--metric", "outage",
+                                     "--spec", ray_spec, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {named}")
+
     def test_interference_sweep_scales_signal(self, capsys, ray_spec):
         # Rayleigh signal of mean S over a unit Rayleigh interferer:
         # P(Z > theta (1 + Z_I)) = e^{-theta/S} / (1 + theta/S)

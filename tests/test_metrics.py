@@ -6,14 +6,14 @@ import pytest
 import scipy.special
 from numpy.testing import assert_allclose
 
-from mekit import RationalLT, erlang, exponential, metrics
+from mekit import RationalLT, erlang, exponential, matfun, metrics
 from mekit.algebra import (convolve, kfold_block, max_dist, min_dist,
                            standard_channel)
 from mekit.bivariate import InterferenceScenario
 from mekit.medist import ChannelSpec, MEDist
-from conftest import (classic_cdf, harq_persistent_erlang_shifted, nakagami,
-                      quadpack, random_valid_dist, rate_optimum_error, sdc,
-                      sdc_eff_capacity_mpmath)
+from conftest import (classic_cdf, example2, harq_persistent_erlang_shifted,
+                      nakagami, quadpack, random_valid_dist,
+                      rate_optimum_error, sdc, sdc_eff_capacity_mpmath)
 
 RAY = exponential(1.0)
 THETA_R1 = math.e - 1.0  # threshold for R = 1 nat
@@ -45,6 +45,28 @@ class TestOutage:
         vals = [metrics.outage(exponential(S), THETA_R1).value
                 for S in np.linspace(0.1, 10.0, 20)]
         assert np.all(np.diff(vals) < 0)
+
+
+@pytest.mark.parametrize("theta", [np.array([1.0, 2.0]), math.nan, math.inf],
+                         ids=["array", "nan", "inf"])
+@pytest.mark.parametrize("call", [
+    lambda d, th: d.cdf(th),
+    lambda d, th: kfold_block(d, 3).partial_cdfs(th),
+    lambda d, th: metrics.outage(d, th),
+    lambda d, th: metrics.harq_truncated_throughput(d, 1.0, 3, th),
+], ids=["cdf", "partial_cdfs", "outage", "harq_truncated"])
+@pytest.mark.parametrize("d", [erlang(2, 1.0), example2()],
+                         ids=["phase_type", "oscillatory"])
+def test_threshold_refused_by_name_before_any_kernel(monkeypatch, d, call,
+                                                     theta):
+    def kernel(*args, **kwargs):
+        pytest.fail("a kernel ran on a refused threshold")
+
+    monkeypatch.setattr(matfun, "ph_partial_cdfs", kernel)
+    monkeypatch.setattr(matfun, "expm_integral", kernel)
+    with pytest.raises(ValueError,
+                       match=r"^(theta|t) must be a finite nonnegative scalar"):
+        call(d, theta)
 
 
 class TestOutageCapacity:

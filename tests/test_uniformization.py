@@ -8,8 +8,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from mekit import ChannelSpec, erlang, matfun, metrics, standard_channel
+from mekit import (ChannelSpec, RationalLT, algebra, erlang, matfun, metrics,
+                   standard_channel)
 from mekit.algebra import convolve, kfold_block, max_dist, min_dist
+from mekit.bivariate import InterferenceScenario
+from mekit.medist import MEDist, _erlang, from_product_form
 from mekit.matfun import _poisson_tails
 from conftest import example2, random_valid_dist
 
@@ -156,3 +159,102 @@ def test_diversity_gain_of_phase_type_closures(name, dist, r):
 
 def test_diversity_gain_of_other_triples_is_the_order():
     assert metrics.diversity_gain(example2()) == 3
+
+
+# -- the sparse step on the nonzeros of P ---------------------------------
+
+
+MAX16 = max_dist(erlang(16, 4.0), erlang(16, 6.0))
+
+
+@pytest.mark.parametrize("d", [
+    MAX16.closure(), min_dist(erlang(16, 3.0), erlang(16, 5.0)).closure(),
+], ids=["max16_d288", "min16_d256"])
+def test_sparse_and_dense_steps_agree(d):
+    assert d._jumps is not None
+    smallest = 1.0
+    for th in np.geomspace(1e-3, 3.0, 30) * d.mean:
+        for K in (1, 3):
+            dense = matfun.ph_partial_cdfs(d.x, d.Y, d.z, th, K)
+            sparse = matfun.ph_partial_cdfs(d.x, d.Y, d.z, th, K,
+                                            jumps=d._jumps)
+            assert np.all(np.abs(sparse - dense) <= 2e-15 * dense)
+            smallest = min(smallest, dense.min())
+    assert smallest < 1e-140
+
+
+def test_max_closure_deep_tail_is_the_product_of_its_factors():
+    c = MAX16.closure()
+    smallest = 1.0
+    for th in np.geomspace(1.5e-3, 40.0, 20):
+        ref = _gammainc(16, 4.0 * th) * _gammainc(16, 16.0 / 6.0 * th)
+        assert abs(c.cdf(th) - ref) <= 1e-13 * ref
+        smallest = min(smallest, ref)
+    assert smallest < 1e-100
+
+
+def test_sparse_rule_by_order_and_fill():
+    # the dense and sparse steps tie below order 64 and the sparse step
+    # loses once P holds more than about one entry in 25 (CHANGES.md)
+    assert MAX16.closure()._jumps is not None
+    assert min_dist(erlang(8, 3.0), erlang(8, 5.0)).closure()._jumps is not None
+    assert max_dist(erlang(6, 3.0), erlang(6, 5.0)).closure()._jumps is None
+    for m in (2, 4):
+        assert erlang(m, 2.0)._jumps is None
+    # order 128 with about one entry in 10 of Y off its diagonal
+    rng = np.random.default_rng(1)
+    M = rng.random((128, 128)) * (rng.random((128, 128)) < 0.1)
+    np.fill_diagonal(M, 0.0)
+    full = MEDist(np.full(128, 1 / 128), M - np.diag(M.sum(1) + 1.0),
+                  np.ones(128))
+    assert full.phase_type and full._jumps is None
+
+
+@pytest.mark.parametrize("th", [30.0, 40.0])
+def test_uniformized_cdf_is_at_most_one(th):
+    # a sum of nonnegative terms rounded to 1 + 3e-15 here before the clip
+    c = MAX16.closure()
+    assert c._uniformizes(th)
+    assert c.cdf(th) == 1.0
+    assert c.sf(th) == 0.0
+    assert metrics.arq_throughput(c, 1.0, th).value == 0.0
+
+
+@pytest.mark.parametrize("m, K", [(2, 32), (4, 64)])
+def test_truncated_harq_builds_no_block_on_a_phase_type_base(monkeypatch,
+                                                             m, K):
+    d, R = erlang(m, 2.0), 1.0
+    block = kfold_block(d, K)
+    built = []
+    monkeypatch.setattr(algebra, "kfold_block",
+                        lambda dist, K: built.append(K) or kfold_block(dist, K))
+    for th in (K / 8, K / 3, 2 * K / 3):
+        assert d._uniformizes(th, K)
+        got = metrics.harq_truncated_throughput(d, R, K, th).value
+        row = matfun.expm_integral(block.p_block, block.Q_block, th)
+        F = row.reshape(K, d.d) @ d.z
+        ref = R * (1.0 - F[-1]) / (1.0 + F[:-1].sum())
+        assert abs(got - ref) <= 1e-12 * ref
+    assert built == []
+    # the Pade route still builds its block, through the counted name
+    metrics.harq_truncated_throughput(example2(), R, 3, 1.0)
+    assert built == [3]
+
+
+def test_one_pass_constructions_are_bit_identical():
+    parts = [erlang(2, g) for g in (1.0, 1.3, 1.7, 2.2)] * 8
+    chain = parts[0]
+    for p in parts[1:]:
+        chain = convolve(chain, p)
+    for a, b in ((convolve(*parts), chain),
+                 (InterferenceScenario(signal=parts[0],
+                                       interferers=parts).interference(),
+                  chain)):
+        assert all(np.array_equal(u, v)
+                   for u, v in ((a.x, b.x), (a.Y, b.Y), (a.z, b.z)))
+    for k in (1, 2, 5, 16):
+        for rate in (0.37, 1.0, 12.5):
+            a = _erlang(k, rate)
+            b = from_product_form([RationalLT(p=[rate], q=[rate])] * k)
+            assert all(np.array_equal(u, v)
+                       for u, v in ((a.x, b.x), (a.Y, b.Y), (a.z, b.z)))

@@ -1,6 +1,8 @@
 """Effective-channel algebra: closure operations (convolution, k-fold
 convolution blocks, max, min) and constructors for the standard wireless
 channel models, all producing ME-distributed effective channels.
+Sums, product forms, K-fold blocks and renewal blocks are convolution
+chains built by one assembler, :func:`~mekit.medist._chain`.
 
 Operations refuse to grow the representation past degree 4096, because
 matrix-exponential cost is cubic in degree; the check runs before the
@@ -15,8 +17,8 @@ import numpy as np
 
 from . import matfun
 from .medist import (ChannelSpec, ConstructionError, MEDist, RationalLT,
-                     _erlang, _threshold, exponential, from_product_form,
-                     from_rational_lt)
+                     _chain, _erlang, _threshold, exponential,
+                     from_product_form, from_rational_lt)
 
 __all__ = [
     "EffectiveChannel",
@@ -66,58 +68,22 @@ def _unwrap(obj):
 
 
 def convolve(*parts):
-    """Distribution of the sum of independent ME variables.
-
-    The block form is block upper-bidiagonal, built in one pass: the
-    summand generators on the diagonal, each coupled to the next by the
-    rank-one block z_i x_{i+1}, x = [x_1 0 ... 0] and z = [0 ... 0 z_K].
-    For two summands this is Y = [[Y1, z1 x2], [0, Y2]]; for more it is
-    the pairwise chain's triple, entry for entry.  One summand is returned
-    as it is.
+    """Distribution of the sum of independent ME variables: the
+    block-bidiagonal :func:`~mekit.medist._chain` of the summands, entry
+    for entry the pairwise chain's triple.  For two summands this is
+    Y = [[Y1, z1 x2], [0, Y2]].  One summand is returned as it is.
     """
     if not parts:
         raise ConstructionError("convolve requires at least one summand")
     if len(parts) == 1:
         return parts[0]
     dists, provs = zip(*map(_unwrap, parts))
-    offs = np.cumsum([0] + [a.d for a in dists])
-    d = int(offs[-1])
-    _guard_degree(d)
-    Y = np.zeros((d, d))
-    for i, a in enumerate(dists):
-        lo, hi = offs[i], offs[i + 1]
-        Y[lo:hi, lo:hi] = a.Y
-        if i + 1 < len(dists):
-            Y[lo:hi, hi:offs[i + 2]] = np.outer(a.z, dists[i + 1].x)
-    x = np.zeros(d)
-    x[:offs[1]] = dists[0].x
-    z = np.zeros(d)
-    z[offs[-2]:] = dists[-1].z
-    out = MEDist(x, Y, z)
+    _guard_degree(sum(a.d for a in dists))
+    out = MEDist(*_chain(dists))
     if any(isinstance(p, EffectiveChannel) for p in parts):
         return EffectiveChannel(out, {"op": "convolve",
                                       "children": list(provs)})
     return out
-
-
-def _partial_cdfs(base: MEDist, K: int, theta: float, block=None):
-    """P(Z_1 + ... + Z_k <= theta) for k = 1..K, the route rule of
-    :meth:`KFoldConvolution.partial_cdfs` and
-    :func:`~mekit.metrics.harq_truncated_throughput`: a phase-type base
-    under the rule of :meth:`MEDist._uniformizes` takes
-    :func:`matfun.ph_partial_cdfs` on the base triple and builds no block;
-    any other base takes one exponential of the K-fold ``block`` (built
-    here when not given): the k-th partial convolution ends its block with
-    the base z vector, so its cdf is row 1 of the exponential dotted with
-    z in block k."""
-    theta = _threshold(theta)
-    if base._uniformizes(theta, K):
-        return matfun.ph_partial_cdfs(base.x, base.Y, base.z, theta, K,
-                                      jumps=base._jumps)
-    if block is None:
-        block = kfold_block(base, K)
-    row = matfun.expm_integral(block.p_block, block.Q_block, theta)
-    return row.reshape(K, base.d) @ base.z
 
 
 def _fold_count(base: MEDist, K) -> int:
@@ -142,29 +108,19 @@ class KFoldConvolution:
 
     def partial_cdfs(self, theta: float) -> np.ndarray:
         """P(Z_1 + ... + Z_k <= theta) for k = 1..K, by the route rule of
-        :func:`_partial_cdfs`."""
-        return _partial_cdfs(self.base, self.K, theta, self)
+        :meth:`MEDist._partial_cdfs` (this block serves its Pade row)."""
+        return self.base._partial_cdfs(_threshold(theta), self.K, self)
 
 
 def kfold_block(dist, K: int) -> KFoldConvolution:
-    """Build the K-fold convolution block structure for ``dist``.
-
-    The k-th diagonal block repeats the generator Y; superdiagonal blocks
-    carry the rank-one coupling z x so that block-triangular exponentiation
-    produces every partial-convolution cdf simultaneously.
+    """Build the K-fold convolution block structure for ``dist``: the
+    :func:`~mekit.medist._chain` of K copies, whose k-th block ends the
+    k-th partial sum, so block-triangular exponentiation produces every
+    partial-convolution cdf simultaneously.
     """
     base, _ = _unwrap(dist)
     K = _fold_count(base, K)
-    d = base.d
-    n = d * K
-    Q = np.zeros((n, n))
-    P = np.outer(base.z, base.x)
-    for k in range(K):
-        Q[k * d:(k + 1) * d, k * d:(k + 1) * d] = base.Y
-        if k + 1 < K:
-            Q[k * d:(k + 1) * d, (k + 1) * d:(k + 2) * d] = P
-    p = np.zeros(n)
-    p[:d] = base.x
+    p, Q, _ = _chain([base] * K)
     return KFoldConvolution(base=base, K=K, p_block=p, Q_block=Q)
 
 

@@ -13,7 +13,9 @@ first; denominators are monic with the leading coefficient implicit.
 
 from __future__ import annotations
 
+import collections
 import functools
+import itertools
 import json
 import math
 import numbers
@@ -179,27 +181,34 @@ class MEDist:
         return matfun.jump_nonzeros(self.Y)
 
     def _uniformizes(self, t, K=1) -> bool:
-        """The route rule of :meth:`cdf` and
-        :meth:`~mekit.algebra.KFoldConvolution.partial_cdfs`: a phase-type
-        triple whose uniformized sum at t needs at most about twice the
-        order Kd + 1 that the Pade row would exponentiate.  The O(d) size
-        test runs first, so small channels skip the sign test."""
+        """The route rule of :meth:`_partial_cdfs`: a phase-type triple
+        whose uniformized sum at t needs at most about twice the order
+        Kd + 1 that the Pade row would exponentiate.  The O(d) size test
+        runs first, so small channels skip the sign test."""
         return (0.0 < self._rate
                 and matfun._ph_terms(self._rate * t) <= 2 * (K * self.d + 1)
                 and self.phase_type)
 
+    def _partial_cdfs(self, t, K=1, block=None):
+        """P(Z_1 + ... + Z_k <= t) for k = 1..K, Z_i iid with this law: the
+        one owner of the route rule of :meth:`cdf`,
+        :meth:`~mekit.algebra.KFoldConvolution.partial_cdfs` and truncated
+        HARQ.  Under the rule of :meth:`_uniformizes`,
+        :func:`matfun.ph_partial_cdfs` on this triple, a sum of nonnegative
+        terms that keeps its relative accuracy in the lower tail, with no
+        block built; otherwise row 1 of one exponential of the augmented
+        K-fold ``block`` (chained here when not given; valid for singular
+        Y), dotted with z in each block.  ``t`` is checked by the caller."""
+        if self._uniformizes(t, K):
+            return matfun.ph_partial_cdfs(self.x, self.Y, self.z, t, K,
+                                          jumps=self._jumps)
+        x, Y = ((block.p_block, block.Q_block) if block is not None
+                else _chain([self] * K)[:2])
+        return matfun.expm_integral(x, Y, t).reshape(K, self.d) @ self.z
+
     def cdf(self, t: float) -> float:
-        """Cumulative distribution at t.  A phase-type triple takes
-        :func:`matfun.ph_partial_cdfs` under the rule of
-        :meth:`_uniformizes`, a sum of nonnegative terms that keeps its
-        relative accuracy in the lower tail; otherwise the row integral of
-        one matrix exponential of the augmented generator, valid for
-        singular Y."""
-        t = _threshold(t, "t")
-        if self._uniformizes(t):
-            return float(matfun.ph_partial_cdfs(
-                self.x, self.Y, self.z, t, jumps=self._jumps)[0])
-        return float(matfun.expm_integral(self.x, self.Y, t) @ self.z)
+        """Cumulative distribution at t, by :meth:`_partial_cdfs`."""
+        return float(self._partial_cdfs(_threshold(t, "t"))[0])
 
     def sf(self, t: float) -> float:
         """Survival function 1 - cdf(t)."""
@@ -357,15 +366,24 @@ class ValidationReport:
                 and self.cdf_limit_one and self.p1_eq_q1)
 
 
-def _companion(q):
-    """Companion matrix S - z q for a monic denominator with ascending
-    sub-leading coefficients ``q``; returns (Y, z)."""
-    d = len(q)
+# a bare (x, Y, z) that :func:`_chain` reads as it reads an MEDist
+_Triple = collections.namedtuple("_Triple", "x Y z")
+
+
+def _companion_form(lt: RationalLT) -> _Triple:
+    """Companion triple of one rational transform: p padded into x, the
+    companion matrix S - z q of the monic denominator, z the last basis
+    vector.  deg(p) >= deg(q) is refused, trailing zeros of p counted as
+    :meth:`RationalLT.check` counts them."""
+    d = lt.degree
+    if len(lt.p) > d:
+        raise ConstructionError(
+            "numerator degree must be below denominator degree")
+    x, z = np.zeros(d), np.zeros(d)
+    x[:len(lt.p)], z[-1] = lt.p, 1.0
     Y = np.diag(np.ones(d - 1), 1)
-    Y[-1, :] -= np.asarray(q, dtype=float)
-    z = np.zeros(d)
-    z[-1] = 1.0
-    return Y, z
+    Y[-1, :] -= lt.q
+    return _Triple(x, Y, z)
 
 
 def from_rational_lt(lt: RationalLT) -> MEDist:
@@ -374,55 +392,49 @@ def from_rational_lt(lt: RationalLT) -> MEDist:
     The degree-d denominator maps to the d x d companion matrix, the
     numerator coefficients to the x row, and z is the last basis vector.
     """
-    problems = lt.check()
-    for msg in problems:
-        if msg.startswith("deg"):
-            raise ConstructionError(
-                "numerator degree must be below denominator degree")
-        if msg.startswith("p1"):
-            raise PointMassAtZeroError(
-                "constant terms p1 and q1 differ; transform carries a "
-                "point mass at zero or total mass != 1")
-    d = lt.degree
-    x = np.zeros(d)
-    x[:len(lt.p)] = lt.p
-    Y, z = _companion(lt.q)
+    x, Y, z = _companion_form(lt)
+    if any(msg.startswith("p1") for msg in lt.check()):
+        raise PointMassAtZeroError(
+            "constant terms p1 and q1 differ; transform carries a "
+            "point mass at zero or total mass != 1")
     return MEDist(x, Y, z)
+
+
+def _chain(parts):
+    """Triple (x, Y, z) of the sum of the independent ME variables
+    ``parts``, whose transform is the product of theirs: block upper
+    bidiagonal, the summand generators on the diagonal, each coupled to the
+    next by the rank-one block z_i x_{i+1}, x = [x_1 0 ... 0] and
+    z = [0 ... 0 z_K].  The one assembler of sums, product forms, K-fold
+    and renewal blocks.  A run of one repeated pair shares one coupling;
+    pairs are matched by ``is``, as an MEDist's ``==`` compares arrays.
+    One part is returned as its own triple."""
+    if len(parts) == 1:
+        return parts[0].x, parts[0].Y, parts[0].z
+    offs = list(itertools.accumulate([len(a.x) for a in parts], initial=0))
+    Y = np.zeros((offs[-1], offs[-1]))
+    pa = pb = None
+    for a, b, lo, hi, end in zip(parts, parts[1:], offs, offs[1:], offs[2:]):
+        if a is not pa or b is not pb:
+            pa, pb, C = a, b, np.outer(a.z, b.x)
+        Y[lo:hi, lo:hi] = a.Y
+        Y[lo:hi, hi:end] = C
+    Y[offs[-2]:, offs[-2]:] = parts[-1].Y
+    x = np.zeros(offs[-1])
+    x[:offs[1]] = parts[0].x
+    z = np.zeros(offs[-1])
+    z[offs[-2]:] = parts[-1].z
+    return x, Y, z
 
 
 def from_product_form(factors) -> MEDist:
     """Block upper-bidiagonal ME distribution for a product of rational
-    transforms prod_j p_j(s)/q_j(s).
-
-    Each factor contributes its companion block; consecutive blocks are
-    coupled through rank-one blocks carrying the next numerator.
-    """
+    transforms prod_j p_j(s)/q_j(s): the :func:`_chain` of the factors'
+    companion triples."""
     factors = list(factors)
     if not factors:
         raise ConstructionError("factor list must not be empty")
-    dims = [f.degree for f in factors]
-    d = sum(dims)
-    Y = np.zeros((d, d))
-    x = np.zeros(d)
-    offs = np.cumsum([0] + dims)
-    for j, f in enumerate(factors):
-        dj = dims[j]
-        Qj, rj = _companion(f.q)
-        Y[offs[j]:offs[j + 1], offs[j]:offs[j + 1]] = Qj
-        pj = np.zeros(dj)
-        pj[:len(f.p)] = f.p
-        if f.num_degree() >= f.degree:
-            raise ConstructionError(
-                f"factor {j}: numerator degree must be below denominator degree")
-        if j == 0:
-            x[:dj] = pj
-        else:
-            rprev = np.zeros(dims[j - 1])
-            rprev[-1] = 1.0
-            Y[offs[j - 1]:offs[j], offs[j]:offs[j + 1]] = np.outer(rprev, pj)
-    z = np.zeros(d)
-    z[-1] = 1.0
-    return MEDist(x, Y, z)
+    return MEDist(*_chain([_companion_form(f) for f in factors]))
 
 
 def to_rational_lt(dist: MEDist) -> RationalLT:

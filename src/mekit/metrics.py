@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra, matfun
-from .medist import MEDist, RationalLT, _threshold, from_rational_lt
+from .medist import (MEDist, RationalLT, _chain, _threshold,
+                     from_rational_lt)
 
 __all__ = [
     "MetricResult",
@@ -153,13 +154,13 @@ def harq_truncated_throughput(channel, R: float, K: int,
         R (1 - F_K(theta)) / (1 + sum_{k<K} F_k(theta)),
 
     with all partial-sum cdfs F_k by the route rule of
-    :meth:`~mekit.algebra.KFoldConvolution.partial_cdfs`; the uniformized
-    route builds no K-fold block.
+    :meth:`~mekit.medist.MEDist._partial_cdfs`; the uniformized route
+    builds no K-fold block.
     """
     d = _dist(channel)
     if R <= 0:
         raise ValueError("R must be positive")
-    F = algebra._partial_cdfs(d, algebra._fold_count(d, K), theta)
+    F = d._partial_cdfs(_threshold(theta), algebra._fold_count(d, K))
     denom = 1.0 + float(np.sum(F[:-1]))
     return _result(R * (1.0 - F[-1]) / denom, "closed_form")
 
@@ -167,16 +168,15 @@ def harq_truncated_throughput(channel, R: float, K: int,
 def _renewal_generator(channel, N: int):
     """Renewal triple (x_N, G, z_N) of the N-fold sum of ``channel``.
 
-    The N-fold block (x_N, Q_block, z_N), z_N the base z in the last
-    block, gains the rank-one corner z_N x_N: G = Q_block + z_N x_N.  The
-    renewal density of ME(x, Y, z) is x e^{t(Y + z x)} z (Asmussen & Bladt
-    1996), so the mean transmission count at theta is
+    The N-fold chain (x_N, Y_N, z_N), z_N the base z in the last block,
+    gains the rank-one corner z_N x_N: G = Y_N + z_N x_N.  The renewal
+    density of ME(x, Y, z) is x e^{t(Y + z x)} z (Asmussen & Bladt 1996),
+    so the mean transmission count at theta is
     1 + int_0^theta x_N e^{tG} z_N dt.
     """
-    block = algebra.kfold_block(_dist(channel), N)
-    z = np.zeros(block.p_block.size)
-    z[-block.base.d:] = block.base.z
-    return block.p_block, block.Q_block + np.outer(z, block.p_block), z
+    d = _dist(channel)
+    x, Y, z = _chain([d] * algebra._fold_count(d, N))
+    return x, Y + np.outer(z, x), z
 
 
 def harq_persistent_throughput(channel, R: float, theta: float,

@@ -15,7 +15,7 @@ import mekit
 from mekit import ChannelSpec, MEDist, RationalLT, erlang, exponential
 from mekit import from_rational_lt, matfun, standard_channel
 from mekit.algebra import convolve
-from mekit.medist import _companion
+from mekit.medist import _companion_form
 
 
 def run_fresh(code):
@@ -110,7 +110,7 @@ def harq_persistent_erlang_shifted(N, R, theta):
     q[0] = 1.0
     q[1] += -1.0
     q[-1] += -1.0
-    Y, _ = _companion(q)
+    Y = _companion_form(RationalLT([1.0], q)).Y
     E = matfun.expm(theta * (Y - np.eye(N + 1)))
     return R / E[-1, -1]
 

@@ -117,6 +117,32 @@ class TestKFold:
         with pytest.raises(ValueError):
             kfold_block(exponential(1.0), 0)
 
+    def test_repeated_pair_couples_once(self, monkeypatch):
+        # the chain matches pairs by identity: K copies of one base form
+        # their coupling z x once, and an equal but distinct part its own
+        outer, calls = np.outer, []
+        monkeypatch.setattr(np, "outer",
+                            lambda a, b: calls.append(1) or outer(a, b))
+        b = erlang(2, 1.0)
+        kfold_block(b, 64)
+        assert len(calls) == 1
+        convolve(b, b, erlang(2, 1.0), b)
+        assert len(calls) == 4
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 8])
+    def test_block_transform_is_power_of_base(self, rng, K):
+        # with the base z in the last block the block is the K-fold sum, so
+        # its transform is L(s)^K of the base's own resolvent
+        for base in (random_valid_dist(rng), example2(), erlang(3, 2.0)):
+            block = kfold_block(base, K)
+            z = np.zeros(K * base.d)
+            z[-base.d:] = base.z
+            total = MEDist(block.p_block, block.Q_block, z)
+            for _ in range(5):
+                s = complex(rng.uniform(0.1, 4.0), rng.uniform(-3.0, 3.0))
+                ref = base.lt(s) ** K
+                assert abs(total.lt(s) - ref) <= 1e-10 * max(1.0, abs(ref))
+
 
 class TestMax:
     def test_iid_exponentials_median_product(self):

@@ -57,3 +57,13 @@ def test_bare_import_resolves_every_name():
     assert out["mods"] == [m.__name__ for m in SUBMODULES]
     assert all(out["same"]) and len(out["same"]) == len(mekit.__all__)
     assert out["dir"] == []
+
+
+def test_medist_loads_without_the_algebra():
+    """The closure assembler ``medist._chain`` lives below ``algebra``,
+    which imports ``medist``: a fresh ``import mekit.medist`` loads no
+    ``mekit.algebra``."""
+    code = ("import sys, mekit.medist\n"
+            "print(sorted(m for m in sys.modules if m.startswith('mekit')))")
+    loaded = run_fresh(code)
+    assert "'mekit.medist'" in loaded and "mekit.algebra" not in loaded

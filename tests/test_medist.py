@@ -70,6 +70,33 @@ class TestFromProductForm:
         with pytest.raises(ConstructionError, match="empty"):
             from_product_form([])
 
+    @pytest.mark.parametrize("lt", [RationalLT([1.0, 0.0], [1.0]),
+                                    RationalLT([1.0, 2.0, 3.0], [1.0, 1.0])])
+    def test_improper_factor_refused_as_by_from_rational_lt(self, lt):
+        # a numerator longer than the denominator, trailing zeros included
+        for build in (from_rational_lt, lambda f: from_product_form([f]),
+                      lambda f: from_product_form([RationalLT([2.0], [2.0]),
+                                                   f])):
+            with pytest.raises(ConstructionError, match="degree"):
+                build(lt)
+
+    def test_transform_is_product_of_factors(self, rng):
+        # the factors' own rational functions, evaluated as polynomials,
+        # against the resolvent of the assembled triple
+        for _ in range(20):
+            fs = []
+            for _ in range(rng.integers(1, 6)):
+                q = rng.uniform(0.2, 3.0, rng.integers(1, 5))
+                p = rng.uniform(-1.0, 2.0, rng.integers(1, len(q) + 1))
+                p[0] = q[0]
+                fs.append(RationalLT(p, q))
+            d = from_product_form(fs)
+            assert d.d == sum(f.degree for f in fs)
+            for _ in range(5):
+                s = complex(rng.uniform(0.1, 4.0), rng.uniform(-3.0, 3.0))
+                ref = math.prod(f(s) for f in fs)
+                assert abs(d.lt(s) - ref) <= 1e-10 * max(1.0, abs(ref))
+
 
 class TestEvaluation:
     def test_pdf_at_zero_exponential(self):

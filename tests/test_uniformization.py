@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from mekit import (ChannelSpec, RationalLT, algebra, erlang, matfun, metrics,
+from mekit import (ChannelSpec, RationalLT, erlang, matfun, medist, metrics,
                    standard_channel)
 from mekit.algebra import convolve, kfold_block, max_dist, min_dist
 from mekit.bivariate import InterferenceScenario
@@ -225,9 +225,9 @@ def test_truncated_harq_builds_no_block_on_a_phase_type_base(monkeypatch,
                                                              m, K):
     d, R = erlang(m, 2.0), 1.0
     block = kfold_block(d, K)
-    built = []
-    monkeypatch.setattr(algebra, "kfold_block",
-                        lambda dist, K: built.append(K) or kfold_block(dist, K))
+    built, chain = [], medist._chain
+    monkeypatch.setattr(medist, "_chain",
+                        lambda parts: built.append(len(parts)) or chain(parts))
     for th in (K / 8, K / 3, 2 * K / 3):
         assert d._uniformizes(th, K)
         got = metrics.harq_truncated_throughput(d, R, K, th).value
@@ -236,7 +236,7 @@ def test_truncated_harq_builds_no_block_on_a_phase_type_base(monkeypatch,
         ref = R * (1.0 - F[-1]) / (1.0 + F[:-1].sum())
         assert abs(got - ref) <= 1e-12 * ref
     assert built == []
-    # the Pade route still builds its block, through the counted name
+    # the Pade route still builds its block, through the counted assembler
     metrics.harq_truncated_throughput(example2(), R, 3, 1.0)
     assert built == [3]
 
@@ -258,3 +258,21 @@ def test_one_pass_constructions_are_bit_identical():
             b = from_product_form([RationalLT(p=[rate], q=[rate])] * k)
             assert all(np.array_equal(u, v)
                        for u, v in ((a.x, b.x), (a.Y, b.Y), (a.z, b.z)))
+    for b in (erlang(3, 1.4), example2(), MAX16.closure()):
+        for K in (1, 2, 3):
+            block, c = kfold_block(b, K), convolve(*[b] * K)
+            assert np.array_equal(block.p_block, c.x)
+            assert np.array_equal(block.Q_block, c.Y)
+
+
+@pytest.mark.parametrize("th, uniformized", [(0.01, True), (1.0, False)])
+def test_one_fold_is_the_cdf_bit_for_bit(th, uniformized):
+    # the K = 1 edge of truncated HARQ and of the block is ARQ and the cdf,
+    # on a phase-type channel on both sides of the size rule and on an
+    # oscillatory one
+    for d in (erlang(16, 1.0), example2()):
+        if d.phase_type:
+            assert d._uniformizes(th) == uniformized
+        assert kfold_block(d, 1).partial_cdfs(th)[0] == d.cdf(th)
+        assert (metrics.harq_truncated_throughput(d, 0.8, 1, th).value
+                == metrics.arq_throughput(d, 0.8, th).value)

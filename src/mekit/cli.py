@@ -223,9 +223,13 @@ def _emit(rows, args, header) -> None:
 
 
 def cmd_metric(args) -> int:
-    rows = []
+    rows, built = [], None
     for key, value, spec, a in _sweep_rows(args):
-        res, theta_used = _eval_metric(args.metric, _build(spec), a)
+        # a sweep that keeps the spec reads one channel, and with it the
+        # channel's cached jump law
+        if spec is not built:
+            built, channel = spec, _build(spec)
+        res, theta_used = _eval_metric(args.metric, channel, a)
         rows.append({
             "metric": args.metric,
             "sweep_key": key or "",

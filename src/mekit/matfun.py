@@ -1,12 +1,15 @@
 """Matrix-function kernel: matrix exponential (of one matrix or a stack),
 rows of it and e^M - I, stepped rows of matrix powers, uniformized
-partial-sum cdfs of phase-type triples (stepped on the nonzeros of the
-jump matrix where it is sparse), Kronecker sum,
-Sylvester solver, integer and half-integer matrix powers,
-eigendecomposition and adaptive quadrature of array-valued integrands.
+partial-sum cdfs of phase-type triples from a jump law kept and
+extended on demand (stepped on the nonzeros of the jump matrix where it
+is sparse), Kronecker sum, Sylvester solver, integer and half-integer
+matrix powers, eigendecomposition and adaptive quadrature of array-valued
+integrands.
 
-All operations are pure functions over immutable inputs and are safe to call
-concurrently.
+Every function is pure over its inputs, which it does not change.  The
+one object with state, :class:`JumpLaw`, grows its cache by publishing
+new arrays in one attribute assignment, so it too may be read from
+several threads at once.  All of the module is safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ __all__ = [
     "AccuracyWarning",
     "BranchCutError",
     "EigDecomp",
+    "JumpLaw",
     "SpectralCollisionError",
     "augmented",
     "eig_decomp",
@@ -260,29 +264,167 @@ def jump_nonzeros(Y):
             np.concatenate([w, w]))
 
 
-def _sparse_jump_law(x, zq, jumps, n):
-    """a_j = x P^j z/q for j < n by the stacked step of
-    :func:`jump_nonzeros`: from u_0 = [x, z/q] it makes
-    u_i = [x P^i, P^i z/q], and a_j = (x P^ceil(j/2)) . (P^floor(j/2) z/q),
-    so n terms take n // 2 steps and every product is of nonnegative
-    numbers."""
-    src, dst, w = jumps
-    d = x.size
-    U = np.empty((n // 2 + 1, 2 * d))
-    u = U[0] = np.concatenate([x, zq])
-    for i in range(n // 2):
-        u = U[i + 1] = np.bincount(dst, u[src] * w, minlength=2 * d)
-    rows, cols = U[:, :d], U[:, d:]
-    a = np.empty(2 * U.shape[0])
-    a[0::2] = np.einsum("ij,ij->i", rows, cols)
-    a[1:-1:2] = np.einsum("ij,ij->i", rows[1:], cols[:-1])
-    return a[:n]
+_REFUSAL = ("ph_partial_cdfs needs finite x and z, max|y_ii| > 0 and "
+            "theta >= 0")
+
+
+class _LawState:
+    """One published state of a :class:`JumpLaw`: the stepped terms a,
+    the vector to step on from (the last row x P^(L-1) of
+    :func:`row_powers`, or [x P^i, P^i z/q] at i = L // 2 on the sparse
+    step), the index r of the first nonzero a_r (None while every a_j is
+    0), and the convolution powers a^(k), k <= K, by K."""
+
+    __slots__ = ("a", "resume", "r", "powers")
+
+    def __init__(self, a, resume, r, powers):
+        self.a, self.resume, self.r, self.powers = a, resume, r, powers
+
+
+class JumpLaw:
+    """The jump law a_j = x P^j z / q of a phase-type triple, with
+    q = max|y_ii| and P = I + Y/q nonnegative, stepped on demand and kept;
+    :meth:`partial_cdfs` reads it.
+
+    A read that needs n terms from a law of L < n steps it on from where it
+    stopped: to n if L is 0, else to max(n, 2L) with L the length the read
+    found, so a sweep over thresholds extends it O(log n) times and a first
+    read steps exactly the terms it needs.  The K-fold convolution powers
+    a^(k), k <= K, are kept per K at the longest length read so far; a
+    read that needs more computes only the columns past it.  Then a read
+    is one vector of Poisson tails and one (K x n) product with it.
+
+    Every extension builds new arrays and publishes them with one attribute
+    assignment, so a law may be shared across threads: a read works on the
+    state it took, which is never changed after it is published.  Two
+    threads that extend one state at once each publish a valid state; one
+    extension is lost and redone by a later read.
+    """
+
+    def __init__(self, x, Y, z, jumps=None):
+        x, z = np.asarray(x, float), np.asarray(z, float)
+        if jumps is None:
+            Y = _as_square(Y, "Y")
+        q = float(np.abs(np.diagonal(Y)).max())
+        if not (q > 0 and np.isfinite(x).all() and np.isfinite(z).all()):
+            raise ValueError(_REFUSAL)
+        self.q, self._Y, self._jumps = q, Y, jumps
+        self._x, self._zq = x, z / q
+        u0 = x if jumps is None else np.concatenate([x, self._zq])
+        self._state = _LawState(np.empty(0), u0, None, {})
+
+    def _extend(self, state, n):
+        """``state`` stepped on to n terms, published; ``state`` itself
+        when it holds as many.  By :func:`row_powers` on P, or, given
+        ``jumps`` = :func:`jump_nonzeros` of Y, by the stacked step on the
+        nonzeros of P: from [x, z/q] it makes u_i = [x P^i, P^i z/q], and
+        a_j = (x P^ceil(j/2)) . (P^floor(j/2) z/q), so n terms take n // 2
+        steps in all and every product is of nonnegative numbers."""
+        L = state.a.size
+        if n <= L:
+            return state
+        if self._jumps is None:
+            # a resumed row is x P^(L-1), whose term a_(L-1) is held
+            k = 1 if L else 0
+            V, resume = row_powers(state.resume, self._Y / self.q,
+                                   n - L + k, self._zq)
+            new = V[k:]
+        else:
+            src, dst, w = self._jumps
+            d = self._x.size
+            i0 = L // 2
+            U = np.empty((n // 2 - i0 + 1, 2 * d))
+            u = U[0] = state.resume
+            for i in range(1, U.shape[0]):
+                u = U[i] = np.bincount(dst, u[src] * w, minlength=2 * d)
+            rows, cols = U[:, :d], U[:, d:]
+            a = np.empty(2 * U.shape[0])
+            a[0::2] = np.einsum("ij,ij->i", rows, cols)
+            a[1:-1:2] = np.einsum("ij,ij->i", rows[1:], cols[:-1])
+            new, resume = a[L - 2 * i0:n - 2 * i0], u
+        r = state.r
+        if r is None:
+            nz = np.flatnonzero(new)
+            r = L + int(nz[0]) if nz.size else None
+        self._state = state = _LawState(
+            np.concatenate([state.a, new]), resume, r, state.powers)
+        return state
+
+    def partial_cdfs(self, theta, K=1):
+        """P(Z_1 + ... + Z_k <= theta) for k = 1..K, the Z_i iid with pdf
+        x e^{tY} z: F_k = sum_j P(N > j) a^(k)_j with N ~ Poisson(q theta),
+        from n terms of the law, stepped on where it holds fewer.
+
+        With r the first index of a nonzero a_r, F_K >= P(N > K(r + 1) - 1)
+        a_r^K, and n terms are kept once P(N > n) is at most eps times that
+        bound.  As sum_j a^(k)_j <= 1 the terms left out sum to at most
+        P(N > n), within eps of every F_k >= F_K; for the same reason each
+        F_k is at most 1, and a sum that rounds above 1 is clipped to it.
+        """
+        if not theta >= 0:
+            raise ValueError(_REFUSAL)
+        lam = self.q * theta
+        s = self._state
+        d, L0 = self._x.size, s.a.size
+        # a sum of K variables makes at least K(r + 1) <= Kd jumps: twice
+        # that on the base order costs little and leaves room past it
+        n = int(max(_ph_terms(lam), 2 * K * d + 16 if K > 1 else 0))
+        while True:
+            if n > s.a.size:
+                s = self._extend(s, max(n, 2 * L0))
+            if s.r is None:
+                if s.a.size >= d:
+                    # x P^j z = 0 for j < d, hence for every j
+                    # (Cayley-Hamilton)
+                    return np.zeros(K)
+                n = d
+                continue
+            # F_K >= P(N > j0) a_r^K with j0 = K(r + 1) - 1, the one way to
+            # make K(r + 1) jumps; n terms do once P(N > n) <= eps of that
+            j0 = K * (s.r + 1) - 1
+            tails = _poisson_tails(lam, max(n, j0))
+            done = tails <= _EPS * tails[j0] * s.a[s.r] ** K
+            n = int(np.argmax(done)) if done[-1] else tails.size
+            if done[-1] and n <= s.a.size:
+                break
+        C = s.a[None] if K == 1 else s.powers.get(K)
+        if C is None or C.shape[1] < n:
+            C = _convolution_powers(s.a[:n], s.r, K, C)
+            self._state = _LawState(s.a, s.resume, s.r, {**s.powers, K: C})
+        return np.minimum(C[:, :n] @ tails[:n], 1.0)
+
+
+def _convolution_powers(a, r, K, C=None):
+    """Rows a^(k), k = 1..K, of the unit-shifted convolution powers
+    a^(k)_j = sum_i a^(k-1)_i a_{j-1-i} over the length of ``a``, whose
+    first nonzero is a_r, built by doubling: rows [B, 2B) from rows
+    [0, B) times the Toeplitz matrix of a^(B), zero below its diagonal;
+    a^(k) is zero below k(r + 1) - 1.  Given the rows ``C`` over a
+    shorter length, only the columns past it are computed; every one
+    they read is made by an earlier doubling.  The Kd x Kd block is
+    never formed."""
+    n, m = a.size, 0 if C is None else C.shape[1]
+    out = np.zeros((K, n))
+    if C is not None:
+        out[:, :m] = C
+    out[0] = a
+    B = 1
+    while B < K:
+        c = min(B, K - B)
+        g = np.concatenate([np.zeros(n), out[B - 1, :n - 1]])
+        # T[i, j] = g[n - 1 - i + j], a window view of g
+        T = np.ndarray((n, n), float, g, 0, g.strides * 2)[::-1]
+        s = max((B + 1) * (r + 1) - 1, m)
+        out[B:B + c, s:] = out[:c, r:] @ T[r:, s:]
+        B += c
+    return out
 
 
 def ph_partial_cdfs(x, Y, z, theta, K=1, jumps=None):
     """P(Z_1 + ... + Z_k <= theta) for k = 1..K, the Z_i iid with pdf
     x e^{tY} z, for a phase-type triple: x >= 0, z >= 0 and Y >= 0 off its
-    diagonal.
+    diagonal; one read of a fresh :class:`JumpLaw`, which a caller that
+    reads one triple at many thresholds keeps instead.
 
     Uniformization (Jensen 1953; Grassmann 1977): with q = max|y_ii| the
     matrix P = I + Y/q is nonnegative, and a_j = x P^j z / q is the law of
@@ -290,73 +432,14 @@ def ph_partial_cdfs(x, Y, z, theta, K=1, jumps=None):
     It is stepped by :func:`row_powers`, or, given ``jumps`` =
     :func:`jump_nonzeros` of Y (which a caller builds once per triple), on
     the nonzeros of P alone, with no pass over all of Y.  A sum of k
-    variables makes the sum of k such counts, so its law a^(k) is the
-    unit-shifted convolution power a^(k)_j = sum_i a^(k-1)_i a_{j-1-i},
-    built by doubling from Toeplitz matrices of the base sequence; the
-    Kd x Kd block is never formed.  Then F_k = sum_j P(N > j) a^(k)_j with
-    N ~ Poisson(q theta): every term is nonnegative, so nothing cancels and
-    the lower tail keeps its relative accuracy.
-
-    With r the first index of a nonzero a_r, F_K >= P(N > K(r + 1) - 1)
-    a_r^K, and n terms are kept once P(N > n) is at most eps times that
-    bound.  As sum_j a^(k)_j <= 1 the terms left out sum to at most
-    P(N > n), within eps of every F_k >= F_K; for the same reason each
-    F_k is at most 1, and a sum that rounds above 1 is clipped to it.
+    variables makes the sum of k such counts, so its law is the
+    unit-shifted convolution power a^(k), built without the Kd x Kd block.
+    Then F_k = sum_j P(N > j) a^(k)_j with N ~ Poisson(q theta): every term
+    is nonnegative, so nothing cancels and the lower tail keeps its
+    relative accuracy.  The term count is that of
+    :meth:`JumpLaw.partial_cdfs`.
     """
-    x, z = np.asarray(x, float), np.asarray(z, float)
-    if jumps is None:
-        Y = _as_square(Y, "Y")
-    q = float(np.abs(np.diagonal(Y)).max())
-    if not (q > 0 and theta >= 0 and np.isfinite(x).all()
-            and np.isfinite(z).all()):
-        raise ValueError("ph_partial_cdfs needs finite x and z, "
-                         "max|y_ii| > 0 and theta >= 0")
-    lam = q * theta
-    d, zq = x.size, z / q
-    if jumps is None:
-        E = Y / q
-        law = lambda n: row_powers(x, E, n, zq)[0]
-    else:
-        law = lambda n: _sparse_jump_law(x, zq, jumps, n)
-    # a sum of K variables makes at least K(r + 1) <= Kd jumps: twice that
-    # on the base order costs little and leaves room for the terms past it
-    n = int(max(_ph_terms(lam), 2 * K * d + 16 if K > 1 else 0))
-    while True:
-        a = law(n)
-        nz = np.flatnonzero(a)
-        if not nz.size:
-            if n >= d:
-                # x P^j z = 0 for j < d, hence for every j (Cayley-Hamilton)
-                return np.zeros(K)
-            n = d
-            continue
-        # F_K >= P(N > j0) a_r^K with j0 = K(r + 1) - 1, the one way to
-        # make K(r + 1) jumps; n terms do once P(N > n) <= eps of that
-        r = int(nz[0])
-        j0 = K * (r + 1) - 1
-        tails = _poisson_tails(lam, max(n, j0))
-        done = tails <= _EPS * tails[j0] * a[r] ** K
-        need = int(np.argmax(done)) if done[-1] else tails.size
-        if need <= n:
-            break
-        n = need
-    n = need
-    a = a[:n]
-    # a^(k+B)_j = sum_i a^(k)_i a^(B)_{j-1-i}: rows [B, 2B) from rows
-    # [0, B) times the Toeplitz matrix of a^(B), zero below its diagonal;
-    # a^(k) is zero below k(r + 1) - 1
-    C = np.zeros((K, n))
-    C[0] = a
-    B = 1
-    while B < K:
-        c = min(B, K - B)
-        g = np.concatenate([np.zeros(n), C[B - 1, :n - 1]])
-        # T[i, j] = g[n - 1 - i + j], a window view of g
-        T = np.ndarray((n, n), float, g, 0, g.strides * 2)[::-1]
-        s = (B + 1) * (r + 1) - 1
-        C[B:B + c, s:] = C[:c, r:] @ T[r:, s:]
-        B += c
-    return np.minimum(C @ tails[:n], 1.0)
+    return JumpLaw(x, Y, z, jumps).partial_cdfs(theta, K)
 
 
 def augmented(x, Y):

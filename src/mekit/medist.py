@@ -93,12 +93,18 @@ class RationalLT:
     def degree(self) -> int:
         return len(self.q)
 
+    @property
+    def numerator(self) -> tuple[float, ...]:
+        """``p`` without its trailing zeros, the constant term kept: the
+        coefficients that :meth:`check` and the companion form read."""
+        k = len(self.p)
+        while k > 1 and self.p[k - 1] == 0.0:
+            k -= 1
+        return self.p[:k]
+
     def num_degree(self) -> int:
-        """Degree of the numerator polynomial (-inf treated as 0 length)."""
-        for k in range(len(self.p) - 1, -1, -1):
-            if self.p[k] != 0.0:
-                return k
-        return 0
+        """Degree of the numerator polynomial (0 for a zero numerator)."""
+        return len(self.numerator) - 1
 
     def __call__(self, s):
         num = _poly_eval(self.p, s)
@@ -110,7 +116,7 @@ class RationalLT:
         problems = []
         if not np.all(np.isfinite(self.p + self.q)):
             problems.append("non-finite coefficients")
-        if len(self.p) > len(self.q) or self.num_degree() >= self.degree:
+        if self.num_degree() >= self.degree:
             problems.append("deg(p) >= deg(q)")
         scale = max(abs(self.q[0]), abs(self.p[0]), 1e-300)
         if abs(self.p[0] - self.q[0]) > 1e-12 * scale:
@@ -120,7 +126,14 @@ class RationalLT:
 
 @dataclass(frozen=True)
 class MEDist:
-    """ME distribution with pdf ``x e^{tY} z`` on t >= 0."""
+    """ME distribution with pdf ``x e^{tY} z`` on t >= 0.
+
+    The triple is read-only.  A channel caches what its reads derive from
+    it, each built on first use and never at construction: the sign test
+    ``phase_type``, the rate ``_rate``, the nonzeros ``_jumps`` of the
+    jump matrix and the jump law ``_law``, which grows as uniformized cdf
+    reads need more terms.  A channel may be shared across threads.
+    """
 
     x: np.ndarray
     Y: np.ndarray
@@ -180,6 +193,13 @@ class MEDist:
         :func:`matfun.ph_partial_cdfs` is the faster, else ``None``."""
         return matfun.jump_nonzeros(self.Y)
 
+    @functools.cached_property
+    def _law(self):
+        """The :class:`matfun.JumpLaw` of this triple, built on the first
+        uniformized read and extended by later ones; it steps on
+        :attr:`_jumps` where they are not ``None``."""
+        return matfun.JumpLaw(self.x, self.Y, self.z, self._jumps)
+
     def _uniformizes(self, t, K=1) -> bool:
         """The route rule of :meth:`_partial_cdfs`: a phase-type triple
         whose uniformized sum at t needs at most about twice the order
@@ -193,15 +213,15 @@ class MEDist:
         """P(Z_1 + ... + Z_k <= t) for k = 1..K, Z_i iid with this law: the
         one owner of the route rule of :meth:`cdf`,
         :meth:`~mekit.algebra.KFoldConvolution.partial_cdfs` and truncated
-        HARQ.  Under the rule of :meth:`_uniformizes`,
-        :func:`matfun.ph_partial_cdfs` on this triple, a sum of nonnegative
-        terms that keeps its relative accuracy in the lower tail, with no
-        block built; otherwise row 1 of one exponential of the augmented
+        HARQ.  Under the rule of :meth:`_uniformizes`, a read of this
+        triple's cached jump law :attr:`_law` (the sum of
+        :func:`matfun.ph_partial_cdfs`), a sum of nonnegative terms that
+        keeps its relative accuracy in the lower tail, with no block built;
+        otherwise row 1 of one exponential of the augmented
         K-fold ``block`` (chained here when not given; valid for singular
         Y), dotted with z in each block.  ``t`` is checked by the caller."""
         if self._uniformizes(t, K):
-            return matfun.ph_partial_cdfs(self.x, self.Y, self.z, t, K,
-                                          jumps=self._jumps)
+            return self._law.partial_cdfs(t, K)
         x, Y = ((block.p_block, block.Q_block) if block is not None
                 else _chain([self] * K)[:2])
         return matfun.expm_integral(x, Y, t).reshape(K, self.d) @ self.z
@@ -373,14 +393,14 @@ _Triple = collections.namedtuple("_Triple", "x Y z")
 def _companion_form(lt: RationalLT) -> _Triple:
     """Companion triple of one rational transform: p padded into x, the
     companion matrix S - z q of the monic denominator, z the last basis
-    vector.  deg(p) >= deg(q) is refused, trailing zeros of p counted as
-    :meth:`RationalLT.check` counts them."""
-    d = lt.degree
-    if len(lt.p) > d:
+    vector.  deg(p) >= deg(q) is refused; p is read without its trailing
+    zeros, as :meth:`RationalLT.check` reads it."""
+    d, p = lt.degree, lt.numerator
+    if len(p) > d:
         raise ConstructionError(
             "numerator degree must be below denominator degree")
     x, z = np.zeros(d), np.zeros(d)
-    x[:len(lt.p)], z[-1] = lt.p, 1.0
+    x[:len(p)], z[-1] = p, 1.0
     Y = np.diag(np.ones(d - 1), 1)
     Y[-1, :] -= lt.q
     return _Triple(x, Y, z)

@@ -414,6 +414,36 @@ class TestMetric:
                                "--spec", ray_spec)
         assert code == 2
 
+    @pytest.mark.parametrize("sweep, metric, builds", [
+        ("R=0.1:2:10", "outage", 1), ("R=0.1:2:10", "arq", 1),
+        ("K=1:10:10", "harq", 1), ("S=4:12:10", "outage", 10)])
+    def test_sweep_builds_one_channel_per_spec(self, capsys, tmp_path,
+                                               monkeypatch, sweep, metric,
+                                               builds):
+        # Nakagami-32 reads every row of these sweeps from its jump law
+        spec = {"kind": "nakagami", "params": {"m": 32, "S": 8.0}}
+        p = tmp_path / "nak.json"
+        p.write_text(json.dumps(spec))
+        build = mekit.algebra.standard_channel
+        calls = []
+        monkeypatch.setattr(mekit.algebra, "standard_channel",
+                            lambda s: calls.append(s) or build(s))
+        code, out, _ = run_cli(capsys, "metric", "--metric", metric,
+                               "--spec", str(p), "--R", "1", "--K", "3",
+                               "--sweep", sweep)
+        assert code == 0 and len(calls) == builds
+        for row in json.loads(out)["rows"]:
+            S = row["sweep_value"] if row["sweep_key"] == "S" else 8.0
+            params = dict(spec["params"], S=S)
+            d = build(mekit.ChannelSpec("nakagami", params)).dist
+            th = math.expm1(row["R"])
+            ref = {"outage": lambda: mekit.metrics.outage(d, th),
+                   "arq": lambda: mekit.metrics.arq_throughput(
+                       d, row["R"], th),
+                   "harq": lambda: mekit.metrics.harq_truncated_throughput(
+                       d, row["R"], row["K"], th)}[metric]().value
+            assert abs(row["value"] - ref) <= 1e-14 * abs(ref)
+
     def test_golden_sweep_csv(self, capsys, ray_spec):
         _, out, _ = run_cli(capsys, "metric", "--metric", "outage",
                             "--spec", ray_spec, "--R", "1",

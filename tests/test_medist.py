@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from mekit.algebra import standard_channel
 from mekit.medist import (ChannelSpec, ConstructionError, MEDist,
                           PointMassAtZeroError, RationalLT, erlang,
                           exponential, from_product_form, from_rational_lt,
@@ -43,6 +44,21 @@ class TestFromRationalLT:
         with pytest.raises(ConstructionError, match="degree"):
             from_rational_lt(RationalLT(p=[1.0, 2.0, 3.0], q=[1.0, 1.0]))
 
+    def test_padded_numerator_is_proper(self):
+        # 1/(s + 1) and (2 + s)/(s^2 + 3s + 2) with zeros past the numerator
+        # degree: both constructors and both spec kinds read the trimmed p
+        for p, q in (([1.0, 0.0], [1.0]), ([2.0, 1.0, 0.0, 0.0], [2.0, 3.0])):
+            lt = RationalLT(p, q)
+            assert lt.check() == [] and lt.num_degree() == len(q) - 1
+            ref = from_rational_lt(RationalLT(lt.numerator, q))
+            specs = (ChannelSpec("rational_lt", {"p": p, "q": q}),
+                     ChannelSpec("product_form",
+                                 {"factors": [{"p": p, "q": q}]}))
+            for d in (from_rational_lt(lt), from_product_form([lt]),
+                      *(standard_channel(s).dist for s in specs)):
+                for u, v in ((d.x, ref.x), (d.Y, ref.Y), (d.z, ref.z)):
+                    assert np.array_equal(u, v)
+
     def test_rejects_constant_term_mismatch(self):
         with pytest.raises(PointMassAtZeroError):
             from_rational_lt(RationalLT(p=[1.0], q=[2.0, 1.0]))
@@ -70,10 +86,12 @@ class TestFromProductForm:
         with pytest.raises(ConstructionError, match="empty"):
             from_product_form([])
 
-    @pytest.mark.parametrize("lt", [RationalLT([1.0, 0.0], [1.0]),
-                                    RationalLT([1.0, 2.0, 3.0], [1.0, 1.0])])
+    @pytest.mark.parametrize("lt", [
+        RationalLT([1.0, 0.0, 2.0, 0.0], [1.0, 1.0]),
+        RationalLT([1.0, 2.0, 3.0], [1.0, 1.0])])
     def test_improper_factor_refused_as_by_from_rational_lt(self, lt):
-        # a numerator longer than the denominator, trailing zeros included
+        # a numerator of degree deg(q) or more, with and without a
+        # trailing zero
         for build in (from_rational_lt, lambda f: from_product_form([f]),
                       lambda f: from_product_form([RationalLT([2.0], [2.0]),
                                                    f])):

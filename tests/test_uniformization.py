@@ -276,3 +276,102 @@ def test_one_fold_is_the_cdf_bit_for_bit(th, uniformized):
         assert kfold_block(d, 1).partial_cdfs(th)[0] == d.cdf(th)
         assert (metrics.harq_truncated_throughput(d, 0.8, 1, th).value
                 == metrics.arq_throughput(d, 0.8, th).value)
+
+
+# -- the cached jump law ---------------------------------------------------
+
+
+@pytest.mark.parametrize("d, K, ths", [
+    pytest.param(erlang(4, 2.0), 1, np.geomspace(1e-27, 40.0, 24),
+                 id="erlang4"),
+    pytest.param(kfold_block(erlang(4, 2.0), 8).base, 8,
+                 np.geomspace(1e-3, 80.0, 24), id="kfold8"),
+    pytest.param(MAX16.closure(), 1, np.geomspace(1.5e-3, 40.0, 24),
+                 id="max16_d288")])
+@pytest.mark.parametrize("order", ["ascending", "descending", "shuffled"])
+def test_cached_law_is_independent_of_call_order(d, K, ths, order):
+    ths = {"ascending": ths, "descending": ths[::-1],
+           "shuffled": np.random.default_rng(3).permutation(ths)}[order]
+    law = matfun.JumpLaw(d.x, d.Y, d.z, d._jumps)
+    smallest = 1.0
+    for th in ths:
+        got = law.partial_cdfs(th, K)
+        ref = matfun.ph_partial_cdfs(d.x, d.Y, d.z, th, K, jumps=d._jumps)
+        if d._jumps is not None:
+            assert np.array_equal(got, ref)
+        assert np.all(np.abs(got - ref) <= 1e-14 * ref)
+        smallest = min(smallest, ref.min())
+    assert smallest < 1e-100
+
+
+def test_cached_law_steps_no_term_twice(monkeypatch):
+    # the sparse step is one bincount; a read that needs more terms than
+    # the law holds steps on from its last vector
+    c = MAX16.closure()
+    steps, bincount = [], np.bincount
+    monkeypatch.setattr(np, "bincount",
+                        lambda *a, **k: steps.append(1) or bincount(*a, **k))
+    for th in (0.01, 0.3):
+        assert c._uniformizes(th)
+        c.cdf(th)
+    n = c._law._state.a.size
+    assert 0 < len(steps) <= n // 2 + 1
+
+
+def test_channels_build_no_law_until_read():
+    specs = [ChannelSpec("rational_lt", {"p": [2.0], "q": [2.0, 3.0]}),
+             ChannelSpec("product_form", {"factors": [
+                 {"p": [1.0], "q": [1.0]}, {"p": [2.0], "q": [2.0]}]}),
+             ChannelSpec("rayleigh", {"S": 1.0}),
+             ChannelSpec("nakagami", {"m": 32, "S": 1.0}),
+             ChannelSpec("sdc", {"N": 4, "S": 1.0}),
+             ChannelSpec("ostbc_mrc", {"N_tx": 2, "N_rx": 2, "S": 1.0}),
+             ChannelSpec("zf_mimo", {"N_rx": 4, "N_tx": 2, "S": 1.0,
+                                     "exponent": 3}),
+             ChannelSpec("mrc_list", {"components": [
+                 {"kind": "rayleigh", "params": {"S": s}} for s in (1, 2)]}),
+             ChannelSpec("sum_interference", {"components": [
+                 {"kind": "rayleigh", "params": {"S": 1.0}}] * 2}),
+             ChannelSpec("oscillatory_ex2", {})]
+    assert set(ChannelSpec.KINDS) == {s.kind for s in specs}
+    dists = [standard_channel(s).dist for s in specs]
+    dists += [MAX16.closure(),
+              min_dist(erlang(8, 3.0), erlang(8, 5.0)).closure(),
+              kfold_block(erlang(4, 2.0), 8).base]
+    for d in dists:
+        assert "_law" not in vars(d)
+    c = dists[-3]
+    c.cdf(1.0)
+    assert "_law" in vars(c)
+
+
+def test_shared_law_across_threads_matches_a_serial_run():
+    import sys
+    import threading
+    ths = np.geomspace(1.5e-3, 40.0, 40)
+    serial = MAX16.closure()
+    want = {th: (serial.cdf(th), serial._partial_cdfs(th, 3)) for th in ths}
+    shared, got, errors = MAX16.closure(), [], []
+
+    def read(seed):
+        try:
+            for th in np.random.default_rng(seed).permutation(ths):
+                got.append((th, shared.cdf(th), shared._partial_cdfs(th, 3)))
+        except Exception as exc:  # reported below by the main thread
+            errors.append(exc)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=read, args=(s,)) for s in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and errors == []
+    assert len(got) == 4 * ths.size
+    for th, F, F3 in got:
+        assert F == want[th][0]
+        assert np.all(np.abs(F3 - want[th][1]) <= 1e-14 * want[th][1])

@@ -7,13 +7,15 @@ matrix powers, eigendecomposition and adaptive quadrature of array-valued
 integrands.
 
 Every function is pure over its inputs, which it does not change.  The
-one object with state, :class:`JumpLaw`, grows its cache by publishing
-new arrays in one attribute assignment, so it too may be read from
-several threads at once.  All of the module is safe to call concurrently.
+one object with state, the jump law that :func:`ph_partial_cdfs` reads
+and a channel keeps, grows its cache by publishing new arrays in one
+attribute assignment, so it too may be read from several threads at
+once.  All of the module is safe to call concurrently.
 """
 
 from __future__ import annotations
 
+import collections
 import math
 import warnings
 from dataclasses import dataclass
@@ -24,7 +26,6 @@ __all__ = [
     "AccuracyWarning",
     "BranchCutError",
     "EigDecomp",
-    "JumpLaw",
     "SpectralCollisionError",
     "augmented",
     "eig_decomp",
@@ -268,20 +269,15 @@ _REFUSAL = ("ph_partial_cdfs needs finite x and z, max|y_ii| > 0 and "
             "theta >= 0")
 
 
-class _LawState:
-    """One published state of a :class:`JumpLaw`: the stepped terms a,
-    the vector to step on from (the last row x P^(L-1) of
-    :func:`row_powers`, or [x P^i, P^i z/q] at i = L // 2 on the sparse
-    step), the index r of the first nonzero a_r (None while every a_j is
-    0), and the convolution powers a^(k), k <= K, by K."""
-
-    __slots__ = ("a", "resume", "r", "powers")
-
-    def __init__(self, a, resume, r, powers):
-        self.a, self.resume, self.r, self.powers = a, resume, r, powers
+# One published state of a _JumpLaw: the stepped terms a, the vector to
+# step on from (the last row x P^(L-1) of row_powers, or [x P^i, P^i z/q] at
+# i = L // 2 on the sparse step), the index r of the first nonzero a_r (None
+# while every a_j is 0), and the convolution powers a^(k), k = 1..K, for the
+# largest K read over the longest length read (None before a K-fold read).
+_LawState = collections.namedtuple("_LawState", "a resume r powers")
 
 
-class JumpLaw:
+class _JumpLaw:
     """The jump law a_j = x P^j z / q of a phase-type triple, with
     q = max|y_ii| and P = I + Y/q nonnegative, stepped on demand and kept;
     :meth:`partial_cdfs` reads it.
@@ -289,10 +285,12 @@ class JumpLaw:
     A read that needs n terms from a law of L < n steps it on from where it
     stopped: to n if L is 0, else to max(n, 2L) with L the length the read
     found, so a sweep over thresholds extends it O(log n) times and a first
-    read steps exactly the terms it needs.  The K-fold convolution powers
-    a^(k), k <= K, are kept per K at the longest length read so far; a
-    read that needs more computes only the columns past it.  Then a read
-    is one vector of Poisson tails and one (K x n) product with it.
+    read steps exactly the terms it needs.  One table of K-fold convolution
+    powers is kept, for the largest K read over the longest length read: row
+    k is a^(k) whatever K the table was built for, so it serves every read
+    of K or fewer over that length or less, and a read past it rebuilds the
+    table over both maxima.  Then a read is one vector of Poisson tails and
+    one (K x n) product with it.
 
     Every extension builds new arrays and publishes them with one attribute
     assignment, so a law may be shared across threads: a read works on the
@@ -311,7 +309,7 @@ class JumpLaw:
         self.q, self._Y, self._jumps = q, Y, jumps
         self._x, self._zq = x, z / q
         u0 = x if jumps is None else np.concatenate([x, self._zq])
-        self._state = _LawState(np.empty(0), u0, None, {})
+        self._state = _LawState(np.empty(0), u0, None, None)
 
     def _extend(self, state, n):
         """``state`` stepped on to n terms, published; ``state`` itself
@@ -387,26 +385,24 @@ class JumpLaw:
             n = int(np.argmax(done)) if done[-1] else tails.size
             if done[-1] and n <= s.a.size:
                 break
-        C = s.a[None] if K == 1 else s.powers.get(K)
-        if C is None or C.shape[1] < n:
-            C = _convolution_powers(s.a[:n], s.r, K, C)
-            self._state = _LawState(s.a, s.resume, s.r, {**s.powers, K: C})
-        return np.minimum(C[:, :n] @ tails[:n], 1.0)
+        C = s.a[None] if K == 1 else s.powers
+        if C is None or C.shape[0] < K or C.shape[1] < n:
+            Km, m = (K, n) if C is None else (max(K, C.shape[0]),
+                                              max(n, C.shape[1]))
+            C = _convolution_powers(s.a[:m], s.r, Km)
+            self._state = s._replace(powers=C)
+        return np.minimum(C[:K, :n] @ tails[:n], 1.0)
 
 
-def _convolution_powers(a, r, K, C=None):
+def _convolution_powers(a, r, K):
     """Rows a^(k), k = 1..K, of the unit-shifted convolution powers
     a^(k)_j = sum_i a^(k-1)_i a_{j-1-i} over the length of ``a``, whose
     first nonzero is a_r, built by doubling: rows [B, 2B) from rows
     [0, B) times the Toeplitz matrix of a^(B), zero below its diagonal;
-    a^(k) is zero below k(r + 1) - 1.  Given the rows ``C`` over a
-    shorter length, only the columns past it are computed; every one
-    they read is made by an earlier doubling.  The Kd x Kd block is
-    never formed."""
-    n, m = a.size, 0 if C is None else C.shape[1]
+    a^(k) is zero below k(r + 1) - 1.  The Kd x Kd block is never
+    formed."""
+    n = a.size
     out = np.zeros((K, n))
-    if C is not None:
-        out[:, :m] = C
     out[0] = a
     B = 1
     while B < K:
@@ -414,7 +410,7 @@ def _convolution_powers(a, r, K, C=None):
         g = np.concatenate([np.zeros(n), out[B - 1, :n - 1]])
         # T[i, j] = g[n - 1 - i + j], a window view of g
         T = np.ndarray((n, n), float, g, 0, g.strides * 2)[::-1]
-        s = max((B + 1) * (r + 1) - 1, m)
+        s = (B + 1) * (r + 1) - 1
         out[B:B + c, s:] = out[:c, r:] @ T[r:, s:]
         B += c
     return out
@@ -423,7 +419,7 @@ def _convolution_powers(a, r, K, C=None):
 def ph_partial_cdfs(x, Y, z, theta, K=1, jumps=None):
     """P(Z_1 + ... + Z_k <= theta) for k = 1..K, the Z_i iid with pdf
     x e^{tY} z, for a phase-type triple: x >= 0, z >= 0 and Y >= 0 off its
-    diagonal; one read of a fresh :class:`JumpLaw`, which a caller that
+    diagonal; one read of a fresh :class:`_JumpLaw`, which a caller that
     reads one triple at many thresholds keeps instead.
 
     Uniformization (Jensen 1953; Grassmann 1977): with q = max|y_ii| the
@@ -437,9 +433,9 @@ def ph_partial_cdfs(x, Y, z, theta, K=1, jumps=None):
     Then F_k = sum_j P(N > j) a^(k)_j with N ~ Poisson(q theta): every term
     is nonnegative, so nothing cancels and the lower tail keeps its
     relative accuracy.  The term count is that of
-    :meth:`JumpLaw.partial_cdfs`.
+    :meth:`_JumpLaw.partial_cdfs`.
     """
-    return JumpLaw(x, Y, z, jumps).partial_cdfs(theta, K)
+    return _JumpLaw(x, Y, z, jumps).partial_cdfs(theta, K)
 
 
 def augmented(x, Y):

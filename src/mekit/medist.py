@@ -195,10 +195,10 @@ class MEDist:
 
     @functools.cached_property
     def _law(self):
-        """The :class:`matfun.JumpLaw` of this triple, built on the first
+        """The :class:`matfun._JumpLaw` of this triple, built on the first
         uniformized read and extended by later ones; it steps on
         :attr:`_jumps` where they are not ``None``."""
-        return matfun.JumpLaw(self.x, self.Y, self.z, self._jumps)
+        return matfun._JumpLaw(self.x, self.Y, self.z, self._jumps)
 
     def _uniformizes(self, t, K=1) -> bool:
         """The route rule of :meth:`_partial_cdfs`: a phase-type triple

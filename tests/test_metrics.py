@@ -64,8 +64,8 @@ def test_threshold_refused_by_name_before_any_kernel(monkeypatch, d, call,
 
     monkeypatch.setattr(matfun, "ph_partial_cdfs", kernel)
     monkeypatch.setattr(matfun, "expm_integral", kernel)
-    monkeypatch.setattr(matfun.JumpLaw, "_extend", kernel)
-    monkeypatch.setattr(matfun.JumpLaw, "partial_cdfs", kernel)
+    monkeypatch.setattr(matfun._JumpLaw, "_extend", kernel)
+    monkeypatch.setattr(matfun._JumpLaw, "partial_cdfs", kernel)
     with pytest.raises(ValueError,
                        match=r"^(theta|t) must be a finite nonnegative scalar"):
         call(d, theta)

@@ -292,7 +292,7 @@ def test_one_fold_is_the_cdf_bit_for_bit(th, uniformized):
 def test_cached_law_is_independent_of_call_order(d, K, ths, order):
     ths = {"ascending": ths, "descending": ths[::-1],
            "shuffled": np.random.default_rng(3).permutation(ths)}[order]
-    law = matfun.JumpLaw(d.x, d.Y, d.z, d._jumps)
+    law = matfun._JumpLaw(d.x, d.Y, d.z, d._jumps)
     smallest = 1.0
     for th in ths:
         got = law.partial_cdfs(th, K)
@@ -302,6 +302,24 @@ def test_cached_law_is_independent_of_call_order(d, K, ths, order):
         assert np.all(np.abs(got - ref) <= 1e-14 * ref)
         smallest = min(smallest, ref.min())
     assert smallest < 1e-100
+
+
+def test_one_powers_table_serves_every_smaller_fold():
+    # row k of the table is a^(k) whatever K it was built for, so a read of
+    # fewer folds at a lower threshold reads the table it finds; a read of
+    # more folds or more terms rebuilds it over both
+    d = erlang(2, 1.0)
+    law = matfun._JumpLaw(d.x, d.Y, d.z)
+    for K, th, kept, rebuilt in ((8, 12.0, 8, True), (3, 2.0, 8, False),
+                                 (5, 9.0, 8, False), (12, 0.5, 12, True),
+                                 (2, 1.0, 12, False), (7, 6.0, 12, False),
+                                 (4, 40.0, 12, True)):
+        before = law._state.powers
+        got = law.partial_cdfs(th, K)
+        ref = matfun.ph_partial_cdfs(d.x, d.Y, d.z, th, K)
+        assert np.all(np.abs(got - ref) <= 1e-14 * ref)
+        assert law._state.powers.shape[0] == kept
+        assert (law._state.powers is not before) == rebuilt
 
 
 def test_cached_law_steps_no_term_twice(monkeypatch):

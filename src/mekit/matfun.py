@@ -344,8 +344,8 @@ class _JumpLaw:
         if r is None:
             nz = np.flatnonzero(new)
             r = L + int(nz[0]) if nz.size else None
-        self._state = state = _LawState(
-            np.concatenate([state.a, new]), resume, r, state.powers)
+        a = np.concatenate([state.a, new]) if L else new
+        self._state = state = _LawState(a, resume, r, state.powers)
         return state
 
     def partial_cdfs(self, theta, K=1):
@@ -387,8 +387,13 @@ class _JumpLaw:
                 break
         C = s.a[None] if K == 1 else s.powers
         if C is None or C.shape[0] < K or C.shape[1] < n:
-            Km, m = (K, n) if C is None else (max(K, C.shape[0]),
-                                              max(n, C.shape[1]))
+            Km, m = K, n
+            if C is not None:
+                Km, m = max(K, C.shape[0]), max(n, C.shape[1])
+                # the old table is let go before the new one is built, whose
+                # arrays then reuse its memory instead of faulting in pages
+                s = self._state = s._replace(powers=None)
+                del C
             C = _convolution_powers(s.a[:m], s.r, Km)
             self._state = s._replace(powers=C)
         return np.minimum(C[:K, :n] @ tails[:n], 1.0)

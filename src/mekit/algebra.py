@@ -145,11 +145,12 @@ class MaxOfTwo:
         # the first to finish hands the survivor's phase on (Assaf & Levikson
         # 1982): density f1 F2 + F1 f2 with no inverse and no cancelling tail
         n = a.d * b.d
-        x = np.concatenate([np.kron(a.x, b.x), np.zeros(a.d + b.d)])
+        x = np.concatenate([np.outer(a.x, b.x).ravel(), np.zeros(a.d + b.d)])
         Y = np.zeros((n + a.d + b.d, n + a.d + b.d))
         Y[:n, :n] = matfun.kron_sum(a.Y, b.Y)
-        Y[:n, n:n + a.d] = np.kron(np.eye(a.d), b.z[:, None])
-        Y[:n, n + a.d:] = np.kron(a.z[:, None], np.eye(b.d))
+        r = np.arange(n)
+        Y[r, n + r // b.d] = np.tile(b.z, a.d)
+        Y[r, n + a.d + r % b.d] = np.repeat(a.z, b.d)
         Y[n:n + a.d, n:n + a.d] = a.Y
         Y[n + a.d:, n + a.d:] = b.Y
         z = np.concatenate([np.zeros(n), a.z, b.z])
@@ -176,9 +177,9 @@ class MinOfTwo:
         # s_i = -Y_i^-1 z_i: two solves, no inverse, no second Kronecker sum
         s1 = -np.linalg.solve(a.Y, a.z)
         s2 = -np.linalg.solve(b.Y, b.z)
-        x = np.kron(a.x, b.x)
+        x = np.outer(a.x, b.x).ravel()
         Y = matfun.kron_sum(a.Y, b.Y)
-        z = np.kron(s1, b.z) + np.kron(a.z, s2)
+        z = np.outer(s1, b.z).ravel() + np.outer(a.z, s2).ravel()
         return MEDist(x, Y, z)
 
 
@@ -288,8 +289,12 @@ def standard_channel(spec: ChannelSpec) -> EffectiveChannel:
     elif spec.kind == "zf_mimo":
         dist = _zf_mimo(P["N_rx"], P["N_tx"], P["S"], P.get("exponent"))
     elif spec.kind in ("mrc_list", "sum_interference"):
-        parts = [standard_channel(ChannelSpec(c["kind"], c.get("params", {})))
-                 for c in P["components"]]
+        # each distinct component (equal as dicts) is built once, then repeated
+        comps, parts = P["components"], []
+        for i, c in enumerate(comps):
+            j = comps.index(c)
+            parts.append(parts[j] if j < i else standard_channel(
+                ChannelSpec(c["kind"], c.get("params", {}))))
         if not parts:
             raise ConstructionError(f"{spec.kind} requires components")
         dist = convolve(*(p.dist for p in parts))

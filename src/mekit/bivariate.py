@@ -295,7 +295,8 @@ def arq_interference_throughput(scn: InterferenceScenario, R: float,
         # e^{-theta Y} itself would overflow
         w = np.linalg.solve(sig.Y.T, matfun.expm_row(sig.x, theta * sig.Y))
         A = matfun.kron_sum(zi.Y, theta * sig.Y)
-        P = np.kron(zi.x, w) @ np.linalg.solve(A, np.kron(zi.z, sig.z))
+        P = (np.outer(zi.x, w).ravel()
+             @ np.linalg.solve(A, np.outer(zi.z, sig.z).ravel()))
         return _result(R * float(P), "kron")
     if path == "sylvester":
         joint = scn.as_joint()

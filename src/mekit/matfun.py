@@ -467,10 +467,14 @@ def expm_integral(x, Y, b):
 
 
 def kron_sum(A, B):
-    """Kronecker sum A (+) B = A (x) I_n + I_m (x) B."""
+    """Kronecker sum A (+) B = A (x) I_n + I_m (x) B, no identity formed."""
     A = _as_square(A, "A")
     B = _as_square(B, "B")
-    return np.kron(A, np.eye(B.shape[0])) + np.kron(np.eye(A.shape[0]), B)
+    m, n = A.shape[0], B.shape[0]
+    K = np.zeros((m, n, m, n), np.result_type(A, B, float))
+    K[:, np.arange(n), :, np.arange(n)] = A
+    K[np.arange(m), :, np.arange(m), :] += B
+    return K.reshape(m * n, m * n)
 
 
 def spectral_abscissa(M):

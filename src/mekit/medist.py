@@ -203,10 +203,12 @@ class MEDist:
     def _uniformizes(self, t, K=1) -> bool:
         """The route rule of :meth:`_partial_cdfs`: a phase-type triple
         whose uniformized sum at t needs at most about twice the order
-        Kd + 1 that the Pade row would exponentiate.  The O(d) size test
-        runs first, so small channels skip the sign test."""
+        Kd + 1 that the Pade row would exponentiate; at K = 1 on the sparse
+        step, (d + 1)^2 / 16, where a cold read costs at most ~2 Pade rows."""
+        n, d = matfun._ph_terms(self._rate * t), self.d
         return (0.0 < self._rate
-                and matfun._ph_terms(self._rate * t) <= 2 * (K * self.d + 1)
+                and (n <= 2 * (K * d + 1) or K == 1 and n <= (d + 1) ** 2 / 16
+                     and self._jumps is not None)
                 and self.phase_type)
 
     def _partial_cdfs(self, t, K=1, block=None):

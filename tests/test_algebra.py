@@ -223,6 +223,41 @@ class TestMax:
         assert abs(ber - ref) <= 1e-12 * ref
 
 
+def _kron_max(a, b):
+    """The max closure assembled from identity Kronecker products."""
+    n, N = a.d * b.d, a.d * b.d + a.d + b.d
+    Y = np.zeros((N, N))
+    Y[:n, :n] = np.kron(a.Y, np.eye(b.d)) + np.kron(np.eye(a.d), b.Y)
+    Y[:n, n:n + a.d] = np.kron(np.eye(a.d), b.z[:, None])
+    Y[:n, n + a.d:] = np.kron(a.z[:, None], np.eye(b.d))
+    Y[n:n + a.d, n:n + a.d] = a.Y
+    Y[n + a.d:, n + a.d:] = b.Y
+    return (np.concatenate([np.kron(a.x, b.x), np.zeros(a.d + b.d)]), Y,
+            np.concatenate([np.zeros(n), a.z, b.z]))
+
+
+def _kron_min(a, b):
+    """The min closure assembled from identity Kronecker products."""
+    s1 = -np.linalg.solve(a.Y, a.z)
+    s2 = -np.linalg.solve(b.Y, b.z)
+    return (np.kron(a.x, b.x),
+            np.kron(a.Y, np.eye(b.d)) + np.kron(np.eye(a.d), b.Y),
+            np.kron(s1, b.z) + np.kron(a.z, s2))
+
+
+@pytest.mark.parametrize("a, b", [
+    pytest.param(erlang(16, 4.0), erlang(16, 6.0), id="E16-E16"),
+    pytest.param(sdc(4, 2.0), nakagami(2, 1.5), id="sdc4-nakagami2"),
+    pytest.param(example2(), exponential(2.0), id="example2-exp"),
+    pytest.param(max_dist(nakagami(2), sdc(3)).closure(), erlang(3, 2.0),
+                 id="max-of-max")])
+def test_closures_are_their_identity_product_forms(a, b):
+    for node, ref in ((max_dist(a, b), _kron_max(a, b)),
+                      (min_dist(a, b), _kron_min(a, b))):
+        c = node.closure()
+        assert all(np.array_equal(u, v) for u, v in zip((c.x, c.Y, c.z), ref))
+
+
 class TestMin:
     def test_iid_exponentials_is_rate_two(self):
         m = min_dist(exponential(1.0), exponential(1.0))
@@ -337,6 +372,41 @@ class TestStandardChannels:
                  ChannelSpec("oscillatory_ex2", {})]
         for spec in specs:
             assert standard_channel(spec).dist.validate().ok, spec.kind
+
+    def test_repeated_components_are_built_once(self, monkeypatch):
+        groups = [{"kind": "nakagami", "params": {"m": 2, "S": s}}
+                  for s in (1.0, 1.3, 1.7, 2.2)]
+        comps = groups * 8
+        ref = convolve(*[standard_channel(ChannelSpec(c["kind"], c["params"]))
+                         .dist for c in comps])
+        built, erl = [], algebra._erlang
+        monkeypatch.setattr(algebra, "_erlang",
+                            lambda k, r: built.append((k, r)) or erl(k, r))
+        # equal components that are distinct objects are merged too
+        for cs in (comps, [dict(c, params=dict(c["params"])) for c in comps]):
+            built.clear()
+            ch = standard_channel(ChannelSpec("mrc_list", {"components": cs}))
+            assert len(built) == 4
+            assert all(np.array_equal(u, v) for u, v in
+                       ((ch.dist.x, ref.x), (ch.dist.Y, ref.Y),
+                        (ch.dist.z, ref.z)))
+            assert len(ch.provenance["children"]) == 32
+
+    @pytest.mark.parametrize("other", [{"m": 2, "S": 1.5}, {"m": 3, "S": 1.0}],
+                             ids=["S", "m"])
+    def test_components_that_differ_are_not_merged(self, monkeypatch, other):
+        comps = [{"kind": "nakagami", "params": {"m": 2, "S": 1.0}},
+                 {"kind": "nakagami", "params": other}] * 2
+        ref = convolve(*[nakagami(c["params"]["m"], c["params"]["S"])
+                         for c in comps])
+        built, erl = [], algebra._erlang
+        monkeypatch.setattr(algebra, "_erlang",
+                            lambda k, r: built.append((k, r)) or erl(k, r))
+        d = standard_channel(ChannelSpec("sum_interference",
+                                         {"components": comps})).dist
+        assert len(built) == 2 and built[0] != built[1]
+        assert all(np.array_equal(u, v)
+                   for u, v in ((d.x, ref.x), (d.Y, ref.Y), (d.z, ref.z)))
 
     def test_provenance_tree(self):
         comps = [{"kind": "rayleigh", "params": {"S": 1.0}}] * 2

@@ -444,6 +444,35 @@ class TestMetric:
                        d, row["R"], row["K"], th)}[metric]().value
             assert abs(row["value"] - ref) <= 1e-14 * abs(ref)
 
+    @pytest.mark.parametrize("metric", ["outage", "arq", "harq"])
+    def test_unit_mean_sweep_derives_one_channel(self, capsys, tmp_path,
+                                                 monkeypatch, metric):
+        # every row of a per-unit-mean sweep reads one unit-mean channel
+        # and so one jump law (Nakagami-32 uniformizes every row); each row
+        # is the metric on a fresh one
+        spec = {"kind": "nakagami", "params": {"m": 32, "S": 8.0}}
+        p = tmp_path / "nak.json"
+        p.write_text(json.dumps(spec))
+        laws, init = [], mekit.matfun._JumpLaw.__init__
+        monkeypatch.setattr(mekit.matfun._JumpLaw, "__init__",
+                            lambda self, *a: laws.append(1) or init(self, *a))
+        code, out, _ = run_cli(capsys, "metric", "--metric", metric,
+                               "--spec", str(p), "--R", "1", "--K", "3",
+                               "--S", "2.5", "--Theta-convention",
+                               "per-unit-mean", "--sweep", "R=0.1:0.7:10")
+        rows = json.loads(out)["rows"]
+        assert code == 0 and len(rows) == 10 and len(laws) == 1
+        for row in rows:
+            d = mekit.standard_channel(mekit.ChannelSpec(**spec)).dist
+            um, th = d.to_unit_mean(), mekit.metrics.theta_unit_mean(
+                row["R"], 2.5)
+            ref = {"outage": lambda: mekit.metrics.outage(um, th),
+                   "arq": lambda: mekit.metrics.arq_throughput(
+                       um, row["R"], th),
+                   "harq": lambda: mekit.metrics.harq_truncated_throughput(
+                       um, row["R"], 3, th)}[metric]().value
+            assert row["Theta"] == th and row["value"] == ref
+
     def test_golden_sweep_csv(self, capsys, ray_spec):
         _, out, _ = run_cli(capsys, "metric", "--metric", "outage",
                             "--spec", ray_spec, "--R", "1",

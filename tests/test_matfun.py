@@ -189,6 +189,32 @@ class TestKron:
     def test_kron_sum_scalar(self):
         assert_allclose(matfun.kron_sum([[2.0]], [[3.0]]), [[5.0]])
 
+    @pytest.mark.parametrize("m, n", [(1, 1), (1, 5), (5, 1), (3, 16),
+                                      (16, 16)])
+    @pytest.mark.parametrize("kinds", [(float, float), (complex, complex),
+                                       (float, complex), (complex, float)])
+    def test_kron_sum_is_the_identity_product_formula(self, m, n, kinds):
+        rng = np.random.default_rng(100 * m + n)
+
+        def draw(k, kind):
+            M = rng.normal(size=(k, k))
+            return M + 1j * rng.normal(size=(k, k)) if kind is complex else M
+
+        A, B = draw(m, kinds[0]), draw(n, kinds[1])
+        ref = np.kron(A, np.eye(n)) + np.kron(np.eye(m), B)
+        got = matfun.kron_sum(A, B)
+        assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("A, B, match", [
+        (np.ones((2, 3)), np.eye(2), "A must be a square"),
+        (np.eye(2), np.ones(3), "B must be a square"),
+        (np.array([[np.nan]]), np.eye(2), "A contains non-finite"),
+        (np.eye(2), np.array([[1.0, np.inf], [0.0, 1.0]]),
+         "B contains non-finite")])
+    def test_kron_sum_refuses_by_name(self, A, B, match):
+        with pytest.raises(ValueError, match=match):
+            matfun.kron_sum(A, B)
+
     def test_exponential_of_kron_sum(self, rng):
         A = rng.normal(size=(2, 2))
         B = rng.normal(size=(2, 2))

@@ -393,3 +393,141 @@ def test_shared_law_across_threads_matches_a_serial_run():
     for th, F, F3 in got:
         assert F == want[th][0]
         assert np.all(np.abs(F3 - want[th][1]) <= 1e-14 * want[th][1])
+
+
+# -- the size rule on the sparse step ----------------------------------------
+
+
+def _old_rule(d, th, K):
+    """The size rule alone, as it stood before the sparse step's K = 1
+    bound: at most about twice the order Kd + 1 of the Pade row."""
+    return (0.0 < d._rate and d.phase_type
+            and matfun._ph_terms(d._rate * th) <= 2 * (K * d.d + 1))
+
+
+def _theta_for_terms(d, n):
+    """The threshold whose uniformized sum at d's rate needs n terms: the
+    root of lam + 9 sqrt(lam) + 16 = n, over the rate."""
+    root = (-9.0 + math.sqrt(81.0 + 4.0 * (n - 16.0))) / 2.0
+    return root * root / d._rate
+
+
+def _mrc64():
+    # 32 Nakagami-2 branches in 4 mean groups: order 64, sparse step
+    return standard_channel(ChannelSpec("mrc_list", {"components": [
+        {"kind": "nakagami", "params": {"m": 2, "S": s}}
+        for s in (1.0, 1.3, 1.7, 2.2)] * 8})).dist
+
+
+def _min8():
+    return min_dist(erlang(8, 3.0), erlang(8, 5.0)).closure()
+
+
+def _between(d, count=5):
+    """Thresholds past the old rule at K = 1 and within (d + 1)^2 / 16."""
+    lo = _theta_for_terms(d, 2 * (d.d + 1))
+    hi = _theta_for_terms(d, (d.d + 1) ** 2 / 16)
+    return np.geomspace(1.01 * lo, 0.99 * hi, count)
+
+
+# on the order-288 max the Pade row itself drifts from the exact 1 by up to
+# 4.5e-13 at these thresholds, so that channel is checked against its
+# gammainc product below instead
+@pytest.mark.parametrize("make", [_mrc64, _min8], ids=["mrc32_d64", "min8_d64"])
+def test_sparse_step_reads_the_law_past_the_old_rule(monkeypatch, make):
+    d = make()
+    assert d._jumps is not None
+    ths = _between(d)
+    pade = [float(matfun.expm_integral(d.x, d.Y, th) @ d.z) for th in ths]
+    monkeypatch.setattr(matfun, "expm_integral", None)
+    for th, ref in zip(ths, pade):
+        assert not _old_rule(d, th, 1) and d._uniformizes(th)
+        F = d.cdf(th)
+        if ref >= 1e-6:
+            assert abs(F - ref) <= 1e-13 * ref
+    # the law grew to what the reads needed, at most twice that
+    need = int(matfun._ph_terms(d._rate * ths[-1]))
+    assert need <= d._law._state.a.size <= 2 * (d.d + 1) ** 2 / 16
+
+
+@pytest.mark.parametrize("node, k, S1, S2", [
+    (max_dist, 16, 4.0, 6.0), (min_dist, 8, 3.0, 5.0),
+    (min_dist, 16, 0.5, 0.8)])
+def test_wider_rule_keeps_the_gammainc_products(monkeypatch, node, k, S1,
+                                                S2):
+    c = node(erlang(k, S1), erlang(k, S2)).closure()
+    assert c._jumps is not None
+    monkeypatch.setattr(matfun, "expm_integral", None)
+    for th in _between(c, 4):
+        assert c._uniformizes(th) and not _old_rule(c, th, 1)
+        F1, F2 = _gammainc(k, k / S1 * th), _gammainc(k, k / S2 * th)
+        ref = F1 * F2 if node is max_dist else F1 + F2 - F1 * F2
+        assert abs(c.cdf(th) - ref) <= 1e-13 * ref
+
+
+@pytest.mark.parametrize("make", [MAX16.closure, _mrc64, _min8],
+                         ids=["max16_d288", "mrc32_d64", "min8_d64"])
+def test_route_does_not_read_the_law_length(make):
+    d = make()
+    bound = _theta_for_terms(d, (d.d + 1) ** 2 / 16)
+    ths = np.geomspace(1e-3 * bound, 3.0 * bound, 25)
+    before = [d._uniformizes(th, K) for th in ths for K in (1, 2, 4)]
+    assert "_law" not in vars(d)
+    # a direct read far past the bound makes the law longer than any
+    # routed read would
+    d._law.partial_cdfs(3.0 * bound)
+    assert d._law._state.a.size > 2 * (d.d + 1) ** 2 / 16
+    assert [d._uniformizes(th, K) for th in ths for K in (1, 2, 4)] == before
+
+
+def test_past_the_bound_and_above_one_fold_keep_the_pade_row(monkeypatch):
+    d = _mrc64()
+    calls, expm_integral = [], matfun.expm_integral
+    monkeypatch.setattr(matfun, "expm_integral",
+                        lambda *a: calls.append(a[1].shape) or expm_integral(*a))
+    past = 1.1 * _theta_for_terms(d, (d.d + 1) ** 2 / 16)
+    assert not d._uniformizes(past)
+    d.cdf(past)
+    assert calls == [(64, 64)] and "_law" not in vars(d)
+    # 262 terms: inside the K = 1 bound of 264, past the K = 2 rule of 258
+    th = _theta_for_terms(d, 262)
+    assert d._uniformizes(th) and not d._uniformizes(th, 2)
+    d._partial_cdfs(th, 2)
+    assert calls == [(64, 64), (128, 128)] and "_law" not in vars(d)
+    c = MAX16.closure()
+    for th in _between(c, 6)[-3:]:
+        assert c._uniformizes(th)
+        assert not any(c._uniformizes(th, K) for K in (2, 3))
+
+
+def _dense_step_channels():
+    rng = np.random.default_rng(1)
+    M = rng.random((128, 128)) * (rng.random((128, 128)) < 0.1)
+    np.fill_diagonal(M, 0.0)
+    full = MEDist(np.full(128, 1 / 128), M - np.diag(M.sum(1) + 1.0),
+                  np.ones(128))
+    return [erlang(k, 1.7) for k in (1, 4, 16, 32, 63)] + [
+        max_dist(erlang(6, 3.0), erlang(6, 5.0)).closure(),
+        min_dist(erlang(4, 1.0), erlang(4, 2.0)).closure(),
+        standard_channel(ChannelSpec("sdc", {"N": 6, "S": 1.3})).dist,
+        example2(), full]
+
+
+@pytest.mark.parametrize("d", _dense_step_channels(), ids=lambda d: f"d{d.d}")
+def test_dense_step_keeps_the_old_rule(d):
+    assert d._jumps is None
+    for lam in np.geomspace(1e-3, 1e4, 60):
+        th = lam / d._rate
+        for K in (1, 2, 5):
+            assert d._uniformizes(th, K) == _old_rule(d, th, K)
+
+
+@pytest.mark.parametrize("make", [MAX16.closure, _mrc64, _min8],
+                         ids=["max16_d288", "mrc32_d64", "min8_d64"])
+def test_sparse_step_only_widens_the_one_fold_route(make):
+    d = make()
+    for lam in np.geomspace(1e-3, 1e5, 80):
+        th = lam / d._rate
+        assert d._uniformizes(th) >= _old_rule(d, th, 1)
+        for K in (2, 5):
+            assert d._uniformizes(th, K) == _old_rule(d, th, K)

@@ -290,11 +290,10 @@ def standard_channel(spec: ChannelSpec) -> EffectiveChannel:
         dist = _zf_mimo(P["N_rx"], P["N_tx"], P["S"], P.get("exponent"))
     elif spec.kind in ("mrc_list", "sum_interference"):
         # each distinct component (equal as dicts) is built once, then repeated
-        comps, parts = P["components"], []
-        for i, c in enumerate(comps):
-            j = comps.index(c)
-            parts.append(parts[j] if j < i else standard_channel(
-                ChannelSpec(c["kind"], c.get("params", {}))))
+        comps = P["components"]
+        built = [standard_channel(ChannelSpec(c["kind"], c.get("params", {})))
+                 if comps.index(c) == i else None for i, c in enumerate(comps)]
+        parts = [built[comps.index(c)] for c in comps]
         if not parts:
             raise ConstructionError(f"{spec.kind} requires components")
         dist = convolve(*(p.dist for p in parts))

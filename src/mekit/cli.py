@@ -10,7 +10,6 @@ exactly; output is a pure function of (args, spec file, seed).
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import sys
 
@@ -61,15 +60,15 @@ def _build(spec: ChannelSpec):
     return algebra.standard_channel(spec)
 
 
-def _resolve_threshold(channel, args, unit_mean):
-    """Return (dist, Theta) under the selected threshold convention;
-    ``unit_mean()`` is the channel rescaled to unit mean."""
+def _resolve_threshold(channel, args):
+    """Return (dist, Theta) under the selected threshold convention."""
+    dist = channel.dist
     if args.Theta_convention == "absolute":
-        return channel.dist, metrics.theta_absolute(args.R)
+        return dist, metrics.theta_absolute(args.R)
     if args.S is None:
         raise ConstructionError(
             "--Theta-convention per-unit-mean requires --S")
-    return unit_mean(), metrics.theta_unit_mean(args.R, args.S)
+    return dist.to_unit_mean(), metrics.theta_unit_mean(args.R, args.S)
 
 
 def _parse_sweep(text: str):
@@ -127,17 +126,17 @@ def cmd_channel(args) -> int:
 # -- metric -------------------------------------------------------------------
 
 
-def _eval_metric(name, channel, args, unit_mean):
+def _eval_metric(name, channel, args):
     """Evaluate one metric point on a built channel; returns the
     MetricResult and the decoding threshold used (None for metrics that
-    take none).  ``unit_mean`` is that of :func:`_resolve_threshold`."""
+    take none)."""
     if name == "harq_persistent" and args.interference_spec is not None:
         raise ConstructionError(
             "persistent HARQ under interference is not supported: the "
             "post-interference success transform is not rational, so no "
             "ME form exists")
     if name in ("outage", "arq", "harq", "harq_persistent"):
-        dist, th = _resolve_threshold(channel, args, unit_mean)
+        dist, th = _resolve_threshold(channel, args)
         if name == "outage":
             return metrics.outage(dist, th), th
         if name == "arq":
@@ -226,12 +225,11 @@ def _emit(rows, args, header) -> None:
 def cmd_metric(args) -> int:
     rows, built = [], None
     for key, value, spec, a in _sweep_rows(args):
-        # a sweep that keeps the spec reads one channel, one unit-mean
-        # channel derived on first use, and with them their cached jump laws
+        # a sweep that keeps the spec reads one channel, its one unit-mean
+        # channel, and with them their cached jump laws
         if spec is not built:
             built, channel = spec, _build(spec)
-            unit_mean = functools.cache(channel.dist.to_unit_mean)
-        res, theta_used = _eval_metric(args.metric, channel, a, unit_mean)
+        res, theta_used = _eval_metric(args.metric, channel, a)
         rows.append({
             "metric": args.metric,
             "sweep_key": key or "",
@@ -267,8 +265,7 @@ def cmd_verify(args) -> int:
         est = oracle.mc_metric("ncbr", {"links": links, "R12": args.R,
                                         "R21": args.R}, cfg)
     elif args.metric in _MC_KIND:
-        closed = _eval_metric(args.metric, channel, args,
-                              dist.to_unit_mean)[0].value
+        closed = _eval_metric(args.metric, channel, args)[0].value
         # Monte Carlo simulates the physical event ln(1 + Z) > R on the
         # channel as built, whatever the closed form's threshold convention
         scenario = {"dist": dist, "R": args.R, "K": args.K,

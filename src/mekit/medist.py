@@ -131,8 +131,8 @@ class MEDist:
     The triple is read-only.  A channel caches what its reads derive from
     it, each built on first use and never at construction: the sign test
     ``phase_type``, the rate ``_rate``, the nonzeros ``_jumps`` of the
-    jump matrix and the jump law ``_law``, which grows as uniformized cdf
-    reads need more terms.  A channel may be shared across threads.
+    jump matrix, the jump law ``_law`` grown as cdf reads need more terms,
+    and :meth:`to_unit_mean`.  A channel may be shared across threads.
     """
 
     x: np.ndarray
@@ -203,12 +203,12 @@ class MEDist:
     def _uniformizes(self, t, K=1) -> bool:
         """The route rule of :meth:`_partial_cdfs`: a phase-type triple
         whose uniformized sum at t needs at most about twice the order
-        Kd + 1 that the Pade row would exponentiate; at K = 1 on the sparse
-        step, (d + 1)^2 / 16, where a cold read costs at most ~2 Pade rows."""
+        Kd + 1 of the Pade row; at K = 1 on the sparse step up to the
+        measured order 288, (d + 1)^2 / 16, where a cold read costs ~2 rows."""
         n, d = matfun._ph_terms(self._rate * t), self.d
         return (0.0 < self._rate
-                and (n <= 2 * (K * d + 1) or K == 1 and n <= (d + 1) ** 2 / 16
-                     and self._jumps is not None)
+                and (n <= 2 * (K * d + 1) or K == 1 and d <= 288
+                     and n <= (d + 1) ** 2 / 16 and self._jumps is not None)
                 and self.phase_type)
 
     def _partial_cdfs(self, t, K=1, block=None):
@@ -275,7 +275,11 @@ class MEDist:
         return MEDist(self.x / S, self.Y / S, self.z)
 
     def to_unit_mean(self) -> "MEDist":
-        """Rescale to unit mean (inverse of :meth:`scale_mean`)."""
+        """Rescale to unit mean (inverse of :meth:`scale_mean`), once."""
+        return self._unit_mean
+
+    @functools.cached_property
+    def _unit_mean(self) -> "MEDist":
         m = self.mean
         if m <= 0:
             raise ValueError(f"mean must be positive, got {m}")

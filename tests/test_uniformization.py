@@ -500,6 +500,19 @@ def test_past_the_bound_and_above_one_fold_keep_the_pade_row(monkeypatch):
         assert not any(c._uniformizes(th, K) for K in (2, 3))
 
 
+@pytest.mark.parametrize("k", [289, 1024])
+def test_sparse_step_past_order_288_keeps_the_old_rule(k):
+    # a read keeps n / 2 stacked vectors of length 2d, so the wider bound
+    # would hold ~d^3 / 2 bytes at large orders: the rule stays 2(Kd + 1)
+    d = erlang(k, 1.3)
+    assert d._jumps is not None
+    for n in np.geomspace(20, 4 * (k + 1) ** 2 / 16, 40):
+        th = _theta_for_terms(d, n)
+        for K in (1, 2):
+            assert d._uniformizes(th, K) == _old_rule(d, th, K)
+    assert "_law" not in vars(d)
+
+
 def _dense_step_channels():
     rng = np.random.default_rng(1)
     M = rng.random((128, 128)) * (rng.random((128, 128)) < 0.1)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import matfun
 from .medist import (ChannelSpec, ConstructionError, MEDist, RationalLT,
-                     _chain, _erlang, _threshold, exponential,
+                     _chain, _count, _erlang, _threshold, exponential,
                      from_product_form, from_rational_lt)
 
 __all__ = [
@@ -89,10 +89,9 @@ def convolve(*parts):
 def _fold_count(base: MEDist, K) -> int:
     """K as an int; a K that is not a positive integer, or a K-fold block
     past the degree guard, is refused."""
-    if K < 1 or K != int(K):
-        raise ValueError("K must be a positive integer")
-    _guard_degree(base.d * int(K) + 1)
-    return int(K)
+    K = _count(K, "K")
+    _guard_degree(base.d * K + 1)
+    return K
 
 
 @dataclass(frozen=True)
@@ -108,8 +107,8 @@ class KFoldConvolution:
 
     def partial_cdfs(self, theta: float) -> np.ndarray:
         """P(Z_1 + ... + Z_k <= theta) for k = 1..K, by the route rule of
-        :meth:`MEDist._partial_cdfs` (this block serves its Pade row)."""
-        return self.base._partial_cdfs(_threshold(theta), self.K, self)
+        :meth:`MEDist._partial_cdfs`."""
+        return self.base._partial_cdfs(_threshold(theta), self.K)
 
 
 def kfold_block(dist, K: int) -> KFoldConvolution:
@@ -136,7 +135,6 @@ class MaxOfTwo:
     d2: MEDist
 
     def cdf(self, t: float) -> float:
-        t = _threshold(t, "t")
         return self.d1.cdf(t) * self.d2.cdf(t)
 
     def closure(self) -> MEDist:
@@ -165,7 +163,6 @@ class MinOfTwo:
     d2: MEDist
 
     def cdf(self, t: float) -> float:
-        t = _threshold(t, "t")
         # 1 - (1 - F1)(1 - F2) without the cancellation in the lower tail
         F1 = self.d1.cdf(t)
         return F1 + self.d2.cdf(t) * (1.0 - F1)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra, matfun
-from .medist import ConstructionError, MEDist
-from .metrics import MetricResult, _result
+from .medist import ConstructionError, MEDist, _positive, _threshold
+from .metrics import MetricResult, _result, theta_absolute
 
 __all__ = [
     "BivME",
@@ -216,6 +216,7 @@ def integral_sylvester(a, b, x1, Y1, X12, Y2, z2):
     X12 = np.atleast_2d(np.asarray(X12, float))
     x1 = np.atleast_1d(np.asarray(x1, float)).ravel()
     z2 = np.atleast_1d(np.asarray(z2, float)).ravel()
+    a = _threshold(a, "a")
     if math.isinf(b):
         if matfun.spectral_abscissa(Y1) >= 0 or matfun.spectral_abscissa(Y2) >= 0:
             raise ValueError("infinite upper limit requires stable Y1, Y2")
@@ -245,8 +246,8 @@ class InterferenceScenario:
         if self.joint is None and (self.signal is None or not self.interferers):
             raise ConstructionError(
                 "provide signal + interferers, or a joint density")
-        if self.theta is not None and self.theta < 0:
-            raise ValueError("theta must be nonnegative")
+        if self.theta is not None:
+            _threshold(self.theta)
         object.__setattr__(self, "interferers", tuple(self.interferers))
 
     @property
@@ -280,9 +281,8 @@ def arq_interference_throughput(scn: InterferenceScenario, R: float,
     :class:`~mekit.matfun.SpectralCollisionError`.  The decoding threshold
     is ``scn.theta`` when set, else e^R - 1.
     """
-    if R <= 0:
-        raise ValueError("R must be positive")
-    theta = scn.theta if scn.theta is not None else math.expm1(R)
+    R = _positive(R, "R")
+    theta = scn.theta if scn.theta is not None else theta_absolute(R)
     if path == "auto":
         path = "kron" if scn.independent else "sylvester"
     if path == "kron":
@@ -314,8 +314,7 @@ def interference_g_theta(scn: InterferenceScenario, theta: float):
     P' is obtained from the derivative Sylvester system
     Q_I X' + X' theta Q = -(Pb + X) Q; returns ``(g, P)``.
     """
-    if not theta > 0:
-        raise ValueError(f"theta must be positive, got {theta}")
+    theta = _positive(theta, "theta")
     joint = scn.as_joint()
     if scn.independent and abs(scn.signal.mean - 1.0) > 1e-8:
         raise ValueError("optimization requires a unit-mean signal")
@@ -347,8 +346,7 @@ def sm_mimo_2x2_outage(R: float) -> MetricResult:
     the inner integral closes analytically, leaving a closed boundary term
     plus one residual quadrature over t1 in (1, e^R).
     """
-    if R <= 0:
-        raise ValueError("R must be positive")
+    R = _positive(R, "R")
     w = wishart2x2_bivme()
     p1, Q1, P12, Q2, r2 = w.p1, w.Q1, w.P12, w.Q2, w.r2
     TH = math.exp(R)

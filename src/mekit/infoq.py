@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra, matfun
-from .medist import ConstructionError, MEDist
+from .medist import ConstructionError, MEDist, _count
 
 __all__ = [
     "LloydMaxResult",
@@ -238,11 +238,7 @@ def lloyd_max(dist: MEDist, M: int, tol: float = 1e-10,
     empty cells for heavy-tailed densities; a supplied start with an empty
     cell is re-seeded to them with a note.
     """
-    if M < 1 or M != int(M):
-        raise ValueError("M must be a positive integer")
-    if max_iter < 1:
-        raise ValueError("max_iter must be a positive integer")
-    M = int(M)
+    M, max_iter = _count(M, "M"), _count(max_iter, "max_iter")
     pm = _PartialMoments(dist)
     if M == 1:
         u = np.array([dist.mean])
@@ -314,8 +310,7 @@ def panter_dite_mse(dist: MEDist, M: int) -> float:
     The cube-root integral has no general closed form and is evaluated by
     quadrature.  Accurate for large M.
     """
-    if M < 1:
-        raise ValueError("M must be a positive integer")
+    M = _count(M, "M")
     # the cube root decays three times slower than the density itself
     t_hi = 3.0 * dist.t_max()
     I, _ = matfun.quad(

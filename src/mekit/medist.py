@@ -48,10 +48,13 @@ class PointMassAtZeroError(ConstructionError):
     """Numerator and denominator constant terms differ (total mass != 1)."""
 
 
+# The scalar domain of every public entry point: each refuses an argument
+# outside it by name, through one of the checks below, before any kernel
+# runs.  An array has no meaning as one of these scalars yet.
+
+
 def _threshold(t, name="theta"):
-    """``t`` as a float.  A threshold that is not a finite real scalar
-    >= 0 is refused by name before any kernel runs; an array has no
-    meaning here yet."""
+    """``t`` as a float, refused unless a finite real scalar >= 0."""
     # a float skips np.ndim, which would build an array from it at a cost
     # that shows in the root-finding loops over cdf
     scalar = isinstance(t, float) or np.ndim(t) == 0
@@ -59,6 +62,40 @@ def _threshold(t, name="theta"):
         raise ValueError(
             f"{name} must be a finite nonnegative scalar, got {t!r}")
     return float(t)
+
+
+def _positive(v, name):
+    """``v`` as a float, refused unless a finite real scalar > 0."""
+    scalar = isinstance(v, float) or np.ndim(v) == 0
+    if not (scalar and 0.0 < v < math.inf):
+        raise ValueError(f"{name} must be positive and finite, got {v!r}")
+    return float(v)
+
+
+def _count(v, name):
+    """``v`` as an int, refused unless a positive integer; an
+    integer-valued float such as 3.0 is one."""
+    if not (isinstance(v, numbers.Real) and v >= 1 and v % 1 == 0):
+        raise ValueError(f"{name} must be a positive integer, got {v!r}")
+    return int(v)
+
+
+def _threshold_of_rate(R, S=None) -> float:
+    """e^R - 1, over S when given.  A rate R that is not a finite real
+    >= 0, a mean SNR S that is not positive and finite, or a threshold that
+    overflows a double (e^R does past R = 709.78) is refused by name."""
+    if not (np.ndim(R) == 0 and 0.0 <= R < math.inf):
+        raise ValueError(f"R = {R!r} is not a finite rate >= 0")
+    if S is not None and not (np.ndim(S) == 0 and 0.0 < S < math.inf):
+        raise ValueError(f"S = {S!r}: the mean SNR must be positive and finite")
+    try:
+        theta = math.expm1(R) if S is None else math.expm1(R) / S
+    except OverflowError:
+        theta = math.inf
+    if math.isinf(theta):
+        what = "e^R - 1" if S is None else f"(e^R - 1)/S at S = {S!r}"
+        raise ValueError(f"R = {R!r}: the threshold {what} overflows a double")
+    return theta
 
 
 def _poly_eval(coeffs, s):
@@ -211,7 +248,7 @@ class MEDist:
                      and n <= (d + 1) ** 2 / 16 and self._jumps is not None)
                 and self.phase_type)
 
-    def _partial_cdfs(self, t, K=1, block=None):
+    def _partial_cdfs(self, t, K=1):
         """P(Z_1 + ... + Z_k <= t) for k = 1..K, Z_i iid with this law: the
         one owner of the route rule of :meth:`cdf`,
         :meth:`~mekit.algebra.KFoldConvolution.partial_cdfs` and truncated
@@ -219,13 +256,12 @@ class MEDist:
         triple's cached jump law :attr:`_law` (the sum of
         :func:`matfun.ph_partial_cdfs`), a sum of nonnegative terms that
         keeps its relative accuracy in the lower tail, with no block built;
-        otherwise row 1 of one exponential of the augmented
-        K-fold ``block`` (chained here when not given; valid for singular
-        Y), dotted with z in each block.  ``t`` is checked by the caller."""
+        otherwise row 1 of one exponential of the augmented K-fold block
+        :func:`_chain` of K copies (valid for singular Y), dotted with z in
+        each block.  ``t`` is checked by the caller."""
         if self._uniformizes(t, K):
             return self._law.partial_cdfs(t, K)
-        x, Y = ((block.p_block, block.Q_block) if block is not None
-                else _chain([self] * K)[:2])
+        x, Y, _ = _chain([self] * K)
         return matfun.expm_integral(x, Y, t).reshape(K, self.d) @ self.z
 
     def cdf(self, t: float) -> float:
@@ -252,8 +288,7 @@ class MEDist:
 
     def moment(self, k: int) -> float:
         """k-th moment (-1)^{k+1} k! x Y^{-(k+1)} z (Y nonsingular)."""
-        if k < 1 or k != int(k):
-            raise ValueError("moment order must be a positive integer")
+        k = _count(k, "k")
         Yinv = np.linalg.inv(self.Y)
         return float((-1) ** (k + 1) * math.factorial(k)
                      * self.x @ np.linalg.matrix_power(Yinv, k + 1) @ self.z)
@@ -267,8 +302,7 @@ class MEDist:
     def scale_mean(self, S: float) -> "MEDist":
         """Scale a unit-mean distribution to mean ``S`` by variable
         substitution: (x/S, Y/S, z)."""
-        if S <= 0:
-            raise ValueError("S must be positive")
+        S = _positive(S, "S")
         if abs(self.mean - 1.0) > 1e-8:
             raise ValueError(
                 f"scale_mean requires a unit-mean input (mean={self.mean!r})")
@@ -542,9 +576,9 @@ class ChannelSpec:
                     f"{self.kind} requires parameter {key!r}")
         for key in ("S", "m", "N", "N_tx", "N_rx", "K"):
             v = self.params.get(key, 1)
-            if not (isinstance(v, numbers.Real) and v > 0
+            if not (isinstance(v, numbers.Real) and 0 < v < math.inf
                     and (key == "S" or v % 1 == 0)):
-                what = "number" if key == "S" else "integer"
+                what = "finite number" if key == "S" else "integer"
                 raise ConstructionError(
                     f"parameter {key} must be a positive {what}, got {v!r}")
         for c in self.params.get("components", ()):

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra, matfun
-from .medist import (MEDist, RationalLT, _chain, _threshold,
-                     from_rational_lt)
+from .medist import (MEDist, RationalLT, _chain, _count, _positive,
+                     _threshold, _threshold_of_rate, from_rational_lt)
 
 __all__ = [
     "MetricResult",
@@ -44,24 +44,6 @@ __all__ = [
     "theta_absolute",
     "theta_unit_mean",
 ]
-
-
-def _threshold_of_rate(R, S=None) -> float:
-    """e^R - 1, over S when given.  A rate R that is not finite, a mean SNR
-    S that is not positive, or a threshold that overflows a double (e^R
-    does past R = 709.78) is refused by name."""
-    if not math.isfinite(R):
-        raise ValueError(f"R = {R!r} is not a finite rate")
-    if S is not None and not S > 0:
-        raise ValueError(f"S = {S!r}: the mean SNR must be positive")
-    try:
-        theta = math.expm1(R) if S is None else math.expm1(R) / S
-    except OverflowError:
-        theta = math.inf
-    if math.isinf(theta):
-        what = "e^R - 1" if S is None else f"(e^R - 1)/S at S = {S!r}"
-        raise ValueError(f"R = {R!r}: the threshold {what} overflows a double")
-    return theta
 
 
 def theta_absolute(R: float) -> float:
@@ -140,10 +122,9 @@ def outage_capacity(channel, q_target: float) -> MetricResult:
 def arq_throughput(channel, R: float, theta: float) -> MetricResult:
     """ARQ throughput R (1 - P(Z <= theta)), sharing the outage
     exponential."""
-    d = _dist(channel)
-    if R <= 0:
-        raise ValueError("R must be positive")
-    return _result(R * (1.0 - outage(d, theta).value), "closed_form")
+    R = _positive(R, "R")
+    return _result(R * (1.0 - outage(_dist(channel), theta).value),
+                   "closed_form")
 
 
 def harq_truncated_throughput(channel, R: float, K: int,
@@ -157,9 +138,7 @@ def harq_truncated_throughput(channel, R: float, K: int,
     :meth:`~mekit.medist.MEDist._partial_cdfs`; the uniformized route
     builds no K-fold block.
     """
-    d = _dist(channel)
-    if R <= 0:
-        raise ValueError("R must be positive")
+    R, d = _positive(R, "R"), _dist(channel)
     F = d._partial_cdfs(_threshold(theta), algebra._fold_count(d, K))
     denom = 1.0 + float(np.sum(F[:-1]))
     return _result(R * (1.0 - F[-1]) / denom, "closed_form")
@@ -193,13 +172,8 @@ def harq_persistent_throughput(channel, R: float, theta: float,
     w = e^{2 pi i/N}, exponentiates their complex block-diagonal with rows
     w^n x / N, and must give a real result.
     """
-    if R <= 0:
-        raise ValueError("R must be positive")
-    if theta < 0:
-        raise ValueError("theta must be nonnegative")
-    N = int(diversity)
-    if N < 1:
-        raise ValueError("diversity must be a positive integer")
+    R, theta = _positive(R, "R"), _threshold(theta)
+    N = _count(diversity, "diversity")
     if method == "companion":
         x, G, z = _renewal_generator(channel, N)
         mean_tx = 1.0 + matfun.expm_integral(x, G, theta) @ z
@@ -242,10 +216,8 @@ def ncbr_throughput(links: dict, R12: float, R21: float) -> MetricResult:
 def eff_capacity_me_rate(channel, theta: float) -> MetricResult:
     """Effective capacity -(1/theta) ln E{e^{-theta zeta}} for an
     ME-distributed service rate zeta: the log-transform at s = theta."""
-    d = _dist(channel)
-    if theta <= 0:
-        raise ValueError("theta must be positive")
-    val = d.lt(theta)
+    theta = _positive(theta, "theta")
+    val = _dist(channel).lt(theta)
     return _result(-math.log(val) / theta, "closed_form")
 
 
@@ -293,10 +265,8 @@ def eff_capacity_shannon(channel, theta: float) -> MetricResult:
     """Effective capacity -(1/theta) ln E{(1+Z)^{-theta}} of the Shannon
     service rate ln(1 + Z), Z the ME-distributed SNR, by the gamma-kernel
     integral of :func:`_shannon_expectation_quad`."""
-    d = _dist(channel)
-    if theta <= 0:
-        raise ValueError("theta must be positive")
-    neg_log_E, err = _shannon_expectation_quad(d, theta)
+    theta = _positive(theta, "theta")
+    neg_log_E, err = _shannon_expectation_quad(_dist(channel), theta)
     return _result(neg_log_E / theta, "quadrature", quad_error=err)
 
 
@@ -319,10 +289,7 @@ def ergodic_capacity(channel) -> MetricResult:
 def ber_noncoherent(channel, a: float) -> MetricResult:
     """BER for DBPSK (a=1) / noncoherent FSK (a=1/2) under symbol-rate
     fading: (1/2) x (aI - Y)^{-1} z = F(a)/2."""
-    d = _dist(channel)
-    if a <= 0:
-        raise ValueError("a must be positive")
-    return _result(0.5 * d.lt(a), "closed_form")
+    return _result(0.5 * _dist(channel).lt(_positive(a, "a")), "closed_form")
 
 
 def _craig_product(branches, t):
@@ -344,9 +311,7 @@ def ber_coherent(channel, a: float) -> MetricResult:
     the single branch ``[(channel, a)]`` is the same BER by Craig
     quadrature.
     """
-    d = _dist(channel)
-    if a <= 0:
-        raise ValueError("a must be positive")
+    a, d = _positive(a, "a"), _dist(channel)
     S = matfun.mat_frac_power(np.eye(d.d) - d.Y / a, 0.5)
     val = d.x @ np.linalg.solve(S + S @ S, d.z) / (2.0 * a)
     return _result(val, "closed_form")
@@ -465,10 +430,7 @@ def optimize_rate(metric: str, channel, thetas) -> list[Optimum]:
     Rows where the auxiliary ratio g <= 1 are flagged as boundary points.
     Every theta must be positive: g has theta in its denominator.
     """
-    thetas = list(thetas)
-    for th in thetas:
-        if not th > 0:
-            raise ValueError(f"theta must be positive, got {th}")
+    thetas = [_positive(th, "theta") for th in thetas]
     if metric == "arq":
         # T = R (1 - F(theta)), F' the density
         d = _dist(channel)
@@ -503,11 +465,9 @@ def mimo_high_snr_outage(N: int, R: float, t: float) -> MetricResult:
     prod_{n=N+1..2N-1} (s-n)^{-(2N-n)}; the outage is its integral over
     (0, R), one augmented exponential of the upper-bidiagonal pole matrix.
     """
-    N = int(N)
+    N, R = _count(N, "N"), _threshold(R, "R")
     if N < 2:
         raise ValueError("N must be at least 2")
-    if R < 0:
-        raise ValueError("R must be nonnegative")
     scale = 1.0
     for n in range(N):
         scale *= math.factorial(n)

@@ -7,12 +7,11 @@ cross-checks.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .medist import MEDist
+from .medist import MEDist, _count
 
 __all__ = [
     "MCEstimate",
@@ -31,8 +30,7 @@ class RngConfig:
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("sample count must be >= 1")
+        object.__setattr__(self, "n", _count(self.n, "n"))
 
     def generator(self, worker: int | None = None) -> np.random.Generator:
         if worker is None:
@@ -276,10 +274,7 @@ def mc_metric(kind: str, scenario: dict, cfg: RngConfig) -> MCEstimate:
         return _bernoulli(z > scenario["theta"], n, scale=scenario["R"])
     if kind in ("harq_truncated", "harq_persistent"):
         K = scenario.get("K") if kind == "harq_truncated" else None
-        if K is None:
-            K = math.inf
-        elif not (isinstance(K, numbers.Real) and K >= 1 and K % 1 == 0):
-            raise ValueError(f"harq_truncated K must be a positive integer, got {K!r}")
+        K = math.inf if K is None else _count(K, "K")
         tx, success = _partial_sum_transmissions(
             _dist(scenario["dist"]), scenario["theta"], K, cfg)
         return _ratio_estimate(success.astype(float), tx.astype(float), n,

@@ -317,6 +317,30 @@ class TestMetric:
         assert code == 2 and out == ""
         assert err.startswith(f"error: {named}")
 
+    @pytest.mark.parametrize("argv, named", [
+        (("--metric", "arq_interference", "--R", "800"),
+         "R = 800.0: the threshold e^R - 1 overflows"),
+        (("--metric", "eff_capacity_rate", "--theta", "nan"),
+         "theta must be positive"),
+        (("--metric", "ber", "--a", "nan"), "a must be positive"),
+        (("--metric", "outage", "--R", "-1"), "R = -1.0 is not a finite rate"),
+    ], ids=["interference-R800", "rate-theta-nan", "ber-a-nan", "R-neg"])
+    def test_scalar_outside_its_domain_exit_two(self, capsys, ray_spec, argv,
+                                                named):
+        code, out, err = run_cli(capsys, "metric", "--spec", ray_spec,
+                                 "--interference-spec", ray_spec, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {named}")
+        assert "Traceback" not in err
+
+    def test_infinite_mean_snr_spec_exit_two(self, capsys, tmp_path):
+        spec = tmp_path / "ray_inf.json"
+        spec.write_text('{"kind": "rayleigh", "params": {"S": Infinity}}')
+        for argv in (("channel",), ("metric", "--metric", "outage")):
+            code, out, err = run_cli(capsys, *argv, "--spec", str(spec))
+            assert code == 2 and out == ""
+            assert err.startswith("error: parameter S must be a positive")
+
     def test_interference_sweep_scales_signal(self, capsys, ray_spec):
         # Rayleigh signal of mean S over a unit Rayleigh interferer:
         # P(Z > theta (1 + Z_I)) = e^{-theta/S} / (1 + theta/S)

@@ -16,6 +16,7 @@ once.  All of the module is safe to call concurrently.
 from __future__ import annotations
 
 import collections
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -226,6 +227,38 @@ def _poisson_tails(lam, n):
     return tails
 
 
+# ln j! for j below its size, grown on demand and published in one
+# assignment
+_LOG_FACTORIALS = np.zeros(1)
+# (point, term) weights of one block of a density read
+_BLOCK = 1 << 15
+
+
+def _poisson_pmf(lam, cols):
+    """P(N_i = j) for N_i ~ Poisson(lam_i) and j in ``cols`` (ascending
+    integers), a (lam.size, cols.size) array: exp(j ln lam - lam - ln j!)
+    entry by entry, so each weight keeps its relative accuracy however
+    small it is (about eps (j |ln lam| + lam + ln j!)), with no common
+    factor e^{-lam} to underflow; lam = 0 gives the unit mass at 0.  A
+    weight below e^-708 is read as e^-708 (about 3e-308): exp runs some
+    100x slower on the subnormal range, and there the weight adds at most
+    3e-308 sum_j a_j to a sum over a law."""
+    global _LOG_FACTORIALS
+    lf = _LOG_FACTORIALS
+    if cols.size and lf.size <= cols[-1]:
+        lf = _LOG_FACTORIALS = np.array(
+            [math.lgamma(j + 1.0) for j in range(max(cols[-1] + 1,
+                                                     2 * lf.size))])
+    W = np.multiply.outer(np.log(np.maximum(lam, _TINY)), cols)
+    W -= lam[:, None]
+    W -= lf[cols]
+    np.maximum(W, -708.0, out=W)
+    np.exp(W, out=W)
+    if not lam.all():
+        W[lam == 0.0] = cols == 0
+    return W
+
+
 def _ph_terms(lam):
     """Terms of a uniformized sum at q theta = lam that leave a Poisson
     mass below about 1e-17 in the bulk, the size that
@@ -348,17 +381,16 @@ class _JumpLaw:
         self._state = state = _LawState(a, resume, r, state.powers)
         return state
 
-    def partial_cdfs(self, theta, K=1):
-        """P(Z_1 + ... + Z_k <= theta) for k = 1..K, the Z_i iid with pdf
-        x e^{tY} z: F_k = sum_j P(N > j) a^(k)_j with N ~ Poisson(q theta),
-        from n terms of the law, stepped on where it holds fewer.
+    def _terms(self, theta, K):
+        """(state, n, tails) of a read at ``theta`` of the K-fold sum: the
+        state stepped on to at least n terms and the Poisson tails of
+        :func:`_poisson_tails` at q theta; n is 0 (and tails ``None``) when
+        every a_j is 0.
 
         With r the first index of a nonzero a_r, F_K >= P(N > K(r + 1) - 1)
         a_r^K, and n terms are kept once P(N > n) is at most eps times that
         bound.  As sum_j a^(k)_j <= 1 the terms left out sum to at most
-        P(N > n), within eps of every F_k >= F_K; for the same reason each
-        F_k is at most 1, and a sum that rounds above 1 is clipped to it.
-        """
+        P(N > n), within eps of every F_k >= F_K."""
         if not theta >= 0:
             raise ValueError(_REFUSAL)
         lam = self.q * theta
@@ -374,7 +406,7 @@ class _JumpLaw:
                 if s.a.size >= d:
                     # x P^j z = 0 for j < d, hence for every j
                     # (Cayley-Hamilton)
-                    return np.zeros(K)
+                    return s, 0, None
                 n = d
                 continue
             # F_K >= P(N > j0) a_r^K with j0 = K(r + 1) - 1, the one way to
@@ -384,7 +416,18 @@ class _JumpLaw:
             done = tails <= _EPS * tails[j0] * s.a[s.r] ** K
             n = int(np.argmax(done)) if done[-1] else tails.size
             if done[-1] and n <= s.a.size:
-                break
+                return s, n, tails
+
+    def partial_cdfs(self, theta, K=1):
+        """P(Z_1 + ... + Z_k <= theta) for k = 1..K, the Z_i iid with pdf
+        x e^{tY} z: F_k = sum_j P(N > j) a^(k)_j with N ~ Poisson(q theta),
+        from the n terms of :meth:`_terms`, stepped on where the law holds
+        fewer.  Each F_k is at most 1, as sum_j a^(k)_j <= 1, and a sum that
+        rounds above 1 is clipped to it.
+        """
+        s, n, tails = self._terms(theta, K)
+        if not n:
+            return np.zeros(K)
         C = s.a[None] if K == 1 else s.powers
         if C is None or C.shape[0] < K or C.shape[1] < n:
             Km, m = K, n
@@ -397,6 +440,94 @@ class _JumpLaw:
             C = _convolution_powers(s.a[:m], s.r, Km)
             self._state = s._replace(powers=C)
         return np.minimum(C[:K, :n] @ tails[:n], 1.0)
+
+    def cdf_pdf(self, theta):
+        """(F, f) at ``theta`` from one read of n terms: F as the one-fold
+        :meth:`partial_cdfs` and f = q sum_j P(N = j) a_j over the same
+        terms, with the weights of :meth:`density`; the pair that Newton's
+        method on F reads."""
+        s, n, tails = self._terms(theta, 1)
+        if not n:
+            return 0.0, 0.0
+        a = s.a[:n]
+        cols = s.r + np.flatnonzero(a[s.r:])
+        f = _poisson_pmf(np.array([self.q * theta]), cols)[0] @ a[cols]
+        return min(float(a @ tails[:n]), 1.0), self.q * float(f)
+
+    def density(self, theta):
+        """The density x e^{theta Y} z = q sum_j P(N = j) a_j, N ~
+        Poisson(q theta), at a scalar or an array of theta >= 0.
+
+        The weights are :func:`_poisson_pmf`, taken over the nonzero a_j
+        from r on.  The points are read from the largest q theta down, in
+        blocks of at most about 2^15 weights each: a block starts from the
+        n terms of :func:`_ph_terms` at its largest point (and past r), and
+        adds n/4 more at a time (at least 16) until the terms left out are
+        at most eps f/q at every point.  They sum to at most
+        max_{j >= n} P(N = j) M_n, M_n the mass of the law past n (see
+        :meth:`_mass_past`), and for n + 1 > q theta that maximum is
+        P(N = n), within P(N = n)(n + 1)/(n + 1 - q theta).  So f keeps its
+        relative accuracy in both tails, down to the smallest normal
+        double, and a law that ends (an Erlang one) ends the read."""
+        th = np.asarray(theta, float)
+        if not (th >= 0).all():
+            raise ValueError(_REFUSAL)
+        lam = self.q * th.ravel()
+        f = np.zeros(lam.size)
+        s = self._state
+        d, L0 = self._x.size, s.a.size
+        top = lam.max(initial=0.0)
+        # one block needs no order
+        order = (np.argsort(-lam, kind="stable")
+                 if lam.size * _ph_terms(top) > _BLOCK else None)
+        i = 0
+        while i < lam.size:
+            top = top if order is None else lam[order[i]]
+            n = int(_ph_terms(top))
+            if n > s.a.size or s.r is None:
+                s = self._extend(s, max(n, d, 2 * L0))
+            if s.r is None:
+                break  # every a_j is 0, as in _terms
+            n = max(n, s.r + 1)
+            idx = (slice(None) if order is None
+                   else order[i:i + max(1, _BLOCK // n)])
+            l, lo, acc = lam[idx], s.r, f[idx]
+            while True:
+                if n > s.a.size:
+                    s = self._extend(s, max(n, 2 * L0))
+                cols = lo + np.flatnonzero(s.a[lo:n])
+                W = _poisson_pmf(l, np.append(cols, n))
+                acc += W[:, :-1] @ s.a[cols]
+                M = self._mass_past(s, n)
+                if M == 0.0 or n + 1 > top and np.all(
+                        W[:, -1] * ((n + 1) * M / _EPS)
+                        <= (n + 1 - l) * np.maximum(acc, _TINY)):
+                    break
+                lo, n = n, n + max(16, n // 4)
+            f[idx] = acc
+            i += acc.size
+        f *= self.q
+        return float(f[0]) if th.ndim == 0 else f.reshape(th.shape)
+
+    def _mass_past(self, s, n):
+        """A bound on M_n = sum_{j >= n} a_j for n <= L, the length of
+        state ``s``, by nonnegative sums only: sum_{j >= m} a_j =
+        x P^m (I - P)^{-1} z / q = x P^m u with u = (-Y)^{-1} z, so
+        M_n <= a_n + ... + a_(L-1) + x P^m u for the row x P^m that ``s``
+        resumes from (m = L - 1, or L // 2 on the sparse step).  1, the
+        bound sum_j a_j <= 1, where -Y is singular."""
+        if self._u is None:
+            return 1.0
+        return float(s.a[n:].sum() + s.resume[:self._x.size] @ self._u)
+
+    @functools.cached_property
+    def _u(self):
+        """u = (-Y)^{-1} z, >= 0 for a phase-type triple (-Y is then a
+        nonsingular M-matrix), or ``None`` where -Y is singular."""
+        try:
+            return np.abs(np.linalg.solve(-self._Y, self._zq * self.q))
+        except np.linalg.LinAlgError:
+            return None
 
 
 def _convolution_powers(a, r, K):
@@ -596,6 +727,7 @@ _X21 = np.concatenate([-_XGK, _XGK[-2::-1]])
 _WK21 = np.concatenate([_WGK, _WGK[-2::-1]])
 _WG21 = np.concatenate([_WG, _WG[-2::-1]])
 _EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 
 def _gk21(f, lo, hi):

@@ -161,6 +161,16 @@ class RationalLT:
         return problems
 
 
+# the density's route for N > 1 points on the dense step: the law is read
+# up to _ORDER_TERMS (d + 1) + _CALL_TERMS / N terms.  Measured (one BLAS
+# thread, d = 2-32, N = 5-168, a cached law with every a_j > 0): a read
+# costs about 30 us + 6 ns per point and term, the stacked Pade 70 us +
+# 1.2 / 2.0 / 4.7 us per point at d = 2 / 4 / 8, so they tie near
+# 67 (d + 1) + 6700 / N terms at d <= 8 and the law is ahead past it
+# at d >= 16.
+_ORDER_TERMS, _CALL_TERMS = 64, 8192
+
+
 @dataclass(frozen=True)
 class MEDist:
     """ME distribution with pdf ``x e^{tY} z`` on t >= 0.
@@ -168,8 +178,9 @@ class MEDist:
     The triple is read-only.  A channel caches what its reads derive from
     it, each built on first use and never at construction: the sign test
     ``phase_type``, the rate ``_rate``, the nonzeros ``_jumps`` of the
-    jump matrix, the jump law ``_law`` grown as cdf reads need more terms,
-    and :meth:`to_unit_mean`.  A channel may be shared across threads.
+    jump matrix, the jump law ``_law`` grown as cdf and pdf reads need more
+    terms, the horizon :meth:`t_max` and :meth:`to_unit_mean`.  A channel
+    may be shared across threads.
     """
 
     x: np.ndarray
@@ -202,11 +213,16 @@ class MEDist:
     # -- evaluation ----------------------------------------------------
 
     def pdf(self, t):
-        """Density x e^{tY} z at t >= 0, a scalar or a 1-D array (one
-        stacked exponential)."""
+        """Density x e^{tY} z at t >= 0, a scalar or a 1-D array.  Under
+        the rule of :meth:`_uniformizes` (at the largest t, counting the
+        points), a read of the cached jump law :attr:`_law`, a sum of
+        nonnegative terms that keeps its relative accuracy in both tails;
+        otherwise one stacked exponential."""
         t = np.asarray(t, dtype=float)
         if (t < 0).any():
             raise ValueError(f"pdf requires t >= 0, got {t}")
+        if t.size and self._uniformizes(t.max(), N=t.size):
+            return self._law.density(t)
         val = self.x @ matfun.expm(t[..., None, None] * self.Y) @ self.z
         return float(val) if t.ndim == 0 else val
 
@@ -237,14 +253,21 @@ class MEDist:
         :attr:`_jumps` where they are not ``None``."""
         return matfun._JumpLaw(self.x, self.Y, self.z, self._jumps)
 
-    def _uniformizes(self, t, K=1) -> bool:
-        """The route rule of :meth:`_partial_cdfs`: a phase-type triple
-        whose uniformized sum at t needs at most about twice the order
-        Kd + 1 of the Pade row; at K = 1 on the sparse step up to the
-        measured order 288, (d + 1)^2 / 16, where a cold read costs ~2 rows."""
+    def _uniformizes(self, t, K=1, N=1) -> bool:
+        """The route rule of :meth:`_partial_cdfs` and :meth:`pdf`: a
+        phase-type triple whose uniformized sum at t needs at most about
+        twice the order Kd + 1 of the Pade row; at K = 1 on the sparse step
+        up to the measured order 288, (d + 1)^2 / 16, where a cold read
+        costs ~2 rows.  A density read of N > 1 points on the dense step,
+        whose law holds only its terms, reads up to 64 (d + 1) + 8192 / N
+        terms (at most 8,192 below order 64), where it measured no slower
+        than the stacked exponential."""
         n, d = matfun._ph_terms(self._rate * t), self.d
+        bound = 2 * (K * d + 1)
+        if N > 1 and self._jumps is None:
+            bound = max(bound, _ORDER_TERMS * (d + 1) + _CALL_TERMS / N)
         return (0.0 < self._rate
-                and (n <= 2 * (K * d + 1) or K == 1 and d <= 288
+                and (n <= bound or K == 1 and d <= 288
                      and n <= (d + 1) ** 2 / 16 and self._jumps is not None)
                 and self.phase_type)
 
@@ -264,6 +287,16 @@ class MEDist:
         x, Y, _ = _chain([self] * K)
         return matfun.expm_integral(x, Y, t).reshape(K, self.d) @ self.z
 
+    def _cdf_pdf(self, t):
+        """(F(t), f(t)) from one read, for Newton's method on F: under the
+        rule of :meth:`_uniformizes`, one Fox-Glynn pass over the cached
+        law (:meth:`matfun._JumpLaw.cdf_pdf`); otherwise the rows e_0 and
+        [0, x] of one exponential of the augmented generator
+        (:func:`_row_pairs`).  ``t`` is checked by the caller."""
+        if self._uniformizes(t):
+            return self._law.cdf_pdf(t)
+        return tuple(next(_row_pairs(self.x, self.Y, self.z, (t,))))
+
     def cdf(self, t: float) -> float:
         """Cumulative distribution at t, by :meth:`_partial_cdfs`."""
         return float(self._partial_cdfs(_threshold(t, "t"))[0])
@@ -274,16 +307,15 @@ class MEDist:
 
     def lt(self, s):
         """Laplace transform x (sI - Y)^{-1} z of the pdf at a scalar or a
-        1-D array of points s (one stacked solve); real for real s."""
+        1-D array of points s (one stacked solve), in real arithmetic for
+        real s."""
         s = np.asarray(s)
         A = s[..., None, None] * np.eye(self.d) - self.Y
         try:
-            w = np.linalg.solve(A, self.z.astype(complex))
+            w = np.linalg.solve(A, self.z)
         except np.linalg.LinAlgError as exc:
             raise np.linalg.LinAlgError(f"s={s} is an eigenvalue of Y") from exc
         val = w @ self.x
-        if not np.iscomplexobj(s):
-            val = val.real
         return val.item() if s.ndim == 0 else val
 
     def moment(self, k: int) -> float:
@@ -322,10 +354,14 @@ class MEDist:
     # -- grids and validation -------------------------------------------
 
     def t_max(self) -> float:
-        """Horizon T where the state has decayed: T starts at
-        40 / min |Re lambda| and doubles, at most 60 times, until
-        T max|x e^{TY}| max|z| <= 1e-12 (a repeated eigenvalue decays
+        """Horizon T where the state has decayed, computed once per triple:
+        T starts at 40 / min |Re lambda| and doubles, at most 60 times,
+        until T max|x e^{TY}| max|z| <= 1e-12 (a repeated eigenvalue decays
         like t^k e^{-rt}, slower than its rate alone says)."""
+        return self._horizon
+
+    @functools.cached_property
+    def _horizon(self) -> float:
         rates = np.abs(np.linalg.eigvals(self.Y).real)
         slowest = float(np.min(rates))
         if slowest <= 0:
@@ -487,6 +523,17 @@ def _chain(parts):
     return x, Y, z
 
 
+def _row_pairs(x, Y, z, thetas):
+    """(int_0^theta x e^{tY} z dt, x e^{theta Y} z) for each theta: rows
+    e_0 and [0, x] of e^{theta A}, A the :func:`matfun.augmented`
+    generator, dotted with [0; z]."""
+    A = matfun.augmented(x, Y)
+    rows = np.eye(2, A.shape[0])
+    rows[1, 1:] = x
+    for th in thetas:
+        yield matfun.expm_row(rows, th * A)[:, 1:] @ z
+
+
 def from_product_form(factors) -> MEDist:
     """Block upper-bidiagonal ME distribution for a product of rational
     transforms prod_j p_j(s)/q_j(s): the :func:`_chain` of the factors'
@@ -529,11 +576,17 @@ def _erlang(k: int, rate: float) -> MEDist:
     return MEDist(x, Y, z)
 
 
+def _finite_mean(m) -> float:
+    """``m`` as a float, refused with a :class:`ConstructionError` unless a
+    finite real > 0: an infinite mean would give the zero generator."""
+    if not (np.ndim(m) == 0 and 0.0 < m < math.inf):
+        raise ConstructionError(f"mean must be positive and finite, got {m!r}")
+    return float(m)
+
+
 def exponential(S: float) -> MEDist:
     """Exponential distribution with mean ``S`` (rate 1/S)."""
-    if S <= 0:
-        raise ConstructionError("mean must be positive")
-    return _erlang(1, 1.0 / S)
+    return _erlang(1, 1.0 / _finite_mean(S))
 
 
 def erlang(k: int, mean: float = 1.0) -> MEDist:
@@ -541,7 +594,7 @@ def erlang(k: int, mean: float = 1.0) -> MEDist:
     ``mean`` (gamma with integer shape k)."""
     if k < 1 or k != int(k):
         raise ConstructionError("shape k must be a positive integer")
-    return _erlang(k, k / mean)
+    return _erlang(k, k / _finite_mean(mean))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,8 @@ import numpy as np
 
 from . import algebra, matfun
 from .medist import (MEDist, RationalLT, _chain, _count, _positive,
-                     _threshold, _threshold_of_rate, from_rational_lt)
+                     _row_pairs, _threshold, _threshold_of_rate,
+                     from_rational_lt)
 
 __all__ = [
     "MetricResult",
@@ -99,21 +100,60 @@ def outage(channel, theta: float) -> MetricResult:
 
 
 def outage_capacity(channel, q_target: float) -> MetricResult:
-    """Rate C with P(ln(1 + Z) < C) = q_target: Brent's method on the
-    closed-form outage over a doubling bracket, stopped by brentq's own
-    relative tolerance (4 eps)."""
-    from scipy.optimize import brentq
-
+    """Rate C with P(ln(1 + Z) < C) = q_target: safeguarded Newton on
+    ln F(e^C - 1) = ln q_target in ln C, where a cdf that rises like a
+    power of C near 0 is nearly linear; each step reads (F, f) from one
+    :meth:`~mekit.medist.MEDist._cdf_pdf`.  C = 1, 2, 4, ... brackets the
+    root (a target still out of reach at C = 512, a threshold of 1e222, is
+    refused), Newton starts from the end of the bracket nearer to it in
+    ln F, and a step that leaves the bracket bisects it instead.  The steps
+    stop at one of at most 4 eps C (the tolerance brentq had), once the
+    bracket is that narrow, or where the next step is sure to be that
+    small or to follow the rounding of F."""
     d = _dist(channel)
     if not 0.0 < q_target < 1.0:
         raise ValueError("q_target must lie strictly between 0 and 1")
-    f = lambda C: outage(d, math.expm1(C)).value - q_target
-    hi = 1.0
-    while f(hi) < 0:
-        hi *= 2.0
-        if hi > 1e6:
+    lo, C = 0.0, 1.0
+    F, f = d._cdf_pdf(math.expm1(C))
+    below = None
+    while F < q_target:
+        if C >= 512.0:
             raise ValueError("outage capacity target unattainable")
-    return _result(brentq(f, 0.0, hi, xtol=1e-300), "closed_form")
+        lo, below = C, (F, f)
+        C *= 2.0
+        F, f = d._cdf_pdf(math.expm1(C))
+    hi, last = C, math.inf
+    if below and below[0] > 0.0 and (math.log(q_target / below[0])
+                                     < math.log(F / q_target)):
+        C, (F, f) = lo, below
+    for _ in range(100):
+        if F == q_target:
+            return _result(C, "closed_form")
+        if F < q_target:
+            lo = C
+        else:
+            hi = C
+        # d ln F / d ln C = C e^C f / F; with no slope to read, bisect
+        slope = C * math.exp(C) * f / F if F > 0.0 else 0.0
+        nxt = (C * math.exp(min(math.log(q_target / F) / slope, 700.0))
+               if slope > 0.0 else math.nan)
+        step = abs(nxt - C)
+        # done at a step within the bracket of at most 4 eps C, or where the
+        # last two shrink quadratically to a next one below eps C, or where
+        # they follow the rounding of F (no longer halving, below 1e-12 C)
+        if lo <= nxt <= hi and (
+                step <= 4.0 * matfun._EPS * nxt
+                or step ** 3 <= matfun._EPS * nxt * min(last, nxt) ** 2
+                or step <= 1e-12 * nxt and 2.0 * step >= last):
+            return _result(nxt, "closed_form")
+        if not lo < nxt < hi:
+            if hi - lo <= 4.0 * matfun._EPS * hi:
+                return _result(C, "closed_form")
+            nxt, step = 0.5 * (lo + hi), math.inf
+        C, last = nxt, step
+        F, f = d._cdf_pdf(math.expm1(C))
+    raise ValueError(
+        f"outage capacity: no convergence in 100 steps near C = {C!r}")
 
 
 # -- ARQ / HARQ ------------------------------------------------------------
@@ -407,17 +447,6 @@ def _optimum_from_g(theta, g, f_value):
     return Optimum(theta, g, R, R / f_value, S, boundary=False)
 
 
-def _row_pairs(x, Y, z, thetas):
-    """(theta, (int_0^theta x e^{tY} z dt, x e^{theta Y} z)) for each
-    theta: rows e_0 and [0, x] of e^{theta A}, A the augmented generator,
-    dotted with [0; z]."""
-    A = matfun.augmented(x, Y)
-    rows = np.eye(2, A.shape[0])
-    rows[1, 1:] = x
-    for th in thetas:
-        yield th, matfun.expm_row(rows, th * A)[:, 1:] @ z
-
-
 def optimize_rate(metric: str, channel, thetas) -> list[Optimum]:
     """Parametric throughput optimization over the auxiliary threshold
     parameter, for a unit-mean channel with theta = (e^R - 1)/S.
@@ -437,13 +466,14 @@ def optimize_rate(metric: str, channel, thetas) -> list[Optimum]:
         if abs(d.mean - 1.0) > 1e-8:
             raise ValueError("optimize_rate expects a unit-mean channel")
         return [_optimum_from_g(th, (1.0 - F) / (th * f), 1.0 / (1.0 - F))
-                for th, (F, f) in _row_pairs(d.x, d.Y, d.z, thetas)]
+                for th, (F, f) in zip(thetas, _row_pairs(d.x, d.Y, d.z,
+                                                         thetas))]
     if metric == "harq_persistent":
         # T = R / (1 + n(theta)), n the mean retransmission count and n'
         # the renewal density
         return [_optimum_from_g(th, (1.0 + n) / (th * f), 1.0 + n)
-                for th, (n, f) in _row_pairs(*_renewal_generator(channel, 1),
-                                             thetas)]
+                for th, (n, f) in zip(thetas, _row_pairs(
+                    *_renewal_generator(channel, 1), thetas))]
     if metric == "arq_interference":
         from . import bivariate
         out = []

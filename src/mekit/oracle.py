@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .medist import MEDist, _count
+from .medist import (MEDist, _count, _positive, _threshold,
+                     _threshold_of_rate)
 
 __all__ = [
     "MCEstimate",
@@ -264,25 +265,32 @@ def mc_metric(kind: str, scenario: dict, cfg: RngConfig) -> MCEstimate:
       ncbr              links (dict 13/32/23/31), R12, R21
       arq_interference  signal, interferers, R [, theta]
       ber               dist, a, detection ("noncoherent"|"coherent")
+
+    Each scalar is refused by name outside its domain, as by the metric it
+    estimates: a threshold theta finite and >= 0, a rate R (or a) finite
+    and > 0, R12 and R21 finite and >= 0.
     """
     n = cfg.n
     if kind == "outage":
-        z = sample(scenario["dist"], cfg)
-        return _bernoulli(z <= scenario["theta"], n)
+        theta = _threshold(scenario["theta"])
+        return _bernoulli(sample(scenario["dist"], cfg) <= theta, n)
     if kind == "arq":
+        R, theta = _positive(scenario["R"], "R"), _threshold(scenario["theta"])
         z = sample(scenario["dist"], cfg)
-        return _bernoulli(z > scenario["theta"], n, scale=scenario["R"])
+        return _bernoulli(z > theta, n, scale=R)
     if kind in ("harq_truncated", "harq_persistent"):
+        R, theta = _positive(scenario["R"], "R"), _threshold(scenario["theta"])
         K = scenario.get("K") if kind == "harq_truncated" else None
         K = math.inf if K is None else _count(K, "K")
         tx, success = _partial_sum_transmissions(
-            _dist(scenario["dist"]), scenario["theta"], K, cfg)
+            _dist(scenario["dist"]), theta, K, cfg)
         return _ratio_estimate(success.astype(float), tx.astype(float), n,
-                               scale=scenario["R"])
+                               scale=R)
     if kind == "ncbr":
         links = scenario["links"]
-        R12, R21 = scenario["R12"], scenario["R21"]
-        th12, th21 = math.expm1(R12), math.expm1(R21)
+        R12 = _threshold(scenario["R12"], "R12")
+        R21 = _threshold(scenario["R21"], "R21")
+        th12, th21 = _threshold_of_rate(R12), _threshold_of_rate(R21)
         zs = {key: sample(links[key], cfg, worker=i)
               for i, key in enumerate(("13", "32", "23", "31"))}
         s12 = (zs["13"] > th12) & (zs["32"] > th12)
@@ -291,16 +299,17 @@ def mc_metric(kind: str, scenario: dict, cfg: RngConfig) -> MCEstimate:
         return MCEstimate(float(np.mean(v)),
                           float(np.std(v, ddof=1) / math.sqrt(n)), n)
     if kind == "arq_interference":
-        R = scenario["R"]
-        theta = scenario.get("theta", math.expm1(R))
+        R = _positive(scenario["R"], "R")
+        theta = (_threshold(scenario["theta"]) if "theta" in scenario
+                 else _threshold_of_rate(R))
         z = sample(scenario["signal"], cfg, worker=0)
         zi = np.zeros(n)
         for i, interferer in enumerate(scenario["interferers"]):
             zi += sample(interferer, cfg, worker=i + 1)
         return _bernoulli(z > theta * (1.0 + zi), n, scale=R)
     if kind == "ber":
+        a = _positive(scenario["a"], "a")
         z = sample(scenario["dist"], cfg, worker=0)
-        a = scenario["a"]
         if scenario.get("detection", "noncoherent") == "noncoherent":
             p = 0.5 * np.exp(-a * z)
         else:

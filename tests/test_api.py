@@ -90,6 +90,8 @@ BAD = {"threshold": [math.nan, math.inf, -math.inf, -1.0, np.array([1.0, 2.0])],
        "positive": [math.nan, math.inf, -math.inf, -1.0, 0.0,
                     np.array([1.0, 2.0])],
        "count": [math.nan, math.inf, -math.inf, -1, 0, np.array([1, 2]), 2.5]}
+# a rate R > 0 whose e^R overflows a double (past R = 709.78) too
+BAD["rate"] = BAD["positive"] + [800.0]
 
 # (entry point, argument, domain, the call with that argument v and every
 # other argument valid)
@@ -135,7 +137,7 @@ DOMAIN = [
      lambda v: bivariate.arq_interference_throughput(SCN, v)),
     (bivariate.interference_g_theta, "theta", "positive",
      lambda v: bivariate.interference_g_theta(SCN, v)),
-    (bivariate.sm_mimo_2x2_outage, "R", "positive",
+    (bivariate.sm_mimo_2x2_outage, "R", "rate",
      lambda v: bivariate.sm_mimo_2x2_outage(v)),
     (bivariate.integral_sylvester, "a", "threshold",
      lambda v: bivariate.integral_sylvester(v, 1.0, [1.0], [[-1.0]], [[1.0]],
@@ -149,6 +151,13 @@ DOMAIN = [
     (infoq.panter_dite_mse, "M", "count",
      lambda v: infoq.panter_dite_mse(RAY, v)),
     (oracle.RngConfig, "n", "count", lambda v: oracle.RngConfig(seed=1, n=v)),
+    (oracle.mc_metric, "theta", "threshold",
+     lambda v: oracle.mc_metric("outage", {"dist": RAY, "theta": v}, CFG)),
+    (oracle.mc_metric, "R", "positive",
+     lambda v: oracle.mc_metric("arq", {"dist": RAY, "R": v, "theta": 1.0},
+                                CFG)),
+    (oracle.mc_metric, "a", "positive",
+     lambda v: oracle.mc_metric("ber", {"dist": RAY, "a": v}, CFG)),
     (oracle.mc_metric, "K", "count",
      lambda v: oracle.mc_metric("harq_truncated", {"dist": RAY, "R": 1.0,
                                                    "theta": 1.0, "K": v}, CFG)),

@@ -15,6 +15,17 @@ from conftest import (classic_cdf, example2, example2_pdf, quadpack,
                       random_valid_dist)
 
 
+class TestConstructors:
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda m: exponential(m), id="exponential"),
+        pytest.param(lambda m: erlang(3, m), id="erlang")])
+    @pytest.mark.parametrize("mean", [math.inf, math.nan, 0.0, -1.0])
+    def test_mean_outside_the_domain_refused_by_name(self, make, mean):
+        # an infinite mean used to build the zero generator
+        with pytest.raises(ConstructionError, match="^mean"):
+            make(mean)
+
+
 class TestFromRationalLT:
     def test_exponential_triple(self):
         d = from_rational_lt(RationalLT(p=[0.5], q=[0.5]))  # mean 2

@@ -102,6 +102,41 @@ class TestOutageCapacity:
             assert C == pytest.approx(expect, rel=1e-13)
 
 
+    @pytest.mark.parametrize("k", range(1, 17))
+    @pytest.mark.parametrize("q", [1e-3, 0.1, 0.5, 0.9])
+    def test_erlang_against_gammaincinv(self, k, q):
+        # the q-quantile of Erlang-k with mean 1.5 is gammaincinv(k, q) 1.5/k
+        C = metrics.outage_capacity(erlang(k, 1.5), q).value
+        expect = math.log1p(scipy.special.gammaincinv(k, q) * 1.5 / k)
+        assert C == pytest.approx(expect, rel=1e-13, abs=0.0)
+
+    def test_pair_is_the_cdf_and_the_density(self):
+        # (F, f) of the Newton steps on both routes: the law (E16 at small
+        # theta) and the augmented rows (past the size rule, and non-PH)
+        for d, th in ((erlang(16), 0.2), (erlang(16), 3.0),
+                      (example2(), 1.3), (RAY, 0.7)):
+            F, f = d._cdf_pdf(th)
+            assert F == pytest.approx(d.cdf(th), rel=1e-14)
+            assert f == pytest.approx(d.pdf(th), rel=1e-13)
+
+    def test_unattainable_target_refused(self):
+        # a defective law (mass 1/2) never reaches q = 0.9
+        half = MEDist(0.5 * RAY.x, RAY.Y, RAY.z)
+        with pytest.raises(ValueError, match="unattainable"):
+            metrics.outage_capacity(half, 0.9)
+
+    def test_leaves_scipy_optimize_unloaded(self):
+        from conftest import run_fresh
+        code = ("import sys; from mekit import erlang, exponential, metrics; "
+                "from mekit.algebra import max_dist; "
+                "metrics.outage_capacity(erlang(16, 2.0), 0.1); "
+                "metrics.outage_capacity(exponential(3.0), 0.9); "
+                "metrics.outage_capacity(max_dist(erlang(2), exponential(1.0))"
+                ".closure(), 0.5); "
+                "print('scipy.optimize' in sys.modules)")
+        assert run_fresh(code).strip() == "False"
+
+
 class TestArq:
     def test_rayleigh_golden(self):
         res = metrics.arq_throughput(RAY, 1.0, THETA_R1)

@@ -301,6 +301,42 @@ class TestMcMetric:
         with pytest.raises(ValueError):
             mc_metric("pep", {}, self.CFG)
 
+    @pytest.mark.parametrize("kind, arg, extra", [
+        ("outage", "theta", {}),
+        ("arq", "theta", {"R": 1.0}),
+        ("arq", "R", {"theta": 1.0}),
+        ("harq_truncated", "theta", {"R": 1.0, "K": 2}),
+        ("harq_truncated", "R", {"theta": 1.0, "K": 2}),
+        ("harq_persistent", "theta", {"R": 1.0}),
+        ("harq_persistent", "R", {"theta": 1.0}),
+        ("ber", "a", {}),
+    ])
+    @pytest.mark.parametrize("value", [math.nan, -1.0, math.inf])
+    def test_scalars_refused_by_name(self, kind, arg, extra, value):
+        # an outage at theta = NaN or -1 used to estimate 0.0, and an ARQ
+        # at R = NaN to return NaN, with no error
+        scn = {"dist": RAY, arg: value, **extra}
+        with pytest.raises(ValueError, match=rf"^{arg}\b"):
+            mc_metric(kind, scn, RngConfig(seed=1, n=100))
+
+    @pytest.mark.parametrize("scn, arg", [
+        ({"R12": math.nan, "R21": 1.0}, "R12"),
+        ({"R12": 1.0, "R21": -1.0}, "R21"),
+    ])
+    def test_ncbr_rates_refused_by_name(self, scn, arg):
+        links = {k: RAY for k in ("13", "32", "23", "31")}
+        with pytest.raises(ValueError, match=rf"^{arg}\b"):
+            mc_metric("ncbr", {"links": links, **scn},
+                      RngConfig(seed=1, n=100))
+
+    @pytest.mark.parametrize("scn, arg", [
+        ({"R": math.nan}, "R"), ({"R": 1.0, "theta": -1.0}, "theta")])
+    def test_arq_interference_scalars_refused_by_name(self, scn, arg):
+        with pytest.raises(ValueError, match=rf"^{arg}\b"):
+            mc_metric("arq_interference",
+                      {"signal": RAY, "interferers": [RAY], **scn},
+                      RngConfig(seed=1, n=100))
+
     @pytest.mark.parametrize("K", [0, -1, 2.5])
     def test_harq_truncated_refuses_non_integer_K(self, K):
         scn = {"dist": RAY, "R": 1.0, "theta": math.e - 1.0, "K": K}

@@ -544,3 +544,86 @@ def test_sparse_step_only_widens_the_one_fold_route(make):
         assert d._uniformizes(th) >= _old_rule(d, th, 1)
         for K in (2, 5):
             assert d._uniformizes(th, K) == _old_rule(d, th, K)
+
+
+# -- the density on the law ----------------------------------------------------
+
+
+def _erlang_pdf(k, mean, t):
+    """Erlang-k density with mean ``mean`` at t, at 40 digits."""
+    with mpmath.workdps(40):
+        r = mpmath.mpf(k) / mean
+        return float(r * mpmath.exp(-r * t) * (r * t) ** (k - 1)
+                     / mpmath.factorial(k - 1))
+
+
+@pytest.mark.parametrize("k", [8, 32, 64])
+@pytest.mark.parametrize("ratio", [0.01, 0.1, 1.0, 3.0])
+def test_law_density_against_mpmath(k, ratio):
+    # the Pade row was off by 3.0e-4 on E32 at 0.01, 2.8e13 on E64 at 0.01
+    # and 4.7e-8 on E64 at 0.1; pdf reads the law at those points
+    S = 2.5
+    d = erlang(k, S)
+    ref = _erlang_pdf(k, S, ratio * S)
+    assert abs(d._law.density(ratio * S) - ref) <= 1e-13 * ref
+    assert abs(d.pdf(ratio * S) - ref) <= 1e-13 * ref
+    many = d._law.density(np.array([ratio * S, 0.0, ratio * S]))
+    assert many[1] == 0.0
+    assert abs(many[0] - ref) <= 1e-13 * ref and many[2] == many[0]
+
+
+def test_law_density_of_a_full_law_against_mpmath():
+    # a hypoexponential law, every a_j > 0, over its bulk and both tails
+    # (down to 1e-13 at t = 1e-4), against x e^{tY} z at 40 digits
+    d = convolve(*[medist.exponential(m) for m in (0.5, 0.8, 1.3, 2.0)])
+    ts = np.concatenate([[0.0], np.geomspace(1e-4, 80.0, 25)])
+    got = d._law.density(ts)
+    with mpmath.workdps(40):
+        Y = mpmath.matrix(d.Y.tolist())
+        x, z = mpmath.matrix([d.x.tolist()]), mpmath.matrix(d.z.tolist())
+        want = [float((x * mpmath.expm(mpmath.mpf(float(t)) * Y) * z)[0])
+                for t in ts[1:]]
+    assert got[0] == 0.0
+    assert np.all(np.abs(got[1:] - want) <= 1e-13 * np.abs(want))
+
+
+def test_array_pdf_matches_scalar_calls_on_a_closure():
+    # the array reads the law; past q t = 9 the lone points take the Pade
+    # row, and out to pdf = 1e-29 at t_max each route is within 3e-14 of
+    # x e^{tY} z at 50 digits
+    c = max_dist(erlang(4), erlang(4)).closure()
+    ts = np.linspace(0.0, c.t_max(), 57)
+    assert c._uniformizes(ts.max(), N=ts.size)
+    pv = c.pdf(ts)
+    assert np.allclose(pv, [c.pdf(t) for t in ts], rtol=1e-13, atol=0.0)
+
+
+def test_entropy_on_erlang_makes_no_stacked_exponential(monkeypatch):
+    from mekit import infoq
+    d = erlang(4)
+    want = infoq.entropy_numeric(MEDist(d.x, d.Y, d.z))
+
+    def refuse(M):
+        raise AssertionError("stacked matfun.expm called")
+
+    monkeypatch.setattr(matfun, "expm", refuse)
+    assert infoq.entropy_numeric(d) == pytest.approx(want, rel=1e-9)
+
+
+def test_density_route_on_the_dense_step():
+    # N points widen the term bound to 64 (d + 1) + 8192 / N; a lone point
+    # keeps the cdf's rule; non-PH triples and the sparse step do not widen
+    d = erlang(4)
+    t = 60.0  # q t = 240, 240 + 9 sqrt(240) + 16 = 395 terms
+    assert not d._uniformizes(t) and not d._uniformizes(t, N=1000)
+    assert d._uniformizes(t, N=100) and d._uniformizes(t, N=21)
+    assert not example2()._uniformizes(0.1, N=1000)
+
+
+def test_density_reads_extend_the_law_and_share_it():
+    d = erlang(16, 2.0)
+    d.pdf(np.linspace(0.0, 5.0, 50))
+    L = d._law._state.a.size
+    d.pdf(np.linspace(0.0, 5.0, 50))
+    assert d._law._state.a.size == L
+    assert abs(d.cdf(3.0) - _gammainc(16, 8 * 3.0)) <= 1e-13 * d.cdf(3.0)

@@ -230,6 +230,10 @@ def _poisson_tails(lam, n):
 # ln j! for j below its size, grown on demand and published in one
 # assignment
 _LOG_FACTORIALS = np.zeros(1)
+# the least weight _poisson_pmf computes, e^-700 (1e-304): numpy's exp
+# runs about 10x slower from -708 on, where its results near the
+# subnormal range
+_PMF_MIN = math.exp(-700.0)
 # (point, term) weights of one block of a density read
 _BLOCK = 1 << 15
 
@@ -240,9 +244,9 @@ def _poisson_pmf(lam, cols):
     entry by entry, so each weight keeps its relative accuracy however
     small it is (about eps (j |ln lam| + lam + ln j!)), with no common
     factor e^{-lam} to underflow; lam = 0 gives the unit mass at 0.  A
-    weight below e^-708 is read as e^-708 (about 3e-308): exp runs some
-    100x slower on the subnormal range, and there the weight adds at most
-    3e-308 sum_j a_j to a sum over a law."""
+    weight below e^-700 is read as e^-700 (_PMF_MIN, 1e-304), so a sum
+    over a law keeps its relative accuracy down to about 1e-288 and is
+    never off by more than 1e-304 sum_j a_j."""
     global _LOG_FACTORIALS
     lf = _LOG_FACTORIALS
     if cols.size and lf.size <= cols[-1]:
@@ -252,7 +256,7 @@ def _poisson_pmf(lam, cols):
     W = np.multiply.outer(np.log(np.maximum(lam, _TINY)), cols)
     W -= lam[:, None]
     W -= lf[cols]
-    np.maximum(W, -708.0, out=W)
+    np.maximum(W, -700.0, out=W)
     np.exp(W, out=W)
     if not lam.all():
         W[lam == 0.0] = cols == 0
@@ -466,9 +470,10 @@ class _JumpLaw:
         at most eps f/q at every point.  They sum to at most
         max_{j >= n} P(N = j) M_n, M_n the mass of the law past n (see
         :meth:`_mass_past`), and for n + 1 > q theta that maximum is
-        P(N = n), within P(N = n)(n + 1)/(n + 1 - q theta).  So f keeps its
-        relative accuracy in both tails, down to the smallest normal
-        double, and a law that ends (an Erlang one) ends the read."""
+        P(N = n), within P(N = n)(n + 1)/(n + 1 - q theta); a point whose
+        P(N = n) is below the least weight, e^-700, is done too.  So f
+        keeps its relative accuracy in both tails, down to about 1e-288 q,
+        and a law that ends (an Erlang one) ends the read."""
         th = np.asarray(theta, float)
         if not (th >= 0).all():
             raise ValueError(_REFUSAL)
@@ -498,10 +503,10 @@ class _JumpLaw:
                 cols = lo + np.flatnonzero(s.a[lo:n])
                 W = _poisson_pmf(l, np.append(cols, n))
                 acc += W[:, :-1] @ s.a[cols]
-                M = self._mass_past(s, n)
+                M, tail = self._mass_past(s, n), W[:, -1]
                 if M == 0.0 or n + 1 > top and np.all(
-                        W[:, -1] * ((n + 1) * M / _EPS)
-                        <= (n + 1 - l) * np.maximum(acc, _TINY)):
+                        (tail <= _PMF_MIN)
+                        | (tail * ((n + 1) * M / _EPS) <= (n + 1 - l) * acc)):
                     break
                 lo, n = n, n + max(16, n // 4)
             f[idx] = acc

@@ -587,6 +587,16 @@ def test_law_density_of_a_full_law_against_mpmath():
     assert np.all(np.abs(got[1:] - want) <= 1e-13 * np.abs(want))
 
 
+def test_density_read_ends_without_a_mass_bound():
+    # -Y singular, so no remaining mass bounds the terms left out (here
+    # f = 1 - e^{-t}, every a_j = 1 from j = 1 on): the read stops where
+    # P(N = n) falls below the least weight, e^-700; at q t = 2000 each
+    # weight is good to about eps q t ln(q t), 2e-12
+    d = MEDist([1.0, 0.0], [[-1.0, 1.0], [0.0, 0.0]], [0.0, 1.0])
+    ts = np.array([0.0, 1e-3, 1.0, 2000.0])
+    assert np.allclose(d._law.density(ts), -np.expm1(-ts), rtol=2e-12, atol=0)
+
+
 def test_array_pdf_matches_scalar_calls_on_a_closure():
     # the array reads the law; past q t = 9 the lone points take the Pade
     # row, and out to pdf = 1e-29 at t_max each route is within 3e-14 of

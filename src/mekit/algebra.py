@@ -137,6 +137,11 @@ class MaxOfTwo:
     def cdf(self, t: float) -> float:
         return self.d1.cdf(t) * self.d2.cdf(t)
 
+    def _cdf_pdf(self, t):
+        """(F, f) = (F1 F2, f1 F2 + F1 f2) from the parts' pairs."""
+        (F1, f1), (F2, f2) = self.d1._cdf_pdf(t), self.d2._cdf_pdf(t)
+        return F1 * F2, f1 * F2 + F1 * f2
+
     def closure(self) -> MEDist:
         a, b = self.d1, self.d2
         _guard_degree(a.d * b.d + a.d + b.d)
@@ -166,6 +171,12 @@ class MinOfTwo:
         # 1 - (1 - F1)(1 - F2) without the cancellation in the lower tail
         F1 = self.d1.cdf(t)
         return F1 + self.d2.cdf(t) * (1.0 - F1)
+
+    def _cdf_pdf(self, t):
+        """(F, f) = (F1 + F2 (1 - F1), f1 (1 - F2) + f2 (1 - F1)) from the
+        parts' pairs."""
+        (F1, f1), (F2, f2) = self.d1._cdf_pdf(t), self.d2._cdf_pdf(t)
+        return F1 + F2 * (1.0 - F1), f1 * (1.0 - F2) + f2 * (1.0 - F1)
 
     def closure(self) -> MEDist:
         a, b = self.d1, self.d2

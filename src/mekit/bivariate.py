@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra, matfun
-from .medist import ConstructionError, MEDist, _positive, _threshold
+from .medist import (ConstructionError, MEDist, _positive, _threshold,
+                     _threshold_of_rate)
 from .metrics import MetricResult, _result, theta_absolute
 
 __all__ = [
@@ -347,12 +348,10 @@ def sm_mimo_2x2_outage(R: float) -> MetricResult:
     plus one residual quadrature over t1 in (1, e^R).
     """
     R = _positive(R, "R")
-    try:
-        TH = math.exp(R)
-    except OverflowError:
-        raise ValueError(f"R = {R!r}: e^R overflows a double") from None
+    _threshold_of_rate(R)
     w = wishart2x2_bivme()
     p1, Q1, P12, Q2, r2 = w.p1, w.Q1, w.P12, w.Q2, w.r2
+    TH = math.exp(R)
     Q1i = np.linalg.inv(Q1)
     Q2i = np.linalg.inv(Q2)
     closed = 1.0 - 0.5 * float(

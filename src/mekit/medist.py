@@ -161,13 +161,18 @@ class RationalLT:
         return problems
 
 
-# the density's route for N > 1 points on the dense step: the law is read
-# up to _ORDER_TERMS (d + 1) + _CALL_TERMS / N terms.  Measured (one BLAS
-# thread, d = 2-32, N = 5-168, a cached law with every a_j > 0): a read
-# costs about 30 us + 6 ns per point and term, the stacked Pade 70 us +
-# 1.2 / 2.0 / 4.7 us per point at d = 2 / 4 / 8, so they tie near
-# 67 (d + 1) + 6700 / N terms at d <= 8 and the law is ahead past it
-# at d >= 16.
+# the density's route for N > 1 points at orders d <= 32 (where the law
+# takes the dense step): the law is read up to _ORDER_TERMS (d + 1) +
+# _CALL_TERMS / N terms.  Measured (one BLAS thread, d = 2-32, N = 5-168, a
+# cached law with every a_j > 0): a read costs about 30 us + 6 ns per point
+# and term, the stacked Pade 70 us + 1.2 / 2.0 / 4.7 us per point at
+# d = 2 / 4 / 8, so they tie near 67 (d + 1) + 6700 / N terms at d <= 8
+# and the law is ahead past it at d >= 16.  At the bound (dense PH triples,
+# d = 2-32, N = 2-168) a read of a built law took 60-1,200 us against
+# 80-15,000 us for the Pade; a first read, which builds the law, took
+# 200-1,500 us: 1.5-3.3 Pade stacks at N <= 5, 0.8-2.1 from N = 21 at
+# d <= 8 and 0.1-1.0 from N = 21 at d >= 16.  The law is built once per
+# triple and serves every later read.
 _ORDER_TERMS, _CALL_TERMS = 64, 8192
 
 
@@ -258,13 +263,12 @@ class MEDist:
         phase-type triple whose uniformized sum at t needs at most about
         twice the order Kd + 1 of the Pade row; at K = 1 on the sparse step
         up to the measured order 288, (d + 1)^2 / 16, where a cold read
-        costs ~2 rows.  A density read of N > 1 points on the dense step,
-        whose law holds only its terms, reads up to 64 (d + 1) + 8192 / N
-        terms (at most 8,192 below order 64), where it measured no slower
-        than the stacked exponential."""
+        costs ~2 rows.  A density read of N > 1 points at order 32 or
+        less reads up to 64 (d + 1) + 8192 / N terms, where a read of the
+        built law measured no slower than the stacked exponential."""
         n, d = matfun._ph_terms(self._rate * t), self.d
         bound = 2 * (K * d + 1)
-        if N > 1 and self._jumps is None:
+        if N > 1 and d <= 32:
             bound = max(bound, _ORDER_TERMS * (d + 1) + _CALL_TERMS / N)
         return (0.0 < self._rate
                 and (n <= bound or K == 1 and d <= 288

@@ -103,7 +103,8 @@ def outage_capacity(channel, q_target: float) -> MetricResult:
     """Rate C with P(ln(1 + Z) < C) = q_target: safeguarded Newton on
     ln F(e^C - 1) = ln q_target in ln C, where a cdf that rises like a
     power of C near 0 is nearly linear; each step reads (F, f) from one
-    :meth:`~mekit.medist.MEDist._cdf_pdf`.  C = 1, 2, 4, ... brackets the
+    :meth:`~mekit.medist.MEDist._cdf_pdf` (on an unclosed max or min node,
+    the product rule over its parts' pairs).  C = 1, 2, 4, ... brackets the
     root (a target still out of reach at C = 512, a threshold of 1e222, is
     refused), Newton starts from the end of the bracket nearer to it in
     ln F, and a step that leaves the bracket bisects it instead.  The steps

@@ -266,9 +266,11 @@ def mc_metric(kind: str, scenario: dict, cfg: RngConfig) -> MCEstimate:
       arq_interference  signal, interferers, R [, theta]
       ber               dist, a, detection ("noncoherent"|"coherent")
 
-    Each scalar is refused by name outside its domain, as by the metric it
-    estimates: a threshold theta finite and >= 0, a rate R (or a) finite
-    and > 0, R12 and R21 finite and >= 0.
+    Each scalar is refused by name outside the domain of the closed form
+    it estimates: a threshold theta finite and >= 0 (for arq_interference
+    the scenario theta of :func:`~mekit.bivariate.arq_interference_throughput`,
+    where theta = 0 gives P = 1), a rate R (or a) finite and > 0, R12 and
+    R21 finite and >= 0.
     """
     n = cfg.n
     if kind == "outage":

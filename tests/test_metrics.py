@@ -119,6 +119,18 @@ class TestOutageCapacity:
             assert F == pytest.approx(d.cdf(th), rel=1e-14)
             assert f == pytest.approx(d.pdf(th), rel=1e-13)
 
+    @pytest.mark.parametrize("node", [max_dist, min_dist])
+    @pytest.mark.parametrize("q", [1e-3, 0.5, 0.9])
+    def test_unclosed_node_matches_its_closure(self, node, q):
+        # max/min nodes read (F, f) by the product rule, with no closure
+        n = node(erlang(2), exponential(1.0))
+        C = metrics.outage_capacity(n, q).value
+        want = metrics.outage_capacity(n.closure(), q).value
+        assert C == pytest.approx(want, rel=1e-13, abs=0.0)
+        F, f = n._cdf_pdf(0.7)
+        assert F == pytest.approx(n.cdf(0.7), rel=1e-14)
+        assert f == pytest.approx(n.closure().pdf(0.7), rel=1e-13)
+
     def test_unattainable_target_refused(self):
         # a defective law (mass 1/2) never reaches q = 0.9
         half = MEDist(0.5 * RAY.x, RAY.Y, RAY.z)
@@ -133,6 +145,8 @@ class TestOutageCapacity:
                 "metrics.outage_capacity(exponential(3.0), 0.9); "
                 "metrics.outage_capacity(max_dist(erlang(2), exponential(1.0))"
                 ".closure(), 0.5); "
+                "metrics.outage_capacity(max_dist(erlang(2), exponential(1.0)),"
+                " 0.5); "
                 "print('scipy.optimize' in sys.modules)")
         assert run_fresh(code).strip() == "False"
 

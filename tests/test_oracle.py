@@ -337,6 +337,17 @@ class TestMcMetric:
                       {"signal": RAY, "interferers": [RAY], **scn},
                       RngConfig(seed=1, n=100))
 
+    def test_arq_interference_theta_zero_as_the_closed_form(self):
+        # theta = 0 is in the scenario's domain: every packet decodes
+        from mekit.bivariate import (InterferenceScenario,
+                                     arq_interference_throughput)
+        scn = InterferenceScenario(signal=RAY, interferers=(RAY,), theta=0.0)
+        assert arq_interference_throughput(scn, 1.5).value == 1.5
+        est = mc_metric("arq_interference", {"signal": RAY, "interferers":
+                                             [RAY], "R": 1.5, "theta": 0.0},
+                        RngConfig(seed=1, n=100))
+        assert est.value == 1.5
+
     @pytest.mark.parametrize("K", [0, -1, 2.5])
     def test_harq_truncated_refuses_non_integer_K(self, K):
         scn = {"dist": RAY, "R": 1.0, "theta": math.e - 1.0, "K": K}

@@ -621,13 +621,18 @@ def test_entropy_on_erlang_makes_no_stacked_exponential(monkeypatch):
 
 
 def test_density_route_on_the_dense_step():
-    # N points widen the term bound to 64 (d + 1) + 8192 / N; a lone point
-    # keeps the cdf's rule; non-PH triples and the sparse step do not widen
+    # N points widen the term bound to 64 (d + 1) + 8192 / N up to order
+    # 32; a lone point keeps the cdf's rule; non-PH triples and orders past
+    # 32 do not widen
     d = erlang(4)
     t = 60.0  # q t = 240, 240 + 9 sqrt(240) + 16 = 395 terms
     assert not d._uniformizes(t) and not d._uniformizes(t, N=1000)
     assert d._uniformizes(t, N=100) and d._uniformizes(t, N=21)
     assert not example2()._uniformizes(0.1, N=1000)
+    # q t = 150 needs 276 terms: past 2 (d + 1) at both orders
+    assert erlang(32)._uniformizes(150 / 32, N=2)
+    assert not erlang(33)._uniformizes(150 / 33, N=2)
+    assert not erlang(33)._uniformizes(150 / 33, N=168)
 
 
 def test_density_reads_extend_the_law_and_share_it():

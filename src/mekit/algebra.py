@@ -61,10 +61,12 @@ class EffectiveChannel:
         return "\n".join(lines)
 
 
-def _unwrap(obj):
+def _triple(obj) -> MEDist:
+    """The triple behind ``obj``: an effective channel's distribution, the
+    closure of an unclosed max or min node (:data:`_NODES`), or ``obj``."""
     if isinstance(obj, EffectiveChannel):
-        return obj.dist, obj.provenance
-    return obj, {"op": "dist", "d": obj.d}
+        return obj.dist
+    return obj.closure() if isinstance(obj, _NODES) else obj
 
 
 def convolve(*parts):
@@ -77,12 +79,13 @@ def convolve(*parts):
         raise ConstructionError("convolve requires at least one summand")
     if len(parts) == 1:
         return parts[0]
-    dists, provs = zip(*map(_unwrap, parts))
+    dists = [_triple(p) for p in parts]
     _guard_degree(sum(a.d for a in dists))
     out = MEDist(*_chain(dists))
     if any(isinstance(p, EffectiveChannel) for p in parts):
-        return EffectiveChannel(out, {"op": "convolve",
-                                      "children": list(provs)})
+        return EffectiveChannel(out, {"op": "convolve", "children": [
+            p.provenance if isinstance(p, EffectiveChannel)
+            else {"op": "dist", "d": a.d} for p, a in zip(parts, dists)]})
     return out
 
 
@@ -117,7 +120,7 @@ def kfold_block(dist, K: int) -> KFoldConvolution:
     k-th partial sum, so block-triangular exponentiation produces every
     partial-convolution cdf simultaneously.
     """
-    base, _ = _unwrap(dist)
+    base = _triple(dist)
     K = _fold_count(base, K)
     p, Q, _ = _chain([base] * K)
     return KFoldConvolution(base=base, K=K, p_block=p, Q_block=Q)
@@ -191,16 +194,17 @@ class MinOfTwo:
         return MEDist(x, Y, z)
 
 
+# the unclosed nodes: a cdf reads the product form of their parts, and every
+# read that needs a triple their closure
+_NODES = (MaxOfTwo, MinOfTwo)
+
+
 def max_dist(d1, d2) -> MaxOfTwo:
-    a, _ = _unwrap(d1)
-    b, _ = _unwrap(d2)
-    return MaxOfTwo(a, b)
+    return MaxOfTwo(_triple(d1), _triple(d2))
 
 
 def min_dist(d1, d2) -> MinOfTwo:
-    a, _ = _unwrap(d1)
-    b, _ = _unwrap(d2)
-    return MinOfTwo(a, b)
+    return MinOfTwo(_triple(d1), _triple(d2))
 
 
 # -- standard channel constructions -------------------------------------

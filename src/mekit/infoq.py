@@ -33,6 +33,7 @@ _FLOOR = 1e-300
 def entropy_numeric(dist: MEDist) -> float:
     """Differential entropy -int f ln f dt by adaptive quadrature, with the
     density clipped below 1e-300 (no closed form exists for ME densities)."""
+    dist = algebra._triple(dist)
     t_hi = dist.t_max()
 
     def integrand(t):
@@ -55,6 +56,7 @@ def mi_additive_channel(dx: MEDist, dw: MEDist) -> float:
     an exact scaling identity.  Positivity of I and h(y) >= max(h(x), h(w))
     are asserted as sanity bounds.
     """
+    dx, dw = algebra._triple(dx), algebra._triple(dw)
     Sx, Sw = dx.mean, dw.mean
     if Sx <= 0 or Sw <= 0:
         raise ValueError("means must be positive")
@@ -239,6 +241,7 @@ def lloyd_max(dist: MEDist, M: int, tol: float = 1e-10,
     cell is re-seeded to them with a note.
     """
     M, max_iter = _count(M, "M"), _count(max_iter, "max_iter")
+    dist = algebra._triple(dist)
     pm = _PartialMoments(dist)
     if M == 1:
         u = np.array([dist.mean])
@@ -310,7 +313,7 @@ def panter_dite_mse(dist: MEDist, M: int) -> float:
     The cube-root integral has no general closed form and is evaluated by
     quadrature.  Accurate for large M.
     """
-    M = _count(M, "M")
+    M, dist = _count(M, "M"), algebra._triple(dist)
     # the cube root decays three times slower than the density itself
     t_hi = 3.0 * dist.t_max()
     I, _ = matfun.quad(

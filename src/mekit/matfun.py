@@ -1,16 +1,16 @@
 """Matrix-function kernel: matrix exponential (of one matrix or a stack),
-rows of it and e^M - I, stepped rows of matrix powers, uniformized
-partial-sum cdfs of phase-type triples from a jump law kept and
-extended on demand (stepped on the nonzeros of the jump matrix where it
-is sparse), Kronecker sum, Sylvester solver, integer and half-integer
-matrix powers, eigendecomposition and adaptive quadrature of array-valued
-integrands.
+rows of it and e^M - I, stepped rows of matrix powers, the uniformized
+jump law of a phase-type triple (kept and extended on demand, stepped on
+the nonzeros of the jump matrix where it is sparse, and the owner of the
+rule for which reads it serves), Kronecker sum, Sylvester solver, integer
+and half-integer matrix powers, eigendecomposition and adaptive quadrature
+of array-valued integrands.
 
 Every function is pure over its inputs, which it does not change.  The
-one object with state, the jump law that :func:`ph_partial_cdfs` reads
-and a channel keeps, grows its cache by publishing new arrays in one
-attribute assignment, so it too may be read from several threads at
-once.  All of the module is safe to call concurrently.
+one object with state, the jump law that a channel keeps, grows its cache
+by publishing new arrays in one attribute assignment, so it too may be
+read from several threads at once.  All of the module is safe to call
+concurrently.
 """
 
 from __future__ import annotations
@@ -34,10 +34,8 @@ __all__ = [
     "expm1",
     "expm_integral",
     "expm_row",
-    "jump_nonzeros",
     "kron_sum",
     "mat_frac_power",
-    "ph_partial_cdfs",
     "quad",
     "row_powers",
     "solve_sylvester",
@@ -266,43 +264,31 @@ def _poisson_pmf(lam, cols):
 def _ph_terms(lam):
     """Terms of a uniformized sum at q theta = lam that leave a Poisson
     mass below about 1e-17 in the bulk, the size that
-    :meth:`mekit.medist.MEDist.cdf` weighs against the Pade row."""
+    :meth:`_JumpLaw.takes` weighs against the Pade row."""
     return lam + 9.0 * math.sqrt(lam) + 16.0
 
 
-# the measured crossover of the two steps of ph_partial_cdfs (one BLAS
-# thread): on closures with about 3d nonzeros they tie at orders 32-48 and
-# the sparse step is 1.6-1.9x faster from 56 on; at orders 128-512 it
-# breaks even near one nonzero entry of P in 20-25
+# the measured crossover of the two steps of a _JumpLaw (one BLAS thread):
+# on closures with about 3d nonzeros they tie at orders 32-48 and the
+# sparse step is 1.6-1.9x faster from 56 on; at orders 128-512 it breaks
+# even near one nonzero entry of P in 20-25
 _SPARSE_ORDER, _SPARSE_FILL = 64, 32
 
+# the density's route for N > 1 points at orders d <= 32 (where the law
+# takes the dense step): the law is read up to _ORDER_TERMS (d + 1) +
+# _CALL_TERMS / N terms.  Measured (one BLAS thread, d = 2-32, N = 5-168, a
+# cached law with every a_j > 0): a read costs about 30 us + 6 ns per point
+# and term, the stacked Pade 70 us + 1.2 / 2.0 / 4.7 us per point at
+# d = 2 / 4 / 8, so they tie near 67 (d + 1) + 6700 / N terms at d <= 8
+# and the law is ahead past it at d >= 16.  At the bound (dense PH triples,
+# d = 2-32, N = 2-168) a read of a built law took 60-1,200 us against
+# 80-15,000 us for the Pade; a first read, which builds the law, took
+# 200-1,500 us: 1.5-3.3 Pade stacks at N <= 5, 0.8-2.1 from N = 21 at
+# d <= 8 and 0.1-1.0 from N = 21 at d >= 16.  The law is built once per
+# triple and serves every later read.
+_ORDER_TERMS, _CALL_TERMS = 64, 8192
 
-def jump_nonzeros(Y):
-    """The nonzeros of P = I + Y/q, q = max|y_ii|, as the index and value
-    arrays of one step of :func:`ph_partial_cdfs`' stacked vector, or
-    ``None`` where the dense step is as fast: below order 64, or with more
-    than one entry in 32 of P nonzero.
-
-    The stacked vector is [x P^i, P^i z/q]: entry (r, c, p) of P moves
-    u[r] p to c and u[d + c] p to d + r, so a step is
-    ``np.bincount(dst, u[src] * w, minlength=2d)``.  Each p is the entry
-    of the dense P = I + Y/q, bit for bit."""
-    Y = _as_square(Y, "Y")
-    d = Y.shape[0]
-    if d < _SPARSE_ORDER:
-        return None
-    q = float(np.abs(np.diagonal(Y)).max())
-    P = Y / q
-    P[np.diag_indices(d)] += 1.0
-    r, c = np.nonzero(P)
-    if _SPARSE_FILL * r.size > d * d:
-        return None
-    w = P[r, c]
-    return (np.concatenate([r, d + c]), np.concatenate([c, d + r]),
-            np.concatenate([w, w]))
-
-
-_REFUSAL = ("ph_partial_cdfs needs finite x and z, max|y_ii| > 0 and "
+_REFUSAL = ("a jump law needs finite x and z, max|y_ii| > 0 and "
             "theta >= 0")
 
 
@@ -315,9 +301,22 @@ _LawState = collections.namedtuple("_LawState", "a resume r powers")
 
 
 class _JumpLaw:
-    """The jump law a_j = x P^j z / q of a phase-type triple, with
-    q = max|y_ii| and P = I + Y/q nonnegative, stepped on demand and kept;
-    :meth:`partial_cdfs` reads it.
+    """The jump law a_j = x P^j z / q of a phase-type triple (x >= 0,
+    z >= 0 and Y >= 0 off its diagonal), with q = max|y_ii| and
+    P = I + Y/q nonnegative, stepped on demand and kept; the one owner of
+    the uniformized route, whose rule :meth:`takes` says which reads it
+    serves.
+
+    Uniformization (Jensen 1953; Grassmann 1977): a_j is the law of the
+    jump count, less one, of the uniformized chain up to absorption.  A sum
+    of k variables makes the sum of k such counts, so its law is the
+    unit-shifted convolution power a^(k), built without the Kd x Kd block.
+    Then P(Z_1 + ... + Z_k <= theta) = sum_j P(N > j) a^(k)_j with
+    N ~ Poisson(q theta): every term is nonnegative, so nothing cancels and
+    the lower tail keeps its relative accuracy.  The law is stepped by
+    :func:`row_powers` on P or, from order 64 on where P holds at most one
+    entry in 32 nonzero (the measured crossover), on the nonzeros of P
+    alone, with no pass over all of Y.
 
     A read that needs n terms from a law of L < n steps it on from where it
     stopped: to n if L is 0, else to max(n, 2L) with L the length the read
@@ -336,23 +335,52 @@ class _JumpLaw:
     extension is lost and redone by a later read.
     """
 
-    def __init__(self, x, Y, z, jumps=None):
+    def __init__(self, x, Y, z):
         x, z = np.asarray(x, float), np.asarray(z, float)
-        if jumps is None:
-            Y = _as_square(Y, "Y")
+        Y = _as_square(Y, "Y")
         q = float(np.abs(np.diagonal(Y)).max())
         if not (q > 0 and np.isfinite(x).all() and np.isfinite(z).all()):
             raise ValueError(_REFUSAL)
-        self.q, self._Y, self._jumps = q, Y, jumps
+        self.q, self._Y, self._jumps = q, Y, None
         self._x, self._zq = x, z / q
-        u0 = x if jumps is None else np.concatenate([x, self._zq])
+        d = x.size
+        if d >= _SPARSE_ORDER:
+            # the stacked vector is [x P^i, P^i z/q]: entry (r, c, p) of P
+            # moves u[r] p to c and u[d + c] p to d + r, so a step is one
+            # np.bincount(dst, u[src] * w, minlength=2d)
+            P = Y / q
+            P[np.diag_indices(d)] += 1.0
+            r, c = np.nonzero(P)
+            if _SPARSE_FILL * r.size <= d * d:
+                w = P[r, c]
+                self._jumps = (np.concatenate([r, d + c]),
+                               np.concatenate([c, d + r]),
+                               np.concatenate([w, w]))
+        u0 = x if self._jumps is None else np.concatenate([x, self._zq])
         self._state = _LawState(np.empty(0), u0, None, None)
+
+    def takes(self, theta, K=1, N=1):
+        """Whether a read at ``theta`` of the K-fold sum (of the density at
+        N points, theta the largest) belongs on this law rather than on the
+        Pade route: where its uniformized sum needs at most about twice the
+        order Kd + 1 of the Pade row; at K = 1 on the sparse step up to the
+        measured order 288, (d + 1)^2 / 16, where a cold read costs ~2 rows.
+        A density read of N > 1 points at order 32 or less reads up to
+        64 (d + 1) + 8192 / N terms, where a read of the built law measured
+        no slower than the stacked exponential.  The rule reads the order
+        and the rate, never the length the law has reached."""
+        n, d = _ph_terms(self.q * theta), self._x.size
+        bound = 2 * (K * d + 1)
+        if N > 1 and d <= 32:
+            bound = max(bound, _ORDER_TERMS * (d + 1) + _CALL_TERMS / N)
+        return n <= bound or (K == 1 and d <= 288 and n <= (d + 1) ** 2 / 16
+                              and self._jumps is not None)
 
     def _extend(self, state, n):
         """``state`` stepped on to n terms, published; ``state`` itself
-        when it holds as many.  By :func:`row_powers` on P, or, given
-        ``jumps`` = :func:`jump_nonzeros` of Y, by the stacked step on the
-        nonzeros of P: from [x, z/q] it makes u_i = [x P^i, P^i z/q], and
+        when it holds as many.  By :func:`row_powers` on P, or on the
+        sparse step by the stacked step on the nonzeros of P: from
+        [x, z/q] it makes u_i = [x P^i, P^i z/q], and
         a_j = (x P^ceil(j/2)) . (P^floor(j/2) z/q), so n terms take n // 2
         steps in all and every product is of nonnegative numbers."""
         L = state.a.size
@@ -555,28 +583,6 @@ def _convolution_powers(a, r, K):
         out[B:B + c, s:] = out[:c, r:] @ T[r:, s:]
         B += c
     return out
-
-
-def ph_partial_cdfs(x, Y, z, theta, K=1, jumps=None):
-    """P(Z_1 + ... + Z_k <= theta) for k = 1..K, the Z_i iid with pdf
-    x e^{tY} z, for a phase-type triple: x >= 0, z >= 0 and Y >= 0 off its
-    diagonal; one read of a fresh :class:`_JumpLaw`, which a caller that
-    reads one triple at many thresholds keeps instead.
-
-    Uniformization (Jensen 1953; Grassmann 1977): with q = max|y_ii| the
-    matrix P = I + Y/q is nonnegative, and a_j = x P^j z / q is the law of
-    the jump count, less one, of the uniformized chain up to absorption.
-    It is stepped by :func:`row_powers`, or, given ``jumps`` =
-    :func:`jump_nonzeros` of Y (which a caller builds once per triple), on
-    the nonzeros of P alone, with no pass over all of Y.  A sum of k
-    variables makes the sum of k such counts, so its law is the
-    unit-shifted convolution power a^(k), built without the Kd x Kd block.
-    Then F_k = sum_j P(N > j) a^(k)_j with N ~ Poisson(q theta): every term
-    is nonnegative, so nothing cancels and the lower tail keeps its
-    relative accuracy.  The term count is that of
-    :meth:`_JumpLaw.partial_cdfs`.
-    """
-    return _JumpLaw(x, Y, z, jumps).partial_cdfs(theta, K)
 
 
 def augmented(x, Y):

@@ -161,31 +161,15 @@ class RationalLT:
         return problems
 
 
-# the density's route for N > 1 points at orders d <= 32 (where the law
-# takes the dense step): the law is read up to _ORDER_TERMS (d + 1) +
-# _CALL_TERMS / N terms.  Measured (one BLAS thread, d = 2-32, N = 5-168, a
-# cached law with every a_j > 0): a read costs about 30 us + 6 ns per point
-# and term, the stacked Pade 70 us + 1.2 / 2.0 / 4.7 us per point at
-# d = 2 / 4 / 8, so they tie near 67 (d + 1) + 6700 / N terms at d <= 8
-# and the law is ahead past it at d >= 16.  At the bound (dense PH triples,
-# d = 2-32, N = 2-168) a read of a built law took 60-1,200 us against
-# 80-15,000 us for the Pade; a first read, which builds the law, took
-# 200-1,500 us: 1.5-3.3 Pade stacks at N <= 5, 0.8-2.1 from N = 21 at
-# d <= 8 and 0.1-1.0 from N = 21 at d >= 16.  The law is built once per
-# triple and serves every later read.
-_ORDER_TERMS, _CALL_TERMS = 64, 8192
-
-
 @dataclass(frozen=True)
 class MEDist:
     """ME distribution with pdf ``x e^{tY} z`` on t >= 0.
 
     The triple is read-only.  A channel caches what its reads derive from
     it, each built on first use and never at construction: the sign test
-    ``phase_type``, the rate ``_rate``, the nonzeros ``_jumps`` of the
-    jump matrix, the jump law ``_law`` grown as cdf and pdf reads need more
-    terms, the horizon :meth:`t_max` and :meth:`to_unit_mean`.  A channel
-    may be shared across threads.
+    ``phase_type``, the jump law ``_law`` grown as cdf and pdf reads need
+    more terms, the horizon :meth:`t_max` and :meth:`to_unit_mean`.  A
+    channel may be shared across threads.
     """
 
     x: np.ndarray
@@ -218,16 +202,16 @@ class MEDist:
     # -- evaluation ----------------------------------------------------
 
     def pdf(self, t):
-        """Density x e^{tY} z at t >= 0, a scalar or a 1-D array.  Under
-        the rule of :meth:`_uniformizes` (at the largest t, counting the
-        points), a read of the cached jump law :attr:`_law`, a sum of
-        nonnegative terms that keeps its relative accuracy in both tails;
-        otherwise one stacked exponential."""
+        """Density x e^{tY} z at t >= 0, a scalar or a 1-D array.  Where
+        the cached jump law :attr:`_law` takes the read (at the largest t,
+        counting the points), a sum of nonnegative terms that keeps its
+        relative accuracy in both tails; otherwise one stacked
+        exponential."""
         t = np.asarray(t, dtype=float)
         if (t < 0).any():
             raise ValueError(f"pdf requires t >= 0, got {t}")
-        if t.size and self._uniformizes(t.max(), N=t.size):
-            return self._law.density(t)
+        if t.size and (law := self._law) and law.takes(t.max(), N=t.size):
+            return law.density(t)
         val = self.x @ matfun.expm(t[..., None, None] * self.Y) @ self.z
         return float(val) if t.ndim == 0 else val
 
@@ -240,65 +224,38 @@ class MEDist:
                     and (off >= 0).all())
 
     @functools.cached_property
-    def _rate(self) -> float:
-        """Uniformization rate max|y_ii|."""
-        return float(np.abs(np.diagonal(self.Y)).max())
-
-    @functools.cached_property
-    def _jumps(self):
-        """:func:`matfun.jump_nonzeros` of Y, built on first use: the
-        nonzeros of P = I + Y/q where the sparse step of
-        :func:`matfun.ph_partial_cdfs` is the faster, else ``None``."""
-        return matfun.jump_nonzeros(self.Y)
-
-    @functools.cached_property
     def _law(self):
-        """The :class:`matfun._JumpLaw` of this triple, built on the first
-        uniformized read and extended by later ones; it steps on
-        :attr:`_jumps` where they are not ``None``."""
-        return matfun._JumpLaw(self.x, self.Y, self.z, self._jumps)
-
-    def _uniformizes(self, t, K=1, N=1) -> bool:
-        """The route rule of :meth:`_partial_cdfs` and :meth:`pdf`: a
-        phase-type triple whose uniformized sum at t needs at most about
-        twice the order Kd + 1 of the Pade row; at K = 1 on the sparse step
-        up to the measured order 288, (d + 1)^2 / 16, where a cold read
-        costs ~2 rows.  A density read of N > 1 points at order 32 or
-        less reads up to 64 (d + 1) + 8192 / N terms, where a read of the
-        built law measured no slower than the stacked exponential."""
-        n, d = matfun._ph_terms(self._rate * t), self.d
-        bound = 2 * (K * d + 1)
-        if N > 1 and d <= 32:
-            bound = max(bound, _ORDER_TERMS * (d + 1) + _CALL_TERMS / N)
-        return (0.0 < self._rate
-                and (n <= bound or K == 1 and d <= 288
-                     and n <= (d + 1) ** 2 / 16 and self._jumps is not None)
-                and self.phase_type)
+        """The :class:`matfun._JumpLaw` of this triple, built on first ask
+        and extended by later reads, which ask it whether it takes them;
+        ``None`` for a triple that is not phase-type or has max|y_ii| = 0,
+        which has no such law."""
+        if self.phase_type and np.diagonal(self.Y).any():
+            return matfun._JumpLaw(self.x, self.Y, self.z)
+        return None
 
     def _partial_cdfs(self, t, K=1):
         """P(Z_1 + ... + Z_k <= t) for k = 1..K, Z_i iid with this law: the
         one owner of the route rule of :meth:`cdf`,
         :meth:`~mekit.algebra.KFoldConvolution.partial_cdfs` and truncated
-        HARQ.  Under the rule of :meth:`_uniformizes`, a read of this
-        triple's cached jump law :attr:`_law` (the sum of
-        :func:`matfun.ph_partial_cdfs`), a sum of nonnegative terms that
-        keeps its relative accuracy in the lower tail, with no block built;
-        otherwise row 1 of one exponential of the augmented K-fold block
+        HARQ.  Where this triple's cached jump law :attr:`_law` takes the
+        read, its uniformized sum, of nonnegative terms that keep their
+        relative accuracy in the lower tail, with no block built; otherwise
+        row 1 of one exponential of the augmented K-fold block
         :func:`_chain` of K copies (valid for singular Y), dotted with z in
         each block.  ``t`` is checked by the caller."""
-        if self._uniformizes(t, K):
-            return self._law.partial_cdfs(t, K)
+        if (law := self._law) and law.takes(t, K):
+            return law.partial_cdfs(t, K)
         x, Y, _ = _chain([self] * K)
         return matfun.expm_integral(x, Y, t).reshape(K, self.d) @ self.z
 
     def _cdf_pdf(self, t):
-        """(F(t), f(t)) from one read, for Newton's method on F: under the
-        rule of :meth:`_uniformizes`, one Fox-Glynn pass over the cached
-        law (:meth:`matfun._JumpLaw.cdf_pdf`); otherwise the rows e_0 and
+        """(F(t), f(t)) from one read, for Newton's method on F: where the
+        cached law takes the read, one Fox-Glynn pass over it
+        (:meth:`matfun._JumpLaw.cdf_pdf`); otherwise the rows e_0 and
         [0, x] of one exponential of the augmented generator
         (:func:`_row_pairs`).  ``t`` is checked by the caller."""
-        if self._uniformizes(t):
-            return self._law.cdf_pdf(t)
+        if (law := self._law) and law.takes(t):
+            return law.cdf_pdf(t)
         return tuple(next(_row_pairs(self.x, self.Y, self.z, (t,))))
 
     def cdf(self, t: float) -> float:
@@ -397,16 +354,24 @@ class MEDist:
         V = np.concatenate(V)
         return np.concatenate(ts), V[:, 0], V[:, 1]
 
+    def _grid(self, n, t_max):
+        """:meth:`_table` on ``n`` uniform points of [0, t_max], t_max
+        :meth:`t_max` when ``None``; n below 2 and a t_max that is not
+        positive and finite are refused by name."""
+        n = _count(n, "n")
+        if n < 2:
+            raise ValueError(f"n must be at least 2, got {n!r}")
+        T = self.t_max() if t_max is None else _positive(t_max, "t_max")
+        return self._table((0.0, T), (n - 1,))
+
     def pdf_grid(self, n: int = 512, t_max: float | None = None):
         """(t, pdf) sampled on ``n`` uniform points of [0, t_max]."""
-        T = self.t_max() if t_max is None else t_max
-        ts, _, f = self._table((0.0, T), (n - 1,))
+        ts, _, f = self._grid(n, t_max)
         return ts, f
 
     def cdf_grid(self, n: int = 512, t_max: float | None = None):
         """(t, cdf) on the same grid, from the same table."""
-        T = self.t_max() if t_max is None else t_max
-        ts, F, _ = self._table((0.0, T), (n - 1,))
+        ts, F, _ = self._grid(n, t_max)
         return ts, F
 
     def validate(self) -> "ValidationReport":

@@ -82,11 +82,11 @@ def _result(value, path, quad_error=None):
 
 
 def _dist(channel) -> MEDist:
-    if isinstance(channel, algebra.EffectiveChannel):
-        return channel.dist
+    """The triple of ``channel``: a rational transform's companion form, or
+    :func:`algebra._triple` (an unclosed max or min node is closed)."""
     if isinstance(channel, RationalLT):
         return from_rational_lt(channel)
-    return channel
+    return algebra._triple(channel)
 
 
 # -- outage ----------------------------------------------------------------
@@ -94,8 +94,9 @@ def _dist(channel) -> MEDist:
 
 def outage(channel, theta: float) -> MetricResult:
     """Outage probability P(Z <= theta): the augmented cdf (valid for
-    singular generators)."""
-    d = _dist(channel)
+    singular generators); on an unclosed max or min node, the product form
+    of its parts' cdfs."""
+    d = channel if isinstance(channel, algebra._NODES) else _dist(channel)
     return _result(d.cdf(_threshold(theta)), "closed_form")
 
 
@@ -111,7 +112,7 @@ def outage_capacity(channel, q_target: float) -> MetricResult:
     stop at one of at most 4 eps C (the tolerance brentq had), once the
     bracket is that narrow, or where the next step is sure to be that
     small or to follow the rounding of F."""
-    d = _dist(channel)
+    d = channel if isinstance(channel, algebra._NODES) else _dist(channel)
     if not 0.0 < q_target < 1.0:
         raise ValueError("q_target must lie strictly between 0 and 1")
     lo, C = 0.0, 1.0
@@ -164,7 +165,7 @@ def arq_throughput(channel, R: float, theta: float) -> MetricResult:
     """ARQ throughput R (1 - P(Z <= theta)), sharing the outage
     exponential."""
     R = _positive(R, "R")
-    return _result(R * (1.0 - outage(_dist(channel), theta).value),
+    return _result(R * (1.0 - outage(channel, theta).value),
                    "closed_form")
 
 
@@ -256,10 +257,17 @@ def ncbr_throughput(links: dict, R12: float, R21: float) -> MetricResult:
 
 def eff_capacity_me_rate(channel, theta: float) -> MetricResult:
     """Effective capacity -(1/theta) ln E{e^{-theta zeta}} for an
-    ME-distributed service rate zeta: the log-transform at s = theta."""
-    theta = _positive(theta, "theta")
-    val = _dist(channel).lt(theta)
-    return _result(-math.log(val) / theta, "closed_form")
+    ME-distributed service rate zeta: the log-transform at s = theta.  ln L
+    is read from L = L(theta) where L <= 1/2, and elsewhere, where it would
+    cancel, as log1p(-T): T = 1 - L = theta x (theta I - Y)^{-1} u with
+    u = -Y^{-1} z, as x u = L(0) = 1."""
+    theta, d = _positive(theta, "theta"), _dist(channel)
+    L = d.lt(theta)
+    if L <= 0.5:
+        return _result(-math.log(L) / theta, "closed_form")
+    u = np.linalg.solve(-d.Y, d.z)
+    T = theta * (d.x @ np.linalg.solve(theta * np.eye(d.d) - d.Y, u))
+    return _result(-math.log1p(-T) / theta, "closed_form")
 
 
 # Euler's gamma, then zeta(2), ..., zeta(8): ln Gamma(1 + t) is the sum of

@@ -193,3 +193,45 @@ def test_every_scalar_argument_is_in_the_domain_table():
                for arg in sorted(named & set(inspect.signature(fn).parameters))
                if (fn, arg) not in covered]
     assert not missing, f"arguments missing from DOMAIN: {missing}"
+
+
+# every public entry point of metrics, algebra and infoq that needs a triple,
+# as a function of the channel; outage, arq_throughput, outage_capacity and
+# ncbr_throughput read an unclosed node by its product form instead
+NODE_READERS = {
+    "ber_noncoherent": lambda c: metrics.ber_noncoherent(c, 1.0).value,
+    "ber_coherent": lambda c: metrics.ber_coherent(c, 0.5).value,
+    "diversity_gain": metrics.diversity_gain,
+    "ergodic_capacity": lambda c: metrics.ergodic_capacity(c).value,
+    "eff_capacity_me_rate":
+        lambda c: metrics.eff_capacity_me_rate(c, 0.5).value,
+    "eff_capacity_shannon":
+        lambda c: metrics.eff_capacity_shannon(c, 0.5).value,
+    "pep": lambda c: metrics.pep([(c, 1.0), (RAY, 0.5)]).value,
+    "harq_truncated_throughput":
+        lambda c: metrics.harq_truncated_throughput(c, 1.0, 3, 1.0).value,
+    "harq_persistent_throughput": lambda c: metrics.harq_persistent_throughput(
+        c, 1.0, 1.0, diversity=2).value,
+    "convolve": lambda c: algebra.convolve(c, RAY).to_json(),
+    "kfold_block": lambda c: algebra.kfold_block(c, 3).partial_cdfs(1.0),
+    "max_dist": lambda c: algebra.max_dist(c, RAY).closure().to_json(),
+    "entropy_numeric": infoq.entropy_numeric,
+    "mi_additive_channel": lambda c: infoq.mi_additive_channel(c, RAY),
+    "lloyd_max": lambda c: infoq.lloyd_max(c, 4).centroids,
+    "panter_dite_mse": lambda c: infoq.panter_dite_mse(c, 4),
+}
+
+
+@pytest.mark.parametrize("node", [algebra.max_dist, algebra.min_dist],
+                         ids=["max", "min"])
+@pytest.mark.parametrize("name", NODE_READERS)
+def test_unclosed_node_reads_as_its_closure(node, name):
+    n = node(mekit.erlang(2), mekit.exponential(1.0))
+    read = NODE_READERS[name]
+    assert np.array_equal(read(n), read(n.closure()))
+
+
+def test_sampler_refuses_an_unclosed_node_by_name():
+    n = algebra.max_dist(mekit.erlang(2), mekit.exponential(1.0))
+    with pytest.raises(TypeError, match="expected a distribution"):
+        oracle.sample(n, CFG)

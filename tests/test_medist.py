@@ -224,6 +224,17 @@ class TestEvaluation:
                 assert np.array_equal(got[0], ts)
                 assert np.array_equal(got[1], want)
 
+    @pytest.mark.parametrize("grid", ["pdf_grid", "cdf_grid"])
+    @pytest.mark.parametrize("n, t_max, arg", [
+        (1, None, "n"), (0, None, "n"), (-3, None, "n"), (2.5, None, "n"),
+        (math.nan, None, "n"), (8, -1.0, "t_max"), (8, 0.0, "t_max"),
+        (8, math.nan, "t_max"), (8, math.inf, "t_max"),
+        (8, np.array([1.0, 2.0]), "t_max")])
+    def test_grids_refuse_their_domain_by_name(self, grid, n, t_max, arg):
+        # n = 1 divided by zero and t_max = -1 read "densities" on t < 0
+        with pytest.raises(ValueError, match=rf"^{arg}\b"):
+            getattr(erlang(2), grid)(n, t_max)
+
     @pytest.mark.parametrize("k", [1, 4])
     def test_table_density_matches_pdf(self, k):
         # the sampler's table on Erlang-k: f is the row [0, x] of e^{tA},

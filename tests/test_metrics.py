@@ -62,7 +62,6 @@ def test_threshold_refused_by_name_before_any_kernel(monkeypatch, d, call,
     def kernel(*args, **kwargs):
         pytest.fail("a kernel ran on a refused threshold")
 
-    monkeypatch.setattr(matfun, "ph_partial_cdfs", kernel)
     monkeypatch.setattr(matfun, "expm_integral", kernel)
     monkeypatch.setattr(matfun._JumpLaw, "_extend", kernel)
     monkeypatch.setattr(matfun._JumpLaw, "partial_cdfs", kernel)
@@ -345,6 +344,27 @@ class TestEffCapacityMERate:
         d = erlang(2, mean=1.0)
         res = metrics.eff_capacity_me_rate(d, 1.0)
         assert abs(res.value - 2.0 * math.log(1.5)) < 1e-12
+
+    @pytest.mark.parametrize("name", ["E1", "E4", "E16", "E64", "ex2"])
+    def test_small_theta_against_mpmath(self, name):
+        # -ln L(theta) / theta from L alone was off by 5.0e-4 on E16 and
+        # 5.2e-3 on E64 at theta = 1e-12, and -0.0 everywhere at 1e-300
+        if name == "ex2":
+            d = example2()
+
+            def ref(s):  # L(s) = 50 / (s^3 + 3 s^2 + 52 s + 50)
+                return mpmath.log1p((s ** 3 + 3 * s ** 2 + 52 * s) / 50) / s
+        else:
+            k = int(name[1:])
+            d = erlang(k, 3.0)
+
+            def ref(s):  # L(s) = (1 + 3 s / k)^-k
+                return k * mpmath.log1p(3 * s / k) / s
+        with mpmath.workdps(40):
+            for th in np.geomspace(1e-300, 1e3, 61):
+                want = float(ref(mpmath.mpf(float(th))))
+                got = metrics.eff_capacity_me_rate(d, float(th)).value
+                assert abs(got - want) <= 1e-14 * want
 
     def test_eigenvalue_collision_rejected(self):
         bad = MEDist([1.0], [[1.0]], [1.0])  # generator with eigenvalue +1

@@ -1,6 +1,6 @@
-"""Uniformized cdfs of phase-type triples (``matfun.ph_partial_cdfs``) and
-the route rule that ``MEDist.cdf`` and ``KFoldConvolution.partial_cdfs``
-apply to them."""
+"""Uniformized cdfs of phase-type triples (``matfun._JumpLaw``) and the
+route rule, :meth:`matfun._JumpLaw.takes`, that ``MEDist.cdf``,
+``MEDist.pdf`` and ``KFoldConvolution.partial_cdfs`` ask of them."""
 
 import math
 
@@ -28,6 +28,21 @@ def _pade_cdf(d, t):
     return float(matfun.expm_integral(d.x, d.Y, t) @ d.z)
 
 
+def _rate(d):
+    """max|y_ii|, the rate of the uniformized chain."""
+    return float(np.abs(np.diagonal(d.Y)).max())
+
+
+def _takes(d, th, K=1, N=1):
+    """Whether d's jump law takes the read; never where d has none."""
+    return d._law is not None and d._law.takes(th, K, N)
+
+
+def _fresh_cdfs(d, th, K=1):
+    """One read of a fresh jump law of d."""
+    return matfun._JumpLaw(d.x, d.Y, d.z).partial_cdfs(th, K)
+
+
 @pytest.mark.parametrize("k", [1, 4, 16, 32, 64, 100])
 @pytest.mark.parametrize("ratio", [0.01, 0.1, 1.0, 3.0])
 def test_erlang_cdf_against_gammainc(k, ratio):
@@ -40,8 +55,8 @@ def test_erlang_cdf_against_gammainc(k, ratio):
 
 def test_deep_tail_takes_the_uniformized_route():
     d = erlang(32, 1.0)
-    assert d.phase_type and d._uniformizes(0.01)
-    assert not erlang(1, 1.0)._uniformizes(0.01)
+    assert d.phase_type and _takes(d, 0.01)
+    assert not _takes(erlang(1, 1.0), 0.01)
 
 
 @pytest.mark.parametrize("k", [4, 16])
@@ -89,7 +104,7 @@ def test_routes_agree_where_both_are_accurate(d):
     assert d.phase_type
     for th in np.geomspace(0.05, 20.0, 12) * d.mean:
         for K in (1, 3):
-            uni = matfun.ph_partial_cdfs(d.x, d.Y, d.z, th, K)
+            uni = _fresh_cdfs(d, th, K)
             block = kfold_block(d, K)
             row = matfun.expm_integral(block.p_block, block.Q_block, th)
             pade = row.reshape(K, d.d) @ d.z
@@ -116,14 +131,15 @@ def test_refuses_inputs_without_a_uniformization():
     no_rate = d.Y - np.diag(np.diag(d.Y))
     for x, Y, th in ((d.x, d.Y, -1.0), (d.x, d.Y, math.nan),
                      (d.x * math.nan, d.Y, 1.0), (d.x, no_rate, 1.0)):
-        with pytest.raises(ValueError, match="ph_partial_cdfs needs"):
-            matfun.ph_partial_cdfs(x, Y, d.z, th)
+        with pytest.raises(ValueError, match="a jump law needs"):
+            matfun._JumpLaw(x, Y, d.z).partial_cdfs(th)
 
 
 def test_zero_threshold_and_zero_density():
     d = erlang(16, 1.0)
-    assert np.all(matfun.ph_partial_cdfs(d.x, d.Y, d.z, 0.0, 4) == 0.0)
-    assert np.all(matfun.ph_partial_cdfs(0 * d.x, d.Y, d.z, 1.0, 2) == 0.0)
+    assert np.all(_fresh_cdfs(d, 0.0, 4) == 0.0)
+    zero = matfun._JumpLaw(0 * d.x, d.Y, d.z)
+    assert np.all(zero.partial_cdfs(1.0, 2) == 0.0)
 
 
 @pytest.mark.parametrize("d", [
@@ -170,14 +186,21 @@ MAX16 = max_dist(erlang(16, 4.0), erlang(16, 6.0))
 @pytest.mark.parametrize("d", [
     MAX16.closure(), min_dist(erlang(16, 3.0), erlang(16, 5.0)).closure(),
 ], ids=["max16_d288", "min16_d256"])
-def test_sparse_and_dense_steps_agree(d):
-    assert d._jumps is not None
+def test_sparse_and_dense_steps_agree(monkeypatch, d):
+    sparse_order = matfun._SPARSE_ORDER
+
+    def read(th, K, dense):
+        # an order past d's keeps a fresh law on the dense step
+        monkeypatch.setattr(matfun, "_SPARSE_ORDER",
+                            d.d + 1 if dense else sparse_order)
+        return _fresh_cdfs(d, th, K)
+
+    assert d._law._jumps is not None
     smallest = 1.0
     for th in np.geomspace(1e-3, 3.0, 30) * d.mean:
         for K in (1, 3):
-            dense = matfun.ph_partial_cdfs(d.x, d.Y, d.z, th, K)
-            sparse = matfun.ph_partial_cdfs(d.x, d.Y, d.z, th, K,
-                                            jumps=d._jumps)
+            dense = read(th, K, True)
+            sparse = read(th, K, False)
             assert np.all(np.abs(sparse - dense) <= 2e-15 * dense)
             smallest = min(smallest, dense.min())
     assert smallest < 1e-140
@@ -196,25 +219,27 @@ def test_max_closure_deep_tail_is_the_product_of_its_factors():
 def test_sparse_rule_by_order_and_fill():
     # the dense and sparse steps tie below order 64 and the sparse step
     # loses once P holds more than about one entry in 25 (CHANGES.md)
-    assert MAX16.closure()._jumps is not None
-    assert min_dist(erlang(8, 3.0), erlang(8, 5.0)).closure()._jumps is not None
-    assert max_dist(erlang(6, 3.0), erlang(6, 5.0)).closure()._jumps is None
+    assert MAX16.closure()._law._jumps is not None
+    assert (min_dist(erlang(8, 3.0), erlang(8, 5.0)).closure()._law._jumps
+            is not None)
+    assert (max_dist(erlang(6, 3.0), erlang(6, 5.0)).closure()._law._jumps
+            is None)
     for m in (2, 4):
-        assert erlang(m, 2.0)._jumps is None
+        assert erlang(m, 2.0)._law._jumps is None
     # order 128 with about one entry in 10 of Y off its diagonal
     rng = np.random.default_rng(1)
     M = rng.random((128, 128)) * (rng.random((128, 128)) < 0.1)
     np.fill_diagonal(M, 0.0)
     full = MEDist(np.full(128, 1 / 128), M - np.diag(M.sum(1) + 1.0),
                   np.ones(128))
-    assert full.phase_type and full._jumps is None
+    assert full.phase_type and full._law._jumps is None
 
 
 @pytest.mark.parametrize("th", [30.0, 40.0])
 def test_uniformized_cdf_is_at_most_one(th):
     # a sum of nonnegative terms rounded to 1 + 3e-15 here before the clip
     c = MAX16.closure()
-    assert c._uniformizes(th)
+    assert _takes(c, th)
     assert c.cdf(th) == 1.0
     assert c.sf(th) == 0.0
     assert metrics.arq_throughput(c, 1.0, th).value == 0.0
@@ -229,7 +254,7 @@ def test_truncated_harq_builds_no_block_on_a_phase_type_base(monkeypatch,
     monkeypatch.setattr(medist, "_chain",
                         lambda parts: built.append(len(parts)) or chain(parts))
     for th in (K / 8, K / 3, 2 * K / 3):
-        assert d._uniformizes(th, K)
+        assert _takes(d, th, K)
         got = metrics.harq_truncated_throughput(d, R, K, th).value
         row = matfun.expm_integral(block.p_block, block.Q_block, th)
         F = row.reshape(K, d.d) @ d.z
@@ -272,7 +297,7 @@ def test_one_fold_is_the_cdf_bit_for_bit(th, uniformized):
     # oscillatory one
     for d in (erlang(16, 1.0), example2()):
         if d.phase_type:
-            assert d._uniformizes(th) == uniformized
+            assert _takes(d, th) == uniformized
         assert kfold_block(d, 1).partial_cdfs(th)[0] == d.cdf(th)
         assert (metrics.harq_truncated_throughput(d, 0.8, 1, th).value
                 == metrics.arq_throughput(d, 0.8, th).value)
@@ -292,12 +317,12 @@ def test_one_fold_is_the_cdf_bit_for_bit(th, uniformized):
 def test_cached_law_is_independent_of_call_order(d, K, ths, order):
     ths = {"ascending": ths, "descending": ths[::-1],
            "shuffled": np.random.default_rng(3).permutation(ths)}[order]
-    law = matfun._JumpLaw(d.x, d.Y, d.z, d._jumps)
+    law = matfun._JumpLaw(d.x, d.Y, d.z)
     smallest = 1.0
     for th in ths:
         got = law.partial_cdfs(th, K)
-        ref = matfun.ph_partial_cdfs(d.x, d.Y, d.z, th, K, jumps=d._jumps)
-        if d._jumps is not None:
+        ref = _fresh_cdfs(d, th, K)
+        if law._jumps is not None:
             assert np.array_equal(got, ref)
         assert np.all(np.abs(got - ref) <= 1e-14 * ref)
         smallest = min(smallest, ref.min())
@@ -316,7 +341,7 @@ def test_one_powers_table_serves_every_smaller_fold():
                                  (4, 40.0, 12, True)):
         before = law._state.powers
         got = law.partial_cdfs(th, K)
-        ref = matfun.ph_partial_cdfs(d.x, d.Y, d.z, th, K)
+        ref = _fresh_cdfs(d, th, K)
         assert np.all(np.abs(got - ref) <= 1e-14 * ref)
         assert law._state.powers.shape[0] == kept
         assert (law._state.powers is not before) == rebuilt
@@ -330,7 +355,7 @@ def test_cached_law_steps_no_term_twice(monkeypatch):
     monkeypatch.setattr(np, "bincount",
                         lambda *a, **k: steps.append(1) or bincount(*a, **k))
     for th in (0.01, 0.3):
-        assert c._uniformizes(th)
+        assert _takes(c, th)
         c.cdf(th)
     n = c._law._state.a.size
     assert 0 < len(steps) <= n // 2 + 1
@@ -401,15 +426,15 @@ def test_shared_law_across_threads_matches_a_serial_run():
 def _old_rule(d, th, K):
     """The size rule alone, as it stood before the sparse step's K = 1
     bound: at most about twice the order Kd + 1 of the Pade row."""
-    return (0.0 < d._rate and d.phase_type
-            and matfun._ph_terms(d._rate * th) <= 2 * (K * d.d + 1))
+    return (d._law is not None
+            and matfun._ph_terms(_rate(d) * th) <= 2 * (K * d.d + 1))
 
 
 def _theta_for_terms(d, n):
     """The threshold whose uniformized sum at d's rate needs n terms: the
     root of lam + 9 sqrt(lam) + 16 = n, over the rate."""
     root = (-9.0 + math.sqrt(81.0 + 4.0 * (n - 16.0))) / 2.0
-    return root * root / d._rate
+    return root * root / _rate(d)
 
 
 def _mrc64():
@@ -436,17 +461,17 @@ def _between(d, count=5):
 @pytest.mark.parametrize("make", [_mrc64, _min8], ids=["mrc32_d64", "min8_d64"])
 def test_sparse_step_reads_the_law_past_the_old_rule(monkeypatch, make):
     d = make()
-    assert d._jumps is not None
+    assert d._law._jumps is not None
     ths = _between(d)
     pade = [float(matfun.expm_integral(d.x, d.Y, th) @ d.z) for th in ths]
     monkeypatch.setattr(matfun, "expm_integral", None)
     for th, ref in zip(ths, pade):
-        assert not _old_rule(d, th, 1) and d._uniformizes(th)
+        assert not _old_rule(d, th, 1) and _takes(d, th)
         F = d.cdf(th)
         if ref >= 1e-6:
             assert abs(F - ref) <= 1e-13 * ref
     # the law grew to what the reads needed, at most twice that
-    need = int(matfun._ph_terms(d._rate * ths[-1]))
+    need = int(matfun._ph_terms(_rate(d) * ths[-1]))
     assert need <= d._law._state.a.size <= 2 * (d.d + 1) ** 2 / 16
 
 
@@ -456,10 +481,10 @@ def test_sparse_step_reads_the_law_past_the_old_rule(monkeypatch, make):
 def test_wider_rule_keeps_the_gammainc_products(monkeypatch, node, k, S1,
                                                 S2):
     c = node(erlang(k, S1), erlang(k, S2)).closure()
-    assert c._jumps is not None
+    assert c._law._jumps is not None
     monkeypatch.setattr(matfun, "expm_integral", None)
     for th in _between(c, 4):
-        assert c._uniformizes(th) and not _old_rule(c, th, 1)
+        assert _takes(c, th) and not _old_rule(c, th, 1)
         F1, F2 = _gammainc(k, k / S1 * th), _gammainc(k, k / S2 * th)
         ref = F1 * F2 if node is max_dist else F1 + F2 - F1 * F2
         assert abs(c.cdf(th) - ref) <= 1e-13 * ref
@@ -471,13 +496,13 @@ def test_route_does_not_read_the_law_length(make):
     d = make()
     bound = _theta_for_terms(d, (d.d + 1) ** 2 / 16)
     ths = np.geomspace(1e-3 * bound, 3.0 * bound, 25)
-    before = [d._uniformizes(th, K) for th in ths for K in (1, 2, 4)]
-    assert "_law" not in vars(d)
+    before = [_takes(d, th, K) for th in ths for K in (1, 2, 4)]
+    assert d._law._state.a.size == 0
     # a direct read far past the bound makes the law longer than any
     # routed read would
     d._law.partial_cdfs(3.0 * bound)
     assert d._law._state.a.size > 2 * (d.d + 1) ** 2 / 16
-    assert [d._uniformizes(th, K) for th in ths for K in (1, 2, 4)] == before
+    assert [_takes(d, th, K) for th in ths for K in (1, 2, 4)] == before
 
 
 def test_past_the_bound_and_above_one_fold_keep_the_pade_row(monkeypatch):
@@ -486,18 +511,18 @@ def test_past_the_bound_and_above_one_fold_keep_the_pade_row(monkeypatch):
     monkeypatch.setattr(matfun, "expm_integral",
                         lambda *a: calls.append(a[1].shape) or expm_integral(*a))
     past = 1.1 * _theta_for_terms(d, (d.d + 1) ** 2 / 16)
-    assert not d._uniformizes(past)
+    assert not _takes(d, past)
     d.cdf(past)
-    assert calls == [(64, 64)] and "_law" not in vars(d)
+    assert calls == [(64, 64)] and d._law._state.a.size == 0
     # 262 terms: inside the K = 1 bound of 264, past the K = 2 rule of 258
     th = _theta_for_terms(d, 262)
-    assert d._uniformizes(th) and not d._uniformizes(th, 2)
+    assert _takes(d, th) and not _takes(d, th, 2)
     d._partial_cdfs(th, 2)
-    assert calls == [(64, 64), (128, 128)] and "_law" not in vars(d)
+    assert calls == [(64, 64), (128, 128)] and d._law._state.a.size == 0
     c = MAX16.closure()
     for th in _between(c, 6)[-3:]:
-        assert c._uniformizes(th)
-        assert not any(c._uniformizes(th, K) for K in (2, 3))
+        assert _takes(c, th)
+        assert not any(_takes(c, th, K) for K in (2, 3))
 
 
 @pytest.mark.parametrize("k", [289, 1024])
@@ -505,12 +530,12 @@ def test_sparse_step_past_order_288_keeps_the_old_rule(k):
     # a read keeps n / 2 stacked vectors of length 2d, so the wider bound
     # would hold ~d^3 / 2 bytes at large orders: the rule stays 2(Kd + 1)
     d = erlang(k, 1.3)
-    assert d._jumps is not None
+    assert d._law._jumps is not None
     for n in np.geomspace(20, 4 * (k + 1) ** 2 / 16, 40):
         th = _theta_for_terms(d, n)
         for K in (1, 2):
-            assert d._uniformizes(th, K) == _old_rule(d, th, K)
-    assert "_law" not in vars(d)
+            assert _takes(d, th, K) == _old_rule(d, th, K)
+    assert d._law._state.a.size == 0
 
 
 def _dense_step_channels():
@@ -528,11 +553,11 @@ def _dense_step_channels():
 
 @pytest.mark.parametrize("d", _dense_step_channels(), ids=lambda d: f"d{d.d}")
 def test_dense_step_keeps_the_old_rule(d):
-    assert d._jumps is None
+    assert d._law is None or d._law._jumps is None
     for lam in np.geomspace(1e-3, 1e4, 60):
-        th = lam / d._rate
+        th = lam / _rate(d)
         for K in (1, 2, 5):
-            assert d._uniformizes(th, K) == _old_rule(d, th, K)
+            assert _takes(d, th, K) == _old_rule(d, th, K)
 
 
 @pytest.mark.parametrize("make", [MAX16.closure, _mrc64, _min8],
@@ -540,10 +565,10 @@ def test_dense_step_keeps_the_old_rule(d):
 def test_sparse_step_only_widens_the_one_fold_route(make):
     d = make()
     for lam in np.geomspace(1e-3, 1e5, 80):
-        th = lam / d._rate
-        assert d._uniformizes(th) >= _old_rule(d, th, 1)
+        th = lam / _rate(d)
+        assert _takes(d, th) >= _old_rule(d, th, 1)
         for K in (2, 5):
-            assert d._uniformizes(th, K) == _old_rule(d, th, K)
+            assert _takes(d, th, K) == _old_rule(d, th, K)
 
 
 # -- the density on the law ----------------------------------------------------
@@ -603,7 +628,7 @@ def test_array_pdf_matches_scalar_calls_on_a_closure():
     # x e^{tY} z at 50 digits
     c = max_dist(erlang(4), erlang(4)).closure()
     ts = np.linspace(0.0, c.t_max(), 57)
-    assert c._uniformizes(ts.max(), N=ts.size)
+    assert _takes(c, ts.max(), N=ts.size)
     pv = c.pdf(ts)
     assert np.allclose(pv, [c.pdf(t) for t in ts], rtol=1e-13, atol=0.0)
 
@@ -626,13 +651,13 @@ def test_density_route_on_the_dense_step():
     # 32 do not widen
     d = erlang(4)
     t = 60.0  # q t = 240, 240 + 9 sqrt(240) + 16 = 395 terms
-    assert not d._uniformizes(t) and not d._uniformizes(t, N=1000)
-    assert d._uniformizes(t, N=100) and d._uniformizes(t, N=21)
-    assert not example2()._uniformizes(0.1, N=1000)
+    assert not _takes(d, t) and not _takes(d, t, N=1000)
+    assert _takes(d, t, N=100) and _takes(d, t, N=21)
+    assert not _takes(example2(), 0.1, N=1000)
     # q t = 150 needs 276 terms: past 2 (d + 1) at both orders
-    assert erlang(32)._uniformizes(150 / 32, N=2)
-    assert not erlang(33)._uniformizes(150 / 33, N=2)
-    assert not erlang(33)._uniformizes(150 / 33, N=168)
+    assert _takes(erlang(32), 150 / 32, N=2)
+    assert not _takes(erlang(33), 150 / 33, N=2)
+    assert not _takes(erlang(33), 150 / 33, N=168)
 
 
 def test_density_reads_extend_the_law_and_share_it():

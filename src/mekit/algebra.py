@@ -11,6 +11,7 @@ oversized matrix is built.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,11 +63,20 @@ class EffectiveChannel:
 
 
 def _triple(obj) -> MEDist:
-    """The triple behind ``obj``: an effective channel's distribution, the
-    closure of an unclosed max or min node (:data:`_NODES`), or ``obj``."""
+    """The triple that stands for a channel: a distribution as it is, an
+    effective channel's ``dist``, a rational transform's companion form, or
+    the closure of an unclosed max or min node, kept on the node."""
+    if isinstance(obj, MEDist):
+        return obj
     if isinstance(obj, EffectiveChannel):
         return obj.dist
-    return obj.closure() if isinstance(obj, _NODES) else obj
+    if isinstance(obj, RationalLT):
+        return from_rational_lt(obj)
+    if isinstance(obj, _Node):
+        return obj._closed
+    raise TypeError(f"channel must be a distribution, an effective channel, a "
+                    f"rational transform or a max/min node, not "
+                    f"{type(obj).__name__}")
 
 
 def convolve(*parts):
@@ -127,15 +137,24 @@ def kfold_block(dist, K: int) -> KFoldConvolution:
 
 
 @dataclass(frozen=True)
-class MaxOfTwo:
+class _Node:
+    """An unclosed max or min node: a cdf reads the product form of its
+    parts, and every read that needs a triple its closure, built once."""
+
+    d1: MEDist
+    d2: MEDist
+
+    @functools.cached_property
+    def _closed(self) -> MEDist:
+        return self.closure()
+
+
+class MaxOfTwo(_Node):
     """Maximum of two independent ME variables.
 
     ``cdf`` evaluates the functional form, the product of the two cdfs;
     ``closure`` builds the explicit ME triple on demand.
     """
-
-    d1: MEDist
-    d2: MEDist
 
     def cdf(self, t: float) -> float:
         return self.d1.cdf(t) * self.d2.cdf(t)
@@ -163,12 +182,8 @@ class MaxOfTwo:
         return MEDist(x, Y, z)
 
 
-@dataclass(frozen=True)
-class MinOfTwo:
+class MinOfTwo(_Node):
     """Minimum of two independent ME variables (survival product form)."""
-
-    d1: MEDist
-    d2: MEDist
 
     def cdf(self, t: float) -> float:
         # 1 - (1 - F1)(1 - F2) without the cancellation in the lower tail
@@ -192,11 +207,6 @@ class MinOfTwo:
         Y = matfun.kron_sum(a.Y, b.Y)
         z = np.outer(s1, b.z).ravel() + np.outer(a.z, s2).ravel()
         return MEDist(x, Y, z)
-
-
-# the unclosed nodes: a cdf reads the product form of their parts, and every
-# read that needs a triple their closure
-_NODES = (MaxOfTwo, MinOfTwo)
 
 
 def max_dist(d1, d2) -> MaxOfTwo:

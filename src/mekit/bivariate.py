@@ -236,7 +236,8 @@ def integral_sylvester(a, b, x1, Y1, X12, Y2, z2):
 class InterferenceScenario:
     """Signal-of-interest plus interference, either as an independent
     signal + interferer list (summed into one ME interferer) or as a general
-    joint density with the interference as the first coordinate."""
+    joint density with the interference as the first coordinate.  Each
+    channel is kept as its triple (:func:`~mekit.algebra._triple`)."""
 
     signal: MEDist | None = None
     interferers: tuple = ()
@@ -249,7 +250,10 @@ class InterferenceScenario:
                 "provide signal + interferers, or a joint density")
         if self.theta is not None:
             _threshold(self.theta)
-        object.__setattr__(self, "interferers", tuple(self.interferers))
+        if self.signal is not None:
+            object.__setattr__(self, "signal", algebra._triple(self.signal))
+        object.__setattr__(self, "interferers",
+                           tuple(map(algebra._triple, self.interferers)))
 
     @property
     def independent(self) -> bool:

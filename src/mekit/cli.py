@@ -56,10 +56,6 @@ def _load_spec(path: str) -> ChannelSpec:
             f"{exc.colno}: {exc.msg}") from exc
 
 
-def _build(spec: ChannelSpec):
-    return algebra.standard_channel(spec)
-
-
 def _resolve_threshold(channel, args):
     """Return (dist, Theta) under the selected threshold convention."""
     dist = channel.dist
@@ -102,7 +98,7 @@ def cmd_channel(args) -> int:
             report = {"valid": False, "failed_conditions": problems}
             print(json.dumps(report, indent=2))
             return EXIT_INVALID
-    channel = _build(spec)
+    channel = algebra.standard_channel(spec)
     dist = channel.dist
     report = dist.validate()
     out = {
@@ -145,20 +141,20 @@ def _eval_metric(name, channel, args):
             return metrics.harq_truncated_throughput(dist, args.R, args.K, th), th
         return metrics.harq_persistent_throughput(dist, args.R, th), th
     if name == "outage_capacity":
-        return metrics.outage_capacity(channel.dist, args.q_target), None
+        return metrics.outage_capacity(channel, args.q_target), None
     if name == "eff_capacity_rate":
-        return metrics.eff_capacity_me_rate(channel.dist, args.theta), None
+        return metrics.eff_capacity_me_rate(channel, args.theta), None
     if name == "eff_capacity_shannon":
-        return metrics.eff_capacity_shannon(channel.dist, args.theta), None
+        return metrics.eff_capacity_shannon(channel, args.theta), None
     if name == "ergodic_capacity":
-        return metrics.ergodic_capacity(channel.dist), None
+        return metrics.ergodic_capacity(channel), None
     if name == "ber":
         if args.detection == "coherent":
-            return metrics.ber_coherent(channel.dist, args.a), None
-        return metrics.ber_noncoherent(channel.dist, args.a), None
+            return metrics.ber_coherent(channel, args.a), None
+        return metrics.ber_noncoherent(channel, args.a), None
     if name == "arq_interference":
         from . import bivariate
-        scn = _interference_scenario(args, channel.dist)
+        scn = _interference_scenario(args, channel)
         return bivariate.arq_interference_throughput(scn, args.R), None
     raise ConstructionError(f"unknown metric {name!r}")
 
@@ -168,7 +164,7 @@ def _interference_scenario(args, signal):
     if args.interference_spec is None:
         raise ConstructionError(
             "arq_interference requires --interference-spec FILE")
-    interferer = _build(_load_spec(args.interference_spec)).dist
+    interferer = algebra.standard_channel(_load_spec(args.interference_spec))
     return bivariate.InterferenceScenario(signal=signal,
                                           interferers=(interferer,))
 
@@ -228,7 +224,7 @@ def cmd_metric(args) -> int:
         # a sweep that keeps the spec reads one channel, its one unit-mean
         # channel, and with them their cached jump laws
         if spec is not built:
-            built, channel = spec, _build(spec)
+            built, channel = spec, algebra.standard_channel(spec)
         res, theta_used = _eval_metric(args.metric, channel, a)
         rows.append({
             "metric": args.metric,
@@ -256,7 +252,7 @@ _MC_KIND = {"outage": "outage", "arq": "arq", "harq": "harq_truncated",
 def cmd_verify(args) -> int:
     from . import oracle
     spec = _load_spec(args.spec)
-    channel = _build(spec)
+    channel = algebra.standard_channel(spec)
     cfg = oracle.RngConfig(seed=args.seed, n=args.n)
     dist = channel.dist
     if args.metric == "ncbr":
@@ -297,7 +293,7 @@ def cmd_verify(args) -> int:
 
 def cmd_optimize(args) -> int:
     spec = _load_spec(args.spec)
-    channel = _build(spec)
+    channel = algebra.standard_channel(spec)
     thetas = _parse_span(args.theta_sweep)
     dist_um = channel.dist.to_unit_mean()
 
@@ -310,7 +306,7 @@ def cmd_optimize(args) -> int:
             return metric(dist_um, R, metrics.theta_unit_mean(R, S)).value
     elif args.metric == "arq_interference":
         from . import bivariate
-        scn = _interference_scenario(args, channel.dist)
+        scn = _interference_scenario(args, channel)
         scn = bivariate.InterferenceScenario(
             signal=scn.signal.to_unit_mean(), interferers=scn.interferers)
         opts = metrics.optimize_rate("arq_interference", scn, thetas)

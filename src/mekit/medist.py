@@ -72,6 +72,13 @@ def _positive(v, name):
     return float(v)
 
 
+def _probability(p, name):
+    """``p`` as a float, refused unless a finite real scalar in (0, 1)."""
+    if not (np.ndim(p) == 0 and 0.0 < p < 1.0):
+        raise ValueError(f"{name} must lie strictly between 0 and 1, got {p!r}")
+    return float(p)
+
+
 def _count(v, name):
     """``v`` as an int, refused unless a positive integer; an
     integer-valued float such as 3.0 is one."""

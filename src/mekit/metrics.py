@@ -19,9 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra, matfun
-from .medist import (MEDist, RationalLT, _chain, _count, _positive,
-                     _row_pairs, _threshold, _threshold_of_rate,
-                     from_rational_lt)
+from .algebra import _Node, _triple
+from .medist import (MEDist, _chain, _count, _positive, _probability,
+                     _row_pairs, _threshold, _threshold_of_rate)
 
 __all__ = [
     "MetricResult",
@@ -81,14 +81,6 @@ def _result(value, path, quad_error=None):
                         quad_error=quad_error)
 
 
-def _dist(channel) -> MEDist:
-    """The triple of ``channel``: a rational transform's companion form, or
-    :func:`algebra._triple` (an unclosed max or min node is closed)."""
-    if isinstance(channel, RationalLT):
-        return from_rational_lt(channel)
-    return algebra._triple(channel)
-
-
 # -- outage ----------------------------------------------------------------
 
 
@@ -96,7 +88,7 @@ def outage(channel, theta: float) -> MetricResult:
     """Outage probability P(Z <= theta): the augmented cdf (valid for
     singular generators); on an unclosed max or min node, the product form
     of its parts' cdfs."""
-    d = channel if isinstance(channel, algebra._NODES) else _dist(channel)
+    d = channel if isinstance(channel, _Node) else _triple(channel)
     return _result(d.cdf(_threshold(theta)), "closed_form")
 
 
@@ -112,9 +104,8 @@ def outage_capacity(channel, q_target: float) -> MetricResult:
     stop at one of at most 4 eps C (the tolerance brentq had), once the
     bracket is that narrow, or where the next step is sure to be that
     small or to follow the rounding of F."""
-    d = channel if isinstance(channel, algebra._NODES) else _dist(channel)
-    if not 0.0 < q_target < 1.0:
-        raise ValueError("q_target must lie strictly between 0 and 1")
+    d = channel if isinstance(channel, _Node) else _triple(channel)
+    q_target = _probability(q_target, "q_target")
     lo, C = 0.0, 1.0
     F, f = d._cdf_pdf(math.expm1(C))
     below = None
@@ -180,7 +171,7 @@ def harq_truncated_throughput(channel, R: float, K: int,
     :meth:`~mekit.medist.MEDist._partial_cdfs`; the uniformized route
     builds no K-fold block.
     """
-    R, d = _positive(R, "R"), _dist(channel)
+    R, d = _positive(R, "R"), _triple(channel)
     F = d._partial_cdfs(_threshold(theta), algebra._fold_count(d, K))
     denom = 1.0 + float(np.sum(F[:-1]))
     return _result(R * (1.0 - F[-1]) / denom, "closed_form")
@@ -195,7 +186,7 @@ def _renewal_generator(channel, N: int):
     so the mean transmission count at theta is
     1 + int_0^theta x_N e^{tG} z_N dt.
     """
-    d = _dist(channel)
+    d = _triple(channel)
     x, Y, z = _chain([d] * algebra._fold_count(d, N))
     return x, Y + np.outer(z, x), z
 
@@ -221,7 +212,7 @@ def harq_persistent_throughput(channel, R: float, theta: float,
         mean_tx = 1.0 + matfun.expm_integral(x, G, theta) @ z
         return _result(R / mean_tx, "closed_form")
     if method == "roots_of_unity":
-        d, n = _dist(channel), np.arange(N)
+        d, n = _triple(channel), np.arange(N)
         w = np.exp(2j * np.pi * n / N)
         B = np.zeros((N, d.d, N, d.d), dtype=complex)
         B[n, :, n, :] = d.Y + w[:, None, None] * d.z[:, None] * d.x
@@ -246,9 +237,8 @@ def ncbr_throughput(links: dict, R12: float, R21: float) -> MetricResult:
     E32 = outage(links["32"], th12).value
     E23 = outage(links["23"], th21).value
     E31 = outage(links["31"], th21).value
-    Q12 = 1.0 - (1.0 - E13) * (1.0 - E32)
-    Q21 = 1.0 - (1.0 - E23) * (1.0 - E31)
-    T = (R12 * (1.0 - Q12) + R21 * (1.0 - Q21)) / 3.0
+    T = (R12 * ((1.0 - E13) * (1.0 - E32))
+         + R21 * ((1.0 - E23) * (1.0 - E31))) / 3.0
     return _result(T, "closed_form")
 
 
@@ -261,7 +251,7 @@ def eff_capacity_me_rate(channel, theta: float) -> MetricResult:
     is read from L = L(theta) where L <= 1/2, and elsewhere, where it would
     cancel, as log1p(-T): T = 1 - L = theta x (theta I - Y)^{-1} u with
     u = -Y^{-1} z, as x u = L(0) = 1."""
-    theta, d = _positive(theta, "theta"), _dist(channel)
+    theta, d = _positive(theta, "theta"), _triple(channel)
     L = d.lt(theta)
     if L <= 0.5:
         return _result(-math.log(L) / theta, "closed_form")
@@ -315,7 +305,7 @@ def eff_capacity_shannon(channel, theta: float) -> MetricResult:
     service rate ln(1 + Z), Z the ME-distributed SNR, by the gamma-kernel
     integral of :func:`_shannon_expectation_quad`."""
     theta = _positive(theta, "theta")
-    neg_log_E, err = _shannon_expectation_quad(_dist(channel), theta)
+    neg_log_E, err = _shannon_expectation_quad(_triple(channel), theta)
     return _result(neg_log_E / theta, "quadrature", quad_error=err)
 
 
@@ -324,11 +314,21 @@ def ergodic_capacity(channel) -> MetricResult:
 
     Frullani's ln(1+z) = int_0^inf (e^{-u} - e^{-u(1+z)})/u du gives
     E{ln(1+Z)} = int_0^inf e^{-u} (1 - L(u))/u du with L(u) = E{e^{-uZ}}
-    the Laplace transform; ``quad_error`` is the quadrature's estimate.
+    the Laplace transform, with (1 - L(u))/u read as x (uI - Y)^{-1} w,
+    w = -Y^{-1} z: it does not cancel where uZ is small, it is the mean at
+    u = 0, and its row x (uI - Y)^{-1}, formed first, does not underflow on
+    a tiny mean.  As E{ln(1+Z)} <= E{Z}, the quadrature's absolute floor is
+    1e-10 min(1, mean); ``quad_error`` is its estimate.
     """
-    d = _dist(channel)
-    val, err = matfun.quad(lambda u: np.exp(-u) * (1.0 - d.lt(u)) / u,
-                           0.0, np.inf)
+    d = _triple(channel)
+    w = np.linalg.solve(-d.Y, d.z)
+
+    def f(u):
+        A = u[:, None, None] * np.eye(d.d) - d.Y
+        return np.exp(-u) * (np.linalg.solve(A.mT, d.x) @ w)
+
+    mean = f(np.zeros(1))[0]
+    val, err = matfun.quad(f, 0.0, np.inf, tol=1e-10 * min(1.0, mean))
     return _result(val, "quadrature", quad_error=err)
 
 
@@ -338,7 +338,7 @@ def ergodic_capacity(channel) -> MetricResult:
 def ber_noncoherent(channel, a: float) -> MetricResult:
     """BER for DBPSK (a=1) / noncoherent FSK (a=1/2) under symbol-rate
     fading: (1/2) x (aI - Y)^{-1} z = F(a)/2."""
-    return _result(0.5 * _dist(channel).lt(_positive(a, "a")), "closed_form")
+    return _result(0.5 * _triple(channel).lt(_positive(a, "a")), "closed_form")
 
 
 def _craig_product(branches, t):
@@ -360,7 +360,7 @@ def ber_coherent(channel, a: float) -> MetricResult:
     the single branch ``[(channel, a)]`` is the same BER by Craig
     quadrature.
     """
-    a, d = _positive(a, "a"), _dist(channel)
+    a, d = _positive(a, "a"), _triple(channel)
     S = matfun.mat_frac_power(np.eye(d.d) - d.Y / a, 0.5)
     val = d.x @ np.linalg.solve(S + S @ S, d.z) / (2.0 * a)
     return _result(val, "closed_form")
@@ -372,7 +372,7 @@ def pep(branches) -> MetricResult:
 
         (1/pi) int_0^{pi/2} prod_n F_n(a_n / sin^2 t) dt.
     """
-    branches = [( _dist(d), float(a)) for d, a in branches]
+    branches = [(_triple(d), float(a)) for d, a in branches]
     if not branches:
         raise ValueError("branch list must not be empty")
     val, err = matfun.quad(lambda t: _craig_product(branches, t),
@@ -391,7 +391,7 @@ def diversity_gain(channel) -> int:
     so their sum cannot cancel.  Any other triple returns its order d, the
     denominator degree of the transform when the representation is
     minimal."""
-    d = _dist(channel)
+    d = _triple(channel)
     if not d.phase_type:
         return d.d
     step = (d.Y > 0) & ~np.eye(d.d, dtype=bool)
@@ -406,7 +406,7 @@ def diversity_gain(channel) -> int:
 def diversity_gain_numeric(channel_um) -> float:
     """Numeric -ln BER / ln S slope of the DBPSK BER between S = 1e3 and
     1e5 for a unit-mean channel (cross-check of :func:`diversity_gain`)."""
-    d = _dist(channel_um)
+    d = _triple(channel_um)
     b_lo = ber_noncoherent(d.scale_mean(1e3), 1.0).value
     b_hi = ber_noncoherent(d.scale_mean(1e5), 1.0).value
     return (math.log(b_lo) - math.log(b_hi)) / math.log(100.0)
@@ -471,7 +471,7 @@ def optimize_rate(metric: str, channel, thetas) -> list[Optimum]:
     thetas = [_positive(th, "theta") for th in thetas]
     if metric == "arq":
         # T = R (1 - F(theta)), F' the density
-        d = _dist(channel)
+        d = _triple(channel)
         if abs(d.mean - 1.0) > 1e-8:
             raise ValueError("optimize_rate expects a unit-mean channel")
         return [_optimum_from_g(th, (1.0 - F) / (th * f), 1.0 / (1.0 - F))

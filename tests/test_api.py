@@ -2,7 +2,10 @@
 benchmark tracer wraps exists, so a deletion that leaves a stale export or
 a stale trace target fails here.  Every scalar argument of a public entry
 point is refused by name outside its domain, and every such argument of
-``metrics``, ``bivariate``, ``infoq`` and ``oracle`` is in that table."""
+``metrics``, ``bivariate``, ``infoq`` and ``oracle`` is in that table.
+Every channel argument of ``metrics``, ``algebra``, ``infoq`` and
+``bivariate`` reads each channel form as the triple it stands for and
+refuses anything else by name, and every such argument is in that table."""
 
 import importlib
 import importlib.util
@@ -11,6 +14,7 @@ import json
 import math
 import pkgutil
 import re
+import time
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +22,7 @@ import pytest
 
 import mekit
 from mekit import algebra, bivariate, infoq, metrics, oracle
-from mekit.medist import MEDist
+from mekit.medist import ChannelSpec, MEDist, RationalLT, from_rational_lt
 
 from conftest import run_fresh
 
@@ -92,11 +96,16 @@ BAD = {"threshold": [math.nan, math.inf, -math.inf, -1.0, np.array([1.0, 2.0])],
        "count": [math.nan, math.inf, -math.inf, -1, 0, np.array([1, 2]), 2.5]}
 # a rate R > 0 whose e^R overflows a double (past R = 709.78) too
 BAD["rate"] = BAD["positive"] + [800.0]
+# a probability is a finite real strictly between 0 and 1
+BAD["probability"] = [math.nan, math.inf, -math.inf, -1.0, 0.0, 1.0, 2.0,
+                      np.array([0.1, 0.2])]
 
 # (entry point, argument, domain, the call with that argument v and every
 # other argument valid)
 DOMAIN = [
     (metrics.outage, "theta", "threshold", lambda v: metrics.outage(RAY, v)),
+    (metrics.outage_capacity, "q_target", "probability",
+     lambda v: metrics.outage_capacity(RAY, v)),
     (metrics.arq_throughput, "R", "positive",
      lambda v: metrics.arq_throughput(RAY, v, 1.0)),
     (metrics.arq_throughput, "theta", "threshold",
@@ -184,7 +193,7 @@ def test_scalar_outside_its_domain_refused_by_name(call, arg, value):
 
 
 def test_every_scalar_argument_is_in_the_domain_table():
-    named = {"R", "theta", "a", "K", "M", "n", "diversity"}
+    named = {"R", "theta", "a", "K", "M", "n", "diversity", "q_target"}
     covered = {(fn, arg) for fn, arg, _, _ in DOMAIN}
     missing = [f"{module.__name__}.{name}({arg})"
                for module in (metrics, bivariate, infoq, oracle)
@@ -235,3 +244,162 @@ def test_sampler_refuses_an_unclosed_node_by_name():
     n = algebra.max_dist(mekit.erlang(2), mekit.exponential(1.0))
     with pytest.raises(TypeError, match="expected a distribution"):
         oracle.sample(n, CFG)
+
+
+# -- the channel boundary -----------------------------------------------------
+
+E2 = mekit.erlang(2)
+
+# each channel form, built fresh, and the triple it stands for.  Every one
+# has unit mean, which the rate optimizer and the interference ratio require:
+# of two Erlang-2 of rate r the min has mean 5/(4r) and the max 11/(4r), so
+# r = 5/4 (part mean 1.6) and r = 11/4 (part mean 8/11)
+FORMS = {
+    "dist": lambda: (E2, E2),
+    "effective": lambda: (algebra.EffectiveChannel(E2), E2),
+    "rational": lambda: (lt := RationalLT([4.0], [4.0, 4.0]),
+                         from_rational_lt(lt)),
+    "max": lambda: (n := algebra.max_dist(mekit.erlang(2, 8 / 11),
+                                          mekit.erlang(2, 8 / 11)),
+                    n.closure()),
+    "min": lambda: (n := algebra.min_dist(mekit.erlang(2, 1.6),
+                                          mekit.erlang(2, 1.6)), n.closure()),
+}
+
+
+def _interference(scn):
+    """Both throughput paths and the optimizer's ratio on one scenario."""
+    return (bivariate.arq_interference_throughput(scn, 1.0, "kron").value,
+            bivariate.arq_interference_throughput(scn, 1.0, "sylvester").value,
+            bivariate.interference_g_theta(scn, 0.5))
+
+
+def _persistent(c):
+    return tuple(metrics.harq_persistent_throughput(
+        c, 1.0, 1.0, diversity=2, method=m).value
+        for m in ("companion", "roots_of_unity"))
+
+
+# (entry point, channel argument, the call with that argument c and every
+# other argument valid)
+CHANNEL = [
+    (metrics.outage, "channel", lambda c: metrics.outage(c, 1.0).value),
+    (metrics.arq_throughput, "channel",
+     lambda c: metrics.arq_throughput(c, 1.0, 1.0).value),
+    (metrics.outage_capacity, "channel",
+     lambda c: metrics.outage_capacity(c, 0.1).value),
+    (metrics.ncbr_throughput, "links",
+     lambda c: metrics.ncbr_throughput({"13": c, "32": RAY, "23": RAY,
+                                        "31": c}, 1.0, 0.5).value),
+    (metrics.harq_truncated_throughput, "channel",
+     lambda c: metrics.harq_truncated_throughput(c, 1.0, 3, 1.0).value),
+    (metrics.harq_persistent_throughput, "channel", _persistent),
+    (metrics.eff_capacity_me_rate, "channel",
+     lambda c: metrics.eff_capacity_me_rate(c, 0.5).value),
+    (metrics.eff_capacity_shannon, "channel",
+     lambda c: metrics.eff_capacity_shannon(c, 0.5).value),
+    (metrics.ergodic_capacity, "channel",
+     lambda c: metrics.ergodic_capacity(c).value),
+    (metrics.ber_noncoherent, "channel",
+     lambda c: metrics.ber_noncoherent(c, 1.0).value),
+    (metrics.ber_coherent, "channel",
+     lambda c: metrics.ber_coherent(c, 0.5).value),
+    (metrics.pep, "branches",
+     lambda c: metrics.pep([(c, 1.0), (RAY, 0.5)]).value),
+    (metrics.diversity_gain, "channel", metrics.diversity_gain),
+    (metrics.diversity_gain_numeric, "channel_um",
+     metrics.diversity_gain_numeric),
+    (metrics.optimize_rate, "channel",
+     lambda c: [(o.g, o.R_opt) for m in ("arq", "harq_persistent")
+                for o in metrics.optimize_rate(m, c, [0.5, 2.0])]),
+    (algebra.convolve, "parts",
+     lambda c: algebra._triple(algebra.convolve(c, RAY)).to_json()),
+    (algebra.kfold_block, "dist",
+     lambda c: algebra.kfold_block(c, 3).partial_cdfs(1.0)),
+    (algebra.max_dist, "d1",
+     lambda c: algebra.max_dist(c, RAY).closure().to_json()),
+    (algebra.max_dist, "d2",
+     lambda c: algebra.max_dist(RAY, c).closure().to_json()),
+    (algebra.min_dist, "d1",
+     lambda c: algebra.min_dist(c, RAY).closure().to_json()),
+    (algebra.min_dist, "d2",
+     lambda c: algebra.min_dist(RAY, c).closure().to_json()),
+    (infoq.entropy_numeric, "dist", infoq.entropy_numeric),
+    (infoq.mi_additive_channel, "dx",
+     lambda c: infoq.mi_additive_channel(c, RAY)),
+    (infoq.mi_additive_channel, "dw",
+     lambda c: infoq.mi_additive_channel(RAY, c)),
+    (infoq.lloyd_max, "dist", lambda c: infoq.lloyd_max(c, 4).centroids),
+    (infoq.panter_dite_mse, "dist", lambda c: infoq.panter_dite_mse(c, 4)),
+    (bivariate.InterferenceScenario, "signal",
+     lambda c: _interference(bivariate.InterferenceScenario(
+         signal=c, interferers=(mekit.exponential(0.6),)))),
+    (bivariate.InterferenceScenario, "interferers",
+     lambda c: _interference(bivariate.InterferenceScenario(
+         signal=RAY, interferers=(c,)))),
+]
+CHANNEL_IDS = [f"{fn.__qualname__}-{arg}" for fn, arg, _ in CHANNEL]
+
+# these read an unclosed node by the product form of its parts, which
+# agrees with the closure's triple to rounding
+PRODUCT_FORM = {metrics.outage, metrics.arq_throughput,
+                metrics.outage_capacity, metrics.ncbr_throughput}
+
+
+@pytest.mark.parametrize("form", FORMS)
+@pytest.mark.parametrize("fn, arg, call", CHANNEL, ids=CHANNEL_IDS)
+def test_every_channel_form_reads_as_its_triple(fn, arg, call, form):
+    channel, triple = FORMS[form]()
+    got, want = call(channel), call(triple)
+    if form in ("max", "min") and fn in PRODUCT_FORM:
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    else:
+        np.testing.assert_equal(got, want)
+
+
+@pytest.mark.parametrize("bad", ["rayleigh", ChannelSpec("rayleigh", {"S": 1.0}),
+                                 [1.0]], ids=["str", "spec", "list"])
+@pytest.mark.parametrize("fn, arg, call", CHANNEL, ids=CHANNEL_IDS)
+def test_non_channel_refused_by_name(fn, arg, call, bad):
+    with pytest.raises(TypeError, match="^channel"):
+        call(bad)
+
+
+# the frozen records that hold the triples they are given; the entry points
+# above build them from any channel form
+RECORDS = {algebra.EffectiveChannel, algebra.MaxOfTwo, algebra.MinOfTwo}
+
+
+def test_every_channel_argument_is_in_the_channel_table():
+    named = {"channel", "channel_um", "dist", "d1", "d2", "dx", "dw", "parts",
+             "branches", "links", "signal", "interferers"}
+    covered = {(fn, arg) for fn, arg, _ in CHANNEL}
+    missing = [f"{module.__name__}.{name}({arg})"
+               for module in (metrics, algebra, infoq, bivariate)
+               for name in module.__all__
+               if (fn := getattr(module, name)) not in RECORDS
+               for arg in sorted(named & set(inspect.signature(fn).parameters))
+               if (fn, arg) not in covered]
+    assert not missing, f"arguments missing from CHANNEL: {missing}"
+
+
+def test_unclosed_node_keeps_its_closure():
+    node = algebra.max_dist(mekit.erlang(2), mekit.exponential(1.0))
+    assert algebra._triple(node) is algebra._triple(node)
+
+
+def test_node_reads_cost_about_what_its_closure_reads_cost():
+    """50 truncated-HARQ reads on an order-80 max node build one closure
+    and one jump law, not one each."""
+    a, b = mekit.erlang(8, 4.0), mekit.erlang(8, 6.0)
+    thetas = np.linspace(0.5, 15.0, 50)
+
+    def reads(channel):
+        t = time.perf_counter()
+        for th in thetas:
+            metrics.harq_truncated_throughput(channel, 1.0, 4, th)
+        return time.perf_counter() - t
+
+    node = min(reads(algebra.max_dist(a, b)) for _ in range(3))
+    closed = min(reads(algebra.max_dist(a, b).closure()) for _ in range(3))
+    assert node <= 2.0 * closed, (node, closed)

@@ -330,6 +330,17 @@ class TestNcbr:
         with pytest.raises(ValueError, match="keys"):
             metrics.ncbr_throughput({"13": RAY}, 1.0, 1.0)
 
+    def test_rare_success_keeps_its_digits(self):
+        # theta/S = 9.2 at R = 2: each hop succeeds with e^{-9.2} ~ 1e-4,
+        # and T = R e^{-2 theta/S} 2/3; forming the outage 1 - product of
+        # the direction first and reading 1 - Q back cost 4.6e-9 relative
+        R = 2.0
+        S = math.expm1(R) / 9.2
+        links = {k: exponential(S) for k in ("13", "32", "23", "31")}
+        res = metrics.ncbr_throughput(links, R, R)
+        assert res.value == pytest.approx(R * math.exp(-18.4) * 2.0 / 3.0,
+                                          rel=1e-10, abs=0.0)
+
 
 class TestEffCapacityMERate:
     def test_exponential_golden(self):
@@ -446,6 +457,27 @@ class TestEffCapacityShannon:
         expect = math.exp(1.0 / S) * scipy.special.exp1(1.0 / S)
         assert abs(res.value - expect) < 1e-13
         assert res.quad_error is not None
+
+    @pytest.mark.parametrize("S", [1e-300, 1e-30, 1e-8, 1e-4, 0.5, 6.0, 1e3])
+    def test_ergodic_capacity_rayleigh_against_mpmath(self, S):
+        # the transform form (1 - L(u))/u cancelled where uS << 1, and an
+        # absolute quadrature floor of 1e-10 swamped a value near S
+        with mpmath.workdps(50):
+            a = 1 / mpmath.mpf(S)
+            want = mpmath.exp(a) * mpmath.e1(a)
+        got = metrics.ergodic_capacity(exponential(S)).value
+        assert got == pytest.approx(float(want), rel=1e-14, abs=0.0)
+
+    def test_ergodic_capacity_tiny_mean_erlang_against_mpmath(self):
+        k, S = 64, 1e-6
+        with mpmath.workdps(40):
+            b = k / mpmath.mpf(S)
+            want = mpmath.quad(lambda z: mpmath.log1p(z) * b ** k
+                               * z ** (k - 1) * mpmath.exp(-b * z)
+                               / mpmath.factorial(k - 1),
+                               [0, S, 2 * S, 10 * S, mpmath.inf])
+        got = metrics.ergodic_capacity(erlang(k, S)).value
+        assert got == pytest.approx(float(want), rel=1e-14, abs=0.0)
 
 
 def coherent_ber_mpmath(cdf, a, mean):

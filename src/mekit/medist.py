@@ -287,11 +287,12 @@ class MEDist:
         return val.item() if s.ndim == 0 else val
 
     def moment(self, k: int) -> float:
-        """k-th moment (-1)^{k+1} k! x Y^{-(k+1)} z (Y nonsingular)."""
-        k = _count(k, "k")
-        Yinv = np.linalg.inv(self.Y)
-        return float((-1) ** (k + 1) * math.factorial(k)
-                     * self.x @ np.linalg.matrix_power(Yinv, k + 1) @ self.z)
+        """k-th moment k! x (-Y)^{-(k+1)} z (Y nonsingular) by k + 1 row
+        solves r <- r (-Y)^{-1} from r = x: no power of Y over- or underflows."""
+        k, r = _count(k, "k"), self.x
+        for _ in range(k + 1):
+            r = np.linalg.solve(-self.Y.T, r)
+        return float(math.factorial(k) * (r @ self.z))
 
     @property
     def mean(self) -> float:

@@ -91,14 +91,15 @@ _NEWTON_BLOCK = 1 << 13
 def _checked_table(dist: MEDist):
     """The :func:`_cdf_table` of ``dist`` and the running maximum of its
     F, once the table is checked to be invertible: raises when the
-    density goes below -1e-6 on the table or the cdf does not approach 1."""
+    density goes below -1e-6 on the table or F at the horizon differs from
+    1 by more than 1e-9."""
     ts, F, f = _cdf_table(dist)
     if np.min(f) < -1e-6:
         raise ValueError(
             "density goes negative; the cdf is non-monotone and cannot "
             "be inverted (invalid distribution)")
     # 1e-9 headroom absorbs roundoff accumulated along the table
-    if not F[-1] > 1.0 - 1e-9:
+    if not abs(F[-1] - 1.0) <= 1e-9:
         raise ValueError("cdf does not approach 1; distribution looks invalid")
     return ts, F, f, np.maximum.accumulate(F)
 
@@ -167,37 +168,49 @@ def _solve_cells(ts, F, f, Fm, p, tol):
     return t0 + h * s
 
 
-def _recognize_erlang(dist: MEDist):
-    lam = np.linalg.eigvals(dist.Y)
-    if np.max(np.abs(lam.imag)) > 1e-10 * np.max(np.abs(lam)):
+def _jump_law(dist: MEDist):
+    """(a, q) with Z = Gamma(J + 1, 1/q), P(J = j) = a_j (Jensen 1953), for a
+    phase-type triple with u = -Y^{-1} z > 0, else ``None``: w <- w P from
+    w = x D, D = diag(u), P = I + D^{-1} Y D / q, q = max|y_ii|, records
+    a_j = w D^{-1} z / q until w 1 <= 1e-17.  Raises if |x u - 1| > 1e-9."""
+    try:
+        u = -np.linalg.solve(dist.Y, dist.z)
+    except np.linalg.LinAlgError:
         return None
-    rate = -float(np.mean(lam.real))
-    if rate <= 0 or np.max(np.abs(lam.real + rate)) > 1e-9 * rate:
+    if not (dist.phase_type and (u > 0.0).all()):
         return None
-    for s in (0.5 * rate, rate, 2.7 * rate):
-        if abs(dist.lt(s) - (rate / (rate + s)) ** dist.d) > 1e-10:
-            return None
-    return rate
+    if not abs(dist.x @ u - 1.0) <= 1e-9:
+        raise ValueError("cdf does not approach 1; distribution looks invalid")
+    q = float(np.max(np.abs(np.diagonal(dist.Y))))
+    # u_i / u_i is exactly 1, so the diagonal of P is 1 + y_ii / q exactly
+    P = dist.Y * (u / u[:, None]) / q + np.eye(dist.d)
+    w, exits, a = dist.x * u, dist.z / u / q, []
+    while w.sum() > 1e-17:
+        a.append(w @ exits)
+        w = w @ P
+    return np.array(a), q
 
 
 def _sampler(dist: MEDist):
-    """``draw(rng, n)``, ``n`` iid samples of ``dist`` from ``rng``; the
-    Erlang recognition and the checked table are done here, once."""
-    rate = _recognize_erlang(dist)
-    if rate is not None:
-        return lambda rng, n: rng.gamma(shape=dist.d, scale=1.0 / rate, size=n)
-    table = _checked_table(dist)
-    return lambda rng, n: _inverse_cdf_grid(dist, rng.random(n), table=table)
+    """``draw(rng, n)`` for ``dist``: its :func:`_jump_law`, else its table."""
+    law = _jump_law(dist)
+    if law is None:
+        table = _checked_table(dist)
+        return lambda rng, n: _inverse_cdf_grid(dist, rng.random(n), table=table)
+    a, q = law
+    if np.count_nonzero(a) == 1:
+        k = int(np.flatnonzero(a)[0]) + 1
+        return lambda rng, n: rng.gamma(shape=k, scale=1.0 / q, size=n)
+    cum = np.cumsum(a)
+    return lambda rng, n: rng.gamma(1.0 + np.minimum(np.searchsorted(
+        cum, cum[-1] * rng.random(n), side="right"), cum.size - 1), 1.0 / q)
 
 
 def sample(channel, cfg: RngConfig, worker: int | None = None) -> np.ndarray:
-    """Draw ``cfg.n`` iid samples.
-
-    Integer-shape gamma forms (the exponential among them) are recognized
-    and drawn directly; anything else goes through inverse-cdf root
-    finding on the augmented cdf (to ~1e-10 in probability), which raises
-    when the cdf is numerically non-monotone.
-    """
+    """Draw ``cfg.n`` iid samples: a phase-type channel exactly, from the
+    Erlang mixture of :func:`_jump_law`; any other by inverse-cdf root
+    finding on a table of its cdf (to ~1e-10 in probability), raising when
+    that cdf is non-monotone or either route's mass is not 1 within 1e-9."""
     return _sampler(_dist(channel))(cfg.generator(worker), cfg.n)
 
 

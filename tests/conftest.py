@@ -85,6 +85,35 @@ def numeric_convolve(d1, d2, ts):
     return h * (full - corr)
 
 
+def ctmc_paths(dist, n, rng):
+    """``n`` absorption times of the Markov chain of a phase-type triple,
+    each simulated jump by jump: the tests' exact reference for the
+    sampler, apart from any uniformization.  The chain is read from the
+    entries of Y and z and from u = -Y^{-1} z, which makes x u the initial
+    law when x is not a probability vector: state i holds for an
+    exponential time of rate -y_ii, then moves to j != i with probability
+    y_ij u_j / (-y_ii u_i) or is absorbed with probability
+    z_i / (-y_ii u_i)."""
+    d = dist.d
+    u = -np.linalg.solve(dist.Y, dist.z)
+    rate = -np.diagonal(dist.Y)
+    moves = np.column_stack([dist.Y * u / u[:, None], dist.z / u])
+    moves[np.arange(d), np.arange(d)] = 0.0
+    cum = np.cumsum(moves, axis=1)
+    start = np.cumsum(dist.x * u)
+    state = np.searchsorted(start, start[-1] * rng.random(n), side="right")
+    state = np.minimum(state, d - 1)
+    t = np.zeros(n)
+    live = np.arange(n)
+    while live.size:
+        s = state[live]
+        t[live] += rng.exponential(size=live.size) / rate[s]
+        v = rng.random(live.size) * cum[s, -1]
+        state[live] = np.sum(v[:, None] >= cum[s], axis=1)
+        live = live[state[live] < d]
+    return t
+
+
 def wishart_region_outage_quad(R, tol=1e-12):
     """2-D :func:`quadpack` quadrature of e^{-z1-z2}(z1-z2)^2 over the
     outage region {0 <= z1 <= z2, (1+z1)(1+z2) <= e^R}: the tests'

@@ -181,6 +181,26 @@ class TestEvaluation:
     def test_moment_erlang_mean(self):
         assert abs(erlang(2, mean=2.0).moment(1) - 2.0) < 1e-12
 
+    @pytest.mark.parametrize("S, k", [
+        (S, k) for S in (1e-300, 1e-150, 1e-8, 1.0, 1e160, 1e300) for k in (1, 2)
+        # where k! S^k is a normal double
+        if -307.0 < math.log10(math.factorial(k)) + k * math.log10(S) < 308.0])
+    def test_moment_exponential_over_the_range(self, S, k):
+        # forming Y^{-(k+1)} gave mean 0.0 at S = 1e-300, inf at S = 1e160
+        # and 1e300, and a second moment 0.0 at S = 1e-150
+        ref = math.factorial(k) * S ** k
+        assert abs(exponential(S).moment(k) - ref) <= 1e-14 * ref
+
+    def test_unit_mean_of_a_tiny_exponential(self):
+        assert exponential(1e-300).to_unit_mean().mean == pytest.approx(
+            1.0, rel=1e-14)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_moment_erlang4_small_mean(self, k):
+        # E Z^k = 4 (4 + 1) ... (4 + k - 1) / rate^k, rate 4e6
+        ref = math.prod(range(4, 4 + k)) / 4e6 ** k
+        assert abs(erlang(4, mean=1e-6).moment(k) - ref) <= 1e-14 * ref
+
     def test_moment_vs_quadrature(self, rng):
         for _ in range(3):
             d = random_valid_dist(rng)

@@ -1,5 +1,7 @@
+import ast
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,9 +13,9 @@ from mekit import (ChannelSpec, RationalLT, erlang, exponential,
 from mekit.algebra import convolve, max_dist
 from mekit.medist import MEDist
 from mekit.oracle import (RngConfig, mc_metric, sample, _inverse_cdf_grid,
-                          _partial_sum_transmissions, _recognize_erlang)
-from conftest import (classic_cdf, example2, example2_pdf, nakagami,
-                      numeric_convolve, pdf_on_grid, run_fresh, sdc,
+                          _partial_sum_transmissions)
+from conftest import (classic_cdf, ctmc_paths, example2, example2_pdf,
+                      nakagami, numeric_convolve, pdf_on_grid, run_fresh, sdc,
                       wishart_region_outage_quad)
 
 RAY = exponential(1.0)
@@ -103,7 +105,6 @@ class TestRngConfig:
 
 class TestSample:
     def test_exponential_recognized_and_unbiased(self):
-        assert _recognize_erlang(RAY) == 1.0
         cfg = RngConfig(seed=3, n=10 ** 6)
         s = sample(RAY, cfg)
         assert abs(s.mean() - 1.0) < 3.0 / math.sqrt(cfg.n)
@@ -116,8 +117,13 @@ class TestSample:
         assert np.array_equal(sample(exponential(2.0), cfg), ref)
 
     def test_gamma_recognized(self):
+        # a Nakagami-m channel is one Erlang term of its jump law, drawn as
+        # rng.gamma(shape=m) bit for bit
+        for m in (2, 3, 8):
+            cfg = RngConfig(seed=10 + m, n=50_000)
+            ref = cfg.generator().gamma(shape=m, scale=1.0 / m, size=cfg.n)
+            assert np.array_equal(sample(nakagami(m), cfg), ref)
         d = nakagami(3)
-        assert _recognize_erlang(d) == pytest.approx(3.0)
         cfg = RngConfig(seed=4, n=200_000)
         s = sample(d, cfg)
         assert abs(s.mean() - 1.0) < 4.0 * math.sqrt(1.0 / 3.0 / cfg.n)
@@ -148,6 +154,88 @@ class TestSample:
             sample(bad, RngConfig(seed=1, n=100))
         with pytest.raises(ValueError):
             _inverse_cdf_grid(bad, np.linspace(0.01, 0.99, 50))
+
+
+def mrc3():
+    """MRC of three Rayleigh branches with distinct means: x is not a
+    probability vector and the generator is triangular."""
+    parts = [{"kind": "rayleigh", "params": {"S": S}} for S in (0.8, 1.5, 2.5)]
+    return standard_channel(ChannelSpec("mrc_list", {"components": parts})).dist
+
+
+# phase-type channels for the path-simulation reference
+PH_CHANNELS = {
+    "sdc4": lambda: sdc(4),
+    "mrc3": mrc3,
+    "max_exp_exp": lambda: max_dist(exponential(1.0), exponential(2.0)).closure(),
+    "exp_plus_erlang2": defective,
+    # x sums to 0.73: only the rescaling by u = -Y^{-1} z makes x u a law
+    "sdc3_scale_mean": lambda: sdc(3).to_unit_mean().scale_mean(2.5),
+}
+
+
+class TestAgainstPaths:
+    """The sampler's 99 quantiles against an independent simulation of
+    each channel's Markov chain (:func:`ctmc_paths`) and against the
+    scipy-expm cdf, each within 4/sqrt(n) in probability."""
+
+    N = 100_000
+
+    @pytest.mark.parametrize("name", list(PH_CHANNELS))
+    def test_quantiles(self, name):
+        d = PH_CHANNELS[name]()
+        p = np.arange(1, 100) / 100.0
+        t = np.quantile(sample(d, RngConfig(seed=31, n=self.N)), p)
+        paths = np.sort(ctmc_paths(d, self.N, np.random.default_rng(32)))
+        bound = 4.0 / math.sqrt(self.N)
+        assert np.max(np.abs(np.searchsorted(paths, t, side="right") / self.N
+                             - p)) < bound
+        assert np.max(np.abs([classic_cdf(d, x) for x in t] - p)) < bound
+
+
+class TestMass:
+    """Both routes refuse a triple whose total mass is not 1."""
+
+    @pytest.mark.parametrize("mass", [0.5, 2.0])
+    @pytest.mark.parametrize("make", [lambda: exponential(1.0), lambda: sdc(4)],
+                             ids=["exp", "sdc4"])
+    def test_law_route(self, make, mass):
+        d = make()
+        bad = MEDist(mass * d.x, d.Y, d.z)
+        with pytest.raises(ValueError, match="cdf does not approach 1"):
+            oracle._jump_law(bad)
+        with pytest.raises(ValueError, match="cdf does not approach 1"):
+            sample(bad, RngConfig(seed=1, n=100))
+
+    @pytest.mark.parametrize("mass", [0.5, 2.0])
+    def test_table_route(self, mass):
+        d = example2()
+        bad = MEDist(mass * d.x, d.Y, d.z)
+        with pytest.raises(ValueError, match="cdf does not approach 1"):
+            oracle._checked_table(bad)
+        with pytest.raises(ValueError, match="cdf does not approach 1"):
+            sample(bad, RngConfig(seed=1, n=100))
+
+
+def test_oracle_builds_its_own_law():
+    """The oracle checks the closed forms, which read matfun's jump law on
+    phase-type channels, so it names neither ``matfun`` nor ``_JumpLaw``
+    nor a channel's cached ``_law``: by import, attribute or string."""
+    tree = ast.parse(Path(oracle.__file__).read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.update(node.name.split("."))
+            names.add(node.asname)
+        elif isinstance(node, ast.ImportFrom):
+            names.update((node.module or "").split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    assert not names & {"matfun", "_JumpLaw", "_law"}
 
 
 class TestInverseCdf:
@@ -189,11 +277,11 @@ class TestInverseCdf:
         assert np.max(np.abs(t - tk)) < 2e-3
 
     def test_defective_draws_solved_to_tolerance(self):
-        # sample() on the defective generator returns the quantiles of its
-        # own uniform stream, each within 1e-10 of the closed-form cdf
+        # the inverse cdf of the defective generator at a uniform stream,
+        # each quantile within 1e-10 of the closed-form cdf
         cfg = RngConfig(seed=13, n=100_000)
-        t = sample(defective(), cfg)
         u = cfg.generator().random(cfg.n)
+        t = _inverse_cdf_grid(defective(), u)
         assert np.max(np.abs(_defective_cdf(t) - u)) <= 1e-10
 
     @pytest.mark.parametrize("name", ["real_spectral", "complex_spectral", "pchip"])
@@ -212,16 +300,17 @@ class TestInverseCdf:
 
 def test_inverse_sampling_leaves_scipy_optimize_unloaded():
     """The inverse-cdf sampler solves with its own Newton iteration on its
-    own table, so first inverted draws in a fresh process, on a
-    diagonalizable and on a defective generator, import no scipy module."""
-    code = ("import sys; from mekit import ChannelSpec, convolve, erlang, "
-            "exponential, oracle, standard_channel; "
+    own table, and the mixture sampler needs only numpy, so first draws in
+    a fresh process, on a diagonalizable and on a defective phase-type
+    generator and on an oscillatory one, import no scipy module."""
+    code = ("import sys; from mekit import ChannelSpec, RationalLT, convolve, "
+            "erlang, exponential, from_rational_lt, oracle, standard_channel; "
             "d = standard_channel(ChannelSpec('sdc', {'N': 4, 'S': 1.0})).dist; "
             "e = convolve(exponential(1.0), erlang(2, mean=1.0)); "
-            "assert oracle._recognize_erlang(d) is None; "
-            "assert oracle._recognize_erlang(e) is None; "
+            "o = from_rational_lt(RationalLT(p=[50.0], q=[50.0, 52.0, 3.0])); "
             "oracle.sample(d, oracle.RngConfig(seed=1, n=1000)); "
             "oracle.sample(e, oracle.RngConfig(seed=1, n=1000)); "
+            "oracle.sample(o, oracle.RngConfig(seed=1, n=1000)); "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     assert run_fresh(code).strip() == "[]"
 
@@ -401,13 +490,19 @@ class TestTransmissions:
         ("harq_truncated", example2, {"R": 1.0, "theta": 1.3, "K": 3}),
     ])
     def test_table_built_once(self, monkeypatch, kind, make, scenario):
-        builds = []
-        table = oracle._cdf_table
+        # one jump law per simulation; the table only where the channel is
+        # not phase-type, once
+        laws, tables = [], []
+        law, table = oracle._jump_law, oracle._cdf_table
+        monkeypatch.setattr(oracle, "_jump_law",
+                            lambda d: laws.append(law(d)) or laws[-1])
         monkeypatch.setattr(oracle, "_cdf_table",
-                            lambda d: builds.append(d) or table(d))
-        mc_metric(kind, {"dist": make(), **scenario},
-                  RngConfig(seed=3, n=100_000))
-        assert len(builds) == 1
+                            lambda d: tables.append(d) or table(d))
+        d = make()
+        mc_metric(kind, {"dist": d, **scenario}, RngConfig(seed=3, n=100_000))
+        assert len(laws) == 1
+        assert (laws[0] is not None) == d.phase_type
+        assert len(tables) == (0 if d.phase_type else 1)
 
 
 class TestNumericConvolve:

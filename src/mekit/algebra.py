@@ -109,9 +109,10 @@ def _fold_count(base: MEDist, K) -> int:
 
 @dataclass(frozen=True)
 class KFoldConvolution:
-    """Stacked upper block-triangular representation whose single matrix
-    exponential yields the cdfs of all partial sums Z_1 + ... + Z_k,
-    k = 1..K, at once."""
+    """Stacked upper block-triangular representation of the K-fold sum,
+    whose k-th block ends the partial sum Z_1 + ... + Z_k: its cdfs for
+    k = 1..K are read at once, on the base's jump law where that takes the
+    read and otherwise from one exponential of the block."""
 
     base: MEDist
     K: int
@@ -127,8 +128,8 @@ class KFoldConvolution:
 def kfold_block(dist, K: int) -> KFoldConvolution:
     """Build the K-fold convolution block structure for ``dist``: the
     :func:`~mekit.medist._chain` of K copies, whose k-th block ends the
-    k-th partial sum, so block-triangular exponentiation produces every
-    partial-convolution cdf simultaneously.
+    k-th partial sum, so one read gives every partial-convolution cdf, by
+    the route rule of :meth:`~mekit.medist.MEDist._partial_cdfs`.
     """
     base = _triple(dist)
     K = _fold_count(base, K)

@@ -131,16 +131,16 @@ class BivME:
             raise ValueError("z must be nonnegative")
         if not self.ordered:
             return self.marginal(which).pdf(z)
-        # p1 e^{z Q1} and e^{z Q2} r2, the latter as a row of e^{z Q2^T}
-        row1 = matfun.expm_row(self.p1, z * self.Q1)
-        col2 = matfun.expm_row(self.r2, z * self.Q2.T)
+        if which not in (1, 2):
+            raise ValueError("which must be 1 or 2")
+        # of the pair [int_0^z p1 e^{t Q1} dt; p1 e^{z Q1}], which = 2 reads
+        # z1 integrated over (0, z); e^{z Q2} r2 is a row of e^{z Q2^T}
+        row = matfun.expm_integral(self.p1, self.Q1, z)[2 - which]
+        col = matfun.expm_row(self.r2, z * self.Q2.T)
         if which == 1:
             # integrate z2 over (z, inf)
-            col = -np.linalg.solve(self.Q2, col2)
-            return float(row1 @ self.P12 @ col)
-        # integrate z1 over (0, z)
-        row = np.linalg.solve(self.Q1.T, row1 - self.p1)
-        return float(row @ self.P12 @ col2)
+            col = -np.linalg.solve(self.Q2, col)
+        return float(row @ self.P12 @ col)
 
     def to_json(self) -> str:
         return json.dumps({"p1": self.p1.tolist(), "Q1": self.Q1.tolist(),
@@ -187,14 +187,11 @@ def _integral_to_inf(x, Q):
         rates = np.abs(np.linalg.eigvals(Q).real)
         rates = rates[rates > 1e-12]
         b = 40.0 / rates.min() if rates.size else 40.0
-        # rows e_0 and [0, x] of e^{bA}: the integral and x e^{bQ}
-        rows = np.eye(2, x.size + 1)
-        rows[1, 1:] = x
-        E = matfun.expm_row(rows, b * matfun.augmented(x, Q))
-        if np.max(np.abs(E[1, 1:])) > 1e-12 * np.max(np.abs(x)):
+        integral, row = matfun.expm_integral(x, Q, b)
+        if np.max(np.abs(row)) > 1e-12 * np.max(np.abs(x)):
             raise np.linalg.LinAlgError(
                 "integral diverges: x e^{tQ} has not decayed") from None
-        return E[0, 1:]
+        return integral
 
 
 def independent_bivme(d1: MEDist, d2: MEDist) -> BivME:
@@ -209,8 +206,9 @@ def integral_sylvester(a, b, x1, Y1, X12, Y2, z2):
     """int_a^b x1 e^{tY1} X12 e^{tY2} z2 dt via a Sylvester solve.
 
     Returns ``(value, X)`` with Y1 X + X Y2 equal to the boundary
-    difference e^{bY1} X12 e^{bY2} - e^{aY1} X12 e^{aY2}; b may be ``inf``
-    for stable Y1, Y2 (the upper boundary term vanishes).
+    difference e^{bY1} X12 e^{bY2} - e^{aY1} X12 e^{aY2}.  The limits are
+    finite reals >= 0, and b may also be ``inf`` for stable Y1, Y2 (the
+    upper boundary term vanishes).
     """
     Y1 = np.atleast_2d(np.asarray(Y1, float))
     Y2 = np.atleast_2d(np.asarray(Y2, float))
@@ -218,6 +216,8 @@ def integral_sylvester(a, b, x1, Y1, X12, Y2, z2):
     x1 = np.atleast_1d(np.asarray(x1, float)).ravel()
     z2 = np.atleast_1d(np.asarray(z2, float)).ravel()
     a = _threshold(a, "a")
+    if not (np.ndim(b) == 0 and b == math.inf):
+        b = _threshold(b, "b")
     if math.isinf(b):
         if matfun.spectral_abscissa(Y1) >= 0 or matfun.spectral_abscissa(Y2) >= 0:
             raise ValueError("infinite upper limit requires stable Y1, Y2")

@@ -330,13 +330,34 @@ def _neg_power(Y, p):
     return matfun.mat_frac_power(-np.atleast_2d(Y), p)
 
 
-def _coerce(x, Y, z):
-    x = np.atleast_1d(np.asarray(x, float)).ravel()
-    Y = np.atleast_2d(np.asarray(Y, float))
-    z = np.atleast_1d(np.asarray(z, float)).ravel()
-    if Y.shape[0] != Y.shape[1] or x.size != Y.shape[0] or z.size != Y.shape[0]:
-        raise ConstructionError("x, Y, z dimensions disagree")
-    return x, Y, z
+def _held(obj, d):
+    """Keep the triple of the :class:`MEDist` ``d`` on the frozen ``obj``,
+    and ``d`` as ``obj._d``, which reads the density and integer powers."""
+    for name in ("x", "Y", "z"):
+        object.__setattr__(obj, name, getattr(d, name))
+    object.__setattr__(obj, "_d", d)
+
+
+def _unit_mass(x, Y, z) -> MEDist:
+    """(x, Y, z) as an :class:`MEDist`, refused unless its mass
+    x (-Y)^{-1} z, the transform at 0, is one."""
+    d = MEDist(x, Y, z)
+    mass = d.lt(0.0)
+    if not abs(mass - 1.0) <= 1e-8:
+        raise ConstructionError(f"triple must have unit mass, got {mass}")
+    return d
+
+
+def _moment(d: MEDist, k, order) -> float:
+    """k! x (-Y)^{-(k+1)} z: the mass at k = 0, else the k-th moment of
+    ``d``; one past the double range is refused by ``order``."""
+    if k == 0:
+        return d.lt(0.0)
+    try:
+        return d.moment(k)
+    except ValueError:
+        raise ValueError(f"moment order {order} puts the moment beyond "
+                         "the double range") from None
 
 
 def _gamma(a: float, order) -> float:
@@ -360,20 +381,20 @@ class Type1Dist:
     c: float = 0.0
 
     def __init__(self, x, Y, z):
-        x, Y, z = _coerce(x, Y, z)
-        mass = math.sqrt(math.pi) * float(x @ _neg_power(Y, -0.5) @ z)
+        d = MEDist(x, Y, z)
+        mass = math.sqrt(math.pi) * float(d.x @ _neg_power(d.Y, -0.5) @ d.z)
         if not (math.isfinite(mass) and mass > 0):
             raise ConstructionError(f"non-normalizable parameters (mass {mass})")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "Y", Y)
-        object.__setattr__(self, "z", z)
+        _held(self, d)
         object.__setattr__(self, "c", 1.0 / mass)
 
     def pdf(self, t: float) -> float:
-        return self.c * float(matfun.expm_row(self.x, t * t * self.Y) @ self.z)
+        return self.c * self._d.pdf(t * t)
 
     def moment(self, n: int) -> float:
         """E{T^n} for an integer n >= 0; odd orders vanish by symmetry."""
+        if n < 0:
+            raise ValueError(f"moment order {n} is negative")
         if n % 2 == 1:
             return 0.0
         return self.c * _gamma((n + 1) / 2.0, n) * float(
@@ -390,28 +411,25 @@ class Type2Dist:
     z: np.ndarray
 
     def __init__(self, x, Y, z):
-        x, Y, z = _coerce(x, Y, z)
-        mass = float(x @ _neg_power(Y, -1.0) @ z)
-        if abs(mass - 1.0) > 1e-8:
-            raise ConstructionError(
-                f"triple must have unit mass, got {mass}")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "Y", Y)
-        object.__setattr__(self, "z", z)
+        _held(self, _unit_mass(x, Y, z))
 
     def pdf(self, u: float, v: float) -> float:
-        return float(matfun.expm_row(self.x, (u * u + v * v) * self.Y)
-                     @ self.z) / math.pi
+        return self._d.pdf(u * u + v * v) / math.pi
 
     def moment(self, n: int, m: int) -> float:
         """E{U^n V^m} for integers n, m >= 0; odd orders vanish by
-        symmetry."""
+        symmetry.  With k = (n + m)/2 it is
+        Gamma((n+1)/2) Gamma((m+1)/2) / (pi k!) times the k-th moment
+        k! x (-Y)^{-(k+1)} z of the triple."""
         if n != int(n) or m != int(m):
             raise ValueError(f"moment orders must be integers, got {n}, {m}")
+        if min(n, m) < 0:
+            raise ValueError(f"moment order {min(n, m)} is negative")
         if n % 2 == 1 or m % 2 == 1:
             return 0.0
-        return (_gamma((n + 1) / 2.0, n) * _gamma((m + 1) / 2.0, m) / math.pi
-                * float(self.x @ _neg_power(self.Y, -(n + m + 2) / 2.0) @ self.z))
+        k = (n + m) // 2
+        return (_gamma((n + 1) / 2.0, n) * _gamma((m + 1) / 2.0, m)
+                / _gamma(k + 1, n + m) / math.pi * _moment(self._d, k, n + m))
 
     def marginal_pdf(self, u: float) -> float:
         """Marginal (1/sqrt(pi)) x e^{u^2 Y} (-Y)^{-1/2} z."""
@@ -429,21 +447,19 @@ class Type3Dist:
     z: np.ndarray
 
     def __init__(self, x, Y, z):
-        x, Y, z = _coerce(x, Y, z)
-        mass = float(x @ _neg_power(Y, -1.0) @ z)
-        if abs(mass - 1.0) > 1e-8:
-            raise ConstructionError(f"triple must have unit mass, got {mass}")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "Y", Y)
-        object.__setattr__(self, "z", z)
+        _held(self, _unit_mass(x, Y, z))
 
     def pdf(self, t: float) -> float:
         if t < 0:
             return 0.0
-        return 2.0 * t * float(matfun.expm_row(self.x, t * t * self.Y) @ self.z)
+        return 2.0 * t * self._d.pdf(t * t)
 
     def moment(self, n: int) -> float:
         """E{T^n} = Gamma((n+2)/2) x (-Y)^{-(n+2)/2} z for an integer
-        n >= 0."""
+        n >= 0: at even n the (n/2)-th moment of the triple."""
+        if n < 0:
+            raise ValueError(f"moment order {n} is negative")
+        if n % 2 == 0:
+            return _moment(self._d, n // 2, n)
         return _gamma((n + 2) / 2.0, n) * float(
             self.x @ _neg_power(self.Y, -(n + 2) / 2.0) @ self.z)

@@ -603,9 +603,13 @@ def augmented(x, Y):
 
 
 def expm_integral(x, Y, b):
-    """Row int_0^b x e^{tY} dt: the first row of e^{b A}, A the
-    :func:`augmented` generator, by :func:`expm_row`; Y may be singular."""
-    return expm_row(None, b * augmented(x, Y))[1:]
+    """The pair [int_0^b x e^{tY} dt; x e^{bY}], shape (2, d): rows e_0 and
+    [0, x] of e^{b A}, A the :func:`augmented` generator, by one
+    :func:`expm_row`; Y may be singular.  The one reader of e^{b A}."""
+    A = augmented(x, Y)
+    rows = np.zeros((2, len(A)), A.dtype)
+    rows[0, 0], rows[1] = 1.0, A[0]
+    return expm_row(rows, b * A)[:, 1:]
 
 
 def kron_sum(A, B):

@@ -247,23 +247,23 @@ class MEDist:
         HARQ.  Where this triple's cached jump law :attr:`_law` takes the
         read, its uniformized sum, of nonnegative terms that keep their
         relative accuracy in the lower tail, with no block built; otherwise
-        row 1 of one exponential of the augmented K-fold block
-        :func:`_chain` of K copies (valid for singular Y), dotted with z in
-        each block.  ``t`` is checked by the caller."""
+        the integral row of :func:`matfun.expm_integral` over the K-fold
+        block :func:`_chain` of K copies (valid for singular Y), dotted
+        with z in each block.  ``t`` is checked by the caller."""
         if (law := self._law) and law.takes(t, K):
             return law.partial_cdfs(t, K)
         x, Y, _ = _chain([self] * K)
-        return matfun.expm_integral(x, Y, t).reshape(K, self.d) @ self.z
+        return matfun.expm_integral(x, Y, t)[0].reshape(K, self.d) @ self.z
 
     def _cdf_pdf(self, t):
         """(F(t), f(t)) from one read, for Newton's method on F: where the
         cached law takes the read, one Fox-Glynn pass over it
-        (:meth:`matfun._JumpLaw.cdf_pdf`); otherwise the rows e_0 and
-        [0, x] of one exponential of the augmented generator
-        (:func:`_row_pairs`).  ``t`` is checked by the caller."""
+        (:meth:`matfun._JumpLaw.cdf_pdf`); otherwise the pair of
+        :func:`matfun.expm_integral`, dotted with z.  ``t`` is checked by
+        the caller."""
         if (law := self._law) and law.takes(t):
             return law.cdf_pdf(t)
-        return tuple(next(_row_pairs(self.x, self.Y, self.z, (t,))))
+        return tuple(matfun.expm_integral(self.x, self.Y, t) @ self.z)
 
     def cdf(self, t: float) -> float:
         """Cumulative distribution at t, by :meth:`_partial_cdfs`."""
@@ -288,11 +288,18 @@ class MEDist:
 
     def moment(self, k: int) -> float:
         """k-th moment k! x (-Y)^{-(k+1)} z (Y nonsingular) by k + 1 row
-        solves r <- r (-Y)^{-1} from r = x: no power of Y over- or underflows."""
+        solves r <- j r (-Y)^{-1} from r = x, j = 1, 1, 2, ..., k: neither a
+        power of Y nor k! is formed, so nothing over- or underflows on the
+        way to a moment that a double holds.  One past it is refused."""
         k, r = _count(k, "k"), self.x
-        for _ in range(k + 1):
-            r = np.linalg.solve(-self.Y.T, r)
-        return float(math.factorial(k) * (r @ self.z))
+        # an overflow runs on as inf or nan to the one test at the end
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(k + 1):
+                r = np.linalg.solve(-self.Y.T, r) * max(j, 1)
+            m = float(r @ self.z)
+        if not math.isfinite(m):
+            raise ValueError(f"k = {k}: the moment lies beyond the double range")
+        return m
 
     @property
     def mean(self) -> float:
@@ -498,17 +505,6 @@ def _chain(parts):
     z = np.zeros(offs[-1])
     z[offs[-2]:] = parts[-1].z
     return x, Y, z
-
-
-def _row_pairs(x, Y, z, thetas):
-    """(int_0^theta x e^{tY} z dt, x e^{theta Y} z) for each theta: rows
-    e_0 and [0, x] of e^{theta A}, A the :func:`matfun.augmented`
-    generator, dotted with [0; z]."""
-    A = matfun.augmented(x, Y)
-    rows = np.eye(2, A.shape[0])
-    rows[1, 1:] = x
-    for th in thetas:
-        yield matfun.expm_row(rows, th * A)[:, 1:] @ z
 
 
 def from_product_form(factors) -> MEDist:

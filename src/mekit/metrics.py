@@ -21,7 +21,7 @@ import numpy as np
 from . import algebra, matfun
 from .algebra import _Node, _triple
 from .medist import (MEDist, _chain, _count, _positive, _probability,
-                     _row_pairs, _threshold, _threshold_of_rate)
+                     _threshold, _threshold_of_rate)
 
 __all__ = [
     "MetricResult",
@@ -85,9 +85,10 @@ def _result(value, path, quad_error=None):
 
 
 def outage(channel, theta: float) -> MetricResult:
-    """Outage probability P(Z <= theta): the augmented cdf (valid for
-    singular generators); on an unclosed max or min node, the product form
-    of its parts' cdfs."""
+    """Outage probability P(Z <= theta): the channel's cdf, by the route
+    rule of :meth:`~mekit.medist.MEDist._partial_cdfs` (valid for singular
+    generators); on an unclosed max or min node, the product form of its
+    parts' cdfs."""
     d = channel if isinstance(channel, _Node) else _triple(channel)
     return _result(d.cdf(_threshold(theta)), "closed_form")
 
@@ -153,8 +154,8 @@ def outage_capacity(channel, q_target: float) -> MetricResult:
 
 
 def arq_throughput(channel, R: float, theta: float) -> MetricResult:
-    """ARQ throughput R (1 - P(Z <= theta)), sharing the outage
-    exponential."""
+    """ARQ throughput R (1 - P(Z <= theta)), the outage read by
+    :func:`outage`."""
     R = _positive(R, "R")
     return _result(R * (1.0 - outage(channel, theta).value),
                    "closed_form")
@@ -197,10 +198,12 @@ def harq_persistent_throughput(channel, R: float, theta: float,
     """Persistent-HARQ (no retransmission limit) throughput R / N(theta),
     N(theta) the mean transmission count.
 
-    ``channel`` is a distribution or a rational transform; with
-    ``diversity`` N > 1 each transmission sees the N-fold sum.
-    ``companion`` integrates the renewal density of the N-fold block
-    generator G (see :func:`_renewal_generator`); ``roots_of_unity`` splits
+    ``channel`` is any channel form that stands for a triple
+    (:func:`~mekit.algebra._triple`); with ``diversity`` N > 1 each
+    transmission sees the N-fold sum.  Both methods take the integral row
+    of :func:`matfun.expm_integral`.  ``companion`` integrates the renewal
+    density of the N-fold block generator G (see
+    :func:`_renewal_generator`); ``roots_of_unity`` splits
     the block-circulant G by the block DFT into the blocks Y + w^n z x,
     w = e^{2 pi i/N}, exponentiates their complex block-diagonal with rows
     w^n x / N, and must give a real result.
@@ -209,7 +212,7 @@ def harq_persistent_throughput(channel, R: float, theta: float,
     N = _count(diversity, "diversity")
     if method == "companion":
         x, G, z = _renewal_generator(channel, N)
-        mean_tx = 1.0 + matfun.expm_integral(x, G, theta) @ z
+        mean_tx = 1.0 + matfun.expm_integral(x, G, theta)[0] @ z
         return _result(R / mean_tx, "closed_form")
     if method == "roots_of_unity":
         d, n = _triple(channel), np.arange(N)
@@ -217,7 +220,7 @@ def harq_persistent_throughput(channel, R: float, theta: float,
         B = np.zeros((N, d.d, N, d.d), dtype=complex)
         B[n, :, n, :] = d.Y + w[:, None, None] * d.z[:, None] * d.x
         row = matfun.expm_integral((w[:, None] * d.x).ravel() / N,
-                                   B.reshape(N * d.d, -1), theta)
+                                   B.reshape(N * d.d, -1), theta)[0]
         E = np.sum(row.reshape(N, -1) @ d.z)
         return _result(R / (1.0 + E), "roots_of_unity")
     raise ValueError(f"unknown method {method!r}")
@@ -460,9 +463,12 @@ def optimize_rate(metric: str, channel, thetas) -> list[Optimum]:
     """Parametric throughput optimization over the auxiliary threshold
     parameter, for a unit-mean channel with theta = (e^R - 1)/S.
 
-    Supported metrics: ``arq`` (channel: unit-mean distribution),
-    ``harq_persistent`` (channel: unit-mean distribution or rational
-    transform),
+    Supported metrics: ``arq`` (channel: any unit-mean channel form; each
+    theta reads (F, f) by :meth:`~mekit.medist.MEDist._cdf_pdf`, the route
+    :func:`outage_capacity` takes), ``harq_persistent`` (channel: any
+    unit-mean channel form; each theta reads the mean retransmission count
+    and the renewal density as the pair of :func:`matfun.expm_integral`
+    over the renewal triple of :func:`_renewal_generator`) and
     ``arq_interference`` (channel: interference scenario with unit-mean
     signal; handled in the bivariate module and dispatched here).
     Rows where the auxiliary ratio g <= 1 are flagged as boundary points.
@@ -475,14 +481,14 @@ def optimize_rate(metric: str, channel, thetas) -> list[Optimum]:
         if abs(d.mean - 1.0) > 1e-8:
             raise ValueError("optimize_rate expects a unit-mean channel")
         return [_optimum_from_g(th, (1.0 - F) / (th * f), 1.0 / (1.0 - F))
-                for th, (F, f) in zip(thetas, _row_pairs(d.x, d.Y, d.z,
-                                                         thetas))]
+                for th, (F, f) in zip(thetas, map(d._cdf_pdf, thetas))]
     if metric == "harq_persistent":
         # T = R / (1 + n(theta)), n the mean retransmission count and n'
         # the renewal density
+        x, G, z = _renewal_generator(channel, 1)
+        pairs = (matfun.expm_integral(x, G, th) @ z for th in thetas)
         return [_optimum_from_g(th, (1.0 + n) / (th * f), 1.0 + n)
-                for th, (n, f) in zip(thetas, _row_pairs(
-                    *_renewal_generator(channel, 1), thetas))]
+                for th, (n, f) in zip(thetas, pairs)]
     if metric == "arq_interference":
         from . import bivariate
         out = []
@@ -503,8 +509,9 @@ def mimo_high_snr_outage(N: int, R: float, t: float) -> MetricResult:
     t^{-N^2} prod_{n<N} n! * prod_{n=1..N} (s-n)^{-n}
     prod_{n=N+1..2N-1} (s-n)^{-(2N-n)}; the outage is its integral over
     (0, R), one augmented exponential of the upper-bidiagonal pole matrix.
+    The SNR t must be positive and finite.
     """
-    N, R = _count(N, "N"), _threshold(R, "R")
+    N, R, t = _count(N, "N"), _threshold(R, "R"), _positive(t, "t")
     if N < 2:
         raise ValueError("N must be at least 2")
     scale = 1.0

@@ -99,6 +99,8 @@ BAD["rate"] = BAD["positive"] + [800.0]
 # a probability is a finite real strictly between 0 and 1
 BAD["probability"] = [math.nan, math.inf, -math.inf, -1.0, 0.0, 1.0, 2.0,
                       np.array([0.1, 0.2])]
+# an upper limit is a threshold or +inf
+BAD["limit"] = [math.nan, -math.inf, -1.0, np.array([1.0, 2.0])]
 
 # (entry point, argument, domain, the call with that argument v and every
 # other argument valid)
@@ -136,6 +138,8 @@ DOMAIN = [
      lambda v: metrics.mimo_high_snr_outage(v, 1.0, 10.0)),
     (metrics.mimo_high_snr_outage, "R", "threshold",
      lambda v: metrics.mimo_high_snr_outage(2, v, 10.0)),
+    (metrics.mimo_high_snr_outage, "t", "positive",
+     lambda v: metrics.mimo_high_snr_outage(2, 1.0, v)),
     (metrics.theta_absolute, "R", "threshold",
      lambda v: metrics.theta_absolute(v)),
     (metrics.theta_unit_mean, "R", "threshold",
@@ -150,6 +154,9 @@ DOMAIN = [
      lambda v: bivariate.sm_mimo_2x2_outage(v)),
     (bivariate.integral_sylvester, "a", "threshold",
      lambda v: bivariate.integral_sylvester(v, 1.0, [1.0], [[-1.0]], [[1.0]],
+                                            [[-2.0]], [1.0])),
+    (bivariate.integral_sylvester, "b", "limit",
+     lambda v: bivariate.integral_sylvester(0.0, v, [1.0], [[-1.0]], [[1.0]],
                                             [[-2.0]], [1.0])),
     (bivariate.InterferenceScenario, "theta", "threshold",
      lambda v: bivariate.InterferenceScenario(signal=RAY, interferers=(RAY,),
@@ -193,7 +200,8 @@ def test_scalar_outside_its_domain_refused_by_name(call, arg, value):
 
 
 def test_every_scalar_argument_is_in_the_domain_table():
-    named = {"R", "theta", "a", "K", "M", "n", "diversity", "q_target"}
+    named = {"R", "theta", "a", "b", "t", "K", "M", "n", "diversity",
+             "q_target"}
     covered = {(fn, arg) for fn, arg, _, _ in DOMAIN}
     missing = [f"{module.__name__}.{name}({arg})"
                for module in (metrics, bivariate, infoq, oracle)

@@ -1,5 +1,7 @@
 import math
 
+import mpmath
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -376,6 +378,24 @@ class TestWishart:
 
     def test_ordered_mass_is_one(self):
         assert abs(wishart2x2_bivme().normalization() - 1.0) < 1e-10
+
+    @pytest.mark.parametrize("z", [1e-6, 1e-4, 1e-2, 0.1, 3.0])
+    def test_ordered_marginals_against_mpmath(self, z):
+        # the larger eigenvalue: int_0^z e^{-t-z} (z - t)^2 dt
+        # = e^{-z} (z^2 - 2z + 2) - 2 e^{-2z}, which rises like z^3/3; the
+        # smaller: 2 e^{-2z}
+        w = wishart2x2_bivme()
+        with mpmath.workdps(40):
+            zz = mpmath.mpf(z)
+            f2 = mpmath.exp(-zz) * (zz * zz - 2 * zz + 2) - 2 * mpmath.exp(-2 * zz)
+            f1 = 2 * mpmath.exp(-2 * zz)
+            for which, ref in ((2, f2), (1, f1)):
+                got = w.marginal_pdf(which, z)
+                assert abs(got - ref) <= 1e-14 * ref, which
+
+    def test_ordered_marginal_refuses_a_third_coordinate(self):
+        with pytest.raises(ValueError, match="which must be 1 or 2"):
+            wishart2x2_bivme().marginal_pdf(3, 1.0)
 
     def test_ordered_marginal_integrates_to_one(self):
         w = wishart2x2_bivme()

@@ -343,3 +343,33 @@ def test_moment_orders_beyond_gamma_refused():
         Type3Dist(*t).moment(-2)
     with pytest.raises(ValueError, match="moment order 342 "):
         Type3Dist(*t).moment(342)
+
+
+@pytest.mark.parametrize("cls", [Type1Dist, Type2Dist, Type3Dist])
+@pytest.mark.parametrize("x", [[math.nan], [math.inf]])
+def test_non_finite_triple_refused(cls, x):
+    # the unit-mass test abs(mass - 1) > 1e-8 is False for NaN
+    with pytest.raises(ConstructionError, match="non-finite"):
+        cls(x, [[-1.0]], [1.0])
+
+
+@pytest.mark.parametrize("call", [
+    lambda t: Type1Dist(*t).moment(-2), lambda t: Type2Dist(*t).moment(-2, 0),
+    lambda t: Type2Dist(*t).moment(0, -4), lambda t: Type3Dist(*t).moment(-1)])
+def test_negative_moment_order_refused(call):
+    with pytest.raises(ValueError, match=r"moment order -\d+ is negative"):
+        call(([1.0], [[-1.0]], [1.0]))
+
+
+@pytest.mark.parametrize("s", [1e-200, 1e-150, 1e150])
+def test_even_moments_over_the_range(s):
+    # the unit-mass triple (1/s, -1/s, 1): E T^2 = s for the Rayleigh-like
+    # density, E T^4 = 2 s^2, and E U^2 = s/2 for the bivariate one;
+    # inverse matrix powers gave 0.0 or inf here
+    t = ([1.0 / s], [[-1.0 / s]], [1.0])
+    for got, ref in ((Type3Dist(*t).moment(2), s),
+                     (Type3Dist(*t).moment(4), 2.0 * s * s),
+                     (Type2Dist(*t).moment(2, 0), 0.5 * s),
+                     (Type2Dist(*t).moment(2, 2), 0.25 * s * s)):
+        if 0.0 < ref < math.inf:
+            assert got == pytest.approx(ref, rel=1e-14, abs=0.0)

@@ -1,4 +1,6 @@
+import ast
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -108,7 +110,7 @@ class TestExpm:
         M = random_stable_matrix(rng, 3)
         b = 1.3
         for i in range(3):
-            closed = matfun.expm_integral(np.eye(3)[i], M, b)
+            closed = matfun.expm_integral(np.eye(3)[i], M, b)[0]
             for j in range(3):
                 val, _ = quadpack(lambda t: matfun.expm(t * M)[i, j], 0.0, b)
                 assert abs(closed[j] - val) < 1e-9
@@ -118,7 +120,7 @@ class TestExpm:
         M = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 0.0], [0.5, 0.0, -2.0]])
         x = rng.normal(size=3)
         b = 1.7
-        closed = matfun.expm_integral(x, M, b)
+        closed = matfun.expm_integral(x, M, b)[0]
         for j in range(3):
             val, _ = quadpack(lambda t: (x @ matfun.expm(t * M))[j], 0.0, b)
             assert abs(closed[j] - val) < 1e-9
@@ -126,8 +128,25 @@ class TestExpm:
     def test_integral_complex_row(self):
         # int_0^b e^{i w t} dt = (e^{i w b} - 1) / (i w)
         w, b = 3.0, 0.8
-        got = matfun.expm_integral([1.0 + 0.0j], [[1j * w]], b)[0]
+        got = matfun.expm_integral([1.0 + 0.0j], [[1j * w]], b)[0, 0]
         assert abs(got - (np.exp(1j * w * b) - 1.0) / (1j * w)) < 1e-14
+
+    @pytest.mark.parametrize("n", [3, 16, 40])
+    def test_integral_pair_rows(self, rng, n):
+        # row 1 is x e^{bY}, row 0 its integral: both rows are read from
+        # one exponential, including past the row-product switch at n = 15
+        Y = random_stable_matrix(rng, n)
+        x = rng.normal(size=n)
+        b = 0.9
+        pair = matfun.expm_integral(x, Y, b)
+        assert pair.shape == (2, n)
+        assert_allclose(pair[1], x @ matfun.expm(b * Y), rtol=1e-12,
+                        atol=1e-14)
+        # d/db of the integral row is the density row
+        h = 1e-5
+        slope = (matfun.expm_integral(x, Y, b + h)[0]
+                 - matfun.expm_integral(x, Y, b - h)[0]) / (2.0 * h)
+        assert_allclose(slope, pair[1], rtol=1e-7, atol=1e-8)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
@@ -425,3 +444,74 @@ class TestHelpers:
     def test_eig_decomp_defective(self):
         dec = matfun.eig_decomp(np.array([[2.0, 1.0], [0.0, 2.0]]))
         assert not dec.diagonalizable
+
+
+
+def _names(node):
+    """Every name that ``node`` mentions: variables, attributes, imports."""
+    out = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out.add(n.id)
+        elif isinstance(n, ast.Attribute):
+            out.add(n.attr)
+        elif isinstance(n, ast.alias):
+            out.update(n.name.split("."))
+            out.add(n.asname)
+    return out
+
+
+class _AugmentedReads(ast.NodeVisitor):
+    """The functions of one module that name ``augmented`` or apply
+    ``expm_row`` to an augmented generator (directly or through a name
+    bound to one)."""
+
+    KEEP = {("medist", "_table"), ("metrics", "mimo_asymptote_generator")}
+
+    def __init__(self, module):
+        self.module, self.fn, self.bound, self.found = module, None, set(), []
+
+    def visit_FunctionDef(self, node):
+        outer = self.fn, self.bound
+        self.fn = node.name
+        self.bound = {t.id for a in ast.walk(node) if isinstance(a, ast.Assign)
+                      and "augmented" in _names(a.value)
+                      for t in a.targets if isinstance(t, ast.Name)}
+        self.generic_visit(node)
+        self.fn, self.bound = outer
+
+    def visit_Name(self, node):
+        self._see(node.id)
+
+    def visit_Attribute(self, node):
+        self._see(node.attr)
+        self.generic_visit(node)
+
+    def visit_alias(self, node):
+        for name in node.name.split(".") + [node.asname]:
+            self._see(name)
+
+    def visit_Call(self, node):
+        args = set().union(*map(_names, node.args))
+        if "expm_row" in _names(node.func) and ({"augmented"} | self.bound) & args:
+            self.found.append(f"{self.module}.{self.fn} applies expm_row to "
+                              "an augmented generator")
+        self.generic_visit(node)
+
+    def _see(self, name):
+        if name == "augmented" and (self.module, self.fn) not in self.KEEP:
+            self.found.append(f"{self.module}.{self.fn} names augmented")
+
+
+def test_expm_integral_is_the_one_augmented_reader():
+    """Outside ``matfun`` every read of e^{bA}, A the augmented generator
+    [[0, x], [0, Y]], goes through :func:`matfun.expm_integral`: only the
+    stepped grid ``MEDist._table`` and the printed pole matrix
+    ``metrics.mimo_asymptote_generator`` name ``augmented``."""
+    found = []
+    for path in sorted(Path(matfun.__file__).parent.glob("*.py")):
+        if path.stem != "matfun":
+            reads = _AugmentedReads(path.stem)
+            reads.visit(ast.parse(path.read_text()))
+            found += reads.found
+    assert not found, found

@@ -1,6 +1,7 @@
 import json
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -190,6 +191,20 @@ class TestEvaluation:
         # and 1e300, and a second moment 0.0 at S = 1e-150
         ref = math.factorial(k) * S ** k
         assert abs(exponential(S).moment(k) - ref) <= 1e-14 * ref
+
+    @pytest.mark.parametrize("S, k", [(1e-3, 171), (1e-2, 200), (1e-3, 300)])
+    def test_moment_past_the_factorial_range(self, S, k):
+        # k! overflows a double from k = 171 on, the moment need not: the
+        # exact k!/rate^k, rate the rounded 1/S the channel holds
+        ref = float(Fraction(math.factorial(k)) / Fraction(1.0 / S) ** k)
+        assert abs(exponential(S).moment(k) - ref) <= 1e-14 * ref
+
+    @pytest.mark.parametrize("k", [171, 400])
+    def test_moment_past_the_double_range_refused_by_name(self, k):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=rf"^k = {k}: the moment"):
+                exponential(1.0).moment(k)
 
     def test_unit_mean_of_a_tiny_exponential(self):
         assert exponential(1e-300).to_unit_mean().mean == pytest.approx(

@@ -704,6 +704,18 @@ class TestOptimizeRate:
         with pytest.raises(ValueError, match="unit-mean"):
             metrics.optimize_rate("arq", exponential(2.0), [0.5])
 
+    @pytest.mark.parametrize("d, thetas", [
+        (erlang(64), [0.6, 0.7, 0.9, 1.5]), (erlang(3), [0.1, 0.5, 2.0]),
+        (example2().to_unit_mean(), [0.2, 0.7]), (RAY, [0.5])])
+    def test_arq_reads_the_channel_pair(self, d, thetas):
+        # each row is the optimum of the (F, f) that the channel's own
+        # _cdf_pdf reads, bit for bit, on the jump law or the Pade pair
+        rows = metrics.optimize_rate("arq", d, thetas)
+        for th, r in zip(thetas, rows):
+            F, f = d._cdf_pdf(th)
+            assert r == metrics._optimum_from_g(th, (1.0 - F) / (th * f),
+                                                1.0 / (1.0 - F))
+
 
 class TestMimoHighSnr:
     def test_zero_rate_limit(self):

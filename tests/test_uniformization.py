@@ -25,7 +25,7 @@ def _gammainc(k, x):
 
 def _pade_cdf(d, t):
     """The augmented-row cdf, the route every triple took before."""
-    return float(matfun.expm_integral(d.x, d.Y, t) @ d.z)
+    return float(matfun.expm_integral(d.x, d.Y, t)[0] @ d.z)
 
 
 def _rate(d):
@@ -106,7 +106,7 @@ def test_routes_agree_where_both_are_accurate(d):
         for K in (1, 3):
             uni = _fresh_cdfs(d, th, K)
             block = kfold_block(d, K)
-            row = matfun.expm_integral(block.p_block, block.Q_block, th)
+            row = matfun.expm_integral(block.p_block, block.Q_block, th)[0]
             pade = row.reshape(K, d.d) @ d.z
             big = pade > 1e-6
             assert np.all(np.abs(uni - pade)[big] <= 1e-13 * pade[big])
@@ -153,7 +153,7 @@ def test_non_phase_type_keeps_the_pade_row(d):
     for t in (0.01, 0.3, 2.0, 9.0):
         assert d.cdf(t) == _pade_cdf(d, t)
         block = kfold_block(d, 3)
-        row = matfun.expm_integral(block.p_block, block.Q_block, t)
+        row = matfun.expm_integral(block.p_block, block.Q_block, t)[0]
         assert np.array_equal(block.partial_cdfs(t), row.reshape(3, d.d) @ d.z)
 
 
@@ -256,7 +256,7 @@ def test_truncated_harq_builds_no_block_on_a_phase_type_base(monkeypatch,
     for th in (K / 8, K / 3, 2 * K / 3):
         assert _takes(d, th, K)
         got = metrics.harq_truncated_throughput(d, R, K, th).value
-        row = matfun.expm_integral(block.p_block, block.Q_block, th)
+        row = matfun.expm_integral(block.p_block, block.Q_block, th)[0]
         F = row.reshape(K, d.d) @ d.z
         ref = R * (1.0 - F[-1]) / (1.0 + F[:-1].sum())
         assert abs(got - ref) <= 1e-12 * ref
@@ -463,7 +463,7 @@ def test_sparse_step_reads_the_law_past_the_old_rule(monkeypatch, make):
     d = make()
     assert d._law._jumps is not None
     ths = _between(d)
-    pade = [float(matfun.expm_integral(d.x, d.Y, th) @ d.z) for th in ths]
+    pade = [float(matfun.expm_integral(d.x, d.Y, th)[0] @ d.z) for th in ths]
     monkeypatch.setattr(matfun, "expm_integral", None)
     for th, ref in zip(ths, pade):
         assert not _old_rule(d, th, 1) and _takes(d, th)

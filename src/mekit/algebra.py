@@ -200,13 +200,11 @@ class MinOfTwo(_Node):
     def closure(self) -> MEDist:
         a, b = self.d1, self.d2
         _guard_degree(a.d * b.d)
-        # z = -(Y1^-1 (+) Y2^-1)(z1 (x) z2) = s1 (x) z2 + z1 (x) s2 with
-        # s_i = -Y_i^-1 z_i: two solves, no inverse, no second Kronecker sum
-        s1 = -np.linalg.solve(a.Y, a.z)
-        s2 = -np.linalg.solve(b.Y, b.z)
+        # z = -(Y1^-1 (+) Y2^-1)(z1 (x) z2) = u1 (x) z2 + z1 (x) u2 with
+        # u_i = -Y_i^-1 z_i the parts' _u: no inverse, no second Kronecker sum
         x = np.outer(a.x, b.x).ravel()
         Y = matfun.kron_sum(a.Y, b.Y)
-        z = np.outer(s1, b.z).ravel() + np.outer(a.z, s2).ravel()
+        z = np.outer(a._u, b.z).ravel() + np.outer(a.z, b._u).ravel()
         return MEDist(x, Y, z)
 
 

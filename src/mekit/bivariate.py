@@ -100,12 +100,12 @@ class BivME:
     def normalization(self) -> float:
         """Total mass over the support (wedge mass when ordered)."""
         if not self.ordered:
-            return float(self.p1 @ np.linalg.solve(
-                self.Q1, self.P12 @ np.linalg.solve(self.Q2, self.r2)))
+            return float(_integral_to_inf(self.p1, self.Q1) @ self.P12
+                         @ _integral_to_inf(self.r2, self.Q2.T))
         # integral over z2 in (z1, inf) closes to -Q2^{-1} e^{z1 Q2};
-        # the remaining z1 integral is a Sylvester solve.
-        X12 = -self.P12 @ np.linalg.inv(self.Q2)
-        X = matfun.solve_sylvester(self.Q1, self.Q2, -X12)
+        # the remaining z1 integral is a Sylvester solve against P12 Q2^{-1}
+        X = matfun.solve_sylvester(
+            self.Q1, self.Q2, np.linalg.solve(self.Q2.T, self.P12.T).T)
         return float(self.p1 @ X @ self.r2)
 
     def marginal(self, which: int = 1) -> MEDist:
@@ -157,10 +157,8 @@ class BivME:
     def validate(self) -> dict:
         """Grid nonnegativity and normalization report (necessary
         conditions only; no constructive validity test exists)."""
-        t1 = 40.0 / np.abs(np.linalg.eigvals(self.Q1).real).min()
-        t2 = 40.0 / np.abs(np.linalg.eigvals(self.Q2).real).min()
-        g1 = np.linspace(0, t1, 32)
-        g2 = np.linspace(0, t2, 32)
+        g1 = np.linspace(0, _horizon(self.Q1), 32)
+        g2 = np.linspace(0, _horizon(self.Q2), 32)
         # density on the grid as L (e^{g2 Q2} r2), L = p1 e^{g1 Q1} P12,
         # from the stepped rows L and r2 e^{g2 Q2^T} L^T
         L = matfun.row_powers(self.p1, matfun.expm1(g1[1] * self.Q1), 32,
@@ -177,17 +175,23 @@ class BivME:
                 "mass_is_one": abs(mass - 1.0) <= 1e-6}
 
 
+def _horizon(Q):
+    """40 over the slowest nonzero decay rate of e^{tQ} (40 if none): where
+    ``validate`` ends its grid and the integral to inf of a singular Q is
+    cut."""
+    rates = np.abs(np.linalg.eigvals(Q).real)
+    rates = rates[rates > 1e-12]
+    return 40.0 / rates.min() if rates.size else 40.0
+
+
 def _integral_to_inf(x, Q):
     """int_0^inf x e^{tQ} dt = -x Q^{-1}; for singular Q the integral is
-    cut at 40 over the slowest nonzero decay rate, and diverges (raises
+    cut at the :func:`_horizon` of Q, and diverges (raises
     ``LinAlgError``) unless x e^{tQ} has decayed there."""
     try:
         return -np.linalg.solve(Q.T, x)
     except np.linalg.LinAlgError:
-        rates = np.abs(np.linalg.eigvals(Q).real)
-        rates = rates[rates > 1e-12]
-        b = 40.0 / rates.min() if rates.size else 40.0
-        integral, row = matfun.expm_integral(x, Q, b)
+        integral, row = matfun.expm_integral(x, Q, _horizon(Q))
         if np.max(np.abs(row)) > 1e-12 * np.max(np.abs(x)):
             raise np.linalg.LinAlgError(
                 "integral diverges: x e^{tQ} has not decayed") from None
@@ -356,11 +360,11 @@ def sm_mimo_2x2_outage(R: float) -> MetricResult:
     w = wishart2x2_bivme()
     p1, Q1, P12, Q2, r2 = w.p1, w.Q1, w.P12, w.Q2, w.r2
     TH = math.exp(R)
-    Q1i = np.linalg.inv(Q1)
-    Q2i = np.linalg.inv(Q2)
-    closed = 1.0 - 0.5 * float(
-        p1 @ matfun.expm((TH - 1.0) * Q1) @ Q1i @ P12 @ Q2i @ r2)
-    mid = matfun.expm(-Q1) @ P12 @ matfun.expm(-Q2) @ Q2i
+    # a row times Q^{-1} is a solve against Q^T: no inverse is formed
+    row = np.linalg.solve(Q1.T, p1 @ matfun.expm((TH - 1.0) * Q1))
+    closed = 1.0 - 0.5 * float(row @ P12 @ np.linalg.solve(Q2, r2))
+    mid = np.linalg.solve(
+        Q2.T, (matfun.expm(-Q1) @ P12 @ matfun.expm(-Q2)).T).T
 
     def integrand(t1):
         left = p1 @ matfun.expm(t1[:, None, None] * Q1) @ mid

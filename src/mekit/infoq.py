@@ -96,10 +96,10 @@ class _PartialMoments:
 
     def __init__(self, dist: MEDist):
         self.dist = dist
-        Yi = np.linalg.inv(dist.Y)
-        Yi1z = Yi @ dist.z
-        Yi2z = Yi @ Yi1z
-        self._V = np.column_stack([Yi1z, Yi2z, Yi @ Yi2z, dist.z])
+        Yi1z = -dist._u  # Y^-1 z, then Y^-2 z and Y^-3 z by two solves
+        Yi2z = np.linalg.solve(dist.Y, Yi1z)
+        self._V = np.column_stack(
+            [Yi1z, Yi2z, np.linalg.solve(dist.Y, Yi2z), dist.z])
 
     def at(self, t) -> np.ndarray:
         t = np.asarray(t, dtype=float)

@@ -16,7 +16,6 @@ concurrently.
 from __future__ import annotations
 
 import collections
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -486,9 +485,10 @@ class _JumpLaw:
         f = _poisson_pmf(np.array([self.q * theta]), cols)[0] @ a[cols]
         return min(float(a @ tails[:n]), 1.0), self.q * float(f)
 
-    def density(self, theta):
+    def density(self, theta, u):
         """The density x e^{theta Y} z = q sum_j P(N = j) a_j, N ~
-        Poisson(q theta), at a scalar or an array of theta >= 0.
+        Poisson(q theta), at a scalar or an array of theta >= 0; ``u`` is
+        the survival vector that :meth:`_mass_past` reads, or ``None``.
 
         The weights are :func:`_poisson_pmf`, taken over the nonzero a_j
         from r on.  The points are read from the largest q theta down, in
@@ -531,7 +531,7 @@ class _JumpLaw:
                 cols = lo + np.flatnonzero(s.a[lo:n])
                 W = _poisson_pmf(l, np.append(cols, n))
                 acc += W[:, :-1] @ s.a[cols]
-                M, tail = self._mass_past(s, n), W[:, -1]
+                M, tail = self._mass_past(s, n, u), W[:, -1]
                 if M == 0.0 or n + 1 > top and np.all(
                         (tail <= _PMF_MIN)
                         | (tail * ((n + 1) * M / _EPS) <= (n + 1 - l) * acc)):
@@ -542,25 +542,17 @@ class _JumpLaw:
         f *= self.q
         return float(f[0]) if th.ndim == 0 else f.reshape(th.shape)
 
-    def _mass_past(self, s, n):
+    def _mass_past(self, s, n, u):
         """A bound on M_n = sum_{j >= n} a_j for n <= L, the length of
         state ``s``, by nonnegative sums only: sum_{j >= m} a_j =
-        x P^m (I - P)^{-1} z / q = x P^m u with u = (-Y)^{-1} z, so
-        M_n <= a_n + ... + a_(L-1) + x P^m u for the row x P^m that ``s``
-        resumes from (m = L - 1, or L // 2 on the sparse step).  1, the
-        bound sum_j a_j <= 1, where -Y is singular."""
-        if self._u is None:
+        x P^m (I - P)^{-1} z / q = x P^m u with u = (-Y)^{-1} z the
+        channel's survival vector (``MEDist._u``), so M_n <= a_n + ... +
+        a_(L-1) + x P^m u for the row x P^m that ``s`` resumes from
+        (m = L - 1, or L // 2 on the sparse step).  1, the bound
+        sum_j a_j <= 1, where u is ``None`` (-Y singular)."""
+        if u is None:
             return 1.0
-        return float(s.a[n:].sum() + s.resume[:self._x.size] @ self._u)
-
-    @functools.cached_property
-    def _u(self):
-        """u = (-Y)^{-1} z, >= 0 for a phase-type triple (-Y is then a
-        nonsingular M-matrix), or ``None`` where -Y is singular."""
-        try:
-            return np.abs(np.linalg.solve(-self._Y, self._zq * self.q))
-        except np.linalg.LinAlgError:
-            return None
+        return float(s.a[n:].sum() + s.resume[:self._x.size] @ u)
 
 
 def _convolution_powers(a, r, K):

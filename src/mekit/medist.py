@@ -175,8 +175,8 @@ class MEDist:
     The triple is read-only.  A channel caches what its reads derive from
     it, each built on first use and never at construction: the sign test
     ``phase_type``, the jump law ``_law`` grown as cdf and pdf reads need
-    more terms, the horizon :meth:`t_max` and :meth:`to_unit_mean`.  A
-    channel may be shared across threads.
+    more terms, the survival vector ``_u``, the horizon :meth:`t_max` and
+    :meth:`to_unit_mean`.  A channel may be shared across threads.
     """
 
     x: np.ndarray
@@ -218,7 +218,11 @@ class MEDist:
         if (t < 0).any():
             raise ValueError(f"pdf requires t >= 0, got {t}")
         if t.size and (law := self._law) and law.takes(t.max(), N=t.size):
-            return law.density(t)
+            try:
+                u = self._u
+            except np.linalg.LinAlgError:
+                u = None
+            return law.density(t, u)
         val = self.x @ matfun.expm(t[..., None, None] * self.Y) @ self.z
         return float(val) if t.ndim == 0 else val
 
@@ -239,6 +243,13 @@ class MEDist:
         if self.phase_type and np.diagonal(self.Y).any():
             return matfun._JumpLaw(self.x, self.Y, self.z)
         return None
+
+    @functools.cached_property
+    def _u(self) -> np.ndarray:
+        """u = (-Y)^{-1} z, the one solve of it: the survival is
+        x e^{tY} u, the mass x u = L(0) and the jump law's mass past row
+        x P^m is x P^m u.  A singular -Y raises ``LinAlgError``."""
+        return np.linalg.solve(-self.Y, self.z)
 
     def _partial_cdfs(self, t, K=1):
         """P(Z_1 + ... + Z_k <= t) for k = 1..K, Z_i iid with this law: the

@@ -253,13 +253,12 @@ def eff_capacity_me_rate(channel, theta: float) -> MetricResult:
     ME-distributed service rate zeta: the log-transform at s = theta.  ln L
     is read from L = L(theta) where L <= 1/2, and elsewhere, where it would
     cancel, as log1p(-T): T = 1 - L = theta x (theta I - Y)^{-1} u with
-    u = -Y^{-1} z, as x u = L(0) = 1."""
+    u = -Y^{-1} z the channel's ``_u``, as x u = L(0) = 1."""
     theta, d = _positive(theta, "theta"), _triple(channel)
     L = d.lt(theta)
     if L <= 0.5:
         return _result(-math.log(L) / theta, "closed_form")
-    u = np.linalg.solve(-d.Y, d.z)
-    T = theta * (d.x @ np.linalg.solve(theta * np.eye(d.d) - d.Y, u))
+    T = theta * (d.x @ np.linalg.solve(theta * np.eye(d.d) - d.Y, d._u))
     return _result(-math.log1p(-T) / theta, "closed_form")
 
 
@@ -318,17 +317,16 @@ def ergodic_capacity(channel) -> MetricResult:
     Frullani's ln(1+z) = int_0^inf (e^{-u} - e^{-u(1+z)})/u du gives
     E{ln(1+Z)} = int_0^inf e^{-u} (1 - L(u))/u du with L(u) = E{e^{-uZ}}
     the Laplace transform, with (1 - L(u))/u read as x (uI - Y)^{-1} w,
-    w = -Y^{-1} z: it does not cancel where uZ is small, it is the mean at
-    u = 0, and its row x (uI - Y)^{-1}, formed first, does not underflow on
-    a tiny mean.  As E{ln(1+Z)} <= E{Z}, the quadrature's absolute floor is
-    1e-10 min(1, mean); ``quad_error`` is its estimate.
+    w = -Y^{-1} z (the channel's ``_u``): no cancelling where uZ is small,
+    the mean at u = 0, and its row x (uI - Y)^{-1}, formed first, does not
+    underflow on a tiny mean.  As E{ln(1+Z)} <= E{Z}, the quadrature's
+    absolute floor is 1e-10 min(1, mean); ``quad_error`` is its estimate.
     """
     d = _triple(channel)
-    w = np.linalg.solve(-d.Y, d.z)
 
     def f(u):
         A = u[:, None, None] * np.eye(d.d) - d.Y
-        return np.exp(-u) * (np.linalg.solve(A.mT, d.x) @ w)
+        return np.exp(-u) * (np.linalg.solve(A.mT, d.x) @ d._u)
 
     mean = f(np.zeros(1))[0]
     val, err = matfun.quad(f, 0.0, np.inf, tol=1e-10 * min(1.0, mean))
@@ -509,7 +507,9 @@ def mimo_high_snr_outage(N: int, R: float, t: float) -> MetricResult:
     t^{-N^2} prod_{n<N} n! * prod_{n=1..N} (s-n)^{-n}
     prod_{n=N+1..2N-1} (s-n)^{-(2N-n)}; the outage is its integral over
     (0, R), one augmented exponential of the upper-bidiagonal pole matrix.
-    The SNR t must be positive and finite.
+    The SNR t must be positive and finite.  This is an asymptote in t, not
+    a probability: it is not clipped, and at small t it exceeds 1 (2.2e11
+    at N = 2, t = 1e-3).  A t at which it overflows a double is refused.
     """
     N, R, t = _count(N, "N"), _threshold(R, "R"), _positive(t, "t")
     if N < 2:
@@ -518,7 +518,14 @@ def mimo_high_snr_outage(N: int, R: float, t: float) -> MetricResult:
     for n in range(N):
         scale *= math.factorial(n)
     row = matfun.expm_row(None, R * mimo_asymptote_generator(N))
-    return _result(t ** (-N * N) * scale * row[-1], "closed_form")
+    try:
+        val = t ** (-N * N) * scale * float(row[-1])
+    except OverflowError:
+        val = math.inf
+    if val == math.inf:
+        raise ValueError(f"t = {t!r}: at N = {N} the asymptote, which grows "
+                         "like t^(-N^2), overflows a double")
+    return _result(val, "closed_form")
 
 
 def mimo_asymptote_generator(N: int) -> np.ndarray:

@@ -94,6 +94,26 @@ class TestBivME:
         with pytest.raises(np.linalg.LinAlgError, match="diverges"):
             j.marginal(1)
 
+    def test_zero_mode_that_p1_never_excites(self):
+        # e^{-z1-z2}, with a zero eigenvalue of Q1 whose state p1 never
+        # enters: the grid ends 40 past the slowest nonzero rate and the
+        # mass is the two integrals to inf, as the marginals read them
+        j = BivME([0.0, 1.0], np.diag([0.0, -1.0]), [[0.0], [1.0]],
+                  [[-1.0]], [1.0])
+        assert abs(j.pdf(0.5, 0.5) - math.exp(-1.0)) <= 1e-15
+        assert abs(j.normalization() - 1.0) <= 1e-12
+        rep = j.validate()
+        assert rep["nonneg_on_grid"] and rep["mass_is_one"]
+        assert abs(rep["mass"] - 1.0) <= 1e-12
+
+    def test_zero_mode_that_p1_excites_is_refused(self):
+        j = BivME([1.0, 0.0], np.diag([0.0, -1.0]), [[1.0], [0.0]],
+                  [[-1.0]], [1.0])
+        with pytest.raises(np.linalg.LinAlgError, match="integral diverges"):
+            j.normalization()
+        with pytest.raises(np.linalg.LinAlgError, match="integral diverges"):
+            j.validate()
+
     def test_json_roundtrip(self):
         j = wishart2x2_bivme()
         j2 = BivME.from_json(j.to_json())

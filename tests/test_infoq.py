@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -209,6 +210,26 @@ class TestLloydMax:
         means = 1.0 / lam + np.append(
             (a[:-1] - a[1:] * np.exp(-lam * w)) / -np.expm1(-lam * w), a[-1])
         assert np.max(np.abs(means - res.centroids) / res.centroids) < 1e-12
+
+
+class TestPartialMoments:
+    @pytest.mark.parametrize("k", [4, 16])
+    @pytest.mark.parametrize("a, b", [(0.8, 1.1), (1.0, 2.0), (3.0, 5.0),
+                                      (2.0, math.inf)])
+    def test_cell_moments_against_mpmath(self, k, a, b):
+        # int_a^b t^m f(t) dt for the unit-mean Erlang-k (rate k) is
+        # (k)_m / k^m (P(k + m, k b) - P(k + m, k a)), P the regularized
+        # lower incomplete gamma; bulk and upper-tail cells, where the
+        # antiderivatives do not cancel
+        from mekit.infoq import _PartialMoments
+        got = _PartialMoments(erlang(k)).between(a, b)
+        with mpmath.workdps(40):
+            hi = mpmath.inf if math.isinf(b) else k * mpmath.mpf(b)
+            want = [float(mpmath.rf(k, m) / mpmath.mpf(k) ** m
+                          * mpmath.gammainc(k + m, k * mpmath.mpf(a), hi,
+                                            regularized=True))
+                    for m in range(3)]
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
 
 
 class TestPanterDite:

@@ -515,3 +515,55 @@ def test_expm_integral_is_the_one_augmented_reader():
             reads.visit(ast.parse(path.read_text()))
             found += reads.found
     assert not found, found
+
+
+class _InverseRoutes(ast.NodeVisitor):
+    """The calls of one module that reach (-Y)^{-1}: any ``inv``, any
+    ``solve`` with a channel's generator (``Y`` or ``_Y``, or its negation)
+    as the matrix and its exit vector (``z`` or ``_zq``) in the right side,
+    and any ``solve`` inside ``matfun._JumpLaw``."""
+
+    KEEP_INV = {("matfun", "eig_decomp")}
+    KEEP_SOLVE = {("medist", "MEDist._u"), ("oracle", "_jump_law")}
+
+    def __init__(self, module):
+        self.module, self.where, self.found = module, [], []
+
+    def _scope(self, node):
+        self.where.append(node.name)
+        self.generic_visit(node)
+        self.where.pop()
+
+    visit_ClassDef = visit_FunctionDef = _scope
+
+    def visit_Call(self, node):
+        fn = node.func
+        name = fn.attr if isinstance(fn, ast.Attribute) else getattr(
+            fn, "id", None)
+        at = (self.module, ".".join(self.where))
+        if name == "inv" and at not in self.KEEP_INV:
+            self.found.append(f"{'.'.join(at)} calls inv")
+        if name == "solve" and len(node.args) == 2:
+            A, b = node.args
+            if isinstance(A, ast.UnaryOp) and isinstance(A.op, ast.USub):
+                A = A.operand
+            generator = getattr(A, "attr", getattr(A, "id", None))
+            if (generator in {"Y", "_Y"} and {"z", "_zq"} & _names(b)
+                    and at not in self.KEEP_SOLVE):
+                self.found.append(f"{'.'.join(at)} solves (-Y) u = z")
+        if name == "solve" and self.where[:1] == ["_JumpLaw"]:
+            self.found.append(f"{'.'.join(at)} solves inside the jump law")
+        self.generic_visit(node)
+
+
+def test_one_route_to_the_inverse_of_minus_Y():
+    """u = (-Y)^{-1} z is solved in ``MEDist._u`` alone, which every
+    survival, mass and min-closure reader takes; the oracle's jump law
+    keeps its own solve, as a cross-check built apart.  No explicit inverse
+    is formed outside ``eig_decomp``, and the jump law never solves."""
+    found = []
+    for path in sorted(Path(matfun.__file__).parent.glob("*.py")):
+        routes = _InverseRoutes(path.stem)
+        routes.visit(ast.parse(path.read_text()))
+        found += routes.found
+    assert not found, found

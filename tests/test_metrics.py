@@ -739,6 +739,19 @@ class TestMimoHighSnr:
         got = metrics.mimo_high_snr_outage(2, R, t).value
         assert abs(got - t ** -4 * oracle) < 1e-9 * abs(got)
 
+    @pytest.mark.parametrize("N, R, t", [(10, 1.0, 1e-10), (3, 0.5, 1e-200)])
+    def test_overflowing_asymptote_is_refused_by_name(self, N, R, t):
+        # about 10^873 and 10^1793: t^{-N^2} alone passes the double range
+        with pytest.raises(ValueError, match=r"^t = "):
+            metrics.mimo_high_snr_outage(N, R, t)
+
+    def test_asymptote_is_not_clipped_at_small_t(self):
+        # an asymptote in t, not a probability: 2.2e11 at t = 1e-3
+        got = metrics.mimo_high_snr_outage(2, 1.0, 1e-3).value
+        at_one = metrics.mimo_high_snr_outage(2, 1.0, 1.0).value
+        assert got > 1e11
+        assert abs(got - 1e12 * at_one) <= 1e-14 * got
+
     def test_n3_pole_count(self):
         g = metrics.mimo_asymptote_generator(3)
         assert g.shape == (10, 10)  # N^2 poles + augmented row

@@ -590,9 +590,9 @@ def test_law_density_against_mpmath(k, ratio):
     S = 2.5
     d = erlang(k, S)
     ref = _erlang_pdf(k, S, ratio * S)
-    assert abs(d._law.density(ratio * S) - ref) <= 1e-13 * ref
+    assert abs(d._law.density(ratio * S, d._u) - ref) <= 1e-13 * ref
     assert abs(d.pdf(ratio * S) - ref) <= 1e-13 * ref
-    many = d._law.density(np.array([ratio * S, 0.0, ratio * S]))
+    many = d._law.density(np.array([ratio * S, 0.0, ratio * S]), d._u)
     assert many[1] == 0.0
     assert abs(many[0] - ref) <= 1e-13 * ref and many[2] == many[0]
 
@@ -602,7 +602,7 @@ def test_law_density_of_a_full_law_against_mpmath():
     # (down to 1e-13 at t = 1e-4), against x e^{tY} z at 40 digits
     d = convolve(*[medist.exponential(m) for m in (0.5, 0.8, 1.3, 2.0)])
     ts = np.concatenate([[0.0], np.geomspace(1e-4, 80.0, 25)])
-    got = d._law.density(ts)
+    got = d._law.density(ts, d._u)
     with mpmath.workdps(40):
         Y = mpmath.matrix(d.Y.tolist())
         x, z = mpmath.matrix([d.x.tolist()]), mpmath.matrix(d.z.tolist())
@@ -619,7 +619,7 @@ def test_density_read_ends_without_a_mass_bound():
     # weight is good to about eps q t ln(q t), 2e-12
     d = MEDist([1.0, 0.0], [[-1.0, 1.0], [0.0, 0.0]], [0.0, 1.0])
     ts = np.array([0.0, 1e-3, 1.0, 2000.0])
-    assert np.allclose(d._law.density(ts), -np.expm1(-ts), rtol=2e-12, atol=0)
+    assert np.allclose(d._law.density(ts, None), -np.expm1(-ts), rtol=2e-12, atol=0)
 
 
 def test_array_pdf_matches_scalar_calls_on_a_closure():
